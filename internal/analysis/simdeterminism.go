@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -94,7 +95,9 @@ func checkGlobalRand(pass *Pass, sel *ast.SelectorExpr) {
 // checkMapOrder flags `for ... range m` over a map when the loop body
 // does something order-sensitive: appends to a slice that outlives the
 // loop (unless it is sorted afterwards in the same function), writes
-// formatted output, sends on a channel, or schedules simulator events.
+// formatted output, sends on a channel, schedules simulator events, or
+// conditionally keeps the range key in a variable that outlives the
+// loop (an arg-min/arg-max whose ties go to whichever key comes first).
 func checkMapOrder(pass *Pass, rs *ast.RangeStmt, stack []ast.Node) {
 	if !pass.DeepSim {
 		return
@@ -122,6 +125,14 @@ func checkMapOrder(pass *Pass, rs *ast.RangeStmt, stack []ast.Node) {
 						"nondeterministic slice (sort it afterwards or iterate sorted keys)", obj.Name())
 				return false
 			}
+		case *ast.IfStmt:
+			if obj := keyPick(pass.TypesInfo, rs, n); obj != nil {
+				pass.Report(rs.For, "maporder",
+					"map iteration order is random: keeping the range key in %q only when a condition "+
+						"holds picks whichever tied key comes first (break ties on the key itself or "+
+						"iterate sorted keys)", obj.Name())
+				return false
+			}
 		case *ast.CallExpr:
 			if name, bad := orderSensitiveCall(pass.TypesInfo, n); bad {
 				pass.Report(rs.For, "maporder",
@@ -132,6 +143,104 @@ func checkMapOrder(pass *Pass, rs *ast.RangeStmt, stack []ast.Node) {
 		}
 		return true
 	})
+}
+
+// keyPick returns the variable an if statement inside a map range
+// assigns the range key to — or a loop-local value derived from it —
+// when that variable outlives the loop: the arg-min/arg-max shape. A
+// condition that also orders the key against that variable breaks
+// ties on the key itself, so the pick no longer depends on iteration
+// order and is not reported.
+func keyPick(info *types.Info, rs *ast.RangeStmt, ifs *ast.IfStmt) types.Object {
+	key, ok := rs.Key.(*ast.Ident)
+	if !ok || info.Defs[key] == nil {
+		return nil
+	}
+	derived := map[types.Object]bool{info.Defs[key]: true}
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			if obj := identObj(info, lhs); obj != nil && !declaredOutside(obj, rs) && mentions(info, as.Rhs[i], derived) {
+				derived[obj] = true
+			}
+		}
+		return true
+	})
+	var picked types.Object
+	branches := []ast.Node{ifs.Body}
+	if ifs.Else != nil {
+		branches = append(branches, ifs.Else)
+	}
+	for _, br := range branches {
+		ast.Inspect(br, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			// Compound assignments (+=, ...) are folds, not picks; the
+			// append check owns x = append(x, ...).
+			if !ok || picked != nil || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) || appendTarget(info, as) != nil {
+				return picked == nil
+			}
+			for i, lhs := range as.Lhs {
+				obj := identObj(info, lhs)
+				if obj != nil && declaredOutside(obj, rs) && mentions(info, as.Rhs[i], derived) &&
+					!ordersAgainst(info, ifs.Cond, derived, obj) {
+					picked = obj
+					return false
+				}
+			}
+			return true
+		})
+	}
+	return picked
+}
+
+// identObj resolves an identifier expression to its object.
+func identObj(info *types.Info, e ast.Expr) types.Object {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if obj := info.Uses[id]; obj != nil {
+		return obj
+	}
+	return info.Defs[id]
+}
+
+// mentions reports whether e refers to any object in objs.
+func mentions(info *types.Info, e ast.Node, objs map[types.Object]bool) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && objs[info.Uses[id]] {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// ordersAgainst reports whether cond compares (<, <=, >, >=) a value
+// derived from the key with target: the tie-break of a deterministic
+// arg-min.
+func ordersAgainst(info *types.Info, cond ast.Expr, derived map[types.Object]bool, target types.Object) bool {
+	want := map[types.Object]bool{target: true}
+	found := false
+	ast.Inspect(cond, func(n ast.Node) bool {
+		be, ok := n.(*ast.BinaryExpr)
+		if !ok {
+			return !found
+		}
+		switch be.Op {
+		case token.LSS, token.LEQ, token.GTR, token.GEQ:
+			if mentions(info, be.X, derived) && mentions(info, be.Y, want) ||
+				mentions(info, be.X, want) && mentions(info, be.Y, derived) {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // appendTarget returns the object a statement `x = append(x, ...)`

@@ -83,3 +83,58 @@ func allowed(m map[string]int) []string {
 	}
 	return keys
 }
+
+func badArgMin(m map[int][]int) int {
+	victim, best := -1, 1<<30
+	for b, pages := range m { // want `keeping the range key in "victim" only when a condition holds`
+		if n := len(pages); n < best {
+			best = n
+			victim = b
+		}
+	}
+	return victim
+}
+
+func badDerivedKey(m map[string]float64) string {
+	var top string
+	hi := 0.0
+	for k, v := range m { // want `keeping the range key in "top" only when a condition holds`
+		name := "blk-" + k
+		if v > hi {
+			hi = v
+			top = name
+		}
+	}
+	return top
+}
+
+func okTieBreakOnKey(m map[int][]int) int {
+	victim, best := -1, 1<<30
+	for b, pages := range m { // ties go to the lowest key: order-independent
+		if n := len(pages); n < best || n == best && b < victim {
+			best = n
+			victim = b
+		}
+	}
+	return victim
+}
+
+func okMaxOverValues(m map[string]int) int {
+	hi := 0
+	for _, v := range m { // the maximum value is the same in any order
+		if v > hi {
+			hi = v
+		}
+	}
+	return hi
+}
+
+func okKeyFold(m map[int]int) int {
+	sum := 0
+	for k, v := range m { // a commutative fold of the keys
+		if v > 0 {
+			sum += k
+		}
+	}
+	return sum
+}

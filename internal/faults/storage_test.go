@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -141,4 +142,26 @@ func TestStorageInjectorErrnos(t *testing.T) {
 	if !errors.Is(ErrInjectedSync, syscall.EIO) {
 		t.Error("injected sync error does not wrap EIO")
 	}
+}
+
+// The result store and the job journal share one injector from
+// different goroutines; under -race, unguarded draws on its streams
+// are a data race.
+func TestStorageInjectorConcurrentDraws(t *testing.T) {
+	inj := NewStorage(StorageConfig{WriteErrorRate: 0.5, TornWriteRate: 0.5, SyncErrorRate: 0.5, BitRotRate: 0.5, SlowIORate: 0.5, SlowIODelayMS: 1}, 3)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				inj.WriteError()
+				inj.TornWrite()
+				inj.SyncError()
+				inj.BitRot(64)
+				inj.SlowIO()
+			}
+		}()
+	}
+	wg.Wait()
 }

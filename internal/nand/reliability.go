@@ -115,16 +115,19 @@ func NewDefaultModel(seed uint64) *Model {
 // Params returns the model constants.
 func (m *Model) Params() ModelParams { return m.p }
 
+// thresholdSets lists the VREF indices (1..7) each page type needs.
+var thresholdSets = [...][]int{
+	LSB: {1, 5},
+	CSB: {2, 4, 6},
+	MSB: {3, 7},
+}
+
 // thresholdsOf lists the VREF indices (1..7) a page type needs.
 func thresholdsOf(pt PageType) []int {
-	switch pt {
-	case LSB:
-		return []int{1, 5}
-	case CSB:
-		return []int{2, 4, 6}
-	default:
-		return []int{3, 7}
+	if pt == LSB || pt == CSB {
+		return thresholdSets[pt]
 	}
+	return thresholdSets[MSB]
 }
 
 // qFunc is the Gaussian upper-tail probability Q(x).
@@ -174,11 +177,17 @@ type condition struct {
 // or the shrunken state gaps, so disturb degrades every VREF mode by a
 // different amount.
 func (m *Model) conditionAt(blockID, pe int, retentionDays float64, reads int64) condition {
+	return m.conditionWith(m.BlockVariation(blockID), pe, retentionDays, reads)
+}
+
+// conditionWith is conditionAt for a block whose BlockVariation the
+// caller already holds.
+func (m *Model) conditionWith(variation float64, pe int, retentionDays float64, reads int64) condition {
 	if retentionDays < 0 {
 		retentionDays = 0
 	}
 	wear := 1 + m.p.PEShiftBoost*float64(pe)/1000
-	l := math.Log1p(retentionDays) * wear * m.BlockVariation(blockID)
+	l := math.Log1p(retentionDays) * wear * variation
 	c := condition{
 		shiftUnit: m.p.RetentionShift * l,
 		sigma:     m.p.SigmaFresh * (1 + m.p.RetentionWiden*l + m.p.PEWiden*float64(pe)/1000),
@@ -235,32 +244,61 @@ func (m *Model) vrefAt(j int, mode VrefMode, c condition) float64 {
 	}
 }
 
-// rberAcross sums the misread probability across the page type's
-// thresholds, sensing threshold j at voltage vref(j). It is the one
-// place the per-threshold tail formula lives: every RBER query —
-// PageRBER, the retry-table walk, the Swift-Read re-read — routes
-// through it. A cell is in a specific state with probability 1/8
+// misread is the one place the per-threshold tail formula lives: the
+// probability that a cell is misread across threshold j sensed at
+// voltage v. A cell is in a specific state with probability 1/8
 // (randomized data); misreads across threshold j come from the two
 // adjacent states.
+func (m *Model) misread(j int, c condition, v float64) float64 {
+	lo := m.stateMean(j-1, c)
+	hi := m.stateMean(j, c)
+	return (qFunc((v-lo)/c.sigma) + qFunc((hi-v)/c.sigma)) / 8
+}
+
+// capRBER saturates a summed error rate at one bit in two.
+func capRBER(rber float64) float64 {
+	if rber > 0.5 {
+		return 0.5
+	}
+	return rber
+}
+
+// rberAcross sums the misread probability across the page type's
+// thresholds, sensing threshold j at voltage vref(j): the retry-table
+// walk and the Swift-Read re-read place their own voltages.
 func (m *Model) rberAcross(pt PageType, c condition, vref func(j int) float64) float64 {
 	rber := 0.0
 	for _, j := range thresholdsOf(pt) {
-		v := vref(j)
-		lo := m.stateMean(j-1, c)
-		hi := m.stateMean(j, c)
-		rber += (qFunc((v-lo)/c.sigma) + qFunc((hi-v)/c.sigma)) / 8
+		rber += m.misread(j, c, vref(j))
 	}
-	if rber > 0.5 {
-		rber = 0.5
+	return capRBER(rber)
+}
+
+// rberAt is rberAcross at the voltages of a VREF mode.
+func (m *Model) rberAt(pt PageType, c condition, mode VrefMode) float64 {
+	rber := 0.0
+	for _, j := range thresholdsOf(pt) {
+		rber += m.misread(j, c, m.vrefAt(j, mode, c))
 	}
-	return rber
+	return capRBER(rber)
 }
 
 // PageRBER reports the raw bit error rate observed when sensing the
 // page with the given VREF mode under the given operating condition.
 func (m *Model) PageRBER(blockID int, pt PageType, pe int, retentionDays float64, reads int64, mode VrefMode) float64 {
-	c := m.conditionAt(blockID, pe, retentionDays, reads)
-	return m.rberAcross(pt, c, func(j int) float64 { return m.vrefAt(j, mode, c) })
+	return m.rberAt(pt, m.conditionAt(blockID, pe, retentionDays, reads), mode)
+}
+
+// PageRBERPair reports the page's RBER under two VREF modes from one
+// evaluation of the operating condition; each value is bit-identical
+// to the matching PageRBER. variation is the block's BlockVariation,
+// which a caller that reads the same block many times can compute
+// once.
+//
+//riflint:hotpath
+func (m *Model) PageRBERPair(variation float64, pt PageType, pe int, retentionDays float64, reads int64, a, b VrefMode) (float64, float64) {
+	c := m.conditionWith(variation, pe, retentionDays, reads)
+	return m.rberAt(pt, c, a), m.rberAt(pt, c, b)
 }
 
 // ChunkRBER reports the RBER of chunk chunkIdx (of chunkCount equal

@@ -250,3 +250,45 @@ func TestRBERCappedAtHalf(t *testing.T) {
 		t.Fatalf("RBER = %v > 0.5", r)
 	}
 }
+
+// PageRBERPair evaluates one condition for two VREF modes; each value
+// must be bit-identical to the matching single-mode PageRBER, across
+// page types, wear, retention and disturb.
+func TestPageRBERPairMatchesPageRBER(t *testing.T) {
+	m := NewDefaultModel(11)
+	modes := []VrefMode{DefaultVref, OptimalVref, TrackedVref}
+	for bid := 0; bid < 40; bid++ {
+		v := m.BlockVariation(bid)
+		for _, pt := range []PageType{LSB, CSB, MSB} {
+			for _, pe := range []int{0, 1000, 3000} {
+				for _, days := range []float64{-1, 0, 3.5, 90, 730} {
+					for _, reads := range []int64{0, 1, 50_000} {
+						for _, a := range modes {
+							for _, b := range modes {
+								x, y := m.PageRBERPair(v, pt, pe, days, reads, a, b)
+								if x != m.PageRBER(bid, pt, pe, days, reads, a) || y != m.PageRBER(bid, pt, pe, days, reads, b) {
+									t.Fatalf("block %d %v pe=%d days=%v reads=%d modes %v/%v: pair (%v, %v) differs from PageRBER", bid, pt, pe, days, reads, a, b, x, y)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPageRBERPairZeroAlloc is the runtime half of the //riflint:hotpath
+// guard on PageRBERPair, which the SSD evaluates for every page read.
+func TestPageRBERPairZeroAlloc(t *testing.T) {
+	m := NewDefaultModel(3)
+	v := m.BlockVariation(7)
+	var sink float64
+	if allocs := testing.AllocsPerRun(1000, func() {
+		a, b := m.PageRBERPair(v, CSB, 2000, 30, 1000, DefaultVref, OptimalVref)
+		sink += a + b
+	}); allocs != 0 {
+		t.Fatalf("PageRBERPair allocates %.1f times per call", allocs)
+	}
+	_ = sink
+}

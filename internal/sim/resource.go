@@ -9,7 +9,12 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []Handler
+	// waiters[whead:] queue FIFO; the consumed prefix is reclaimed
+	// when the queue empties or the next push would grow it.
+	waiters []Handler
+	whead   int
+	// free recycles Use's hold records.
+	free []*hold
 
 	// Busy-time accounting: busySince is valid while inUse > 0.
 	busy      Time
@@ -31,10 +36,10 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen reports the number of waiting acquirers.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return len(r.waiters) - r.whead }
 
 // Idle reports whether nothing holds or waits for the resource.
-func (r *Resource) Idle() bool { return r.inUse == 0 && len(r.waiters) == 0 }
+func (r *Resource) Idle() bool { return r.inUse == 0 && r.QueueLen() == 0 }
 
 // Acquire requests one unit of capacity. If available, fn runs
 // immediately; otherwise it is queued FIFO.
@@ -43,6 +48,13 @@ func (r *Resource) Acquire(fn Handler) {
 		r.grant(fn)
 		return
 	}
+	if len(r.waiters) == cap(r.waiters) && r.whead > 0 {
+		n := copy(r.waiters, r.waiters[r.whead:])
+		clear(r.waiters[n:])
+		r.waiters = r.waiters[:n]
+		r.whead = 0
+	}
+	//riflint:allow alloc -- grows only when the waiter backlog sets a new high-water mark
 	r.waiters = append(r.waiters, fn)
 }
 
@@ -74,9 +86,14 @@ func (r *Resource) Release() {
 	if r.inUse == 0 {
 		r.busy += r.eng.Now() - r.busySince
 	}
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
+	if r.QueueLen() > 0 {
+		next := r.waiters[r.whead]
+		r.waiters[r.whead] = nil
+		r.whead++
+		if r.whead == len(r.waiters) {
+			r.waiters = r.waiters[:0]
+			r.whead = 0
+		}
 		r.grant(next)
 	}
 }
@@ -91,16 +108,50 @@ func (r *Resource) BusyTime() Time {
 	return b
 }
 
+// hold is one Use call: its duration and continuation, with the two
+// handlers that run it bound once when the record is first allocated,
+// so Use schedules without allocating in steady state.
+type hold struct {
+	r       *Resource
+	d       Time
+	done    Handler
+	onGrant Handler
+	onEnd   Handler
+}
+
+// granted starts the hold's timer.
+func (h *hold) granted() { h.r.eng.After(h.d, h.onEnd) }
+
+// end recycles the hold, releases the resource, then runs done.
+//
+//riflint:hotpath
+func (h *hold) end() {
+	r, done := h.r, h.done
+	h.done = nil
+	//riflint:allow alloc -- returns the hold to the free list, within the capacity Use vacated
+	r.free = append(r.free, h)
+	r.Release()
+	if done != nil {
+		done()
+	}
+}
+
 // Use acquires the resource, holds it for d, then releases it. done, if
 // non-nil, runs at release time after the release (so a chained stage
 // can immediately acquire downstream resources).
+//
+//riflint:hotpath
 func (r *Resource) Use(d Time, done Handler) {
-	r.Acquire(func() {
-		r.eng.After(d, func() {
-			r.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	var h *hold
+	if n := len(r.free); n > 0 {
+		h = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		//riflint:allow alloc -- free-list refill: one hold per queue high-water slot, reused after
+		h = &hold{r: r}
+		h.onGrant = h.granted
+		h.onEnd = h.end
+	}
+	h.d, h.done = d, done
+	r.Acquire(h.onGrant)
 }

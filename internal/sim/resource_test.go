@@ -149,3 +149,46 @@ func TestResourceBackToBackUtilization(t *testing.T) {
 		t.Fatalf("busy = %v, want %v", r.BusyTime(), Time(n*d))
 	}
 }
+
+// TestResourceUseZeroAlloc is the runtime half of the //riflint:hotpath
+// guard on Use: once the hold free list and the waiter queue have
+// reached their high-water marks, a contended hold — queue, grant,
+// timer, release, continuation — allocates nothing.
+func TestResourceUseZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "host", 1)
+	done := func() {}
+	burst := func() {
+		for i := 0; i < 16; i++ {
+			r.Use(Time(i+1), done)
+		}
+		e.Run()
+	}
+	burst() // warm the hold free list, the waiter queue and the event heap
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Fatalf("a burst of contended Use calls allocates %.1f times, want 0", allocs)
+	}
+	if !r.Idle() || r.BusyTime() == 0 {
+		t.Fatalf("resource not drained after bursts: idle=%v busy=%v", r.Idle(), r.BusyTime())
+	}
+}
+
+// Use must keep FIFO grant order and run each continuation when its
+// hold ends, also when holds are recycled across bursts.
+func TestResourceUseOrder(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "host", 1)
+	var got []Time
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 3; i++ {
+			r.Use(Time(10*(i+1)), func() { got = append(got, e.Now()) })
+		}
+		e.Run()
+	}
+	want := []Time{10, 30, 60, 70, 90, 120}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("completion times = %v, want %v", got, want)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package ssd
 import (
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -46,12 +47,73 @@ func TestNoteSenseZeroAlloc(t *testing.T) {
 	crossings := 0
 	s.reclaim = func(bid int) {
 		crossings++
-		s.readCounts[bid] = 0
+		s.blocks[bid].reads = 0
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		s.noteSense(1)
 		s.noteSense(2)
 	}); allocs != 0 {
 		t.Fatalf("noteSense allocates %.1f times per call pair; the per-sense hot path must be allocation-free", allocs)
+	}
+}
+
+// steadyDevice builds a device for a request-path allocation pin and
+// a cycle of requests of one kind drawn from a real workload, so the
+// pages carry realistic retention ages and, at 2K P/E, ride the retry
+// ladders. Latencies go to a fixed-memory sketch: the pin measures the
+// request path, not a sink that stores every sample.
+func steadyDevice(t *testing.T, cfg Config, op trace.Op) (*SSD, func()) {
+	t.Helper()
+	w := smallWorkload(t, "Ali2", 1)
+	var reqs []trace.Request
+	for len(reqs) < 256 {
+		if r := w.Next(); r.Op == op {
+			reqs = append(reqs, r)
+		}
+	}
+	cfg.LatencySketch = stats.NewSketch(0)
+	s, err := New(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	one := func() {
+		s.admit(reqs[i%len(reqs)], s.eng.Now(), false)
+		s.eng.Run()
+		i++
+	}
+	// Warm-up: two passes over the cycle fill every record pool,
+	// station free list and queue to its high-water mark.
+	for range 2 * len(reqs) {
+		one()
+	}
+	return s, one
+}
+
+// TestReadRequestZeroAlloc is the runtime half of the //riflint:hotpath
+// guard on the read path — resolvePages, every scheme's read flow and
+// the die and channel finish handlers: once the pools are warm, a host
+// read request allocates nothing from admission to completion, retries
+// included.
+func TestReadRequestZeroAlloc(t *testing.T) {
+	for _, sc := range AllSchemes() {
+		t.Run(sc.String(), func(t *testing.T) {
+			s, one := steadyDevice(t, smallConfig(sc, 2000), trace.Read)
+			if allocs := testing.AllocsPerRun(500, one); allocs != 0 {
+				t.Fatalf("a steady-state read request allocates %.1f times; the request path must be allocation-free", allocs)
+			}
+			if sc != Zero && s.m.RetryRounds == 0 {
+				t.Fatal("no retry round ran; the pin does not cover the retry ladder")
+			}
+		})
+	}
+}
+
+// TestCachedWriteZeroAlloc pins the cached write path the same way:
+// buffer grant, host transfer, completion and the background flush.
+func TestCachedWriteZeroAlloc(t *testing.T) {
+	_, one := steadyDevice(t, smallConfig(RiF, 2000), trace.Write)
+	if allocs := testing.AllocsPerRun(500, one); allocs != 0 {
+		t.Fatalf("a steady-state cached write allocates %.1f times; the write path must be allocation-free", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -30,20 +31,33 @@ func benchConfig(scheme Scheme, pe int) Config {
 	return cfg
 }
 
+// benchRun times whole runs and reports the simulator's event rate
+// and its heap allocations per simulated request (device build
+// excluded): the request path is allocation-free once its record
+// pools are warm, so allocs/req stays near zero.
 func benchRun(b *testing.B, scheme Scheme, pe int, workload string, n int) {
 	b.Helper()
-	var totalEvents uint64
+	var totalEvents, mallocs uint64
+	var before, after runtime.MemStats
 	for i := 0; i < b.N; i++ {
 		s, err := New(benchConfig(scheme, pe), benchWorkload(b, workload))
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
 		if _, err := s.Run(n); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		b.StartTimer()
+		mallocs += after.Mallocs - before.Mallocs
 		totalEvents += s.Engine().Processed()
 	}
 	b.ReportMetric(float64(totalEvents)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(mallocs)/float64(b.N*n), "allocs/req")
 }
 
 func BenchmarkSimZero(b *testing.B)   { benchRun(b, Zero, 0, "Ali124", 1000) }

@@ -11,7 +11,7 @@ import "fmt"
 type writeCache struct {
 	capacity int
 	inUse    int
-	waiters  []cacheWaiter
+	waiters  ring[cacheWaiter]
 
 	// fail receives accounting errors (a release below zero) so the
 	// run can surface them in its result instead of panicking.
@@ -40,7 +40,7 @@ func (c *writeCache) enabled() bool { return c.capacity > 0 }
 // or queueing FIFO otherwise. Requests larger than the whole cache
 // are granted alone when the cache drains completely.
 func (c *writeCache) acquire(pages int, fn func()) {
-	if c.admissible(pages) && len(c.waiters) == 0 {
+	if c.admissible(pages) && c.waiters.len() == 0 {
 		c.hits++
 		c.inUse += pages
 		if c.inUse > c.inUseHigh {
@@ -50,7 +50,7 @@ func (c *writeCache) acquire(pages int, fn func()) {
 		return
 	}
 	c.stalls++
-	c.waiters = append(c.waiters, cacheWaiter{pages: pages, fn: fn})
+	c.waiters.push(cacheWaiter{pages: pages, fn: fn})
 }
 
 func (c *writeCache) admissible(pages int) bool {
@@ -71,12 +71,12 @@ func (c *writeCache) release(pages int) {
 		}
 		c.inUse = 0
 	}
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
+	for c.waiters.len() > 0 {
+		w := c.waiters.peek()
 		if !c.admissible(w.pages) {
 			return
 		}
-		c.waiters = c.waiters[1:]
+		c.waiters.pop()
 		c.inUse += w.pages
 		if c.inUse > c.inUseHigh {
 			c.inUseHigh = c.inUse
@@ -86,4 +86,4 @@ func (c *writeCache) release(pages int) {
 }
 
 // idle reports whether nothing is buffered or waiting.
-func (c *writeCache) idle() bool { return c.inUse == 0 && len(c.waiters) == 0 }
+func (c *writeCache) idle() bool { return c.inUse == 0 && c.waiters.len() == 0 }

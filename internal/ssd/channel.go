@@ -13,6 +13,9 @@ const (
 )
 
 // xferJob is one channel occupancy: a die-command's worth of pages.
+// Callers hand submit a job by value; the station copies it into a
+// recycled record, so submitting allocates only while the channel's
+// backlog sets a new high-water mark.
 type xferJob struct {
 	kind  xferKind
 	pages int
@@ -66,8 +69,22 @@ type channelStation struct {
 	bufHigh  int
 	pendHigh int
 
-	pending     []*xferJob // waiting for channel (+ buffer for reads)
-	decodeQueue []*xferJob // transferred, waiting for the ECC engine
+	pending     ring[*xferJob] // waiting for channel (+ buffer for reads)
+	decodeQueue ring[*xferJob] // transferred, waiting for the ECC engine
+	free        []*xferJob
+
+	// One transfer and one decode run at a time, so each keeps its job
+	// and start instant here, and one finish handler per stage — bound
+	// once in newChannelStation — serves every job.
+	xfer         *xferJob
+	xferStart    sim.Time
+	onXferDone   func()
+	decoding     *xferJob
+	decodeStart  sim.Time
+	onDecodeDone func()
+	// eccName labels the ECC engine's timeline row; built from name on
+	// the first recorded decode.
+	eccName string
 
 	// Accounting.
 	cor, uncor, write sim.Time
@@ -78,28 +95,49 @@ type channelStation struct {
 }
 
 func newChannelStation(eng *sim.Engine, tDMAPage sim.Time, bufSlots int) *channelStation {
-	return &channelStation{
+	c := &channelStation{
 		eng:      eng,
 		tDMAPage: tDMAPage,
 		bufSlots: bufSlots,
 		opened:   eng.Now(),
 	}
+	c.onXferDone = c.xferDone
+	c.onDecodeDone = c.decodeDone
+	return c
 }
 
 // submit enqueues a channel job.
-func (c *channelStation) submit(job *xferJob) {
-	c.pending = append(c.pending, job)
-	if len(c.pending) > c.pendHigh {
-		c.pendHigh = len(c.pending)
+//
+//riflint:hotpath
+func (c *channelStation) submit(job xferJob) {
+	var rec *xferJob
+	if n := len(c.free); n > 0 {
+		rec = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		//riflint:allow alloc -- free-list refill: one job per backlog high-water slot, reused after
+		rec = &xferJob{}
+	}
+	*rec = job
+	c.pending.push(rec)
+	if c.pending.len() > c.pendHigh {
+		c.pendHigh = c.pending.len()
 	}
 	c.tryStartXfer()
 }
 
+// recycle returns a finished job to the free list.
+func (c *channelStation) recycle(job *xferJob) {
+	*job = xferJob{}
+	//riflint:allow alloc -- within the capacity submit vacated
+	c.free = append(c.free, job)
+}
+
 func (c *channelStation) tryStartXfer() {
-	if c.busy || len(c.pending) == 0 {
+	if c.busy || c.pending.len() == 0 {
 		return
 	}
-	job := c.pending[0]
+	job := c.pending.peek()
 	if job.kind == xferRead && c.bufInUse >= c.bufSlots {
 		// Channel idle but the ECC buffer is full: ECCWAIT begins.
 		if !c.inECCWait {
@@ -108,7 +146,7 @@ func (c *channelStation) tryStartXfer() {
 		}
 		return
 	}
-	c.pending = c.pending[1:]
+	c.pending.pop()
 	if c.inECCWait {
 		c.eccWait += c.eng.Now() - c.eccWaitSince
 		c.inECCWait = false
@@ -120,63 +158,88 @@ func (c *channelStation) tryStartXfer() {
 			c.bufHigh = c.bufInUse
 		}
 	}
+	c.xfer = job
+	c.xferStart = c.eng.Now()
+	c.eng.After(sim.Time(job.pages)*c.tDMAPage, c.onXferDone)
+}
+
+// xferDone completes the running transfer: a write's continuation
+// runs now; a read lands in the ECC buffer and queues for decode.
+//
+//riflint:hotpath
+func (c *channelStation) xferDone() {
+	job := c.xfer
+	c.xfer = nil
+	c.busy = false
 	dur := sim.Time(job.pages) * c.tDMAPage
-	xferStart := c.eng.Now()
-	c.eng.After(dur, func() {
-		c.busy = false
-		if c.record != nil {
-			c.record(c.name, job.label, xferStart, c.eng.Now())
+	if c.record != nil {
+		c.record(c.name, job.label, c.xferStart, c.eng.Now())
+	}
+	switch job.kind {
+	case xferWrite:
+		c.write += dur
+		done := job.onDecoded
+		c.recycle(job)
+		if done != nil {
+			done()
 		}
-		switch job.kind {
-		case xferWrite:
-			c.write += dur
-			if job.onDecoded != nil {
-				job.onDecoded()
-			}
-		case xferRead:
-			if c.corrupt != nil && job.resends < maxXferResends && c.corrupt() {
-				// The transfer arrived damaged: the wasted movement is
-				// UNCOR time, the buffer slot is released, and the job
-				// re-queues at the head (the page still sits intact in
-				// the die's page buffer).
-				c.corruptions++
-				c.uncor += dur
-				c.bufInUse--
-				job.resends++
-				c.pending = append([]*xferJob{job}, c.pending...)
-				break
-			}
-			// Split the occupancy between useful and doomed pages.
-			u := dur * sim.Time(job.uncorPages) / sim.Time(job.pages)
-			c.uncor += u
-			c.cor += dur - u
-			c.decodeQueue = append(c.decodeQueue, job)
-			c.tryStartDecode()
+	case xferRead:
+		if c.corrupt != nil && job.resends < maxXferResends && c.corrupt() {
+			// The transfer arrived damaged: the wasted movement is
+			// UNCOR time, the buffer slot is released, and the job
+			// re-queues at the head (the page still sits intact in
+			// the die's page buffer).
+			c.corruptions++
+			c.uncor += dur
+			c.bufInUse--
+			job.resends++
+			c.pending.pushFront(job)
+			break
 		}
-		c.tryStartXfer()
-	})
+		// Split the occupancy between useful and doomed pages.
+		u := dur * sim.Time(job.uncorPages) / sim.Time(job.pages)
+		c.uncor += u
+		c.cor += dur - u
+		c.decodeQueue.push(job)
+		c.tryStartDecode()
+	}
+	c.tryStartXfer()
 }
 
 func (c *channelStation) tryStartDecode() {
-	if c.engineBusy || len(c.decodeQueue) == 0 {
+	if c.engineBusy || c.decodeQueue.len() == 0 {
 		return
 	}
-	job := c.decodeQueue[0]
-	c.decodeQueue = c.decodeQueue[1:]
+	job := c.decodeQueue.pop()
 	c.engineBusy = true
-	decodeStart := c.eng.Now()
-	c.eng.After(job.engineTime, func() {
-		c.engineBusy = false
-		if c.record != nil && job.engineTime > 0 {
-			c.record("ecc-"+c.name, job.label, decodeStart, c.eng.Now())
+	c.decoding = job
+	c.decodeStart = c.eng.Now()
+	c.eng.After(job.engineTime, c.onDecodeDone)
+}
+
+// decodeDone completes the running decode: free its buffer slot, run
+// the job's continuation, then start whatever the freed engine and
+// buffer slot allow.
+//
+//riflint:hotpath
+func (c *channelStation) decodeDone() {
+	job := c.decoding
+	c.decoding = nil
+	c.engineBusy = false
+	if c.record != nil && job.engineTime > 0 {
+		if c.eccName == "" {
+			c.eccName = "ecc-" + c.name
 		}
-		c.bufInUse--
-		if job.onDecoded != nil {
-			job.onDecoded()
-		}
-		c.tryStartDecode()
-		c.tryStartXfer() // a freed buffer slot may unblock the channel
-	})
+		c.record(c.eccName, job.label, c.decodeStart, c.eng.Now())
+	}
+	c.bufInUse--
+	done := job.onDecoded
+	c.recycle(job)
+	if done != nil {
+		done()
+	}
+	c.tryStartDecode()
+	c.tryStartXfer() // a freed buffer slot may unblock the channel
 }
 
 // usage snapshots the accounting over [opened, now].
@@ -196,5 +259,5 @@ func (c *channelStation) usage() ChannelUsage {
 
 // quiesced reports whether no work is in flight or queued.
 func (c *channelStation) quiesced() bool {
-	return !c.busy && !c.engineBusy && len(c.pending) == 0 && len(c.decodeQueue) == 0 && c.bufInUse == 0
+	return !c.busy && !c.engineBusy && c.pending.len() == 0 && c.decodeQueue.len() == 0 && c.bufInUse == 0
 }

@@ -10,8 +10,8 @@ func TestChannelTransfersFIFO(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := newChannelStation(eng, 10*sim.Microsecond, 2)
 	var order []int
-	mk := func(id int) *xferJob {
-		return &xferJob{kind: xferRead, pages: 1, engineTime: sim.Microsecond,
+	mk := func(id int) xferJob {
+		return xferJob{kind: xferRead, pages: 1, engineTime: sim.Microsecond,
 			onDecoded: func() { order = append(order, id) }}
 	}
 	eng.At(0, func() {
@@ -34,7 +34,7 @@ func TestChannelCorUncorSplit(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := newChannelStation(eng, 10*sim.Microsecond, 2)
 	eng.At(0, func() {
-		ch.submit(&xferJob{kind: xferRead, pages: 4, uncorPages: 1, engineTime: 0})
+		ch.submit(xferJob{kind: xferRead, pages: 4, uncorPages: 1, engineTime: 0})
 	})
 	eng.Run()
 	u := ch.usage()
@@ -48,7 +48,7 @@ func TestChannelWriteAccounting(t *testing.T) {
 	ch := newChannelStation(eng, 10*sim.Microsecond, 2)
 	done := false
 	eng.At(0, func() {
-		ch.submit(&xferJob{kind: xferWrite, pages: 3, onDecoded: func() { done = true }})
+		ch.submit(xferJob{kind: xferWrite, pages: 3, onDecoded: func() { done = true }})
 	})
 	eng.Run()
 	if !done {
@@ -68,9 +68,9 @@ func TestChannelECCBufferBackpressure(t *testing.T) {
 	ch := newChannelStation(eng, 10*sim.Microsecond, 2)
 	var thirdDecoded sim.Time
 	eng.At(0, func() {
-		ch.submit(&xferJob{kind: xferRead, pages: 1, engineTime: 100 * sim.Microsecond})
-		ch.submit(&xferJob{kind: xferRead, pages: 1, engineTime: 100 * sim.Microsecond})
-		ch.submit(&xferJob{kind: xferRead, pages: 1, engineTime: sim.Microsecond,
+		ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: 100 * sim.Microsecond})
+		ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: 100 * sim.Microsecond})
+		ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: sim.Microsecond,
 			onDecoded: func() { thirdDecoded = eng.Now() }})
 	})
 	eng.Run()
@@ -92,7 +92,7 @@ func TestChannelNoECCWaitWhenBufferDeep(t *testing.T) {
 	ch := newChannelStation(eng, 10*sim.Microsecond, 8)
 	eng.At(0, func() {
 		for i := 0; i < 4; i++ {
-			ch.submit(&xferJob{kind: xferRead, pages: 1, engineTime: 100 * sim.Microsecond})
+			ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: 100 * sim.Microsecond})
 		}
 	})
 	eng.Run()
@@ -107,8 +107,8 @@ func TestChannelWriteBypassesECCBuffer(t *testing.T) {
 	ch := newChannelStation(eng, 10*sim.Microsecond, 1)
 	var writeDone sim.Time
 	eng.At(0, func() {
-		ch.submit(&xferJob{kind: xferRead, pages: 1, engineTime: 500 * sim.Microsecond})
-		ch.submit(&xferJob{kind: xferWrite, pages: 1, onDecoded: func() { writeDone = eng.Now() }})
+		ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: 500 * sim.Microsecond})
+		ch.submit(xferJob{kind: xferWrite, pages: 1, onDecoded: func() { writeDone = eng.Now() }})
 	})
 	eng.Run()
 	if writeDone != 20*sim.Microsecond {
@@ -120,8 +120,8 @@ func TestChannelUsageFractionsSumToOne(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := newChannelStation(eng, 10*sim.Microsecond, 2)
 	eng.At(0, func() {
-		ch.submit(&xferJob{kind: xferRead, pages: 2, uncorPages: 1, engineTime: 50 * sim.Microsecond})
-		ch.submit(&xferJob{kind: xferWrite, pages: 1})
+		ch.submit(xferJob{kind: xferRead, pages: 2, uncorPages: 1, engineTime: 50 * sim.Microsecond})
+		ch.submit(xferJob{kind: xferWrite, pages: 1})
 	})
 	eng.At(300*sim.Microsecond, func() {}) // extend the window with idle time
 	eng.Run()

@@ -35,7 +35,9 @@ func (p DiePolicy) String() string {
 	return "unknown"
 }
 
-// dieOp is one array operation.
+// dieOp is one array operation. The station recycles ops through its
+// free list, so queuing one allocates only while the die's backlog
+// sets a new high-water mark.
 type dieOp struct {
 	dur    sim.Time
 	isRead bool
@@ -54,12 +56,19 @@ type dieStation struct {
 	// timeline rendering).
 	record func(resource, label string, start, end sim.Time)
 
-	readQ []*dieOp
-	progQ []*dieOp
+	readQ ring[*dieOp]
+	progQ ring[*dieOp]
+	free  []*dieOp
 
-	running    *dieOp
-	finishAt   sim.Time
-	finishEvt  sim.EventID
+	// The die runs one operation at a time, so its start instant and
+	// finish event live here, and one finish handler — bound once in
+	// newDieStation — serves every operation.
+	running   *dieOp
+	startedAt sim.Time
+	finishAt  sim.Time
+	finishEvt sim.EventID
+	onFinish  func()
+
 	suspended  []*dieOp   // preempted programs, LIFO
 	suspRemain []sim.Time // remaining time of each suspended op
 
@@ -72,7 +81,7 @@ type dieStation struct {
 
 // noteDepth refreshes the queue-depth high-water mark.
 func (d *dieStation) noteDepth() {
-	depth := len(d.readQ) + len(d.progQ) + len(d.suspended)
+	depth := d.readQ.len() + d.progQ.len() + len(d.suspended)
 	if d.running != nil {
 		depth++
 	}
@@ -82,7 +91,23 @@ func (d *dieStation) noteDepth() {
 }
 
 func newDieStation(eng *sim.Engine, policy DiePolicy, resumePenalty sim.Time) *dieStation {
-	return &dieStation{eng: eng, policy: policy, resumePenalty: resumePenalty}
+	d := &dieStation{eng: eng, policy: policy, resumePenalty: resumePenalty}
+	d.onFinish = d.finish
+	return d
+}
+
+// newOp takes an op from the free list.
+func (d *dieStation) newOp(dur sim.Time, isRead bool, label string, done func()) *dieOp {
+	var op *dieOp
+	if n := len(d.free); n > 0 {
+		op = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		//riflint:allow alloc -- free-list refill: one op per backlog high-water slot, reused after
+		op = &dieOp{}
+	}
+	*op = dieOp{dur: dur, isRead: isRead, label: label, done: done}
+	return op
 }
 
 // Read schedules a sense operation of the given duration.
@@ -91,12 +116,14 @@ func (d *dieStation) Read(dur sim.Time, done func()) {
 }
 
 // ReadLabeled is Read with a timeline label.
+//
+//riflint:hotpath
 func (d *dieStation) ReadLabeled(dur sim.Time, label string, done func()) {
-	op := &dieOp{dur: dur, isRead: true, label: label, done: done}
+	op := d.newOp(dur, true, label, done)
 	if d.policy == DieFIFO {
-		d.progQ = append(d.progQ, op) // single queue in FIFO mode
+		d.progQ.push(op) // single queue in FIFO mode
 	} else {
-		d.readQ = append(d.readQ, op)
+		d.readQ.push(op)
 	}
 	d.noteDepth()
 	d.maybePreempt()
@@ -105,7 +132,7 @@ func (d *dieStation) ReadLabeled(dur sim.Time, label string, done func()) {
 
 // Program schedules a program/erase/GC occupancy.
 func (d *dieStation) Program(dur sim.Time, done func()) {
-	d.progQ = append(d.progQ, &dieOp{dur: dur, label: "W", done: done})
+	d.progQ.push(d.newOp(dur, false, "W", done))
 	d.noteDepth()
 	d.kick()
 }
@@ -113,7 +140,7 @@ func (d *dieStation) Program(dur sim.Time, done func()) {
 // maybePreempt suspends a running program when policy allows and a
 // read is waiting.
 func (d *dieStation) maybePreempt() {
-	if d.policy != DieSuspension || d.running == nil || d.running.isRead || len(d.readQ) == 0 {
+	if d.policy != DieSuspension || d.running == nil || d.running.isRead || d.readQ.len() == 0 {
 		return
 	}
 	remaining := d.finishAt - d.eng.Now()
@@ -121,7 +148,9 @@ func (d *dieStation) maybePreempt() {
 		return // completing this instant
 	}
 	d.eng.Cancel(d.finishEvt)
+	//riflint:allow alloc -- suspension stack: grows only at a new preemption-depth high-water mark
 	d.suspended = append(d.suspended, d.running)
+	//riflint:allow alloc -- parallel to suspended
 	d.suspRemain = append(d.suspRemain, remaining+d.resumePenalty)
 	d.suspensions++
 	d.running = nil
@@ -134,9 +163,8 @@ func (d *dieStation) kick() {
 	}
 	var op *dieOp
 	switch {
-	case len(d.readQ) > 0:
-		op = d.readQ[0]
-		d.readQ = d.readQ[1:]
+	case d.readQ.len() > 0:
+		op = d.readQ.pop()
 	case len(d.suspended) > 0:
 		// Resume the most recently suspended program.
 		n := len(d.suspended) - 1
@@ -144,30 +172,40 @@ func (d *dieStation) kick() {
 		op.dur = d.suspRemain[n]
 		d.suspended = d.suspended[:n]
 		d.suspRemain = d.suspRemain[:n]
-	case len(d.progQ) > 0:
-		op = d.progQ[0]
-		d.progQ = d.progQ[1:]
+	case d.progQ.len() > 0:
+		op = d.progQ.pop()
 	default:
 		return
 	}
 	d.running = op
-	start := d.eng.Now()
-	d.finishAt = start + op.dur
-	d.finishEvt = d.eng.After(op.dur, func() {
-		d.running = nil
-		if d.record != nil {
-			d.record(d.name, op.label, start, d.eng.Now())
-		}
-		if op.done != nil {
-			op.done()
-		}
-		d.kick()
-	})
+	d.startedAt = d.eng.Now()
+	d.finishAt = d.startedAt + op.dur
+	d.finishEvt = d.eng.After(op.dur, d.onFinish)
+}
+
+// finish completes the running operation: record its occupancy,
+// recycle the op, run its continuation, start the next.
+//
+//riflint:hotpath
+func (d *dieStation) finish() {
+	op := d.running
+	d.running = nil
+	if d.record != nil {
+		d.record(d.name, op.label, d.startedAt, d.eng.Now())
+	}
+	done := op.done
+	*op = dieOp{}
+	//riflint:allow alloc -- returns the op to the free list, within the capacity newOp vacated
+	d.free = append(d.free, op)
+	if done != nil {
+		done()
+	}
+	d.kick()
 }
 
 // Idle reports whether the die has no running or queued work.
 func (d *dieStation) Idle() bool {
-	return d.running == nil && len(d.readQ) == 0 && len(d.progQ) == 0 && len(d.suspended) == 0
+	return d.running == nil && d.readQ.len() == 0 && d.progQ.len() == 0 && len(d.suspended) == 0
 }
 
 // Suspensions reports how many preemptions occurred.

@@ -19,23 +19,33 @@ type dieFlusher struct {
 	ssd      *SSD
 	die      *dieStation
 	ch       *channelStation
-	perPlane [][]flushPage // FIFO per plane
+	perPlane []ring[flushPage] // FIFO per plane
 	pending  int
 	active   bool
+
+	// The flusher has one batch in flight at a time: its size and GC
+	// debt wait here for the two handlers newDieFlusher binds once.
+	batch        int
+	batchGC      sim.Time
+	onMoved      func()
+	onProgrammed func()
 }
 
 func newDieFlusher(s *SSD, die *dieStation, ch *channelStation) *dieFlusher {
-	return &dieFlusher{
+	f := &dieFlusher{
 		ssd:      s,
 		die:      die,
 		ch:       ch,
-		perPlane: make([][]flushPage, s.cfg.Geometry.PlanesPerDie),
+		perPlane: make([]ring[flushPage], s.cfg.Geometry.PlanesPerDie),
 	}
+	f.onMoved = f.moved
+	f.onProgrammed = f.programmed
+	return f
 }
 
 // enqueue buffers one page for background programming.
 func (f *dieFlusher) enqueue(p flushPage) {
-	f.perPlane[p.plane] = append(f.perPlane[p.plane], p)
+	f.perPlane[p.plane].push(p)
 	f.pending++
 }
 
@@ -55,12 +65,10 @@ func (f *dieFlusher) flushBatch() {
 	var gc sim.Time
 	batch := 0
 	for pl := range f.perPlane {
-		if len(f.perPlane[pl]) == 0 {
+		if f.perPlane[pl].len() == 0 {
 			continue
 		}
-		p := f.perPlane[pl][0]
-		f.perPlane[pl] = f.perPlane[pl][1:]
-		gc += p.gcTime
+		gc += f.perPlane[pl].pop().gcTime
 		batch++
 	}
 	if batch == 0 {
@@ -68,17 +76,20 @@ func (f *dieFlusher) flushBatch() {
 		return
 	}
 	f.pending -= batch
-	f.ch.submit(&xferJob{
-		kind:  xferWrite,
-		pages: batch,
-		label: "W",
-		onDecoded: func() {
-			f.die.Program(gc+f.ssd.cfg.Timing.TProg, func() {
-				f.ssd.cache.release(batch)
-				f.flushBatch()
-			})
-		},
-	})
+	f.batch, f.batchGC = batch, gc
+	f.ch.submit(xferJob{kind: xferWrite, pages: batch, label: "W", onDecoded: f.onMoved})
+}
+
+// moved programs the batch once it has crossed the channel.
+func (f *dieFlusher) moved() {
+	f.die.Program(f.batchGC+f.ssd.cfg.Timing.TProg, f.onProgrammed)
+}
+
+// programmed releases the durable batch's cache slots and flushes the
+// next batch.
+func (f *dieFlusher) programmed() {
+	f.ssd.cache.release(f.batch)
+	f.flushBatch()
 }
 
 // idle reports whether the flusher has no buffered or in-flight work.

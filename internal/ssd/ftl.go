@@ -55,10 +55,10 @@ type planeState struct {
 	cursorBlock int
 	cursorPage  int
 	freeBlocks  []int
-	blocks      map[int]*blockState // sim-written blocks by block index
+	blocks      map[int]*ftlBlock // sim-written blocks by block index
 }
 
-type blockState struct {
+type ftlBlock struct {
 	valid map[int]int64 // page-in-block -> lpn
 }
 
@@ -75,9 +75,10 @@ func NewFTL(geo nand.Geometry) *FTL {
 		ch, die, pl := f.planeCoords(i)
 		p := &f.planes[i]
 		p.addr = nand.Address{Channel: ch, Die: die, Plane: pl}
-		p.blocks = make(map[int]*blockState)
+		p.blocks = make(map[int]*ftlBlock)
 		p.cursorBlock = -1
 		// Free blocks: the whole write region, allocated low-first.
+		p.freeBlocks = make([]int, 0, geo.BlocksPerPlane-f.writeBase)
 		for b := geo.BlocksPerPlane - 1; b >= f.writeBase; b-- {
 			p.freeBlocks = append(p.freeBlocks, b)
 		}
@@ -180,7 +181,7 @@ func (f *FTL) Write(lpn int64, now sim.Time, gcLow int) (nand.Address, *GCWork, 
 		}
 		p.cursorBlock = f.popFreeBlock(p)
 		p.cursorPage = 0
-		p.blocks[p.cursorBlock] = &blockState{valid: make(map[int]int64)}
+		p.blocks[p.cursorBlock] = &ftlBlock{valid: make(map[int]int64)}
 	}
 
 	addr := p.addr
@@ -260,12 +261,18 @@ func (f *FTL) isRetired(pIdx, block int) bool {
 	return f.retired[pIdx][block]
 }
 
+// blockRetired reports whether the block at a has been retired.
+func (f *FTL) blockRetired(a nand.Address) bool {
+	return f.isRetired(f.planeIndexOfAddr(a), a.Block)
+}
+
 // Failovers reports how many writes were re-homed off dead dies.
 func (f *FTL) Failovers() int64 { return f.dieFailovers }
 
 // collect performs greedy garbage collection on a plane: the closed
-// block with the fewest valid pages is relocated (copyback, so no
-// channel traffic) and erased.
+// block with the fewest valid pages — the lowest-indexed one on a tie,
+// so the choice does not depend on map iteration order — is relocated
+// (copyback, so no channel traffic) and erased.
 func (f *FTL) collect(p *planeState) (*GCWork, error) {
 	victim := -1
 	best := f.geo.PagesPerBlock + 1
@@ -273,7 +280,7 @@ func (f *FTL) collect(p *planeState) (*GCWork, error) {
 		if b == p.cursorBlock {
 			continue
 		}
-		if n := len(st.valid); n < best {
+		if n := len(st.valid); n < best || n == best && b < victim {
 			best = n
 			victim = b
 		}
@@ -301,7 +308,7 @@ func (f *FTL) collect(p *planeState) (*GCWork, error) {
 // pages land on the cursor chain decides the post-GC physical layout
 // (and thus every later read's timing). Write timestamps are
 // preserved — relocation does not refresh retention age.
-func (f *FTL) relocateValid(p *planeState, st *blockState) (int, error) {
+func (f *FTL) relocateValid(p *planeState, st *ftlBlock) (int, error) {
 	pages := make([]int, 0, len(st.valid))
 	for page := range st.valid {
 		pages = append(pages, page)
@@ -315,7 +322,7 @@ func (f *FTL) relocateValid(p *planeState, st *blockState) (int, error) {
 			}
 			p.cursorBlock = f.popFreeBlock(p)
 			p.cursorPage = 0
-			p.blocks[p.cursorBlock] = &blockState{valid: make(map[int]int64)}
+			p.blocks[p.cursorBlock] = &ftlBlock{valid: make(map[int]int64)}
 		}
 		addr := p.addr
 		addr.Block = p.cursorBlock

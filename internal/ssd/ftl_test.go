@@ -1,9 +1,11 @@
 package ssd
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/nand"
+	"repro/internal/trace"
 )
 
 func tinyGeo() nand.Geometry {
@@ -213,4 +215,49 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestGCVictimDeterministic reruns a write-heavy, GC-bound device at
+// one seed and requires the identical per-block state. Greedy GC picks
+// the block with the fewest valid pages; ties are common once reclaim
+// and overwrites empty blocks, and a tie broken by map iteration order
+// sent identical runs down different erase histories.
+func TestGCVictimDeterministic(t *testing.T) {
+	const n = 100_000
+	state := func() BlockCounters {
+		cfg := DefaultConfig(RiF, 0)
+		cfg.Geometry.BlocksPerPlane = 32
+		cfg.Geometry.PagesPerBlock = 64
+		cfg.ReadReclaimThreshold = 64
+		spec, err := trace.ByName("Ali2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.FootprintPages = 1 << 16
+		w, err := trace.NewGenerator(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := s.Run(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.GCRuns == 0 {
+			t.Fatal("no garbage collection ran; the test does not exercise victim choice")
+		}
+		return s.BlockState()
+	}
+	a, b := state(), state()
+	if !reflect.DeepEqual(a, b) {
+		for i := range a.Erases {
+			if a.Erases[i] != b.Erases[i] {
+				t.Fatalf("same-seed reruns diverge: block %d erased %d vs %d times", i, a.Erases[i], b.Erases[i])
+			}
+		}
+		t.Fatal("same-seed reruns left different per-block state")
+	}
 }

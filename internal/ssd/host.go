@@ -62,7 +62,7 @@ func (s *SSD) RunQueues(queues []HostQueue, nPerQueue int) (*Metrics, []QueueMet
 		// Cold-age lookups route through the owning queue's workload.
 		prev := s.workload
 		s.workload = q.Workload
-		s.runRequest(req, func(res cmdResult) {
+		s.runRequest(req, start, false, func(res cmdResult) {
 			s.inFlight--
 			s.m.RequestsCompleted++
 			s.lastDone = s.eng.Now()

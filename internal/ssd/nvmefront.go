@@ -62,7 +62,7 @@ func (b *NVMeBackend) Execute(_ uint16, cmd nvme.Command, done func(nvme.Status)
 		Pages: int(lastPage-firstPage) + 1,
 	}
 	s.inFlight++
-	s.runRequest(req, func(res cmdResult) {
+	s.runRequest(req, s.eng.Now(), false, func(res cmdResult) {
 		s.inFlight--
 		s.m.RequestsCompleted++
 		s.lastDone = s.eng.Now()

@@ -8,194 +8,98 @@ import (
 )
 
 // readCommand executes one multi-plane read under the configured
-// scheme and calls done when the data has been delivered to the host.
-// Pages that exhaust the retry ladder are reported in the result as
-// uncorrectable instead of wedging or panicking.
-func (s *SSD) readCommand(cmd dieCommand, done func(cmdResult)) {
-	die, ch, dieIdx := s.dieOf(cmd)
+// scheme; the command completes once the data has been delivered to
+// the host. Pages that exhaust the retry ladder are reported in the
+// result as uncorrectable instead of wedging or panicking.
+func (s *SSD) readCommand(c *dieCmd) {
+	die, ch, dieIdx := s.dieOf(c.cmd)
+	c.die, c.ch = die, ch
 	if s.inj.DieDown(dieIdx) {
 		// The die dropped out: the controller's probe sense times out
 		// and every page of the command is reported uncorrectable.
 		s.noteDeadDie(dieIdx)
-		n := len(cmd.lpns)
-		s.m.PageReads += int64(n)
-		s.m.UnrecoveredPages += int64(n)
-		s.m.Faults.DieDropoutReads += int64(n)
-		s.eng.After(s.cfg.Timing.TR, func() {
-			done(cmdResult{uncPages: n})
-		})
+		n := int64(c.cmd.n)
+		s.m.PageReads += n
+		s.m.UnrecoveredPages += n
+		s.m.Faults.DieDropoutReads += n
+		s.eng.After(s.cfg.Timing.TR, c.then(stageProbed))
 		return
 	}
-	pages := s.resolvePages(cmd)
-	s.m.PageReads += int64(len(pages))
+	s.resolvePages(c)
+	s.m.PageReads += int64(len(c.pages))
 
-	finish := func(unc int) {
-		s.hostTransfer(len(pages), func() { done(cmdResult{uncPages: unc}) })
-	}
-
-	var lbl string
 	if s.cfg.RecordSpans || s.cfg.Trace != nil {
-		lbl = cmdLabel(s.nextCmd)
+		c.lbl = cmdLabel(s.nextCmd)
+		c.lblRetry = c.lbl + "'"
 		s.nextCmd++
 	}
 
 	switch s.cfg.Scheme {
 	case Zero:
-		s.readZero(die, ch, pages, lbl, finish)
-	case One:
-		s.readOffChipRetry(die, ch, pages, lbl, s.cfg.Timing.TR, false, finish)
-	case Sentinel:
-		s.readOffChipRetry(die, ch, pages, lbl, s.cfg.Timing.TR, true, finish)
-	case SWR, SWRPlus:
-		s.readOffChipRetry(die, ch, pages, lbl, 2*s.cfg.Timing.TR, false, finish)
+		// The no-retry hypothetical: every page decodes in one
+		// iteration.
+		c.senseFirst(s.cfg.Timing.TR)
+	case One, Sentinel, SWR, SWRPlus:
+		c.planOffChip()
 	case RPOnly:
-		s.readRPController(die, ch, pages, lbl, finish)
+		c.planRPController()
 	case RiF:
-		s.readRiF(die, ch, pages, lbl, finish)
+		c.planRiF()
 	default:
 		// Unreachable: Config.Validate rejects unknown schemes.
 		// Complete the command anyway rather than wedging the drain.
 		s.failRun(fmt.Errorf("ssd: unknown scheme %d", int(s.cfg.Scheme)))
-		finish(0)
+		c.finish(0)
 	}
 }
 
-// readZero is the no-retry hypothetical: every page decodes in one
-// iteration.
-func (s *SSD) readZero(die *dieStation, ch *channelStation, pages []pageView, lbl string, finish func(int)) {
-	die.ReadLabeled(s.senseTime(s.cfg.Timing.TR, pages), lbl, func() {
-		ch.submit(&xferJob{
-			kind:       xferRead,
-			pages:      len(pages),
-			uncorPages: 0,
-			engineTime: sim.Time(len(pages)) * s.dec.MinLatency(),
-			onDecoded:  func() { finish(0) },
-			label:      lbl,
-		})
-	})
+// senseFirst occupies the die with the command's first read (dur of
+// array time plus any injected re-issues).
+func (c *dieCmd) senseFirst(dur sim.Time) {
+	c.die.ReadLabeled(c.s.senseTime(dur, c.pages), c.lbl, c.then(stageSensed))
 }
 
-// readOffChipRetry is the shared flow of SSDone, SENC, SWR and SWR+:
-// the sensed page must cross the channel and fail the off-chip decode
-// before a retry (with the given re-sense duration) is issued.
-// sentinel adds the possible extra off-chip sentinel-cell read.
-func (s *SSD) readOffChipRetry(die *dieStation, ch *channelStation, pages []pageView, lbl string, retrySense sim.Time, sentinel bool, finish func(int)) {
-	rbers := make([]float64, len(pages))
-	uncor := 0
-	var failed []pageView
-	for i, p := range pages {
-		rbers[i] = p.rberFirst
+// planOffChip is the first read of SSDone, SENC, SWR and SWR+: the
+// sensed page must cross the channel and fail the off-chip decode
+// before a retry is issued, so the pages that will fail are known at
+// issue.
+//
+//riflint:hotpath
+func (c *dieCmd) planOffChip() {
+	s := c.s
+	n := len(c.pages)
+	c.rbers = c.rbers[:n]
+	c.failed = c.failed[:n]
+	k := 0
+	for i, p := range c.pages {
+		c.rbers[i] = p.rberFirst
 		fails := p.fails
 		if s.decodeTimeout() && !fails {
 			fails = true
-			rbers[i] = s.timeoutRBER()
+			c.rbers[i] = s.timeoutRBER()
 		}
 		if fails {
-			uncor++
-			failed = append(failed, p)
+			c.failed[k] = p
+			k++
 		}
 	}
-	die.ReadLabeled(s.senseTime(s.cfg.Timing.TR, pages), lbl, func() {
-		ch.submit(&xferJob{
-			kind:       xferRead,
-			pages:      len(pages),
-			uncorPages: uncor,
-			engineTime: s.decodeLatency(rbers),
-			label:      lbl,
-			onDecoded: func() {
-				if len(failed) == 0 {
-					finish(0)
-					return
-				}
-				s.m.PagesRetried += int64(len(failed))
-				s.retryOffChip(die, ch, failed, lbl, retrySense, sentinel, 1, finish)
-			},
-		})
-	})
+	c.failed = c.failed[:k]
+	c.uncor = k
+	c.senseFirst(s.cfg.Timing.TR)
 }
 
-// retryOffChip performs one controller-driven retry round for the
-// failed pages and recurses while pages keep failing. Each successive
-// round adds RetryBackoff of extra sense time (deeper retry-table
-// entries); a page still failing after MaxRetryRounds is reported
-// uncorrectable and, if its block is grown bad, the block is retired.
-func (s *SSD) retryOffChip(die *dieStation, ch *channelStation, failed []pageView, lbl string, retrySense sim.Time, sentinel bool, round int, finish func(int)) {
-	s.m.RetryRounds++
-	sense := retrySense + sim.Time(round-1)*s.cfg.RetryBackoff
-	doRetry := func() {
-		// The retry round's re-sense is a real array read of every
-		// still-failing page's block: it disturbs them further.
-		s.noteSenses(failed)
-		die.ReadLabeled(s.senseTime(sense, failed), lbl+"'", func() {
-			rbers := make([]float64, len(failed))
-			var still []pageView
-			uncor := 0
-			for i, p := range failed {
-				rbers[i] = p.rberRetry
-				fails := p.rberRetry > s.dec.Capability
-				if s.decodeTimeout() && !fails {
-					fails = true
-					rbers[i] = s.timeoutRBER()
-				}
-				if fails {
-					uncor++
-					still = append(still, p)
-				}
-			}
-			ch.submit(&xferJob{
-				kind:       xferRead,
-				pages:      len(failed),
-				uncorPages: uncor,
-				engineTime: s.decodeLatency(rbers),
-				label:      lbl + "'",
-				onDecoded: func() {
-					if len(still) == 0 {
-						finish(0)
-						return
-					}
-					if round >= s.cfg.MaxRetryRounds {
-						s.m.UnrecoveredPages += int64(len(still))
-						for _, p := range still {
-							s.retireBlock(p)
-						}
-						finish(len(still))
-						return
-					}
-					s.retryOffChip(die, ch, still, lbl, retrySense, sentinel, round+1, finish)
-				},
-			})
-		})
-	}
-
-	if sentinel && s.sentinelRNG.Bernoulli(s.cfg.SentinelExtraReadProb) {
-		// Sentinel's extra off-chip read: the sentinel cells are read
-		// with the sentinel VREF set and shipped to the controller;
-		// the transfer is pure overhead (UNCOR).
-		s.m.SentinelExtraReads += int64(len(failed))
-		s.noteSenses(failed) // the sentinel-cell read senses the array too
-		die.ReadLabeled(s.senseTime(s.cfg.Timing.TR, failed), lbl, func() {
-			ch.submit(&xferJob{
-				kind:       xferRead,
-				pages:      len(failed),
-				uncorPages: len(failed),
-				engineTime: 0, // analyzed by dedicated logic, not the LDPC engine
-				label:      lbl + "'",
-				onDecoded:  doRetry,
-			})
-		})
-		return
-	}
-	doRetry()
-}
-
-// readRPController is RPSSD: the RP module sits next to the
+// planRPController is RPSSD: the RP module sits next to the
 // controller's ECC engine. Doomed decodes are terminated after tPRED,
 // but uncorrectable pages still consume channel bandwidth.
-func (s *SSD) readRPController(die *dieStation, ch *channelStation, pages []pageView, lbl string, finish func(int)) {
+//
+//riflint:hotpath
+func (c *dieCmd) planRPController() {
+	s := c.s
 	var engineTime sim.Time
 	uncor := 0
-	var failed []pageView
-	for _, p := range pages {
+	c.failed = c.failed[:len(c.pages)]
+	k := 0
+	for _, p := range c.pages {
 		predFail := s.predictFail(p)
 		fails := p.fails
 		switch {
@@ -215,43 +119,30 @@ func (s *SSD) readRPController(die *dieStation, ch *channelStation, pages []page
 			uncor++
 		}
 		if fails || predFail {
-			failed = append(failed, p)
+			c.failed[k] = p
+			k++
 		}
 	}
-	die.ReadLabeled(s.senseTime(s.cfg.Timing.TR, pages), lbl, func() {
-		ch.submit(&xferJob{
-			kind:       xferRead,
-			pages:      len(pages),
-			uncorPages: uncor,
-			engineTime: engineTime,
-			label:      lbl,
-			onDecoded: func() {
-				if len(failed) == 0 {
-					finish(0)
-					return
-				}
-				s.m.PagesRetried += int64(len(failed))
-				s.retryOffChip(die, ch, failed, lbl, s.cfg.Timing.TR, false, 1, finish)
-			},
-		})
-	})
+	c.failed = c.failed[:k]
+	c.uncor, c.engineTime = uncor, engineTime
+	c.senseFirst(s.cfg.Timing.TR)
 }
 
-// readRiF is the full Retry-in-Flash flow: RP predicts on-die right
+// planRiF is the full Retry-in-Flash flow: RP predicts on-die right
 // after the sense; predicted-uncorrectable pages are re-read inside
 // the die at RVS-selected voltages before anything crosses the
 // channel. Only false negatives ever ship a doomed page.
-func (s *SSD) readRiF(die *dieStation, ch *channelStation, pages []pageView, lbl string, finish func(int)) {
-	type plan struct {
-		view     pageView
-		predFail bool
-	}
-	plans := make([]plan, len(pages))
+//
+//riflint:hotpath
+func (c *dieCmd) planRiF() {
+	s := c.s
+	c.predFail = c.predFail[:len(c.pages)]
 	anyRetry := false
 	flagged := int64(0)
-	for i, p := range pages {
-		pf := s.predictFail(p)
-		plans[i] = plan{view: p, predFail: pf}
+	for i := range c.pages {
+		p := &c.pages[i]
+		pf := s.predictFail(*p)
+		c.predFail[i] = pf
 		if pf {
 			anyRetry = true
 			flagged++
@@ -262,6 +153,7 @@ func (s *SSD) readRiF(die *dieStation, ch *channelStation, pages []pageView, lbl
 		}
 	}
 	s.m.RVSRereads += flagged
+	c.anyRetry = anyRetry
 
 	dieTime := s.cfg.Timing.TR + s.cfg.Timing.TPred
 	if anyRetry {
@@ -274,24 +166,24 @@ func (s *SSD) readRiF(die *dieStation, ch *channelStation, pages []pageView, lbl
 	// Footnote-4 extension: RP also checks the re-read pages, and a
 	// page whose adjusted-VREF read is still uncorrectable gets one
 	// further in-die refinement instead of a doomed transfer.
-	secondRetry := false
 	if s.cfg.RiFSecondCheck && anyRetry {
 		dieTime += s.cfg.Timing.TPred
-		for i := range plans {
-			pl := &plans[i]
-			if !pl.predFail || pl.view.rberRetry <= s.dec.Capability {
+		secondRetry := false
+		for i := range c.pages {
+			p := &c.pages[i]
+			if !c.predFail[i] || p.rberRetry <= s.dec.Capability {
 				continue
 			}
 			s.m.Predictions++
-			caught := s.acc.PredictCorrect(pl.view.rberRetry, s.predictRNG.Float64())
+			caught := s.acc.PredictCorrect(p.rberRetry, s.predictRNG.Float64())
 			s.m.Confusion.Record(caught, true)
 			if caught {
 				// Caught: a second Swift-Read pass refines the VREF
 				// estimate further (diminishing returns).
-				pl.view.rberRetry *= 0.6
+				p.rberRetry *= 0.6
 				s.m.AvoidedTransfers++
 				s.m.RVSRereads++
-				s.noteSense(pl.view.blockID) // one more in-die sense
+				s.noteSense(p.blockID) // one more in-die sense
 				secondRetry = true
 			} else {
 				s.m.Mispredictions++
@@ -301,62 +193,206 @@ func (s *SSD) readRiF(die *dieStation, ch *channelStation, pages []pageView, lbl
 			dieTime += s.cfg.Timing.TR
 		}
 	}
+	c.senseFirst(dieTime)
+}
 
-	die.ReadLabeled(s.senseTime(dieTime, pages), lbl, func() {
-		rbers := make([]float64, len(plans))
-		uncor := 0
-		var failed []pageView
-		retriedNow := int64(0)
-		for i, pl := range plans {
-			if pl.predFail {
-				rbers[i] = pl.view.rberRetry
+// sensed ships the first read across the channel to the ECC engine.
+//
+//riflint:hotpath
+func (c *dieCmd) sensed() {
+	s := c.s
+	job := xferJob{
+		kind:       xferRead,
+		pages:      len(c.pages),
+		uncorPages: c.uncor,
+		label:      c.lbl,
+		onDecoded:  c.then(stageDecoded),
+	}
+	switch s.cfg.Scheme {
+	case Zero:
+		job.engineTime = sim.Time(len(c.pages)) * s.dec.MinLatency()
+	case RPOnly:
+		job.engineTime = c.engineTime
+	case RiF:
+		c.rifSensed(&job)
+	default:
+		job.engineTime = s.decodeLatency(c.rbers)
+	}
+	c.ch.submit(job)
+}
+
+// rifSensed settles RiF's in-die outcome once the die is done: a
+// flagged page ships its re-read data, an unflagged one its first
+// read; whatever still fails is decoded at full cost and retried by
+// the controller.
+func (c *dieCmd) rifSensed(job *xferJob) {
+	s := c.s
+	n := len(c.pages)
+	c.rbers = c.rbers[:n]
+	c.failed = c.failed[:n]
+	k := 0
+	retriedNow := int64(0)
+	for i, p := range c.pages {
+		if c.predFail[i] {
+			c.rbers[i] = p.rberRetry
+			retriedNow++
+			fails := p.rberRetry > s.dec.Capability
+			if s.decodeTimeout() && !fails {
+				fails = true
+				c.rbers[i] = s.timeoutRBER()
+			}
+			if fails {
+				c.failed[k] = p
+				k++
+			}
+		} else {
+			c.rbers[i] = p.rberFirst
+			fails := p.fails
+			if s.decodeTimeout() && !fails {
+				fails = true
+				c.rbers[i] = s.timeoutRBER()
+			}
+			if fails {
+				// False negative: the doomed page crosses the
+				// channel and burns a full failing decode.
+				c.failed[k] = p
+				k++
 				retriedNow++
-				fails := pl.view.rberRetry > s.dec.Capability
-				if s.decodeTimeout() && !fails {
-					fails = true
-					rbers[i] = s.timeoutRBER()
-				}
-				if fails {
-					uncor++
-					failed = append(failed, pl.view)
-				}
-			} else {
-				rbers[i] = pl.view.rberFirst
-				fails := pl.view.fails
-				if s.decodeTimeout() && !fails {
-					fails = true
-					rbers[i] = s.timeoutRBER()
-				}
-				if fails {
-					// False negative: the doomed page crosses the
-					// channel and burns a full failing decode.
-					uncor++
-					failed = append(failed, pl.view)
-					retriedNow++
-				}
 			}
 		}
-		s.m.PagesRetried += retriedNow
-		if anyRetry {
-			s.m.RetryRounds++
-		}
-		ch.submit(&xferJob{
-			kind:       xferRead,
-			pages:      len(plans),
-			uncorPages: uncor,
-			engineTime: s.decodeLatency(rbers),
-			label:      lbl,
-			onDecoded: func() {
-				if len(failed) == 0 {
-					finish(0)
-					return
-				}
-				// Recovery path for mispredictions: conventional
-				// controller-driven retry.
-				s.retryOffChip(die, ch, failed, lbl, s.cfg.Timing.TR, false, 1, finish)
-			},
-		})
+	}
+	c.failed = c.failed[:k]
+	s.m.PagesRetried += retriedNow
+	if c.anyRetry {
+		s.m.RetryRounds++
+	}
+	job.uncorPages = k
+	job.engineTime = s.decodeLatency(c.rbers)
+}
+
+// decoded ends the first read: done when every page decoded,
+// otherwise the failing pages enter the controller-driven retry
+// ladder (for RiF, the recovery path of mispredictions).
+//
+//riflint:hotpath
+func (c *dieCmd) decoded() {
+	if len(c.failed) == 0 {
+		c.finish(0)
+		return
+	}
+	if c.s.cfg.Scheme != RiF { // RiF counted its retried pages at the sense
+		c.s.m.PagesRetried += int64(len(c.failed))
+	}
+	c.round = 1
+	c.retry()
+}
+
+// retry performs one controller-driven retry round for the failing
+// pages. Each successive round adds RetryBackoff of extra sense time
+// (deeper retry-table entries); SWR and SWR+ re-sense for 2 tR, and
+// Sentinel may first read its sentinel cells.
+func (c *dieCmd) retry() {
+	s := c.s
+	s.m.RetryRounds++
+	retrySense, sentinel := s.cfg.Timing.TR, false
+	switch s.cfg.Scheme {
+	case SWR, SWRPlus:
+		retrySense = 2 * s.cfg.Timing.TR
+	case Sentinel:
+		sentinel = true
+	}
+	c.sense = retrySense + sim.Time(c.round-1)*s.cfg.RetryBackoff
+	if sentinel && s.sentinelRNG.Bernoulli(s.cfg.SentinelExtraReadProb) {
+		// Sentinel's extra off-chip read: the sentinel cells are read
+		// with the sentinel VREF set and shipped to the controller;
+		// the transfer is pure overhead (UNCOR).
+		s.m.SentinelExtraReads += int64(len(c.failed))
+		s.noteSenses(c.failed) // the sentinel-cell read senses the array too
+		c.die.ReadLabeled(s.senseTime(s.cfg.Timing.TR, c.failed), c.lbl, c.then(stageSentinelSensed))
+		return
+	}
+	c.reread()
+}
+
+// sentinelSensed ships the sentinel cells to the controller's
+// dedicated logic (no LDPC engine time).
+func (c *dieCmd) sentinelSensed() {
+	c.ch.submit(xferJob{
+		kind:       xferRead,
+		pages:      len(c.failed),
+		uncorPages: len(c.failed),
+		label:      c.lblRetry,
+		onDecoded:  c.then(stageReread),
 	})
+}
+
+// reread issues the retry round's re-sense: a real array read of
+// every still-failing page's block, so it disturbs them further.
+func (c *dieCmd) reread() {
+	s := c.s
+	s.noteSenses(c.failed)
+	c.die.ReadLabeled(s.senseTime(c.sense, c.failed), c.lblRetry, c.then(stageResensed))
+}
+
+// resensed ships the retry round's data for decode, keeping in failed
+// only the pages that will fail again.
+//
+//riflint:hotpath
+func (c *dieCmd) resensed() {
+	s := c.s
+	n := len(c.failed)
+	c.rbers = c.rbers[:n]
+	k := 0
+	for i := 0; i < n; i++ {
+		p := c.failed[i]
+		c.rbers[i] = p.rberRetry
+		fails := p.rberRetry > s.dec.Capability
+		if s.decodeTimeout() && !fails {
+			fails = true
+			c.rbers[i] = s.timeoutRBER()
+		}
+		if fails {
+			c.failed[k] = p
+			k++
+		}
+	}
+	c.failed = c.failed[:k]
+	c.ch.submit(xferJob{
+		kind:       xferRead,
+		pages:      n,
+		uncorPages: k,
+		engineTime: s.decodeLatency(c.rbers),
+		label:      c.lblRetry,
+		onDecoded:  c.then(stageRedecoded),
+	})
+}
+
+// redecoded ends a retry round: done when every page decoded; a page
+// still failing after MaxRetryRounds is reported uncorrectable and,
+// if its block is grown bad, the block is retired.
+func (c *dieCmd) redecoded() {
+	s := c.s
+	if len(c.failed) == 0 {
+		c.finish(0)
+		return
+	}
+	if c.round >= s.cfg.MaxRetryRounds {
+		s.m.UnrecoveredPages += int64(len(c.failed))
+		for _, p := range c.failed {
+			s.retireBlock(p)
+		}
+		c.finish(len(c.failed))
+		return
+	}
+	c.round++
+	c.retry()
+}
+
+// finish moves the command's data across the host link, reporting unc
+// uncorrectable pages when it arrives.
+func (c *dieCmd) finish(unc int) {
+	c.unc = unc
+	c.s.hostTransfer(c.cmd.n, c.then(stageHosted))
 }
 
 // predictFail draws RP's prediction for a page from the calibrated

@@ -52,25 +52,25 @@ func TestReclaimThresholdBoundary(t *testing.T) {
 	if s.m.ReadReclaims != 0 {
 		t.Fatalf("reclaim fired %d senses below threshold", s.m.ReadReclaims)
 	}
-	if s.readCounts[bid] != 9 {
-		t.Fatalf("net counter = %d after 9 senses", s.readCounts[bid])
+	if s.blocks[bid].reads != 9 {
+		t.Fatalf("net counter = %d after 9 senses", s.blocks[bid].reads)
 	}
 	s.noteSense(bid) // the threshold-crossing sense
 	if s.m.ReadReclaims != 1 {
 		t.Fatalf("reclaims = %d, want exactly 1 at the boundary", s.m.ReadReclaims)
 	}
-	if s.readCounts[bid] != 0 {
-		t.Fatalf("net counter = %d after reclaim, want 0", s.readCounts[bid])
+	if s.blocks[bid].reads != 0 {
+		t.Fatalf("net counter = %d after reclaim, want 0", s.blocks[bid].reads)
 	}
-	if s.eraseCounts[bid] != 1 || s.reclaimErases[bid] != 1 {
+	if s.blocks[bid].erases != 1 || s.blocks[bid].reclaimErases != 1 {
 		t.Fatalf("erases = %d, reclaim erases = %d, want 1/1",
-			s.eraseCounts[bid], s.reclaimErases[bid])
+			s.blocks[bid].erases, s.blocks[bid].reclaimErases)
 	}
-	if !s.refreshed[bid] {
+	if !s.blocks[bid].refreshedInPlace() {
 		t.Fatal("pre-fill block not marked refreshed in place")
 	}
-	if s.grossSenses[bid] != 10 {
-		t.Fatalf("gross senses = %d, want 10 (gross survives the erase)", s.grossSenses[bid])
+	if s.blocks[bid].senses != 10 {
+		t.Fatalf("gross senses = %d, want 10 (gross survives the erase)", s.blocks[bid].senses)
 	}
 	if s.m.ReclaimPagesMigrated != int64(cfg.Geometry.PagesPerBlock) {
 		t.Fatalf("migrated %d pages, want the whole block (%d)",
@@ -350,9 +350,9 @@ func TestDeadDieClearsDisturbOnce(t *testing.T) {
 	for b := 0; b < n; b++ {
 		die := geo.DieID(geo.BlockAddr(b))
 		switch {
-		case die == 0 && s.readCounts[b] != 0:
-			t.Fatalf("block %d on dead die 0 keeps count %d", b, s.readCounts[b])
-		case die != 0 && s.readCounts[b] != 7:
+		case die == 0 && s.blocks[b].reads != 0:
+			t.Fatalf("block %d on dead die 0 keeps count %d", b, s.blocks[b].reads)
+		case die != 0 && s.blocks[b].reads != 7:
 			t.Fatalf("block %d on live die %d lost its count", b, die)
 		}
 	}
@@ -365,9 +365,9 @@ func TestDeadDieClearsDisturbOnce(t *testing.T) {
 			break
 		}
 	}
-	s.readCounts[probe] = 5
+	s.blocks[probe].reads = 5
 	s.noteDeadDie(0)
-	if s.readCounts[probe] != 5 {
+	if s.blocks[probe].reads != 5 {
 		t.Fatal("second dead-die notification re-cleared counters")
 	}
 }

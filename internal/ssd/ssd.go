@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ecc"
 	"repro/internal/faults"
@@ -59,23 +60,8 @@ type SSD struct {
 	// seam to observe trigger decisions in isolation.
 	reclaim func(bid int)
 
-	// Per-block counters, by dense block id. readCounts is the disturb
-	// state: every real array sense bumps it via noteSense, and an
-	// erase (GC victim, read-reclaim, retirement, die death) clears it.
-	// grossSenses counts the same senses but is never cleared — the
-	// epoch fast-forward extrapolates from it. int64: a drive-year on a
-	// hot-read trace strands an int32.
-	readCounts    []int64
-	grossSenses   []int64
-	eraseCounts   []int64 // per-block erase counters (wear on top of PECycles)
-	reclaimErases []int64 // the subset of eraseCounts caused by read-reclaim
-	retired       []bool  // grown-bad blocks retired by the FTL, by block id
-
-	// Read-reclaim refresh state of the pre-fill (cold) region: those
-	// blocks are not FTL-managed, so reclaim rewrites them in place and
-	// resolvePages restarts their retention clock from refreshedAt.
-	refreshed   []bool
-	refreshedAt []sim.Time
+	// blocks is the per-block record, by dense block id.
+	blocks []blockState
 
 	// deadDieCleared marks dies whose disturb counters were zeroed on
 	// dropout, so the sweep runs once per die.
@@ -99,6 +85,17 @@ type SSD struct {
 	heldReq trace.Request
 	heldAt  sim.Time
 
+	// The open-loop source has at most one arrival scheduled at a
+	// time, so its request waits here for arrive, the handler New
+	// binds once.
+	nextReq     trace.Request
+	nextArrival sim.Time
+	onArrival   func()
+
+	// Free lists of host-request and die-command records (request.go).
+	reqFree []*hostReq
+	cmdFree []*dieCmd
+
 	// lastArrival is the open-loop host's virtual arrival clock: each
 	// request's latency anchor is max(req.At, previous arrival), so a
 	// stalled admission chain (full ring) cannot shift arrivals later
@@ -120,6 +117,37 @@ type SSD struct {
 
 	m Metrics
 }
+
+// blockState is the device's record of one physical block.
+type blockState struct {
+	// reads is the disturb state: every real array sense bumps it via
+	// noteSense, and an erase (GC victim, read-reclaim, retirement, die
+	// death) clears it. senses counts the same senses but is never
+	// cleared — the epoch fast-forward extrapolates from it. int64: a
+	// drive-year on a hot-read trace strands an int32.
+	reads  int64
+	senses int64
+	// erases counts erases (wear on top of PECycles); reclaimErases is
+	// the subset caused by read-reclaim. A block wears out within
+	// thousands of erases, so int32 holds any count and keeps the
+	// record at 40 bytes.
+	erases        int32
+	reclaimErases int32
+	// refreshedAt is when read-reclaim last rewrote the block in place
+	// (see refreshedInPlace).
+	refreshedAt sim.Time
+	// variation memoizes the NAND model's BlockVariation, filled on
+	// the block's first read (0 until then: the multiplier is a
+	// positive exponential). It lives in the device rather than the
+	// model because models are shared across concurrent runs.
+	variation float64
+}
+
+// refreshedInPlace reports whether read-reclaim has rewritten a
+// pre-fill (cold) block in place, restarting its retention clock at
+// refreshedAt. Pre-fill blocks are not FTL-managed: reclaim erases
+// one only by refreshing it, so for them a reclaim erase is the mark.
+func (b *blockState) refreshedInPlace() bool { return b.reclaimErases > 0 }
 
 // cmdResult is one die command's completion report: the
 // graceful-degradation outcome threaded back to the host model.
@@ -150,27 +178,22 @@ func New(cfg Config, w Workload) (*SSD, error) {
 	}
 	eng := sim.NewEngine()
 	s := &SSD{
-		cfg:           cfg,
-		eng:           eng,
-		model:         nand.NewModel(cfg.NANDParams, cfg.Seed),
-		dec:           ecc.NewEngine(),
-		acc:           accuracyModelFor(cfg),
-		ftl:           NewFTL(cfg.Geometry),
-		host:          sim.NewResource(eng, "host", 1),
-		predictRNG:    sim.NewRNG(cfg.Seed, 101),
-		sentinelRNG:   sim.NewRNG(cfg.Seed, 102),
-		inj:           faults.New(cfg.Faults, cfg.Seed),
-		readCounts:    make([]int64, cfg.Geometry.TotalBlocks()),
-		grossSenses:   make([]int64, cfg.Geometry.TotalBlocks()),
-		eraseCounts:   make([]int64, cfg.Geometry.TotalBlocks()),
-		reclaimErases: make([]int64, cfg.Geometry.TotalBlocks()),
-		retired:       make([]bool, cfg.Geometry.TotalBlocks()),
-		refreshed:     make([]bool, cfg.Geometry.TotalBlocks()),
-		refreshedAt:   make([]sim.Time, cfg.Geometry.TotalBlocks()),
-		workload:      w,
+		cfg:         cfg,
+		eng:         eng,
+		model:       nand.NewModel(cfg.NANDParams, cfg.Seed),
+		dec:         ecc.NewEngine(),
+		acc:         accuracyModelFor(cfg),
+		ftl:         NewFTL(cfg.Geometry),
+		host:        sim.NewResource(eng, "host", 1),
+		predictRNG:  sim.NewRNG(cfg.Seed, 101),
+		sentinelRNG: sim.NewRNG(cfg.Seed, 102),
+		inj:         faults.New(cfg.Faults, cfg.Seed),
+		blocks:      make([]blockState, cfg.Geometry.TotalBlocks()),
+		workload:    w,
 	}
 	s.deadDieCleared = make([]bool, cfg.Geometry.TotalDies())
 	s.reclaim = s.reclaimBlock
+	s.onArrival = s.arrive
 	s.cache = newWriteCache(cfg.WriteCachePages, s.failRun)
 	if cfg.Faults.DieDropoutRate > 0 {
 		// Writes aimed at a dead die fail over to the next live one;
@@ -189,12 +212,12 @@ func New(cfg Config, w Workload) (*SSD, error) {
 	s.ftl.WearOf = func(plane nand.Address, block int) int {
 		a := plane
 		a.Block = block
-		return int(s.eraseCounts[cfg.Geometry.BlockID(a)])
+		return int(s.blocks[cfg.Geometry.BlockID(a)].erases)
 	}
 	s.m.Scheme = cfg.Scheme
 	s.m.PECycles = cfg.PECycles
 	// Observability hooks: the ECC engine streams decode latencies,
-	// startRequest streams read latencies. Both handles are nil-safe
+	// completeRequest streams read latencies. Both handles are nil-safe
 	// no-ops when cfg.Obs is nil.
 	s.dec.Hist = cfg.Obs.Histogram("ecc_decode_latency_us")
 	s.readLat = cfg.Obs.Histogram("ssd_read_latency_us")
@@ -333,17 +356,24 @@ func (s *SSD) scheduleNextArrival() {
 	if fire < s.eng.Now() {
 		fire = s.eng.Now()
 	}
-	s.eng.At(fire, func() {
-		if s.cfg.MaxInFlight > 0 && s.inFlight >= s.cfg.MaxInFlight {
-			s.held = true
-			s.heldReq = req
-			s.heldAt = arrival
-			s.m.HeldArrivals++
-			return
-		}
-		s.admit(req, arrival, false)
-		s.scheduleNextArrival()
-	})
+	s.nextReq, s.nextArrival = req, arrival
+	s.eng.At(fire, s.onArrival)
+}
+
+// arrive admits the scheduled open-loop arrival and schedules the
+// next one, or parks the arrival when the bounded ring is full.
+func (s *SSD) arrive() {
+	req, arrival := s.nextReq, s.nextArrival
+	s.nextReq = trace.Request{}
+	if s.cfg.MaxInFlight > 0 && s.inFlight >= s.cfg.MaxInFlight {
+		s.held = true
+		s.heldReq = req
+		s.heldAt = arrival
+		s.m.HeldArrivals++
+		return
+	}
+	s.admit(req, arrival, false)
+	s.scheduleNextArrival()
 }
 
 // admit puts one request in flight, its latency anchored at arrival.
@@ -352,96 +382,40 @@ func (s *SSD) admit(req trace.Request, arrival sim.Time, chain bool) {
 	if s.inFlight > s.m.PeakInFlight {
 		s.m.PeakInFlight = s.inFlight
 	}
-	s.startRequest(req, arrival, chain)
+	s.runRequest(req, arrival, chain, nil)
 }
 
-// startRequest runs a request and records its completion. In closed
-// loop (chain == true) the completion admits the next request; in
-// bounded open loop it admits the held arrival, if any, and resumes
-// the arrival chain.
-func (s *SSD) startRequest(req trace.Request, arrival sim.Time, chain bool) {
-	s.runRequest(req, func(res cmdResult) {
-		s.inFlight--
-		s.m.RequestsCompleted++
-		s.lastDone = s.eng.Now()
-		if res.uncPages > 0 {
-			s.m.MediaErrorRequests++
-		}
-		bytes := int64(req.Pages) * int64(s.cfg.Geometry.PageBytes)
-		if req.Op == trace.Read {
-			s.m.BytesRead += bytes
-			lat := (s.eng.Now() - arrival).Microseconds()
-			if s.cfg.LatencySketch != nil {
-				s.cfg.LatencySketch.Add(lat)
-			} else {
-				s.m.ReadLatencies.Add(lat)
-			}
-			s.readLat.Observe(lat)
-		} else {
-			s.m.BytesWritten += bytes
-		}
-		if chain {
-			s.issueNext()
-		} else if s.held {
-			s.held = false
-			held, heldAt := s.heldReq, s.heldAt
-			s.heldReq = trace.Request{}
-			s.admit(held, heldAt, false)
-			s.scheduleNextArrival()
-		}
-	})
-}
-
-// dieCommand is one multi-plane operation: up to PlanesPerDie
-// consecutive logical pages on distinct planes of one die.
-type dieCommand struct {
-	lpns []int64
-}
-
-// splitRequest groups a request's pages into die commands along the
-// striping.
-func (s *SSD) splitRequest(req trace.Request) []dieCommand {
-	p := int64(s.cfg.Geometry.PlanesPerDie)
-	var cmds []dieCommand
-	lpn := req.LPN
-	remaining := req.Pages
-	for remaining > 0 {
-		group := lpn / p
-		end := (group + 1) * p // first lpn of the next group
-		n := int(end - lpn)
-		if n > remaining {
-			n = remaining
-		}
-		cmd := dieCommand{}
-		for i := 0; i < n; i++ {
-			cmd.lpns = append(cmd.lpns, lpn+int64(i))
-		}
-		cmds = append(cmds, cmd)
-		lpn += int64(n)
-		remaining -= n
+// completeRequest records a request's completion. In closed loop
+// (chain == true) it admits the next request; in bounded open loop it
+// admits the held arrival, if any, and resumes the arrival chain.
+func (s *SSD) completeRequest(req trace.Request, arrival sim.Time, chain bool, res cmdResult) {
+	s.inFlight--
+	s.m.RequestsCompleted++
+	s.lastDone = s.eng.Now()
+	if res.uncPages > 0 {
+		s.m.MediaErrorRequests++
 	}
-	return cmds
-}
-
-func (s *SSD) runRequest(req trace.Request, done func(cmdResult)) {
-	cmds := s.splitRequest(req)
-	outstanding := len(cmds)
-	var agg cmdResult
-	oneDone := func(r cmdResult) {
-		agg.uncPages += r.uncPages
-		agg.writeErr = agg.writeErr || r.writeErr
-		outstanding--
-		if outstanding == 0 {
-			done(agg)
-		}
-	}
-	for _, cmd := range cmds {
-		cmd := cmd
-		if req.Op == trace.Read {
-			s.readCommand(cmd, oneDone)
+	bytes := int64(req.Pages) * int64(s.cfg.Geometry.PageBytes)
+	if req.Op == trace.Read {
+		s.m.BytesRead += bytes
+		lat := (s.eng.Now() - arrival).Microseconds()
+		if s.cfg.LatencySketch != nil {
+			s.cfg.LatencySketch.Add(lat)
 		} else {
-			s.writeCommand(cmd, oneDone)
+			s.m.ReadLatencies.Add(lat)
 		}
+		s.readLat.Observe(lat)
+	} else {
+		s.m.BytesWritten += bytes
+	}
+	if chain {
+		s.issueNext()
+	} else if s.held {
+		s.held = false
+		held, heldAt := s.heldReq, s.heldAt
+		s.heldReq = trace.Request{}
+		s.admit(held, heldAt, false)
+		s.scheduleNextArrival()
 	}
 }
 
@@ -458,38 +432,46 @@ type pageView struct {
 	fails     bool    // first read exceeds the ECC capability
 }
 
-// resolvePages looks up every page of a command and evaluates its
-// RBER under the scheme's first-read VREF mode.
-func (s *SSD) resolvePages(cmd dieCommand) []pageView {
+// resolvePages looks up every page of a command into its scratch
+// pages slice and evaluates each page's RBER under the scheme's
+// first-read VREF mode and after VREF adjustment — both from one
+// evaluation of the block's condition.
+//
+//riflint:hotpath
+func (s *SSD) resolvePages(c *dieCmd) {
 	firstMode := vrefModeForScheme(s.cfg.Scheme)
-	views := make([]pageView, 0, len(cmd.lpns))
-	for _, lpn := range cmd.lpns {
+	c.pages = c.pages[:c.cmd.n]
+	for i := range c.pages {
+		lpn := c.cmd.lpn + int64(i)
 		addr, writtenAt, written := s.ftl.Lookup(lpn)
 		bid := s.cfg.Geometry.BlockID(addr)
+		b := &s.blocks[bid]
 		var age float64
 		switch {
 		case written:
 			age = (s.eng.Now() - writtenAt).Seconds() / 86400
-		case s.refreshed[bid]:
+		case b.refreshedInPlace():
 			// Pre-fill block rewritten in place by read-reclaim: its
 			// retention clock restarts at the refresh.
-			age = (s.eng.Now() - s.refreshedAt[bid]).Seconds() / 86400
+			age = (s.eng.Now() - b.refreshedAt).Seconds() / 86400
 		default:
 			age = s.workload.InitialAgeDays(lpn)
 		}
-		reads := s.readCounts[bid]
+		reads := b.reads
 		s.noteSense(bid)
 		pt := nand.PageTypeOf(addr.Page)
-		pe := s.cfg.PECycles + int(s.eraseCounts[bid])
-		first := s.model.PageRBER(bid, pt, pe, age, reads, firstMode)
-		retry := s.model.PageRBER(bid, pt, pe, age, reads, nand.OptimalVref)
+		pe := s.cfg.PECycles + int(b.erases)
+		if b.variation == 0 {
+			b.variation = s.model.BlockVariation(bid)
+		}
+		first, retry := s.model.PageRBERPair(b.variation, pt, pe, age, reads, firstMode, nand.OptimalVref)
 		if s.inj.BlockStuck(bid) {
 			// Grown-bad block: every read of it is hopeless at any
 			// VREF, so the page rides the retry ladder to exhaustion.
 			s.m.Faults.StuckPageReads++
 			first, retry = stuckRBER, stuckRBER
 		}
-		views = append(views, pageView{
+		c.pages[i] = pageView{
 			lpn:       lpn,
 			addr:      addr,
 			blockID:   bid,
@@ -498,22 +480,16 @@ func (s *SSD) resolvePages(cmd dieCommand) []pageView {
 			rberFirst: first,
 			rberRetry: retry,
 			fails:     first > s.dec.Capability,
-		})
+		}
 	}
-	return views
 }
 
 // dieOf reports the die resource, channel station and dense die index
 // of a command.
 func (s *SSD) dieOf(cmd dieCommand) (*dieStation, *channelStation, int) {
-	addr, _, _ := s.ftl.Lookup(cmd.lpns[0])
+	addr, _, _ := s.ftl.Lookup(cmd.lpn)
 	dieIdx := s.cfg.Geometry.DieID(addr)
 	return s.dies[dieIdx], s.channels[addr.Channel], dieIdx
-}
-
-// sense occupies the die with an array read for dur, then runs next.
-func (s *SSD) sense(die *dieStation, dur sim.Time, next func()) {
-	die.Read(dur, next)
 }
 
 // stuckRBER is the effective error rate of a grown-bad block's pages:
@@ -545,9 +521,10 @@ func (s *SSD) senseTime(base sim.Time, views []pageView) sim.Time {
 //
 //riflint:hotpath
 func (s *SSD) noteSense(bid int) {
-	s.grossSenses[bid]++
-	n := s.readCounts[bid] + 1
-	s.readCounts[bid] = n
+	b := &s.blocks[bid]
+	b.senses++
+	n := b.reads + 1
+	b.reads = n
 	if t := s.cfg.ReadReclaimThreshold; t > 0 && n >= t {
 		s.reclaim(bid)
 	}
@@ -570,11 +547,12 @@ func (s *SSD) reclaimBlock(bid int) {
 	// The erase clears accumulated disturb whether or not migration
 	// proceeds; a skipped migration (dead die, no free block) simply
 	// re-arms the counter.
-	s.readCounts[bid] = 0
-	if s.retired[bid] {
+	b := &s.blocks[bid]
+	b.reads = 0
+	addr := s.cfg.Geometry.BlockAddr(bid)
+	if s.ftl.blockRetired(addr) {
 		return
 	}
-	addr := s.cfg.Geometry.BlockAddr(bid)
 	dieIdx := s.cfg.Geometry.DieID(addr)
 	if s.inj.DieDown(dieIdx) {
 		return
@@ -584,8 +562,7 @@ func (s *SSD) reclaimBlock(bid int) {
 		// Pre-fill block: rewrite in place, restarting its retention
 		// clock from now.
 		work = &GCWork{PagesRelocated: s.cfg.Geometry.PagesPerBlock, Erases: 1}
-		s.refreshed[bid] = true
-		s.refreshedAt[bid] = s.eng.Now()
+		b.refreshedAt = s.eng.Now()
 	} else {
 		w, err := s.ftl.ReclaimBlock(addr)
 		if err != nil {
@@ -597,8 +574,8 @@ func (s *SSD) reclaimBlock(bid int) {
 		}
 		work = w
 	}
-	s.eraseCounts[bid] += int64(work.Erases)
-	s.reclaimErases[bid] += int64(work.Erases)
+	b.erases += int32(work.Erases)
+	b.reclaimErases += int32(work.Erases)
 	s.m.ReadReclaims++
 	s.m.ReclaimPagesMigrated += int64(work.PagesRelocated)
 	// Occupy the die with the migration; no completion callback — the
@@ -616,7 +593,7 @@ func (s *SSD) noteDeadDie(dieIdx int) {
 	s.deadDieCleared[dieIdx] = true
 	per := s.cfg.Geometry.PlanesPerDie * s.cfg.Geometry.BlocksPerPlane
 	for b := dieIdx * per; b < (dieIdx+1)*per; b++ {
-		s.readCounts[b] = 0
+		s.blocks[b].reads = 0
 	}
 }
 
@@ -640,16 +617,18 @@ type BlockCounters struct {
 
 // BlockState snapshots the per-block counters.
 func (s *SSD) BlockState() BlockCounters {
+	n := len(s.blocks)
 	c := BlockCounters{
-		Reads:         make([]int64, len(s.readCounts)),
-		Senses:        make([]int64, len(s.grossSenses)),
-		Erases:        make([]int64, len(s.eraseCounts)),
-		ReclaimErases: make([]int64, len(s.reclaimErases)),
+		Reads:         make([]int64, n),
+		Senses:        make([]int64, n),
+		Erases:        make([]int64, n),
+		ReclaimErases: make([]int64, n),
 	}
-	copy(c.Reads, s.readCounts)
-	copy(c.Senses, s.grossSenses)
-	copy(c.Erases, s.eraseCounts)
-	copy(c.ReclaimErases, s.reclaimErases)
+	for i := range s.blocks {
+		b := &s.blocks[i]
+		c.Reads[i], c.Senses[i] = b.reads, b.senses
+		c.Erases[i], c.ReclaimErases[i] = int64(b.erases), int64(b.reclaimErases)
+	}
 	return c
 }
 
@@ -662,13 +641,20 @@ func (s *SSD) SeedBlockState(reads, erases []int64) error {
 		if len(reads) != n {
 			return fmt.Errorf("ssd: SeedBlockState reads length %d, want %d", len(reads), n)
 		}
-		copy(s.readCounts, reads)
+		for i, r := range reads {
+			s.blocks[i].reads = r
+		}
 	}
 	if erases != nil {
 		if len(erases) != n {
 			return fmt.Errorf("ssd: SeedBlockState erases length %d, want %d", len(erases), n)
 		}
-		copy(s.eraseCounts, erases)
+		for i, e := range erases {
+			if e < 0 || e > math.MaxInt32 {
+				return fmt.Errorf("ssd: SeedBlockState erases[%d] = %d out of range", i, e)
+			}
+			s.blocks[i].erases = int32(e)
+		}
 	}
 	return nil
 }
@@ -692,11 +678,10 @@ func (s *SSD) timeoutRBER() float64 { return 4 * s.dec.Capability }
 // the allocator stops handing it out. Natural per-page exhaustion at
 // high wear does not retire: the block's other pages are still good.
 func (s *SSD) retireBlock(p pageView) {
-	if !s.inj.BlockStuck(p.blockID) || s.retired[p.blockID] {
+	if !s.inj.BlockStuck(p.blockID) || s.ftl.blockRetired(p.addr) {
 		return
 	}
-	s.retired[p.blockID] = true
-	s.readCounts[p.blockID] = 0 // retirement erases the block
+	s.blocks[p.blockID].reads = 0 // retirement erases the block
 	s.m.Faults.GrownBadBlocks++
 	s.ftl.RetireBlock(p.addr)
 }

@@ -290,19 +290,25 @@ func TestSplitRequestGrouping(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 10 pages starting at lpn 2: groups [2,3], [4..7], [8..11].
-	cmds := s.splitRequest(trace.Request{Op: trace.Read, LPN: 2, Pages: 10})
+	var cmds []dieCommand
+	for lpn, remaining := int64(2), 10; remaining > 0; {
+		cmd := s.commandAt(lpn, remaining)
+		cmds = append(cmds, cmd)
+		lpn += int64(cmd.n)
+		remaining -= cmd.n
+	}
 	if len(cmds) != 3 {
 		t.Fatalf("%d commands", len(cmds))
 	}
-	if len(cmds[0].lpns) != 2 || len(cmds[1].lpns) != 4 || len(cmds[2].lpns) != 4 {
-		t.Fatalf("group sizes: %d %d %d", len(cmds[0].lpns), len(cmds[1].lpns), len(cmds[2].lpns))
+	if cmds[0].n != 2 || cmds[1].n != 4 || cmds[2].n != 4 {
+		t.Fatalf("group sizes: %d %d %d", cmds[0].n, cmds[1].n, cmds[2].n)
 	}
 	// Every command stays on one die.
 	for _, cmd := range cmds {
-		first := s.ftl.PlaneIndexOf(cmd.lpns[0]) / s.cfg.Geometry.PlanesPerDie
-		for _, lpn := range cmd.lpns {
+		first := s.ftl.PlaneIndexOf(cmd.lpn) / s.cfg.Geometry.PlanesPerDie
+		for lpn := cmd.lpn; lpn < cmd.lpn+int64(cmd.n); lpn++ {
 			if s.ftl.PlaneIndexOf(lpn)/s.cfg.Geometry.PlanesPerDie != first {
-				t.Fatalf("command spans dies: %v", cmd.lpns)
+				t.Fatalf("command %+v spans dies", cmd)
 			}
 		}
 	}

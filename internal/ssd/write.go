@@ -13,10 +13,10 @@ import (
 // With a write cache, the host-visible write completes once the data
 // is buffered in controller DRAM; the channel transfer and program
 // run as a background flush that releases the buffer when durable.
-func (s *SSD) writeCommand(cmd dieCommand, done func(cmdResult)) {
+func (s *SSD) writeCommand(c *dieCmd) {
 	var gcTime sim.Time
-	for _, lpn := range cmd.lpns {
-		_, work, err := s.ftl.Write(lpn, s.eng.Now(), s.cfg.GCFreeBlockLow)
+	for i := 0; i < c.cmd.n; i++ {
+		_, work, err := s.ftl.Write(c.cmd.lpn+int64(i), s.eng.Now(), s.cfg.GCFreeBlockLow)
 		if err != nil {
 			// An unplaceable write (out of space, every die down) is
 			// dropped: the first error is carried in the run result and
@@ -24,54 +24,66 @@ func (s *SSD) writeCommand(cmd dieCommand, done func(cmdResult)) {
 			// of panicking mid-simulation.
 			s.m.Faults.DroppedWrites++
 			s.failRun(err)
-			done(cmdResult{writeErr: true})
+			c.complete(cmdResult{writeErr: true})
 			return
 		}
 		if work != nil {
 			gcTime += s.gcTime(work)
 			victim := work.Plane
 			victim.Block = work.VictimBlock
-			s.eraseCounts[s.cfg.Geometry.BlockID(victim)]++
+			b := &s.blocks[s.cfg.Geometry.BlockID(victim)]
+			b.erases++
 			// Erasing also clears the accumulated read disturb.
-			s.readCounts[s.cfg.Geometry.BlockID(victim)] = 0
+			b.reads = 0
 		}
 	}
+	c.gcTime = gcTime
 
 	// Resolve the target die after the FTL writes: die failover may
 	// have re-homed the pages away from a dead die.
-	die, ch, _ := s.dieOf(cmd)
+	c.die, c.ch, _ = s.dieOf(c.cmd)
 
-	pages := len(cmd.lpns)
 	if !s.cache.enabled() {
 		// Write-through: the host waits for the program.
-		s.hostTransfer(pages, func() {
-			ch.submit(&xferJob{
-				kind:  xferWrite,
-				pages: pages,
-				label: "W",
-				onDecoded: func() {
-					die.Program(gcTime+s.cfg.Timing.TProg, func() { done(cmdResult{}) })
-				},
-			})
-		})
+		s.hostTransfer(c.cmd.n, c.then(stageWriteHosted))
 		return
 	}
-	s.cache.acquire(pages, func() {
-		s.hostTransfer(pages, func() {
-			done(cmdResult{}) // host sees the write complete at buffer time
-			addr, _, _ := s.ftl.Lookup(cmd.lpns[0])
-			f := s.flushers[s.cfg.Geometry.DieID(addr)]
-			for i, lpn := range cmd.lpns {
-				a, _, _ := s.ftl.Lookup(lpn)
-				gc := sim.Time(0)
-				if i == 0 {
-					gc = gcTime // the batch that carries page 0 pays the GC debt
-				}
-				f.enqueue(flushPage{plane: a.Plane, gcTime: gc})
-			}
-			f.kick()
-		})
-	})
+	s.cache.acquire(c.cmd.n, c.then(stageCacheGranted))
+}
+
+// writeHosted moves write-through data across the channel.
+func (c *dieCmd) writeHosted() {
+	c.ch.submit(xferJob{kind: xferWrite, pages: c.cmd.n, label: "W", onDecoded: c.then(stageWriteMoved)})
+}
+
+// writeMoved programs write-through data, paying the GC debt first.
+func (c *dieCmd) writeMoved() {
+	c.die.Program(c.gcTime+c.s.cfg.Timing.TProg, c.then(stageProgrammed))
+}
+
+// cacheGranted moves cached write data across the host link.
+func (c *dieCmd) cacheGranted() {
+	c.s.hostTransfer(c.cmd.n, c.then(stageBuffered))
+}
+
+// buffered completes a cached write — the host sees it at buffer time
+// — and hands its pages to the die's background flusher.
+func (c *dieCmd) buffered() {
+	s, cmd, gcTime := c.s, c.cmd, c.gcTime
+	// The completion may start further requests that remap these
+	// pages, so the flusher looks them up after it.
+	c.complete(cmdResult{})
+	addr, _, _ := s.ftl.Lookup(cmd.lpn)
+	f := s.flushers[s.cfg.Geometry.DieID(addr)]
+	for i := 0; i < cmd.n; i++ {
+		a, _, _ := s.ftl.Lookup(cmd.lpn + int64(i))
+		gc := sim.Time(0)
+		if i == 0 {
+			gc = gcTime // the batch that carries page 0 pays the GC debt
+		}
+		f.enqueue(flushPage{plane: a.Plane, gcTime: gc})
+	}
+	f.kick()
 }
 
 // gcTime charges a garbage collection: valid pages move by in-die
