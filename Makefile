@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race shuffle serve-e2e serve-load-smoke crash-smoke bench bench-smoke chaos-smoke agesweep-smoke replay-smoke lint fmt-check vet riflint staticcheck govulncheck
+.PHONY: all build test race shuffle golden serve-e2e serve-load-smoke crash-smoke bench bench-smoke chaos-smoke agesweep-smoke replay-smoke lint fmt-check vet riflint staticcheck govulncheck
 
 all: build test
 
@@ -28,6 +28,15 @@ race:
 # earlier tests' side effects. CI runs this on every change.
 shuffle:
 	$(GO) test -shuffle=on -count=2 ./...
+
+# golden rewrites the report corpus in internal/core/testdata/golden
+# (every experiment, plus the code-level figures) from the current
+# code. `make test`, `make race` and `make shuffle` check it. Run this
+# only in a change that means to move a report — a model or report
+# format change, never a refactor or speedup — and say in that change
+# which reports moved and why.
+golden:
+	$(GO) test -count=1 -run '^TestGolden' ./internal/core/ -update
 
 # serve-e2e drives the rifserve service end to end under the race
 # detector: submit over HTTP, stream NDJSON progress, verify report

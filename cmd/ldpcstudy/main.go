@@ -97,11 +97,7 @@ func run(fig int, p core.CodeParams) error {
 	case 10:
 		points, rhoFull, rhoPruned := core.Fig10(p, nil)
 		fmt.Println("Fig. 10 — RBER vs syndrome weight")
-		fmt.Printf("%10s %12s %14s\n", "RBER", "full weight", "pruned weight")
-		for _, pt := range points {
-			fmt.Printf("%10.4f %12.1f %14.1f\n", pt.RBER, pt.AvgFullWeight, pt.AvgPrunedWeight)
-		}
-		fmt.Printf("rhoS (full) = %d, rhoS (pruned, used by RP hardware) = %d\n", rhoFull, rhoPruned)
+		fmt.Print(core.FormatFig10(points, rhoFull, rhoPruned))
 		fmt.Println("paper: rhoS = 3830 at RBER 0.0085 for the full 4-KiB code")
 		return nil
 

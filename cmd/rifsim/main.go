@@ -53,7 +53,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "17", "experiment: one of "+strings.Join(validFigs(), ", "))
+	fig := flag.String("fig", "17", "experiment: one of "+strings.Join(core.ValidExperiments(), ", "))
 	replayFile := flag.String("replay", "", "replay a trace file open-loop instead of running -fig (native CSV or MSR-Cambridge format, auto-detected; \"-\" reads stdin)")
 	rate := flag.Float64("rate", 0, "with -replay: Poisson arrival rate in IOPS (0 honours the trace's own timestamps)")
 	rates := flag.String("rates", "", "with -replay: comma-separated Poisson arrival-rate ladder in IOPS (sweeps one cell per rate)")
@@ -138,7 +138,9 @@ func main() {
 			requests: requestsCap(*requests),
 		})
 	} else {
-		err = run(out, *fig, p)
+		// The dispatcher is shared with cmd/rifserve, so a served job's
+		// report is byte-identical to the same spec run here.
+		err = core.RunExperiment(out, *fig, p)
 	}
 	if errors.Is(err, fleet.ErrStopped) {
 		// Cancellation (timeout or ^C) is a clean exit: the completed
@@ -256,18 +258,6 @@ func validateFlags(workers, requests int) error {
 		return fmt.Errorf("-requests must be >= 1 (got %d)", requests)
 	}
 	return nil
-}
-
-// validFigs lists every experiment run accepts, in presentation
-// order; unknown -fig values echo it so the valid set is
-// discoverable from the command line.
-func validFigs() []string { return core.ValidExperiments() }
-
-// run dispatches one experiment through the dispatcher shared with
-// cmd/rifserve, so a served job's report is byte-identical to the
-// same spec run here.
-func run(out io.Writer, fig string, p core.RunParams) error {
-	return core.RunExperiment(out, fig, p)
 }
 
 // replayOptions carries the -replay flag set.

@@ -20,7 +20,7 @@ import (
 // TestUnknownFigListsValidExperiments pins the CLI contract: a typo'd
 // -fig value must name every valid figure and ablation in the error.
 func TestUnknownFigListsValidExperiments(t *testing.T) {
-	err := run(io.Discard, "bogus", core.DefaultRunParams())
+	err := core.RunExperiment(io.Discard, "bogus", core.DefaultRunParams())
 	if err == nil {
 		t.Fatal("unknown figure did not error")
 	}
@@ -28,21 +28,21 @@ func TestUnknownFigListsValidExperiments(t *testing.T) {
 	if !strings.Contains(msg, `"bogus"`) {
 		t.Errorf("error does not echo the bad value: %q", msg)
 	}
-	for _, fig := range validFigs() {
+	for _, fig := range core.ValidExperiments() {
 		if !strings.Contains(msg, fig) {
 			t.Errorf("error does not list valid figure %q: %q", fig, msg)
 		}
 	}
 }
 
-// TestValidFigsAreAccepted ensures the advertised list and the switch
-// stay in sync: every advertised figure must be dispatchable (we use
+// TestValidFigsAreAccepted ensures the advertised list and the
+// dispatcher stay in sync: every advertised figure must be dispatchable (we use
 // a zero-request params so runs fail fast with a non-"unknown" error
 // rather than simulating).
 func TestValidFigsAreAccepted(t *testing.T) {
 	p := core.RunParams{} // invalid sizing: experiments fail fast
-	for _, fig := range validFigs() {
-		err := run(io.Discard, fig, p)
+	for _, fig := range core.ValidExperiments() {
+		err := core.RunExperiment(io.Discard, fig, p)
 		if err != nil && strings.Contains(err.Error(), "unknown experiment") {
 			t.Errorf("advertised figure %q rejected as unknown", fig)
 		}

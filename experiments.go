@@ -96,10 +96,12 @@ func MaxChunkSpread(points []SimilarityPoint, chunkKiB int) float64 {
 type TimelineResult = core.TimelineResult
 
 // Timelines reproduces the 256-KiB-read timelines of Figs. 7 and 8.
-// workers bounds the pool sharding the per-scheme runs (0 means one
-// per CPU, 1 runs them sequentially); results are identical either
-// way.
-func Timelines(workers int) ([]TimelineResult, error) { return core.Timelines(workers) }
+// The three per-scheme runs share a private scheduler of workers (0
+// means one per CPU, 1 runs them sequentially in order); results are
+// identical either way.
+func Timelines(workers int) ([]TimelineResult, error) {
+	return core.Timelines(core.RunParams{Workers: workers})
+}
 
 // Overhead is the §VI-C hardware/energy study result.
 type Overhead = core.Overhead

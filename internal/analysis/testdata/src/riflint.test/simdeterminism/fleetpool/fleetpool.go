@@ -10,10 +10,10 @@ import (
 	"sync/atomic"
 )
 
-// cleanPool mirrors internal/fleet.Run: an atomic work counter hands
-// out indices, each result lands in its pre-assigned slot, and any
-// randomness comes from a stream seeded by the cell index. Nothing
-// here is nondeterministic in the outputs, and riflint agrees.
+// cleanPool keeps fleet.Scheduler's contract in its simplest shape: an
+// atomic counter hands out indices, each result lands in its slot,
+// and any randomness comes from a stream seeded by the cell index.
+// Nothing here is nondeterministic in the outputs, and riflint agrees.
 func cleanPool(n, workers int, seed uint64) []float64 {
 	out := make([]float64, n)
 	var next atomic.Int64

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"strings"
-	"sync"
 
 	"repro/internal/ldpc"
 	"repro/internal/nand"
@@ -39,6 +38,18 @@ func (p CodeParams) build() *ldpc.Code {
 	return ldpc.NewCode(p.BlockRows, p.BlockCols, p.Circulant, p.Seed)
 }
 
+// codeGrid runs one cell per RBER point through gridMap, on a private
+// scheduler of one worker per CPU. A code-level cell can fail only by
+// panicking and the studies return no error, so a recovered cell
+// panic is raised again here.
+func codeGrid[T any](n int, fn func(i int) T) []T {
+	out, err := gridMap(RunParams{}, n, func(i int) (T, error) { return fn(i), nil })
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 // CapabilityPoint is one RBER point of the Fig. 3 study.
 type CapabilityPoint struct {
 	RBER        float64
@@ -54,33 +65,26 @@ func Fig3(p CodeParams, rbers []float64) []CapabilityPoint {
 		rbers = []float64{0.004, 0.005, 0.006, 0.007, 0.008, 0.0085, 0.009, 0.010}
 	}
 	code := p.build()
-	out := make([]CapabilityPoint, len(rbers))
-	var wg sync.WaitGroup
-	for i, r := range rbers {
-		wg.Add(1)
-		go func(i int, r float64) {
-			defer wg.Done()
-			dec := ldpc.NewMinSumDecoder(code, 0)
-			rng := rand.New(rand.NewPCG(p.Seed, uint64(i)+100))
-			fails, iters := 0, 0
-			k := int(r*float64(code.N()) + 0.5)
-			for s := 0; s < p.Samples; s++ {
-				cw := code.Encode(ldpc.RandomBits(code.K(), rng))
-				res := dec.Decode(ldpc.FlipExact(cw, k, rng))
-				if !res.OK {
-					fails++
-				}
-				iters += res.Iterations
+	return codeGrid(len(rbers), func(i int) CapabilityPoint {
+		r := rbers[i]
+		dec := ldpc.NewMinSumDecoder(code, 0)
+		rng := rand.New(rand.NewPCG(p.Seed, uint64(i)+100))
+		fails, iters := 0, 0
+		k := int(r*float64(code.N()) + 0.5)
+		for s := 0; s < p.Samples; s++ {
+			cw := code.Encode(ldpc.RandomBits(code.K(), rng))
+			res := dec.Decode(ldpc.FlipExact(cw, k, rng))
+			if !res.OK {
+				fails++
 			}
-			out[i] = CapabilityPoint{
-				RBER:        r,
-				FailureProb: float64(fails) / float64(p.Samples),
-				AvgIters:    float64(iters) / float64(p.Samples),
-			}
-		}(i, r)
-	}
-	wg.Wait()
-	return out
+			iters += res.Iterations
+		}
+		return CapabilityPoint{
+			RBER:        r,
+			FailureProb: float64(fails) / float64(p.Samples),
+			AvgIters:    float64(iters) / float64(p.Samples),
+		}
+	})
 }
 
 // FormatFig3 renders the Fig. 3 sweep.
@@ -110,31 +114,37 @@ func Fig10(p CodeParams, rbers []float64) (points []CorrelationPoint, rhoSFull, 
 		}
 	}
 	code := p.build()
-	points = make([]CorrelationPoint, len(rbers))
-	var wg sync.WaitGroup
-	for i, r := range rbers {
-		wg.Add(1)
-		go func(i int, r float64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(p.Seed, uint64(i)+200))
-			fullSum, prunedSum := 0, 0
-			k := int(r*float64(code.N()) + 0.5)
-			for s := 0; s < p.Samples; s++ {
-				cw := ldpc.FlipExact(code.Encode(ldpc.RandomBits(code.K(), rng)), k, rng)
-				fullSum += code.SyndromeWeight(cw)
-				prunedSum += code.FirstRowSyndromeWeight(cw)
-			}
-			points[i] = CorrelationPoint{
-				RBER:            r,
-				AvgFullWeight:   float64(fullSum) / float64(p.Samples),
-				AvgPrunedWeight: float64(prunedSum) / float64(p.Samples),
-			}
-		}(i, r)
-	}
-	wg.Wait()
+	points = codeGrid(len(rbers), func(i int) CorrelationPoint {
+		r := rbers[i]
+		rng := rand.New(rand.NewPCG(p.Seed, uint64(i)+200))
+		fullSum, prunedSum := 0, 0
+		k := int(r*float64(code.N()) + 0.5)
+		for s := 0; s < p.Samples; s++ {
+			cw := ldpc.FlipExact(code.Encode(ldpc.RandomBits(code.K(), rng)), k, rng)
+			fullSum += code.SyndromeWeight(cw)
+			prunedSum += code.FirstRowSyndromeWeight(cw)
+		}
+		return CorrelationPoint{
+			RBER:            r,
+			AvgFullWeight:   float64(fullSum) / float64(p.Samples),
+			AvgPrunedWeight: float64(prunedSum) / float64(p.Samples),
+		}
+	})
 	return points,
 		odear.RhoS(code, nand.ECCCapabilityRBER, false),
 		odear.RhoS(code, nand.ECCCapabilityRBER, true)
+}
+
+// FormatFig10 renders the Fig. 10 sweep and its calibrated
+// thresholds.
+func FormatFig10(points []CorrelationPoint, rhoSFull, rhoSPruned int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%10s %12s %14s\n", "RBER", "full weight", "pruned weight")
+	for _, pt := range points {
+		fmt.Fprintf(&b, "%10.4f %12.1f %14.1f\n", pt.RBER, pt.AvgFullWeight, pt.AvgPrunedWeight)
+	}
+	fmt.Fprintf(&b, "rhoS (full) = %d, rhoS (pruned, used by RP hardware) = %d\n", rhoSFull, rhoSPruned)
+	return b.String()
 }
 
 // AccuracyPoint is one RBER point of the Fig. 11 / Fig. 14 studies.
@@ -155,29 +165,22 @@ func RPAccuracy(p CodeParams, rbers []float64, approximate bool) []AccuracyPoint
 	}
 	code := p.build()
 	rp := odear.NewRP(code, nand.ECCCapabilityRBER, approximate)
-	out := make([]AccuracyPoint, len(rbers))
-	var wg sync.WaitGroup
-	for i, r := range rbers {
-		wg.Add(1)
-		go func(i int, r float64) {
-			defer wg.Done()
-			dec := ldpc.NewMinSumDecoder(code, 0)
-			rng := rand.New(rand.NewPCG(p.Seed, uint64(i)+300))
-			agree := 0
-			k := int(r*float64(code.N()) + 0.5)
-			for s := 0; s < p.Samples; s++ {
-				cw := ldpc.FlipExact(code.Encode(ldpc.RandomBits(code.K(), rng)), k, rng)
-				predictRetry := rp.Predict(cw)
-				actualFail := !dec.Decode(cw).OK
-				if predictRetry == actualFail {
-					agree++
-				}
+	return codeGrid(len(rbers), func(i int) AccuracyPoint {
+		r := rbers[i]
+		dec := ldpc.NewMinSumDecoder(code, 0)
+		rng := rand.New(rand.NewPCG(p.Seed, uint64(i)+300))
+		agree := 0
+		k := int(r*float64(code.N()) + 0.5)
+		for s := 0; s < p.Samples; s++ {
+			cw := ldpc.FlipExact(code.Encode(ldpc.RandomBits(code.K(), rng)), k, rng)
+			predictRetry := rp.Predict(cw)
+			actualFail := !dec.Decode(cw).OK
+			if predictRetry == actualFail {
+				agree++
 			}
-			out[i] = AccuracyPoint{RBER: r, Accuracy: float64(agree) / float64(p.Samples)}
-		}(i, r)
-	}
-	wg.Wait()
-	return out
+		}
+		return AccuracyPoint{RBER: r, Accuracy: float64(agree) / float64(p.Samples)}
+	})
 }
 
 // MeanAccuracyAbove averages the measured accuracy over points whose

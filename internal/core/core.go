@@ -29,10 +29,11 @@ type RunParams struct {
 	// fast; the channel/die topology (what the experiments measure)
 	// is unchanged. Zero means the full Table I array.
 	Shrink bool
-	// Workers bounds the worker pool the grid studies shard their
-	// independent cells across: 0 means one per CPU, 1 restores fully
-	// sequential runs. Results are written into pre-indexed slots, so
-	// the output is byte-identical for every value.
+	// Workers sizes the private fleet.Scheduler each grid study runs
+	// its independent cells on when Pool is nil: 0 means one per CPU,
+	// 1 runs the cells sequentially in index order. Results are
+	// written into pre-indexed slots, so the output is byte-identical
+	// for every value.
 	Workers int
 	// Faults configures deterministic fault injection for every
 	// simulation these params run. The zero value injects nothing and
@@ -43,12 +44,12 @@ type RunParams struct {
 	// fleet.ErrStopped. Cells already running finish normally, so
 	// manifests collected so far stay valid (flushed marked partial).
 	Stop func() bool
-	// Pool, when non-nil, is the shared work-stealing scheduler the
-	// grid studies submit their cells to instead of spinning up a
-	// private pool of Workers — this is how a long-running service
-	// interleaves many jobs' cells across one bounded worker set.
-	// Results stay byte-identical either way (pre-indexed slots), so
-	// Pool never affects output, only scheduling.
+	// Pool, when non-nil, is the shared scheduler the grid studies
+	// submit their cells to instead of starting a private one of
+	// Workers (which is then ignored) — this is how a long-running
+	// service interleaves many jobs' cells across one bounded worker
+	// set. Results stay byte-identical either way (pre-indexed slots),
+	// so Pool never affects output, only scheduling.
 	Pool *fleet.Scheduler
 
 	// Obs, when non-nil, is attached to every simulation these params
@@ -90,15 +91,17 @@ func (p RunParams) BuildConfig(scheme ssd.Scheme, pe int) ssd.Config {
 	return cfg
 }
 
-// gridMap shards an n-cell study grid: over p.Pool when the caller
-// supplies a shared scheduler, otherwise over a private pool of
-// p.Workers. Every grid study routes through here so the two paths
-// cannot drift.
+// gridMap runs an n-cell study grid on a fleet.Scheduler: p.Pool when
+// the caller shares one, otherwise a private scheduler of p.Workers
+// (capped at n) that is stopped when the grid returns. It is the only
+// fan-out in core, so every grid honours Workers, Pool and Stop alike.
 func gridMap[T any](p RunParams, n int, fn func(i int) (T, error)) ([]T, error) {
-	if p.Pool != nil {
-		return fleet.MapOn(p.Pool, n, p.Stop, fn)
+	sched := p.Pool
+	if sched == nil {
+		sched = fleet.NewScheduler(min(fleet.Workers(p.Workers), max(n, 1)))
+		defer sched.Stop()
 	}
-	return fleet.MapStop(n, p.Workers, p.Stop, fn)
+	return fleet.MapOn(sched, n, p.Stop, fn)
 }
 
 // workload instantiates a Table II workload generator.

@@ -183,7 +183,7 @@ func TestFig12Similarity(t *testing.T) {
 }
 
 func TestTimelinesMatchPaper(t *testing.T) {
-	results, err := Timelines(0)
+	results, err := Timelines(RunParams{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,11 +124,11 @@ func TestAblationWorkerCountInvariance(t *testing.T) {
 }
 
 func TestTimelinesWorkerCountInvariance(t *testing.T) {
-	seq, err := Timelines(1)
+	seq, err := Timelines(RunParams{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Timelines(4)
+	par, err := Timelines(RunParams{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

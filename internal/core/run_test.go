@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/fleet"
 )
 
 func TestValidExperimentMatchesList(t *testing.T) {
@@ -80,5 +82,26 @@ func TestRunExperimentWorkerIndependence(t *testing.T) {
 	if !bytes.Equal(one.Bytes(), many.Bytes()) {
 		t.Fatalf("report bytes depend on worker count:\n--- 1 worker ---\n%s\n--- 4 workers ---\n%s",
 			one.String(), many.String())
+	}
+}
+
+// TestTimelinesHonorStopAndPool: the Figs. 7/8 timelines are a grid
+// like any other, so a fired Stop hook cancels them and a shared Pool
+// runs their cells. A stopped scheduler rejects every submission, so
+// ErrStopped from it proves the cells went to p.Pool.
+func TestTimelinesHonorStopAndPool(t *testing.T) {
+	closed := fleet.NewScheduler(1)
+	closed.Stop()
+	for _, name := range []string{"7", "8"} {
+		p := DefaultRunParams()
+		p.Stop = func() bool { return true }
+		if err := RunExperiment(io.Discard, name, p); !errors.Is(err, fleet.ErrStopped) {
+			t.Errorf("fig %s with a fired Stop: err = %v, want fleet.ErrStopped", name, err)
+		}
+		p = DefaultRunParams()
+		p.Pool = closed
+		if err := RunExperiment(io.Discard, name, p); !errors.Is(err, fleet.ErrStopped) {
+			t.Errorf("fig %s on a stopped Pool: err = %v, want fleet.ErrStopped", name, err)
+		}
 	}
 }

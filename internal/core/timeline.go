@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/fleet"
 	"repro/internal/nand"
 	"repro/internal/odear"
 	"repro/internal/sim"
@@ -51,12 +50,13 @@ type TimelineResult struct {
 
 // Timelines reproduces the 256-KiB-read execution timelines of
 // Figs. 7 and 8: SSDzero (252 us), SSDone (418 us) and RiF (292 us).
-// The three scheme runs are independent, so they shard across the
-// worker pool (0 means one per CPU, 1 runs sequentially).
-func Timelines(workers int) ([]TimelineResult, error) {
+// The three scheme runs are independent grid cells; only p's
+// scheduling fields (Workers, Pool, Stop) apply, since the scenario
+// fixes its own device and workload.
+func Timelines(p RunParams) ([]TimelineResult, error) {
 	paper := map[ssd.Scheme]float64{ssd.Zero: 252, ssd.One: 418, ssd.RiF: 292}
 	schemes := []ssd.Scheme{ssd.Zero, ssd.One, ssd.RiF}
-	return fleet.Map(len(schemes), workers, func(i int) (TimelineResult, error) {
+	return gridMap(p, len(schemes), func(i int) (TimelineResult, error) {
 		scheme := schemes[i]
 		s, err := ssd.New(Fig7Config(scheme), fig7Workload{})
 		if err != nil {

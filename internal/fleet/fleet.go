@@ -1,14 +1,15 @@
-// Package fleet runs independent simulation cells across a bounded
-// worker pool with deterministic, index-ordered results.
+// Package fleet runs independent simulation cells on a bounded,
+// work-stealing Scheduler with deterministic, index-ordered results.
 //
-// Every device-level study in this repository is a grid of independent
-// (scheme, workload, P/E, config) cells: each cell owns its own
-// sim.Engine, seeded RNG streams and obs registry, so cells may run
-// concurrently without sharing state. The pool hands out cell indices
-// and the caller writes each result into a pre-indexed slot, so the
-// assembled output — and therefore every report, manifest and golden —
-// is byte-identical to a sequential run regardless of how the
-// scheduler interleaves workers.
+// Every study in this repository is a grid of independent (scheme,
+// workload, P/E, config) cells: each cell owns its own sim.Engine,
+// seeded RNG streams and obs registry, so cells may run concurrently
+// without sharing state. The Scheduler hands out cell indices and the
+// caller writes each result into a pre-indexed slot, so the assembled
+// output — and therefore every report, manifest and golden — is
+// byte-identical to a sequential run regardless of how the workers
+// interleave. A one-worker Scheduler runs a grid's cells in ascending
+// index order, which is exactly a sequential loop.
 //
 // Determinism contract: fn must not share mutable state between
 // indices (no common *rand.Rand, no common engine). The riflint
@@ -21,8 +22,9 @@ import (
 	"runtime"
 )
 
-// ErrStopped is returned by RunStop/MapStop when the stop hook fired
-// before every cell ran: the grid was cancelled, not failed.
+// ErrStopped is returned by Scheduler.RunStop and MapOn when the stop
+// hook fired (or the Scheduler was stopped) before every cell ran: the
+// grid was cancelled, not failed.
 var ErrStopped = errors.New("fleet: run stopped")
 
 // CellPanicError reports a cell whose fn panicked. The pool recovers
@@ -63,9 +65,9 @@ func Workers(n int) int {
 // StopAny combines stop predicates: the returned hook reports true as
 // soon as any non-nil input does. Callers with several independent
 // cancellation sources (a server-wide drain, a per-job cancel, a
-// wall-clock timeout) compose them into the single Stop hook
-// RunStop/MapStop poll. Nil inputs are skipped; with no usable inputs
-// the result is nil, which RunStop treats as "never stop".
+// wall-clock timeout) compose them into the single stop hook
+// Scheduler.RunStop polls. Nil inputs are skipped; with no usable
+// inputs the result is nil, which RunStop treats as "never stop".
 func StopAny(stops ...func() bool) func() bool {
 	live := stops[:0:0]
 	for _, s := range stops {
@@ -87,91 +89,4 @@ func StopAny(stops ...func() bool) func() bool {
 		}
 		return false
 	}
-}
-
-// Run invokes fn(i) for every i in [0, n) using at most workers
-// concurrent goroutines (Workers resolves the count). With one worker
-// the calls run inline on the calling goroutine, in index order —
-// exactly the historical sequential loops. With more, workers pull
-// indices from a shared counter; which worker runs which cell is
-// scheduler-dependent, but since results are keyed by index that
-// never shows in the output.
-//
-// Every index runs even when some fail; the returned error is the
-// lowest-index one, so the error surfaced is the same no matter how
-// the cells interleave. A panicking cell is recovered and reported as
-// a *CellPanicError instead of crashing the whole grid.
-func Run(n, workers int, fn func(i int) error) error {
-	return RunStop(n, workers, nil, fn)
-}
-
-// RunStop is Run with a cancellation hook: stop (which may be nil) is
-// polled before each cell is started, and once it reports true no new
-// cells begin — cells already running finish normally. When any cell
-// was skipped and no cell failed, RunStop returns ErrStopped so the
-// caller knows the grid is incomplete.
-//
-// With one worker the cells run inline on the calling goroutine in
-// index order; with more they run on an ephemeral work-stealing
-// Scheduler (long-lived callers with many grids share one via
-// NewScheduler + Scheduler.RunStop instead).
-func RunStop(n, workers int, stop func() bool, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		errs := make([]error, n)
-		var skipped bool
-		for i := 0; i < n; i++ {
-			if stop != nil && stop() {
-				skipped = true
-				break
-			}
-			errs[i] = safeCall(i, fn)
-		}
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		if skipped {
-			return ErrStopped
-		}
-		return nil
-	}
-	s := NewScheduler(workers)
-	defer s.Stop()
-	return s.RunStop(n, stop, fn)
-}
-
-// Map runs fn over [0, n) through Run and returns the results in
-// index order.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return MapStop(n, workers, nil, fn)
-}
-
-// MapStop is Map with RunStop's cancellation hook. On ErrStopped it
-// returns the partial results alongside the error: completed slots
-// hold their values, skipped slots hold T's zero value.
-func MapStop[T any](n, workers int, stop func() bool, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := RunStop(n, workers, stop, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if errors.Is(err, ErrStopped) {
-		return out, err
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -8,6 +8,21 @@ import (
 	"testing"
 )
 
+// runOnce is the one-shot grid shape: a private Scheduler of the given
+// size, stopped as soon as the grid returns.
+func runOnce(workers, n int, stop func() bool, fn func(i int) error) error {
+	s := NewScheduler(workers)
+	defer s.Stop()
+	return s.RunStop(n, stop, fn)
+}
+
+// mapOnce is runOnce for MapOn.
+func mapOnce[T any](workers, n int, stop func() bool, fn func(i int) (T, error)) ([]T, error) {
+	s := NewScheduler(workers)
+	defer s.Stop()
+	return MapOn(s, n, stop, fn)
+}
+
 func TestWorkersResolution(t *testing.T) {
 	if got := Workers(3); got != 3 {
 		t.Errorf("Workers(3) = %d", got)
@@ -20,36 +35,50 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
+// TestRunCoversEveryIndexOnce includes grids smaller than the worker
+// set, where most workers find nothing to run or steal.
 func TestRunCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
-		const n = 100
-		counts := make([]atomic.Int32, n)
-		err := Run(n, workers, func(i int) error {
-			counts[i].Add(1)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range counts {
-			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+		for _, n := range []int{1, 3, 100} {
+			counts := make([]atomic.Int32, n)
+			err := runOnce(workers, n, nil, func(i int) error {
+				counts[i].Add(1)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+			}
+			for i := range counts {
+				if c := counts[i].Load(); c != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, c)
+				}
 			}
 		}
 	}
 }
 
+// TestRunSingleWorkerIsInOrder pins what -workers 1 promises: one
+// worker runs a grid's cells in ascending index order, exactly the
+// sequential loop. Two grids back to back on one scheduler each run in
+// order too.
 func TestRunSingleWorkerIsInOrder(t *testing.T) {
-	var order []int
-	if err := Run(10, 1, func(i int) error {
-		order = append(order, i)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("single-worker order = %v", order)
+	s := NewScheduler(1)
+	defer s.Stop()
+	for grid := 0; grid < 2; grid++ {
+		var order []int
+		if err := s.RunStop(10, nil, func(i int) error {
+			order = append(order, i)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(order) != 10 {
+			t.Fatalf("grid %d ran %d cells", grid, len(order))
+		}
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("grid %d: single-worker order = %v", grid, order)
+			}
 		}
 	}
 }
@@ -58,7 +87,7 @@ func TestRunReturnsLowestIndexError(t *testing.T) {
 	errA := errors.New("cell 3")
 	errB := errors.New("cell 7")
 	for _, workers := range []int{1, 4} {
-		err := Run(10, workers, func(i int) error {
+		err := runOnce(workers, 10, nil, func(i int) error {
 			switch i {
 			case 3:
 				return errA
@@ -76,8 +105,12 @@ func TestRunReturnsLowestIndexError(t *testing.T) {
 func TestRunZeroAndNegativeN(t *testing.T) {
 	for _, n := range []int{0, -5} {
 		called := false
-		if err := Run(n, 4, func(int) error { called = true; return nil }); err != nil {
+		if err := runOnce(4, n, nil, func(int) error { called = true; return nil }); err != nil {
 			t.Fatal(err)
+		}
+		out, err := mapOnce(4, n, nil, func(int) (int, error) { called = true; return 1, nil })
+		if err != nil || len(out) != 0 {
+			t.Fatalf("n=%d: MapOn = %v, %v; want empty, nil", n, out, err)
 		}
 		if called {
 			t.Errorf("n=%d: fn called", n)
@@ -87,7 +120,7 @@ func TestRunZeroAndNegativeN(t *testing.T) {
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		out, err := Map(50, workers, func(i int) (string, error) {
+		out, err := mapOnce(workers, 50, nil, func(i int) (string, error) {
 			return fmt.Sprintf("cell-%02d", i), nil
 		})
 		if err != nil {
@@ -103,11 +136,11 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 
 func TestMapParallelEqualsSequential(t *testing.T) {
 	fn := func(i int) (int, error) { return i*i + 1, nil }
-	seq, err := Map(200, 1, fn)
+	seq, err := mapOnce(1, 200, nil, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Map(200, 8, fn)
+	par, err := mapOnce(8, 200, nil, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +152,7 @@ func TestMapParallelEqualsSequential(t *testing.T) {
 }
 
 func TestMapErrorDropsResults(t *testing.T) {
-	out, err := Map(5, 2, func(i int) (int, error) {
+	out, err := mapOnce(2, 5, nil, func(i int) (int, error) {
 		if i == 2 {
 			return 0, errors.New("boom")
 		}
@@ -133,7 +166,7 @@ func TestMapErrorDropsResults(t *testing.T) {
 func TestRunRecoversPanickingCell(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		counts := make([]atomic.Int32, 10)
-		err := Run(10, workers, func(i int) error {
+		err := runOnce(workers, 10, nil, func(i int) error {
 			counts[i].Add(1)
 			if i == 4 {
 				panic("cell exploded")
@@ -158,15 +191,17 @@ func TestRunRecoversPanickingCell(t *testing.T) {
 }
 
 func TestRunReportsLowestIndexPanic(t *testing.T) {
-	err := Run(10, 4, func(i int) error {
-		if i == 3 || i == 8 {
-			panic(i)
+	for _, workers := range []int{1, 4} {
+		err := runOnce(workers, 10, nil, func(i int) error {
+			if i == 3 || i == 8 {
+				panic(i)
+			}
+			return nil
+		})
+		var pe *CellPanicError
+		if !errors.As(err, &pe) || pe.Cell != 3 {
+			t.Fatalf("workers=%d: err = %v, want cell 3 panic", workers, err)
 		}
-		return nil
-	})
-	var pe *CellPanicError
-	if !errors.As(err, &pe) || pe.Cell != 3 {
-		t.Fatalf("err = %v, want cell 3 panic", err)
 	}
 }
 
@@ -174,7 +209,7 @@ func TestRunStopSkipsRemainingCells(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int32
 		stop := func() bool { return ran.Load() >= 5 }
-		err := RunStop(20, workers, stop, func(i int) error {
+		err := runOnce(workers, 20, stop, func(i int) error {
 			ran.Add(1)
 			return nil
 		})
@@ -190,35 +225,40 @@ func TestRunStopSkipsRemainingCells(t *testing.T) {
 }
 
 func TestRunStopNilAndNeverFiringAreComplete(t *testing.T) {
-	if err := RunStop(10, 2, nil, func(int) error { return nil }); err != nil {
+	if err := runOnce(2, 10, nil, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunStop(10, 2, func() bool { return false }, func(int) error { return nil }); err != nil {
+	if err := runOnce(2, 10, func() bool { return false }, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestMapStopReturnsPartialResults: a cancelled one-worker grid keeps
+// the cells it completed, and they form an index prefix.
 func TestMapStopReturnsPartialResults(t *testing.T) {
 	var ran atomic.Int32
 	stop := func() bool { return ran.Load() >= 3 }
-	out, err := MapStop(10, 1, stop, func(i int) (int, error) {
+	out, err := mapOnce(1, 10, stop, func(i int) (int, error) {
 		ran.Add(1)
 		return i + 100, nil
 	})
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
-	if len(out) != 10 || out[0] != 100 || out[9] != 0 {
-		t.Fatalf("partial results wrong: %v", out)
+	want := []int{100, 101, 102, 0, 0, 0, 0, 0, 0, 0}
+	if fmt.Sprint(out) != fmt.Sprint(want) {
+		t.Fatalf("partial results = %v, want %v", out, want)
 	}
 }
 
+// TestCellErrorBeatsStop: a real cell failure must surface even if the
+// stop hook also fired: the error is the more important signal.
 func TestCellErrorBeatsStop(t *testing.T) {
-	// A real cell failure must surface even if the stop hook also
-	// fired: the error is the more important signal.
 	boom := errors.New("boom")
-	err := RunStop(5, 1, func() bool { return false }, func(i int) error {
+	var failed atomic.Bool
+	err := runOnce(1, 5, failed.Load, func(i int) error {
 		if i == 1 {
+			failed.Store(true)
 			return boom
 		}
 		return nil

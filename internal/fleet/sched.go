@@ -1,20 +1,23 @@
 package fleet
 
-// Scheduler is the work-stealing successor of the shared-counter pool:
-// a long-lived executor whose workers each own a deque of grid cells.
-// A submitted grid's cell indices are dealt round-robin across the
-// worker deques; a worker drains its own deque from the tail and, when
-// empty, steals the front half of the fullest sibling deque. Because
-// every result is written into a pre-indexed slot, the assembled output
-// is byte-identical for any worker count and any steal order — the
-// same contract RunStop has always promised, now kept under a
-// scheduler that lets several grids share one bounded worker set.
+// Scheduler is the package's one executor: a long-lived worker set
+// whose workers each own a deque of grid cells. A submitted grid's
+// cell indices are dealt round-robin across the worker deques, highest
+// index first; a worker drains its own deque from the tail (lowest
+// index first) and, when empty, steals the front half of the fullest
+// sibling deque — the cells its owner would have reached last. Because
+// every result is written into a pre-indexed slot, the assembled
+// output is byte-identical for any worker count and any steal order.
+// With one worker a grid's cells run in ascending index order, so a
+// one-worker Scheduler is a sequential loop and a cancelled grid's
+// completed cells form an index prefix.
 //
 // Sharing is the point: the serving layer runs many jobs' grids
 // through one Scheduler, so a large grid no longer occupies a worker
 // pool wall-to-wall while a two-cell job waits behind it — its cells
 // interleave with everyone else's, and idle workers steal from
-// whichever deque still has work.
+// whichever deque still has work. One-shot callers start a private
+// Scheduler sized to their grid and Stop it when the grid returns.
 //
 // The determinism contract of the package doc applies unchanged: cell
 // fns must not share mutable state between indices.
@@ -196,10 +199,13 @@ func (s *Scheduler) stealHalf(w, victim int) {
 }
 
 // RunStop submits an n-cell grid and blocks until every cell has run
-// or been skipped. Semantics match the package-level RunStop: stop is
-// polled before each cell starts, every started cell finishes, the
-// lowest-index error wins, and a grid with skipped cells (stop fired,
-// or the scheduler itself was stopped) returns ErrStopped.
+// or been skipped; n <= 0 is a no-op. stop (which may be nil) is
+// polled before each cell starts and, once it reports true, no new
+// cell of the grid begins — cells already running finish normally.
+// A failing cell does not stop the others; the returned error is the
+// lowest-index one, so it does not depend on how the cells interleave,
+// and a panicking cell is recovered as a *CellPanicError. A grid with skipped cells (stop fired, or the
+// scheduler itself was stopped) and no failed cell returns ErrStopped.
 //
 // Grids submitted concurrently interleave cell-by-cell across the
 // shared worker set. A cell fn must not submit to the same scheduler:
@@ -222,7 +228,9 @@ func (s *Scheduler) RunStop(n int, stop func() bool, fn func(i int) error) error
 		s.mu.Unlock()
 		return ErrStopped
 	}
-	for i := 0; i < n; i++ {
+	// Deal highest index first: each deque then holds its cells in
+	// descending order, so the tail pop runs them ascending.
+	for i := n - 1; i >= 0; i-- {
 		w := s.nextRR % len(s.deques)
 		s.nextRR++
 		s.deques[w] = append(s.deques[w], task{g, i})
@@ -242,13 +250,13 @@ func (s *Scheduler) RunStop(n int, stop func() bool, fn func(i int) error) error
 	return nil
 }
 
-// MapOn runs fn over [0, n) through sched's shared worker set and
-// returns the results in index order — MapStop's contract on a
-// work-stealing scheduler several grids may share. On ErrStopped the
-// partial results are returned alongside the error: completed slots
-// hold their values, skipped slots hold T's zero value.
+// MapOn runs fn over [0, n) through sched.RunStop and returns the
+// results in index order. On ErrStopped the partial results are
+// returned alongside the error: completed slots hold their values,
+// skipped slots hold T's zero value. On any other error the results
+// are dropped.
 func MapOn[T any](sched *Scheduler, n int, stop func() bool, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
+	out := make([]T, max(n, 0))
 	err := sched.RunStop(n, stop, func(i int) error {
 		v, err := fn(i)
 		if err != nil {

@@ -62,13 +62,13 @@ func TestSchedulerResultsWorkerInvariant(t *testing.T) {
 // holds work. The idle worker must steal (steal counter > 0) and the
 // output must still be complete.
 //
-// With two workers the round-robin deal puts even indices on deque 0
-// and odd on deque 1. Even cells spin until a steal has happened, odd
-// cells return immediately — so whichever worker pops an even cell
-// first is pinned there, the other drains the odd cells, empties its
-// own deque, and has no way forward but to steal. A cell obtained by
-// stealing never spins (the counter is already positive), so the grid
-// always completes.
+// With two workers the round-robin deal puts the even indices on one
+// deque and the odd ones on the other. Even cells spin until a steal
+// has happened, odd cells return immediately — so whichever worker
+// pops an even cell first is pinned there, the other drains the odd
+// cells, empties its own deque, and has no way forward but to steal.
+// A cell obtained by stealing never spins (the counter is already
+// positive), so the grid always completes.
 func TestSchedulerStealsUnderImbalance(t *testing.T) {
 	s := NewScheduler(2)
 	defer s.Stop()

@@ -37,13 +37,15 @@ func TestStopAny(t *testing.T) {
 	}
 }
 
-// TestRunStopComposedHooks: a composed hook drives RunStop exactly
-// like a plain one.
+// TestRunStopComposedHooks: a composed hook drives Scheduler.RunStop
+// exactly like a plain one.
 func TestRunStopComposedHooks(t *testing.T) {
 	fired := false
 	stop := StopAny(func() bool { return fired }, nil)
 	ran := 0
-	err := RunStop(8, 1, stop, func(i int) error {
+	s := NewScheduler(1)
+	defer s.Stop()
+	err := s.RunStop(8, stop, func(i int) error {
 		ran++
 		if i == 2 {
 			fired = true

@@ -12,7 +12,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -92,8 +91,8 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram is a streaming histogram: exponential buckets for
-// quantile estimates plus a stats.Summary for exact count, mean and
+// Histogram is a streaming histogram: exponential buckets for the
+// exposition formats plus a stats.Summary for exact count, mean and
 // extremes. Observations are mutex-protected (the grids run many
 // simulations concurrently); the buckets are preallocated so Observe
 // never allocates. A nil Histogram discards observations.
@@ -179,73 +178,6 @@ func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.sum.Mean()
-}
-
-// Quantile estimates the q-th quantile (0..1) by linear interpolation
-// within the bucket that contains the nearest-rank observation.
-//
-// The edge-case convention matches stats.Sample.Quantile exactly (the
-// exact-percentile path the figures use): an empty histogram yields
-// 0, q <= 0 yields the exact minimum, q >= 1 the exact maximum, and
-// otherwise the target is the ceil(q*n)-th smallest observation
-// (1-based, integer rank — a rank landing exactly on a bucket
-// boundary selects that bucket, never the next one). The estimate is
-// interpolated inside the target's bucket with the bucket bounds
-// clamped to the exact observed [min, max], so it always lies in the
-// same bucket as the exact answer — within one bucket width of
-// stats.Sample on identical data, and exactly equal for empty,
-// single-observation, point-mass and q∈{0,1} cases.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := h.sum.N()
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.sum.Min()
-	}
-	if q >= 1 {
-		return h.sum.Max()
-	}
-	rank := int64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	var seen int64
-	for i, cnt := range h.buckets {
-		if cnt == 0 {
-			continue
-		}
-		if seen+cnt < rank {
-			seen += cnt
-			continue
-		}
-		// The target rank lands in this bucket: ranks (seen, seen+cnt].
-		// Clamp both bucket edges to the exact extremes so sparse
-		// buckets (single observation, point mass) reproduce the exact
-		// value instead of an interpolated bound.
-		lo := h.sum.Min()
-		if i > 0 && h.bounds[i-1] > lo {
-			lo = h.bounds[i-1]
-		}
-		hi := h.sum.Max()
-		if i < len(h.bounds) && h.bounds[i] < hi {
-			hi = h.bounds[i]
-		}
-		if lo > hi {
-			lo = hi
-		}
-		frac := float64(rank-seen) / float64(cnt)
-		return lo + (hi-lo)*frac
-	}
-	return h.sum.Max()
 }
 
 // snapshotLocked captures the histogram state; callers hold no lock.

@@ -2,8 +2,8 @@ package stats
 
 import "testing"
 
-// TestQuantileConvention pins the reference edge-case convention both
-// percentile implementations share (see Sample.Quantile's doc):
+// TestQuantileConvention pins the reference edge-case convention
+// Percentile and Quantile share (see Sample.Quantile's doc):
 // empty -> 0, q <= 0 -> exact min, q >= 1 -> exact max, otherwise the
 // ceil(q*n)-th smallest observation.
 func TestQuantileConvention(t *testing.T) {

@@ -103,10 +103,9 @@ func (s *Sample) sort() {
 
 // Quantile reports the q-th quantile (0 <= q <= 1) of the sample.
 //
-// This is the repository's reference quantile convention; the
-// streaming estimate in obs.Histogram.Quantile implements the same
-// rules so Fig. 19 tail percentiles agree whichever path computed
-// them:
+// This is the exact quantile every report prints (Fig. 19's tail
+// percentiles among them); stats.Sketch follows the same edge-case
+// rules on its fixed-memory approximation:
 //
 //   - empty sample: 0
 //   - q <= 0: the exact minimum; q >= 1: the exact maximum
