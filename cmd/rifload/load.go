@@ -106,7 +106,7 @@ type submission struct {
 type workerResult struct {
 	hits, misses, errors, retries int64
 	lastErr                       error
-	sketch                        *stats.Sketch
+	sketch                        stats.Sketch
 }
 
 // wallTimeField is the one manifest field that is host noise rather
@@ -183,7 +183,6 @@ func runLoad(cfg LoadConfig) (*Summary, error) {
 	results := make([]workerResult, cfg.Clients)
 	var wg sync.WaitGroup
 	for c := 0; c < cfg.Clients; c++ {
-		results[c].sketch = stats.NewSketch(0)
 		wg.Add(1)
 		go func(idx int, res *workerResult) {
 			defer wg.Done()
@@ -211,7 +210,7 @@ func runLoad(cfg LoadConfig) (*Summary, error) {
 	elapsed := time.Since(start)
 
 	sum := &Summary{Submissions: cfg.Submissions, ElapsedS: elapsed.Seconds()}
-	merged := stats.NewSketch(0)
+	var merged stats.Sketch
 	var lastErr error
 	for i := range results {
 		r := &results[i]
@@ -222,7 +221,7 @@ func runLoad(cfg LoadConfig) (*Summary, error) {
 		if r.lastErr != nil {
 			lastErr = r.lastErr
 		}
-		merged.Merge(r.sketch)
+		merged.Merge(&r.sketch)
 	}
 	if lastErr != nil {
 		sum.LastError = lastErr.Error()

@@ -178,9 +178,7 @@ func (as *agedWorkloadSource) InitialAgeDays(lpn int64) float64 {
 // Options configures one replay run.
 type Options struct {
 	// Config is the device and host configuration. OpenLoop is forced
-	// on; MaxInFlight zero is defaulted to DefaultMaxInFlight;
-	// LatencySketch is owned by the replay (any caller value is
-	// replaced).
+	// on; MaxInFlight zero is defaulted to DefaultMaxInFlight.
 	Config ssd.Config
 
 	// Arrivals rewrites arrival timestamps; nil keeps the trace's own
@@ -199,10 +197,6 @@ type Options struct {
 	// size, the way experiments size the simulated footprint.
 	FootprintPages int64
 
-	// SketchAlpha is the latency sketch's relative accuracy (0 selects
-	// stats.SketchAlpha).
-	SketchAlpha float64
-
 	// Progress, when non-nil, is called after every ProgressEvery
 	// completed source requests (default 1<<20) — the hook the
 	// flat-heap smoke test samples the heap from.
@@ -212,10 +206,9 @@ type Options struct {
 
 // Result is one replay's outcome.
 type Result struct {
-	// Metrics is the device-level accounting. ReadLatencies is empty:
-	// latencies live in Latency.
+	// Metrics is the device-level accounting.
 	Metrics *ssd.Metrics
-	// Latency is the fixed-memory read-latency sketch (µs).
+	// Latency is &Metrics.ReadLatencies, the read-latency sketch (µs).
 	Latency *stats.Sketch
 	// Requests is the number of requests actually replayed (the whole
 	// stream may be shorter than MaxRequests).
@@ -305,9 +298,6 @@ func Run(src Source, opt Options) (*Result, error) {
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
-	sketch := stats.NewSketch(opt.SketchAlpha)
-	cfg.LatencySketch = sketch
-
 	every := opt.ProgressEvery
 	if every <= 0 {
 		every = 1 << 20
@@ -351,5 +341,5 @@ func Run(src Source, opt Options) (*Result, error) {
 	if w.err != nil {
 		return nil, fmt.Errorf("replay: after %d requests: %w", m.RequestsCompleted, w.err)
 	}
-	return &Result{Metrics: m, Latency: sketch, Requests: int64(m.RequestsCompleted)}, nil
+	return &Result{Metrics: m, Latency: &m.ReadLatencies, Requests: int64(m.RequestsCompleted)}, nil
 }

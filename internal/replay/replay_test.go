@@ -184,8 +184,8 @@ func TestRunFromCSVStream(t *testing.T) {
 	if res.Latency.N() != 120 {
 		t.Fatalf("sketch saw %d reads", res.Latency.N())
 	}
-	if res.Metrics.ReadLatencies.N() != 0 {
-		t.Fatal("replay retained an exact latency sample")
+	if res.Latency != &res.Metrics.ReadLatencies {
+		t.Fatal("Result.Latency is not the device's ReadLatencies sketch")
 	}
 }
 

@@ -39,7 +39,7 @@ import (
 // changes, or when a field is added to (or removed from) the encoded
 // structs — the reflection guard in key_test.go fails on the latter
 // until both the encoder and this constant move together.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // Key is a SHA-256 content address of one canonicalized run
 // configuration.
@@ -97,10 +97,10 @@ func (k *Keyer) Key(experiment string, p core.RunParams) Key {
 }
 
 // appendConfig encodes every semantic ssd.Config field in declaration
-// order. Pointer-valued plumbing (LatencySketch, Obs, Trace) is
-// skipped: those fields never alter simulation results. The reflection
-// guard in key_test.go pins the struct's field count so a new field
-// cannot be added without revisiting this function.
+// order. Pointer-valued plumbing (Obs, Trace) is skipped: those fields
+// never alter simulation results. The reflection guard in key_test.go
+// pins the struct's field count so a new field cannot be added without
+// revisiting this function.
 func appendConfig(b []byte, c ssd.Config) []byte {
 	g := c.Geometry
 	b = appendU64(b, uint64(int64(g.Channels)))

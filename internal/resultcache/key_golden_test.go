@@ -8,7 +8,7 @@ import (
 )
 
 // goldenKeys pins the content address of (experiment,
-// DefaultRunParams) for every valid experiment at SchemaVersion 2.
+// DefaultRunParams) for every valid experiment at SchemaVersion 3.
 // These constants are the cross-restart half of the key invariant: a
 // recompiled, restarted, or different-host process must mint the very
 // same addresses, or a persisted store written by one server life
@@ -17,23 +17,23 @@ import (
 // encoding moves these values, bump SchemaVersion and regenerate the
 // table — never hand-patch a single row.
 var goldenKeys = map[string]string{
-	"6":                  "6e5d2d15bfcdd2bbd2bb53cee3b845ca7997e85e1308258805b4b32affb530a9",
-	"7":                  "2462b5353bff8f34436c13e4f7018d272341fc25d2b26c86657cfc9bad104336",
-	"8":                  "58c7c8df3beb6b79d123c330c5f242f8d761eb014bcf3c747a8345e6e6be9fcb",
-	"17":                 "04457d6b67c532da419b4b5340c1f88c1bebe19efdcb6b029c07a362d71e8531",
-	"18":                 "c968cc27916cc9529130cf8ea5196b0c0f8a27fa67a48e8a79c56328069005ca",
-	"19":                 "4e04563cfd396aa482ce17e34d2c98546cedbd6bea3a3c128b62c71f32b9e539",
-	"overhead":           "2fce1d3d6dc8f7f2300c351d69a5545464168f222e891ee13cd2d2397e543f5b",
-	"ablate-chunk":       "9935a48c0be21ec02da9829e4cdf1d0d4c614370ee0464db979245b0298de610",
-	"ablate-buffer":      "6796b14ab21f010e0b06083c82e8943c5afd01a29923d0e0900819321b1aee4f",
-	"ablate-accuracy":    "71c5f62116430f223735e3ab938173dcfd2657bce0bf9a36bc4aa3d3769f2057",
-	"ablate-scheduling":  "b59f58d678fb735a4c74ef162b7c586070be567078414f0940eefeedbd3b59a7",
-	"ablate-secondcheck": "0d1cf3fce1b0a5f8a6ebd45c851c6b25a8b02916ca40ef132d5dfcf57a61f4dd",
-	"refresh":            "cf8e33cf7f22c8807e34ef27c1c5d4d23f51be4ce96957d2c6ad7ddce5c3fd35",
-	"tenants":            "7607e7142360abaf815bd0da789b830d70b56eafb98930a3cb26839236fa0b26",
-	"chaos":              "9267acd827a62ad482f2d4f1556e835a5d6ace3ca8711a3b7b444db0611974d6",
-	"tailsweep":          "72810d3c1e8441664b01cd0076a128c2ee5a426fd4ccec3975530c387d452556",
-	"agesweep":           "a82ae609eff055fdf199f76c41ed04b228f26a6b3f2a86faf0f8a7cfd1c106b8",
+	"6":                  "3994b66980646d68e188a2c282c845bf5ee1ccc41f902fb17308b9c72a00a784",
+	"7":                  "bb7ea4a7865056b7c6a03c892c3baf8ae4c10f416555a54de70614ee98d6b620",
+	"8":                  "f5bc58f78224d2794f04ae0d14de4a1e168f09e3dab438ee1836fe01c381111d",
+	"17":                 "8c43d99293256d86ffe3d0003944cc16701abeedc3e3de3e8dc396a7ffeaf993",
+	"18":                 "ffa149a1eeebf941820224e464a0f95a459a279726c536268a6624e7315ac1b5",
+	"19":                 "caf5fbd33c7e3ee0039c464d512a6231040dcd21a4d05547cbd7c71da070052b",
+	"overhead":           "7d0e494173ad9fadb21dbcb6f56255665e7d103e67f197c9b6c1dc9ff93205f8",
+	"ablate-chunk":       "f3cf8f360ae0d385ab413bcf920dd574f7f1fb48682e94e4e07bb9689c85e6c1",
+	"ablate-buffer":      "d2481361f39f25ea83fcd7cd251255376450e8798afd39f29c91d7f0715a3d78",
+	"ablate-accuracy":    "7716c8c0bc1fdc75e2405a9d80204480f8bcf2f12e496972dedc1b939bf1ada0",
+	"ablate-scheduling":  "1c1a4823d812d3972d1ee3bc83457a00d4c17534dd9d1aa95bef8aa8f906f08b",
+	"ablate-secondcheck": "76fcbd8e7682fd78c7e2aa3d4e64426f3a9ca100df494006c04ffb1638ed6a79",
+	"refresh":            "7d18bc6e39b436bfbd97c7e0990821176a4d6588f6f3ae2b27378b9fadce2d16",
+	"tenants":            "9a37b0e70ae7345deb0490975726b2cc43d1717dc5ba2e45bbc1b2049754d3f0",
+	"chaos":              "6cd44d8d5d7db7e289eb4cf01b29a8932f7b28518642a2fdf8ecaf28889107a5",
+	"tailsweep":          "805c54665e15be5ee3ee9112c4508a9ffdbca7e7ba2e99a8c46cf7493c0e32c5",
+	"agesweep":           "ec114755d148aef032cbbbd4cbc2eff7bc8730c80ea544b96256de242a54b938",
 }
 
 // TestGoldenKeysCoverEveryExperiment keeps the table and the

@@ -3,7 +3,7 @@ package ssd
 import (
 	"testing"
 
-	"repro/internal/stats"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -60,10 +60,12 @@ func TestNoteSenseZeroAlloc(t *testing.T) {
 // steadyDevice builds a device for a request-path allocation pin and
 // a cycle of requests of one kind drawn from a real workload, so the
 // pages carry realistic retention ages and, at 2K P/E, ride the retry
-// ladders. Latencies go to a fixed-memory sketch: the pin measures the
-// request path, not a sink that stores every sample.
+// ladders. The device is the default one with a live metrics
+// registry: its latencies go to the fixed-memory Metrics.ReadLatencies
+// sketch and the ssd_read_latency_us histogram.
 func steadyDevice(t *testing.T, cfg Config, op trace.Op) (*SSD, func()) {
 	t.Helper()
+	cfg.Obs = obs.NewRegistry()
 	w := smallWorkload(t, "Ali2", 1)
 	var reqs []trace.Request
 	for len(reqs) < 256 {
@@ -71,7 +73,6 @@ func steadyDevice(t *testing.T, cfg Config, op trace.Op) (*SSD, func()) {
 			reqs = append(reqs, r)
 		}
 	}
-	cfg.LatencySketch = stats.NewSketch(0)
 	s, err := New(cfg, w)
 	if err != nil {
 		t.Fatal(err)
@@ -91,10 +92,10 @@ func steadyDevice(t *testing.T, cfg Config, op trace.Op) (*SSD, func()) {
 }
 
 // TestReadRequestZeroAlloc is the runtime half of the //riflint:hotpath
-// guard on the read path — resolvePages, every scheme's read flow and
-// the die and channel finish handlers: once the pools are warm, a host
-// read request allocates nothing from admission to completion, retries
-// included.
+// guard on the read path — resolvePages, every scheme's read flow, the
+// die and channel finish handlers and recordCompletion: once the pools
+// are warm, a host read request allocates nothing from admission to
+// completion, retries included.
 func TestReadRequestZeroAlloc(t *testing.T) {
 	for _, sc := range AllSchemes() {
 		t.Run(sc.String(), func(t *testing.T) {
@@ -104,6 +105,9 @@ func TestReadRequestZeroAlloc(t *testing.T) {
 			}
 			if sc != Zero && s.m.RetryRounds == 0 {
 				t.Fatal("no retry round ran; the pin does not cover the retry ladder")
+			}
+			if n := s.m.ReadLatencies.N(); n == 0 || s.readLat.Count() != n {
+				t.Fatalf("histogram saw %d reads, sketch %d; the pin does not cover the latency histogram", s.readLat.Count(), n)
 			}
 		})
 	}

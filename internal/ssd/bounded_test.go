@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -58,6 +57,9 @@ func TestBoundedRingLatencyFromArrival(t *testing.T) {
 	}
 }
 
+// TestOpenLoopSketchMatchesSample checks the open-loop host records
+// every read in the device sketch. How close the sketch's quantiles sit
+// to the exact ones is pinned by stats.TestSketchMatchesSampleQuantile.
 func TestOpenLoopSketchMatchesSample(t *testing.T) {
 	reqs := make([]trace.Request, 300)
 	for i := range reqs {
@@ -66,27 +68,16 @@ func TestOpenLoopSketchMatchesSample(t *testing.T) {
 			LPN: int64(i * 8), Pages: 2,
 		}
 	}
-	mk := func(sk *stats.Sketch) *Metrics {
-		cfg := smallConfig(RiF, 2000)
-		cfg.OpenLoop = true
-		cfg.MaxInFlight = 64
-		cfg.LatencySketch = sk
-		return run(t, cfg, trace.NewReplayer(reqs, 10), 300)
+	cfg := smallConfig(RiF, 2000)
+	cfg.OpenLoop = true
+	cfg.MaxInFlight = 64
+	m := run(t, cfg, trace.NewReplayer(reqs, 10), 300)
+	if n := m.ReadLatencies.N(); n != int64(len(reqs)) {
+		t.Fatalf("sketch saw %d reads, want %d", n, len(reqs))
 	}
-	exact := mk(nil)
-	sk := stats.NewSketch(0)
-	sketched := mk(sk)
-	if sketched.ReadLatencies.N() != 0 {
-		t.Fatalf("sketch mode still retained %d exact latencies", sketched.ReadLatencies.N())
-	}
-	if sk.N() != int64(exact.ReadLatencies.N()) {
-		t.Fatalf("sketch saw %d reads, exact saw %d", sk.N(), exact.ReadLatencies.N())
-	}
-	for _, q := range []float64{0.5, 0.99, 1} {
-		got, want := sk.Quantile(q), exact.ReadLatencies.Quantile(q)
-		if diff := got - want; diff < -sk.Alpha()*want-1e-9 || diff > sk.Alpha()*want+1e-9 {
-			t.Fatalf("q=%v: sketch %v vs exact %v", q, got, want)
-		}
+	if m.ReadLatencies.Min() <= 0 || m.ReadLatencies.Percentile(99) > m.ReadLatencies.Max() {
+		t.Fatalf("implausible sketch: min %v p99 %v max %v",
+			m.ReadLatencies.Min(), m.ReadLatencies.Percentile(99), m.ReadLatencies.Max())
 	}
 }
 

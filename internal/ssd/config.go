@@ -14,7 +14,6 @@ import (
 	"repro/internal/nand"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Scheme selects the read-retry handling of the simulated SSD (§VI-A).
@@ -202,12 +201,6 @@ type Config struct {
 	// an open-loop-only knob; Validate rejects it with closed-loop
 	// hosts.
 	MaxInFlight int
-
-	// LatencySketch, when non-nil, receives every per-request read
-	// latency (µs) instead of the exact Metrics.ReadLatencies sample,
-	// keeping memory flat for million-request replays. Quantiles then
-	// carry the stats.Sketch error bound.
-	LatencySketch *stats.Sketch `json:"-"`
 
 	// DiePolicy selects read/program scheduling on each die. The
 	// default DieFIFO matches the paper-calibrated results;

@@ -1,11 +1,13 @@
 package ssd
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/nvme"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -96,14 +98,36 @@ func TestInjectedUNCReadReturnsMediaError(t *testing.T) {
 	}
 }
 
+// tracedRun is run with an obs.Tracer attached. It also returns the
+// run's Chrome trace: every die, channel and ECC occupancy with its
+// sim-time bounds, so two runs whose traces match byte for byte took
+// the same path, which a latency sketch alone cannot show.
+func tracedRun(t *testing.T, cfg Config, w Workload, n int) (*Metrics, []byte) {
+	t.Helper()
+	tr := obs.NewTracer(0)
+	cfg.Trace = tr
+	m := run(t, cfg, w, n)
+	if d := tr.Dropped(); d != 0 {
+		t.Fatalf("tracer dropped %d spans; the comparison would miss them", d)
+	}
+	var b bytes.Buffer
+	if err := tr.WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	return m, b.Bytes()
+}
+
 // TestFaultRunsAreDeterministic pins the subsystem's headline
 // guarantee: same seed + same fault config reproduces the run
-// metric-for-metric.
+// metric-for-metric and span-for-span.
 func TestFaultRunsAreDeterministic(t *testing.T) {
-	a := run(t, chaosConfig(RiF, 1000), smallWorkload(t, "Ali124", 7), 400)
-	b := run(t, chaosConfig(RiF, 1000), smallWorkload(t, "Ali124", 7), 400)
+	a, ta := tracedRun(t, chaosConfig(RiF, 1000), smallWorkload(t, "Ali124", 7), 400)
+	b, tb := tracedRun(t, chaosConfig(RiF, 1000), smallWorkload(t, "Ali124", 7), 400)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same-seed fault runs diverged:\n%+v\nvs\n%+v", a, b)
+	}
+	if !bytes.Equal(ta, tb) {
+		t.Fatal("same-seed fault runs traced different spans")
 	}
 }
 
@@ -114,9 +138,9 @@ func TestDisabledFaultConfigChangesNothing(t *testing.T) {
 	base := smallConfig(RiF, 2000)
 	withCfg := smallConfig(RiF, 2000)
 	withCfg.Faults = faults.Config{MaxSenseRetries: 5} // no rates -> disabled
-	a := run(t, base, smallWorkload(t, "Ali124", 3), 400)
-	b := run(t, withCfg, smallWorkload(t, "Ali124", 3), 400)
-	if !reflect.DeepEqual(a.ReadLatencies, b.ReadLatencies) || a.Makespan != b.Makespan {
+	a, ta := tracedRun(t, base, smallWorkload(t, "Ali124", 3), 400)
+	b, tb := tracedRun(t, withCfg, smallWorkload(t, "Ali124", 3), 400)
+	if !reflect.DeepEqual(a.ReadLatencies, b.ReadLatencies) || a.Makespan != b.Makespan || !bytes.Equal(ta, tb) {
 		t.Fatal("disabled fault config perturbed the run")
 	}
 	if a.Faults != (FaultMetrics{}) {

@@ -21,7 +21,7 @@ type QueueMetrics struct {
 	RequestsCompleted int
 	BytesRead         int64
 	BytesWritten      int64
-	ReadLatencies     stats.Sample
+	ReadLatencies     stats.Sketch
 }
 
 // Bandwidth reports the queue's achieved bandwidth in MB/s over the
@@ -63,23 +63,13 @@ func (s *SSD) RunQueues(queues []HostQueue, nPerQueue int) (*Metrics, []QueueMet
 		prev := s.workload
 		s.workload = q.Workload
 		s.runRequest(req, start, false, func(res cmdResult) {
-			s.inFlight--
-			s.m.RequestsCompleted++
-			s.lastDone = s.eng.Now()
-			if res.uncPages > 0 {
-				s.m.MediaErrorRequests++
-			}
+			bytes, lat := s.recordCompletion(req, start, res)
 			qm := &perQueue[qi]
 			qm.RequestsCompleted++
-			bytes := int64(req.Pages) * int64(s.cfg.Geometry.PageBytes)
 			if req.Op == trace.Read {
-				s.m.BytesRead += bytes
 				qm.BytesRead += bytes
-				lat := (s.eng.Now() - start).Microseconds()
-				s.m.ReadLatencies.Add(lat)
 				qm.ReadLatencies.Add(lat)
 			} else {
-				s.m.BytesWritten += bytes
 				qm.BytesWritten += bytes
 			}
 			issue(qi)

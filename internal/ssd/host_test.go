@@ -2,6 +2,8 @@ package ssd
 
 import (
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestRunQueuesBasic(t *testing.T) {
@@ -40,6 +42,39 @@ func TestRunQueuesBasic(t *testing.T) {
 	// Per-queue bytes sum to the device totals.
 	if perQueue[0].BytesRead+perQueue[1].BytesRead != m.BytesRead {
 		t.Fatal("per-queue read bytes do not sum")
+	}
+}
+
+// TestRunQueuesRecordsEveryRead checks the multi-queue host records
+// each read once device-wide: in the ssd_read_latency_us histogram and
+// in Metrics.ReadLatencies, as many as the per-queue sketches hold.
+func TestRunQueuesRecordsEveryRead(t *testing.T) {
+	cfg := smallConfig(RiF, 1000)
+	cfg.Obs = obs.NewRegistry()
+	s, err := New(cfg, smallWorkload(t, "Ali124", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queues := []HostQueue{
+		{Workload: smallWorkload(t, "Ali124", 2), Depth: 16},
+		{Workload: smallWorkload(t, "Ali2", 3), Depth: 16},
+	}
+	m, perQueue, err := s.RunQueues(queues, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads int64
+	for _, q := range perQueue {
+		reads += q.ReadLatencies.N()
+	}
+	if reads == 0 {
+		t.Fatal("no reads completed")
+	}
+	if got := cfg.Obs.Snapshot().Histograms["ssd_read_latency_us"].Count; got != reads {
+		t.Fatalf("read latency histogram n = %d, per-queue sketches n = %d", got, reads)
+	}
+	if got := m.ReadLatencies.N(); got != reads {
+		t.Fatalf("device sketch n = %d, per-queue sketches n = %d", got, reads)
 	}
 }
 

@@ -110,9 +110,9 @@ type Metrics struct {
 	// Makespan is the virtual time to complete the run.
 	Makespan sim.Time
 
-	// ReadLatencies collects per-request read latencies in
-	// microseconds (Fig. 19).
-	ReadLatencies stats.Sample
+	// ReadLatencies is the distribution of per-request read latencies
+	// in microseconds (Fig. 19).
+	ReadLatencies stats.Sketch
 
 	// Channels is the aggregated channel usage (Fig. 18).
 	Channels ChannelUsage

@@ -62,22 +62,14 @@ func (b *NVMeBackend) Execute(_ uint16, cmd nvme.Command, done func(nvme.Status)
 		Pages: int(lastPage-firstPage) + 1,
 	}
 	s.inFlight++
-	s.runRequest(req, s.eng.Now(), false, func(res cmdResult) {
-		s.inFlight--
-		s.m.RequestsCompleted++
-		s.lastDone = s.eng.Now()
-		bytes := int64(req.Pages) * pageBytes
-		if req.Op == trace.Read {
-			s.m.BytesRead += bytes
-		} else {
-			s.m.BytesWritten += bytes
-		}
+	start := s.eng.Now()
+	s.runRequest(req, start, false, func(res cmdResult) {
+		s.recordCompletion(req, start, res)
 		// Degradation outcomes surface as real NVMe statuses: a read
 		// with retry-exhausted pages is a media error (SCT 2h / SC
 		// 81h), a write the FTL could not place is an internal error.
 		st := nvme.StatusSuccess
 		if res.uncPages > 0 {
-			s.m.MediaErrorRequests++
 			st = nvme.StatusMediaError
 		}
 		if res.writeErr {

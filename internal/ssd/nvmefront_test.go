@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/nvme"
+	"repro/internal/obs"
 )
 
 func newNVMeDevice(t *testing.T, scheme Scheme, pe int) (*NVMeBackend, *nvme.Controller) {
@@ -50,6 +51,46 @@ func TestNVMeReadWriteRoundTrip(t *testing.T) {
 	}
 	if m.RequestsCompleted != 9 || m.BytesWritten == 0 || m.BytesRead == 0 {
 		t.Fatalf("metrics: %+v", m)
+	}
+}
+
+// TestNVMeDrainRecordsReadLatencies checks reads issued through the
+// NVMe front end reach Metrics.ReadLatencies and the
+// ssd_read_latency_us histogram, one observation per read command.
+func TestNVMeDrainRecordsReadLatencies(t *testing.T) {
+	cfg := smallConfig(RiF, 1000)
+	cfg.Obs = obs.NewRegistry()
+	s, err := New(cfg, smallWorkload(t, "Ali124", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewNVMeBackend(s)
+	c := nvme.NewController(b, nvme.RoundRobin)
+	sq := c.CreateQueuePair(64, 1)
+	const reads = 12
+	if err := c.Submit(sq, nvme.Command{Opcode: nvme.OpWrite, CID: 0, SLBA: 0, NLB: 15}); err != nil {
+		t.Fatal(err)
+	}
+	for cid := uint16(1); cid <= reads; cid++ {
+		if err := c.Submit(sq, nvme.Command{
+			Opcode: nvme.OpRead, CID: cid, SLBA: int64(cid) * 64, NLB: 7,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Doorbell()
+	m, err := b.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.ReadLatencies.N(); got != reads {
+		t.Fatalf("ReadLatencies n = %d, want %d read commands", got, reads)
+	}
+	if m.ReadLatencies.Min() <= 0 {
+		t.Fatalf("read latency min %v us", m.ReadLatencies.Min())
+	}
+	if got := cfg.Obs.Snapshot().Histograms["ssd_read_latency_us"].Count; got != reads {
+		t.Fatalf("read latency histogram n = %d, want %d", got, reads)
 	}
 }
 

@@ -65,8 +65,8 @@ func TestObsChannelCountersMatchMetrics(t *testing.T) {
 	}
 	// Live histograms: every completed read observed its latency,
 	// every decode its tECC.
-	if got := s.Histograms["ssd_read_latency_us"].Count; got != int64(m.ReadLatencies.N()) {
-		t.Errorf("read latency histogram n = %d, sample n = %d", got, m.ReadLatencies.N())
+	if got := s.Histograms["ssd_read_latency_us"].Count; got != m.ReadLatencies.N() {
+		t.Errorf("read latency histogram n = %d, sketch n = %d", got, m.ReadLatencies.N())
 	}
 	if got := s.Histograms["ecc_decode_latency_us"].Count; got <= 0 {
 		t.Errorf("decode histogram empty")

@@ -217,7 +217,7 @@ func New(cfg Config, w Workload) (*SSD, error) {
 	s.m.Scheme = cfg.Scheme
 	s.m.PECycles = cfg.PECycles
 	// Observability hooks: the ECC engine streams decode latencies,
-	// completeRequest streams read latencies. Both handles are nil-safe
+	// recordCompletion streams read latencies. Both handles are nil-safe
 	// no-ops when cfg.Obs is nil.
 	s.dec.Hist = cfg.Obs.Histogram("ecc_decode_latency_us")
 	s.readLat = cfg.Obs.Histogram("ssd_read_latency_us")
@@ -385,29 +385,36 @@ func (s *SSD) admit(req trace.Request, arrival sim.Time, chain bool) {
 	s.runRequest(req, arrival, chain, nil)
 }
 
-// completeRequest records a request's completion. In closed loop
-// (chain == true) it admits the next request; in bounded open loop it
-// admits the held arrival, if any, and resumes the arrival chain.
-func (s *SSD) completeRequest(req trace.Request, arrival sim.Time, chain bool, res cmdResult) {
+// recordCompletion accounts a finished host request for every host:
+// counters, makespan, bytes and, for a read, its latency (µs) into
+// ReadLatencies and the ssd_read_latency_us histogram. It returns the
+// bytes and the latency for the host's own accounting.
+//
+//riflint:hotpath
+func (s *SSD) recordCompletion(req trace.Request, arrival sim.Time, res cmdResult) (bytes int64, lat float64) {
 	s.inFlight--
 	s.m.RequestsCompleted++
 	s.lastDone = s.eng.Now()
 	if res.uncPages > 0 {
 		s.m.MediaErrorRequests++
 	}
-	bytes := int64(req.Pages) * int64(s.cfg.Geometry.PageBytes)
-	if req.Op == trace.Read {
-		s.m.BytesRead += bytes
-		lat := (s.eng.Now() - arrival).Microseconds()
-		if s.cfg.LatencySketch != nil {
-			s.cfg.LatencySketch.Add(lat)
-		} else {
-			s.m.ReadLatencies.Add(lat)
-		}
-		s.readLat.Observe(lat)
-	} else {
+	bytes = int64(req.Pages) * int64(s.cfg.Geometry.PageBytes)
+	if req.Op != trace.Read {
 		s.m.BytesWritten += bytes
+		return bytes, 0
 	}
+	s.m.BytesRead += bytes
+	lat = (s.eng.Now() - arrival).Microseconds()
+	s.m.ReadLatencies.Add(lat)
+	s.readLat.Observe(lat)
+	return bytes, lat
+}
+
+// completeRequest finishes a built-in host request. In closed loop
+// (chain == true) it admits the next request; in bounded open loop it
+// admits the held arrival, if any, and resumes the arrival chain.
+func (s *SSD) completeRequest(req trace.Request, arrival sim.Time, chain bool, res cmdResult) {
+	s.recordCompletion(req, arrival, res)
 	if chain {
 		s.issueNext()
 	} else if s.held {

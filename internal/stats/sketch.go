@@ -5,9 +5,15 @@ import (
 	"math"
 )
 
-// SketchAlpha is the default relative-accuracy target of NewSketch:
-// quantile estimates land within ±1% of the exact nearest-rank value.
+// SketchAlpha is every sketch's relative-accuracy target: quantile
+// estimates land within ±1% of the exact nearest-rank value.
 const SketchAlpha = 0.01
+
+// sketchGamma is the bucket growth (1+α)/(1−α) at SketchAlpha.
+var (
+	sketchGamma   = (1 + SketchAlpha) / (1 - SketchAlpha)
+	sketchLnGamma = math.Log(sketchGamma)
+)
 
 // SketchMinValue is the smallest positive observation the sketch
 // resolves individually; anything in (0, SketchMinValue) folds into
@@ -18,10 +24,11 @@ const SketchMinValue = 1e-9
 // Sketch is a mergeable, fixed-memory streaming quantile sketch over
 // non-negative observations (a DDSketch-style log-bucket design):
 // observations land in geometrically spaced buckets whose width is set
-// by the relative-accuracy parameter α, so memory is
-// O(log(max/min)/α) — independent of the observation count. It exists
-// so million-request open-loop replays never retain a per-request
-// latency slice the way the exact Sample does.
+// by the relative-accuracy parameter α = SketchAlpha, so memory is
+// O(log(max/min)/α) — independent of the observation count. It is
+// the one latency distribution the simulator records: every report's
+// percentiles and Fig. 19's CDF are read from it. The zero value is an
+// empty sketch at SketchAlpha, ready to use.
 //
 // Error bound, stated against the repository's reference quantile
 // convention (Sample.Quantile, nearest-rank):
@@ -42,10 +49,6 @@ const SketchMinValue = 1e-9
 // never negative, so one indicates a harness bug (the GeoMean
 // convention).
 type Sketch struct {
-	alpha   float64
-	gamma   float64 // bucket growth (1+α)/(1−α)
-	lnGamma float64
-
 	// counts[i] is the population of log bucket (minKey+i); bucket k
 	// covers (γ^(k−1), γ^k]. The slice grows (amortized) as the
 	// observed range widens and then stays put: steady-state Add is
@@ -61,31 +64,19 @@ type Sketch struct {
 	min, max float64
 }
 
-// NewSketch returns an empty sketch with relative accuracy alpha
-// (0 selects SketchAlpha). It panics on alpha outside (0, 1): the
-// accuracy target is a compile-time-style constant of the harness,
-// not runtime input.
+// NewSketch returns an empty sketch, the same as new(Sketch). alpha
+// must be 0 or SketchAlpha, the only accuracy there is; anything else
+// panics rather than silently giving a different bound.
 func NewSketch(alpha float64) *Sketch {
-	if alpha == 0 {
-		alpha = SketchAlpha
+	if alpha != 0 && alpha != SketchAlpha {
+		panic(fmt.Sprintf("stats: sketch alpha %v, only %v is supported", alpha, SketchAlpha))
 	}
-	if alpha <= 0 || alpha >= 1 {
-		panic(fmt.Sprintf("stats: sketch alpha %v outside (0, 1)", alpha))
-	}
-	gamma := (1 + alpha) / (1 - alpha)
-	return &Sketch{
-		alpha:   alpha,
-		gamma:   gamma,
-		lnGamma: math.Log(gamma),
-	}
+	return new(Sketch)
 }
 
-// Alpha reports the sketch's relative-accuracy parameter.
-func (s *Sketch) Alpha() float64 { return s.alpha }
-
 // key maps a positive observation to its log-bucket index.
-func (s *Sketch) key(x float64) int {
-	return int(math.Ceil(math.Log(x) / s.lnGamma))
+func key(x float64) int {
+	return int(math.Ceil(math.Log(x) / sketchLnGamma))
 }
 
 // Add folds one observation into the sketch. Steady state (an
@@ -112,7 +103,7 @@ func (s *Sketch) Add(x float64) {
 		s.zero++
 		return
 	}
-	s.bucket(s.key(x))
+	s.bucket(key(x))
 }
 
 // bucket increments bucket k, growing the dense range if needed.
@@ -182,6 +173,11 @@ func (s *Sketch) Quantile(q float64) float64 {
 	if rank > s.n {
 		rank = s.n
 	}
+	return s.atRank(rank)
+}
+
+// atRank estimates the rank-th smallest observation (1 <= rank <= n).
+func (s *Sketch) atRank(rank int64) float64 {
 	if rank <= s.zero {
 		// The target observation is below the resolvable cutoff; the
 		// exact minimum is the best (and for all-zero data, exact)
@@ -198,7 +194,7 @@ func (s *Sketch) Quantile(q float64) float64 {
 			k := s.minKey + i
 			// The midpoint (in the 2γ/(γ+1) sense) of bucket
 			// (γ^(k−1), γ^k] is within α of every value in it.
-			return s.clamp(2 * math.Exp(float64(k)*s.lnGamma) / (s.gamma + 1))
+			return s.clamp(2 * math.Exp(float64(k)*sketchLnGamma) / (sketchGamma + 1))
 		}
 	}
 	return s.max
@@ -208,6 +204,24 @@ func (s *Sketch) Quantile(q float64) float64 {
 // Sample.Percentile.
 func (s *Sketch) Percentile(p float64) float64 {
 	return s.Quantile(p / 100)
+}
+
+// CDF returns the points Sample.CDF returns for the same observations:
+// as many, with the same cumulative fractions F. Each X is the
+// Quantile estimate at its point's rank, within α of the exact value;
+// the first and last X are the exact minimum and maximum.
+func (s *Sketch) CDF(points int) []CDFPoint {
+	if s.n == 0 || points <= 0 {
+		return nil
+	}
+	out := make([]CDFPoint, min(int64(points), s.n))
+	for i := range out {
+		idx := int64(i) * (s.n - 1) / int64(max(len(out)-1, 1))
+		out[i] = CDFPoint{X: s.atRank(idx + 1), F: float64(idx+1) / float64(s.n)}
+	}
+	out[len(out)-1].X = s.max
+	out[0].X = s.min
+	return out
 }
 
 // clamp bounds an estimate to the exact observed extremes, which makes
@@ -224,16 +238,11 @@ func (s *Sketch) clamp(x float64) float64 {
 
 // Merge folds other into s. Merging is exact (bucket counts add), so
 // any merge tree over the same observations yields an identical
-// sketch: merge is associative and commutative. Both sketches must
-// share the same alpha; merging across accuracies would silently
-// loosen the documented bound, so it panics instead. The other sketch
-// is not modified; a nil other is a no-op.
+// sketch: merge is associative and commutative. The other sketch is
+// not modified; a nil or empty other is a no-op.
 func (s *Sketch) Merge(other *Sketch) {
 	if other == nil || other.n == 0 {
 		return
-	}
-	if other.alpha != s.alpha {
-		panic(fmt.Sprintf("stats: merging sketches with different alpha (%v vs %v)", s.alpha, other.alpha))
 	}
 	if s.n == 0 {
 		s.min, s.max = other.min, other.max

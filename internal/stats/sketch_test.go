@@ -26,7 +26,7 @@ func withinBound(t *testing.T, sk *Sketch, sa *Sample, q float64) {
 	t.Helper()
 	got := sk.Quantile(q)
 	want := sa.Quantile(q)
-	tol := sk.Alpha()*want*(1+1e-9) + 1e-12
+	tol := SketchAlpha*want*(1+1e-9) + 1e-12
 	if math.Abs(got-want) > tol {
 		t.Fatalf("q=%v: sketch %v vs exact %v (tol %v, n=%d)", q, got, want, tol, sa.N())
 	}
@@ -135,11 +135,51 @@ func TestSketchRejectsBadInput(t *testing.T) {
 	mustPanic("NaN observation", func() { NewSketch(0).Add(math.NaN()) })
 	mustPanic("alpha 1", func() { NewSketch(1) })
 	mustPanic("negative alpha", func() { NewSketch(-0.5) })
-	mustPanic("mixed-alpha merge", func() {
-		a, b := NewSketch(0.01), NewSketch(0.02)
-		b.Add(1)
-		a.Merge(b)
-	})
+	mustPanic("alpha other than SketchAlpha", func() { NewSketch(0.02) })
+}
+
+// TestSketchCDFMatchesSample checks Sketch.CDF against Sample.CDF on
+// the same data: as many points with the same F, each X within α of
+// the exact value, and the extremes exact.
+func TestSketchCDFMatchesSample(t *testing.T) {
+	rng := sim.NewRNG(5, 0xcdf)
+	lat := make([]float64, 3000)
+	for i := range lat {
+		lat[i] = 40 + rng.LogNormal(3, 1.2)
+	}
+	for name, xs := range map[string][]float64{
+		"single":         {42.5},
+		"two":            {9, 1},
+		"with-zeros":     {0, 0, 0, 10, 20, 30, 40, 50},
+		"latency-shaped": lat,
+	} {
+		sk, sa := addAll(t, xs)
+		for _, points := range []int{1, 2, 5, 64, len(xs) + 10} {
+			got, want := sk.CDF(points), sa.CDF(points)
+			if len(got) != len(want) {
+				t.Fatalf("%s/%d: %d points, sample %d", name, points, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].F != want[i].F {
+					t.Fatalf("%s/%d: point %d F=%v, sample %v", name, points, i, got[i].F, want[i].F)
+				}
+				if tol := SketchAlpha*want[i].X*(1+1e-9) + 1e-12; math.Abs(got[i].X-want[i].X) > tol {
+					t.Fatalf("%s/%d: point %d X=%v, sample %v", name, points, i, got[i].X, want[i].X)
+				}
+			}
+			if got[0].X != sk.Min() || (points > 1 && got[len(got)-1].X != sk.Max()) {
+				t.Fatalf("%s/%d: extremes %v..%v, want %v..%v", name, points, got[0].X, got[len(got)-1].X, sk.Min(), sk.Max())
+			}
+		}
+	}
+	var empty Sketch
+	if empty.CDF(10) != nil {
+		t.Fatal("empty sketch CDF is non-nil")
+	}
+	sk, _ := addAll(t, []float64{1, 2, 3})
+	if sk.CDF(0) != nil || sk.CDF(-1) != nil {
+		t.Fatal("CDF with points <= 0 is non-nil")
+	}
 }
 
 // TestSketchMergeAssociative pins that merging is exact: (a⊕b)⊕c and
@@ -206,14 +246,23 @@ func TestSketchMergeEmptyAndNil(t *testing.T) {
 	if sk.N() != 1 || sk.Quantile(0.5) != 5 {
 		t.Fatalf("no-op merges perturbed the sketch: n=%d", sk.N())
 	}
-	empty := NewSketch(0)
 	full := NewSketch(0)
 	full.Add(2)
 	full.Add(8)
-	empty.Merge(full)
-	if empty.N() != 2 || empty.Min() != 2 || empty.Max() != 8 {
-		t.Fatalf("merge into empty lost state: n=%d min=%v max=%v", empty.N(), empty.Min(), empty.Max())
+	for name, empty := range map[string]*Sketch{"NewSketch(0)": NewSketch(0), "zero value": {}} {
+		empty.Merge(full)
+		if empty.N() != 2 || empty.Min() != 2 || empty.Max() != 8 {
+			t.Fatalf("merge into empty %s lost state: n=%d min=%v max=%v", name, empty.N(), empty.Min(), empty.Max())
+		}
 	}
+	sk.Merge(&Sketch{})
+	if sk.N() != 1 {
+		t.Fatalf("merging an empty zero value perturbed the sketch: n=%d", sk.N())
+	}
+	// Empty zero value and empty NewSketch(0), either way round.
+	var zero Sketch
+	zero.Merge(NewSketch(0))
+	NewSketch(0).Merge(&zero)
 }
 
 // TestSketchSteadyStateAddAllocs is the zero-alloc pin: once the

@@ -1,5 +1,6 @@
 // Package stats provides the lightweight statistics the experiment
-// harness needs: streaming summaries, exact percentiles, CDF export
+// harness needs: streaming summaries, a fixed-memory quantile sketch
+// with CDF export, the exact reference sample it is checked against,
 // and geometric means.
 package stats
 
@@ -64,10 +65,10 @@ func (s *Summary) String() string {
 		s.n, s.Mean(), s.Min(), s.Max(), s.StdDev())
 }
 
-// Sample keeps every observation for exact percentile queries. For
-// the volumes this simulator produces (millions of latencies) exact
-// retention is affordable and avoids sketch error in the tails the
-// paper cares about (P99.99, Fig. 19).
+// Sample keeps every observation for exact percentile queries. It is
+// the reference for the repository's quantile convention: the tests
+// of Sketch (the distribution the simulator records) and of the obs
+// percentile rules compare against it.
 type Sample struct {
 	xs     []float64
 	sorted bool
@@ -103,9 +104,8 @@ func (s *Sample) sort() {
 
 // Quantile reports the q-th quantile (0 <= q <= 1) of the sample.
 //
-// This is the exact quantile every report prints (Fig. 19's tail
-// percentiles among them); stats.Sketch follows the same edge-case
-// rules on its fixed-memory approximation:
+// This is the reference convention; stats.Sketch follows the same
+// edge-case rules and estimates the same value within its α bound:
 //
 //   - empty sample: 0
 //   - q <= 0: the exact minimum; q >= 1: the exact maximum
@@ -151,7 +151,8 @@ type CDFPoint struct {
 }
 
 // CDF returns an empirical CDF downsampled to at most points entries
-// (always including the extremes), suitable for plotting Fig. 19.
+// (always including the extremes); Sketch.CDF returns the same points
+// with estimated X.
 func (s *Sample) CDF(points int) []CDFPoint {
 	if len(s.xs) == 0 || points <= 0 {
 		return nil
@@ -185,11 +186,4 @@ func GeoMean(xs []float64) float64 {
 		acc += math.Log(x)
 	}
 	return math.Exp(acc / float64(len(xs)))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
