@@ -86,7 +86,6 @@ func TailSweep(p RunParams, schemes []ssd.Scheme, workloadName string, pe int, r
 			return TailPoint{}, err
 		}
 		cfg := p.BuildConfig(k.s, pe)
-		cfg.OpenLoop = true
 		cfg.Obs = p.Obs
 		cfg.Trace = p.Trace
 		var reg *obs.Registry
@@ -210,8 +209,6 @@ func ReplaySweep(p RunParams, rp ReplayParams) ([]TailPoint, error) {
 			defer closer.Close()
 		}
 		cfg := p.BuildConfig(rp.Scheme, rp.PECycles)
-		cfg.OpenLoop = true
-		cfg.MaxInFlight = rp.MaxInFlight
 		cfg.Obs = p.Obs
 		cfg.Trace = p.Trace
 		var reg *obs.Registry
@@ -224,6 +221,7 @@ func ReplaySweep(p RunParams, rp ReplayParams) ([]TailPoint, error) {
 			Config:         cfg,
 			Arrivals:       arr,
 			MaxRequests:    rp.MaxRequests,
+			MaxInFlight:    rp.MaxInFlight,
 			AgeDays:        rp.AgeDays,
 			FootprintPages: rp.FootprintPages,
 		})

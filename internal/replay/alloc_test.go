@@ -1,9 +1,11 @@
 package replay
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/ssd"
 	"repro/internal/trace"
 )
 
@@ -53,5 +55,37 @@ func TestAdvanceZeroAlloc(t *testing.T) {
 	w := &sourceWorkload{src: &allocStubSource{}, arr: arr, limit: -1}
 	if allocs := testing.AllocsPerRun(1000, func() { w.advance() }); allocs != 0 {
 		t.Fatalf("advance allocates %.1f times per call; the replay hot path must be allocation-free", allocs)
+	}
+}
+
+// TestOpenLoopRequestZeroAlloc pins the open-loop host's arrival and
+// completion handlers on a warm device: two back-to-back arrivals
+// through a one-deep ring, the second held and admitted by the first's
+// completion, allocate nothing.
+func TestOpenLoopRequestZeroAlloc(t *testing.T) {
+	arr, err := NewFixed(1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &sourceWorkload{src: FromWorkload(smallGenerator(t, "Ali124", 1), math.MaxInt64), arr: arr, age: 5, every: 1 << 20}
+	dev, err := ssd.New(smallConfig(ssd.RiF, 2000), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newOpenLoop(dev, w, 1)
+	pair := func() {
+		w.limit, w.done = 2, false
+		w.advance()
+		o.schedule()
+		o.eng.Run()
+	}
+	for range 256 {
+		pair()
+	}
+	if allocs := testing.AllocsPerRun(500, pair); allocs != 0 {
+		t.Fatalf("a steady-state open-loop arrival pair allocates %.1f times; the replay handlers must be allocation-free", allocs)
+	}
+	if o.nHeld != 256+501 || o.inFlight != 0 {
+		t.Fatalf("held %d arrivals with %d in flight; the pin does not cover the held path", o.nHeld, o.inFlight)
 	}
 }

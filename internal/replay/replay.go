@@ -177,9 +177,14 @@ func (as *agedWorkloadSource) InitialAgeDays(lpn int64) float64 {
 
 // Options configures one replay run.
 type Options struct {
-	// Config is the device and host configuration. OpenLoop is forced
-	// on; MaxInFlight zero is defaulted to DefaultMaxInFlight.
+	// Config is the device configuration.
 	Config ssd.Config
+
+	// MaxInFlight bounds the open-loop ring: an arrival that finds
+	// this many requests in flight is held (exactly one is ever
+	// pending) and admitted by the next completion, its latency still
+	// counted from its arrival instant. Zero means DefaultMaxInFlight.
+	MaxInFlight int
 
 	// Arrivals rewrites arrival timestamps; nil keeps the trace's own
 	// (equivalent to NewTraceScale(1) without the float round trip).
@@ -264,8 +269,6 @@ func (w *sourceWorkload) advance() {
 	w.next = req
 }
 
-func (w *sourceWorkload) Exhausted() bool { return w.done }
-
 func (w *sourceWorkload) Next() trace.Request {
 	req := w.next
 	w.served++
@@ -283,6 +286,81 @@ func (w *sourceWorkload) InitialAgeDays(lpn int64) float64 {
 	return w.age
 }
 
+// openLoop is the open-loop host: it submits each request to the
+// device's host port at its arrival time, independent of completions,
+// unless the ring is full. Arrivals are scheduled as a chain, one at a
+// time, so holding the one pending arrival until a completion stalls
+// the whole source — the stream is simply not pulled — and memory
+// stays flat at any intensity.
+type openLoop struct {
+	dev *ssd.SSD
+	eng *sim.Engine
+	w   *sourceWorkload
+
+	maxInFlight, inFlight int
+	// next is the one scheduled (or held) arrival. last is the arrival
+	// clock and next's latency anchor: max(req.At, previous arrival),
+	// so a stalled chain cannot shift arrivals later and hide
+	// head-of-line wait, and a wrapped trace cannot move them into the
+	// past.
+	next      trace.Request
+	last      sim.Time
+	held      bool
+	nHeld     int64
+	onArrival func()
+}
+
+// newOpenLoop binds an open-loop host to dev's engine and host port.
+func newOpenLoop(dev *ssd.SSD, w *sourceWorkload, maxInFlight int) *openLoop {
+	o := &openLoop{dev: dev, eng: dev.Engine(), w: w, maxInFlight: maxInFlight}
+	o.onArrival = o.arrive
+	dev.OnComplete(o.complete)
+	return o
+}
+
+// schedule pulls the next request from the source and schedules its
+// arrival, unless the source is exhausted.
+func (o *openLoop) schedule() {
+	if o.w.done {
+		return
+	}
+	o.next = o.w.Next()
+	o.last = max(o.last, o.next.At)
+	o.eng.At(max(o.last, o.eng.Now()), o.onArrival)
+}
+
+// arrive is the arrival handler: it submits the pending arrival, or
+// holds it when the ring is full.
+//
+//riflint:hotpath
+func (o *openLoop) arrive() {
+	if o.inFlight >= o.maxInFlight {
+		o.held = true
+		o.nHeld++
+		return
+	}
+	o.submit()
+}
+
+// submit puts the pending arrival on the port and schedules the next.
+func (o *openLoop) submit() {
+	o.inFlight++
+	o.dev.Submit(o.next, o.last, o.w, 0)
+	o.schedule()
+}
+
+// complete is the completion handler: it frees a ring slot and admits
+// the held arrival, if any.
+//
+//riflint:hotpath
+func (o *openLoop) complete(ssd.Completion) {
+	o.inFlight--
+	if o.held {
+		o.held = false
+		o.submit()
+	}
+}
+
 // Run replays src through one simulated SSD and returns the sketch
 // and device metrics. The run is deterministic in (Options, source
 // content).
@@ -293,10 +371,12 @@ func Run(src Source, opt Options) (*Result, error) {
 	if opt.MaxRequests < 0 {
 		return nil, fmt.Errorf("replay: max requests %d", opt.MaxRequests)
 	}
-	cfg := opt.Config
-	cfg.OpenLoop = true
-	if cfg.MaxInFlight == 0 {
-		cfg.MaxInFlight = DefaultMaxInFlight
+	if opt.MaxInFlight < 0 {
+		return nil, fmt.Errorf("replay: max in-flight %d is negative; use 0 for DefaultMaxInFlight", opt.MaxInFlight)
+	}
+	maxInFlight := opt.MaxInFlight
+	if maxInFlight == 0 {
+		maxInFlight = DefaultMaxInFlight
 	}
 	every := opt.ProgressEvery
 	if every <= 0 {
@@ -324,20 +404,17 @@ func Run(src Source, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("replay: empty trace")
 	}
 
-	dev, err := ssd.New(cfg, w)
+	dev, err := ssd.New(opt.Config, w)
 	if err != nil {
 		return nil, err
 	}
-	// The host stops at source exhaustion; the cap only has to be
-	// unreachable.
-	n := math.MaxInt
-	if opt.MaxRequests > 0 && opt.MaxRequests < int64(n) {
-		n = int(opt.MaxRequests)
-	}
-	m, err := dev.Run(n)
+	o := newOpenLoop(dev, w, maxInFlight)
+	o.schedule()
+	m, err := dev.Drain()
 	if err != nil {
 		return nil, err
 	}
+	m.HeldArrivals = o.nHeld
 	if w.err != nil {
 		return nil, fmt.Errorf("replay: after %d requests: %w", m.RequestsCompleted, w.err)
 	}

@@ -133,12 +133,11 @@ func TestRunRespectsRingBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := smallConfig(ssd.Zero, 0)
-	cfg.MaxInFlight = 32
 	res, err := Run(FromWorkload(smallGenerator(t, "Sys0", 2), 500), Options{
-		Config:   cfg,
-		Arrivals: arr,
-		AgeDays:  5,
+		Config:      smallConfig(ssd.Zero, 0),
+		Arrivals:    arr,
+		MaxInFlight: 32,
+		AgeDays:     5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,5 +221,15 @@ func TestRunRejectsEmptyTrace(t *testing.T) {
 		Config: smallConfig(ssd.Zero, 0),
 	}); err == nil {
 		t.Fatal("empty trace replayed")
+	}
+}
+
+func TestRunRejectsNegativeMaxInFlight(t *testing.T) {
+	_, err := Run(FromWorkload(smallGenerator(t, "Sys0", 1), 10), Options{
+		Config:      smallConfig(ssd.Zero, 0),
+		MaxInFlight: -1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "in-flight") {
+		t.Fatalf("negative MaxInFlight: err = %v, want an in-flight error", err)
 	}
 }

@@ -39,7 +39,7 @@ import (
 // changes, or when a field is added to (or removed from) the encoded
 // structs — the reflection guard in key_test.go fails on the latter
 // until both the encoder and this constant move together.
-const SchemaVersion = 3
+const SchemaVersion = 4
 
 // Key is a SHA-256 content address of one canonicalized run
 // configuration.
@@ -132,8 +132,6 @@ func appendConfig(b []byte, c ssd.Config) []byte {
 	b = appendU64(b, uint64(int64(c.WriteCachePages)))
 	b = appendF64(b, c.PredictionFloor)
 	b = appendBool(b, c.RiFSecondCheck)
-	b = appendBool(b, c.OpenLoop)
-	b = appendU64(b, uint64(int64(c.MaxInFlight)))
 	b = appendU64(b, uint64(int64(c.DiePolicy)))
 	b = appendU64(b, uint64(int64(c.ResumePenalty)))
 	b = appendBool(b, c.RecordSpans)

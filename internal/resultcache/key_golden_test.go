@@ -8,7 +8,7 @@ import (
 )
 
 // goldenKeys pins the content address of (experiment,
-// DefaultRunParams) for every valid experiment at SchemaVersion 3.
+// DefaultRunParams) for every valid experiment at SchemaVersion 4.
 // These constants are the cross-restart half of the key invariant: a
 // recompiled, restarted, or different-host process must mint the very
 // same addresses, or a persisted store written by one server life
@@ -17,23 +17,23 @@ import (
 // encoding moves these values, bump SchemaVersion and regenerate the
 // table — never hand-patch a single row.
 var goldenKeys = map[string]string{
-	"6":                  "3994b66980646d68e188a2c282c845bf5ee1ccc41f902fb17308b9c72a00a784",
-	"7":                  "bb7ea4a7865056b7c6a03c892c3baf8ae4c10f416555a54de70614ee98d6b620",
-	"8":                  "f5bc58f78224d2794f04ae0d14de4a1e168f09e3dab438ee1836fe01c381111d",
-	"17":                 "8c43d99293256d86ffe3d0003944cc16701abeedc3e3de3e8dc396a7ffeaf993",
-	"18":                 "ffa149a1eeebf941820224e464a0f95a459a279726c536268a6624e7315ac1b5",
-	"19":                 "caf5fbd33c7e3ee0039c464d512a6231040dcd21a4d05547cbd7c71da070052b",
-	"overhead":           "7d0e494173ad9fadb21dbcb6f56255665e7d103e67f197c9b6c1dc9ff93205f8",
-	"ablate-chunk":       "f3cf8f360ae0d385ab413bcf920dd574f7f1fb48682e94e4e07bb9689c85e6c1",
-	"ablate-buffer":      "d2481361f39f25ea83fcd7cd251255376450e8798afd39f29c91d7f0715a3d78",
-	"ablate-accuracy":    "7716c8c0bc1fdc75e2405a9d80204480f8bcf2f12e496972dedc1b939bf1ada0",
-	"ablate-scheduling":  "1c1a4823d812d3972d1ee3bc83457a00d4c17534dd9d1aa95bef8aa8f906f08b",
-	"ablate-secondcheck": "76fcbd8e7682fd78c7e2aa3d4e64426f3a9ca100df494006c04ffb1638ed6a79",
-	"refresh":            "7d18bc6e39b436bfbd97c7e0990821176a4d6588f6f3ae2b27378b9fadce2d16",
-	"tenants":            "9a37b0e70ae7345deb0490975726b2cc43d1717dc5ba2e45bbc1b2049754d3f0",
-	"chaos":              "6cd44d8d5d7db7e289eb4cf01b29a8932f7b28518642a2fdf8ecaf28889107a5",
-	"tailsweep":          "805c54665e15be5ee3ee9112c4508a9ffdbca7e7ba2e99a8c46cf7493c0e32c5",
-	"agesweep":           "ec114755d148aef032cbbbd4cbc2eff7bc8730c80ea544b96256de242a54b938",
+	"6":                  "81c565b8248c5a09cd483835a8e7b82a2a4aec2d406a5332dd4e1c0c09c493c1",
+	"7":                  "7aba3296bc35742a727f0b20b7e9d3f7d110172cedcb86967c2817ef13bc5d93",
+	"8":                  "0572b830e1059c57f2e15f96e7dbc67df9c2f93bf3bea4b142237586e393c814",
+	"17":                 "c1fb1fa44fda1e4397314ef670c1b3250e8cae26da7abf5b04b00ffd67358742",
+	"18":                 "2088bf150ead146b6733804ddf2510a0bae8595a325eaeb6d5c123bd86338ae6",
+	"19":                 "469c16aba0edf5de651b10b74026456391d370a103b2b28ba9f6768cc220eb9e",
+	"overhead":           "72ecfb141b193ff2ac3acda6a7c2dc8ddf3eb26817c1454fbb360c1b5a45f01d",
+	"ablate-chunk":       "8ff9e6b6dd5b772499cd6eed6fded2bdb75acd3063a26eba8ea62d6fbbed8206",
+	"ablate-buffer":      "1131a156fdbbeff5727cc5ef082d461b01bc908408a3942450176472deab9724",
+	"ablate-accuracy":    "c2091a0ef4b0ec1cb5d58026c2428b1b0f0cc0149555b1e539cb0bf30abe92f1",
+	"ablate-scheduling":  "8896cc0f477779d63ae14747c59da5168fee435b7fc9a60f7be193018024563b",
+	"ablate-secondcheck": "624eb5c13eae89d5d2498c341b1c54e8623a6f51748ea30939e9ed4742a7bcad",
+	"refresh":            "bba7ceb24caf102876155f9c0b6cb31b7000aabd051e5b2ac52f3886942c62dc",
+	"tenants":            "0de35ad2601b2f8fc23973f8945f58f0577758ea75383520ac588173baf89519",
+	"chaos":              "8f608c62e3c0545bc14485ac59c518c5ed611ebb14cc3cd35d2271db97dc2f3d",
+	"tailsweep":          "915fac908a42f5b19a7c1e5488245baf3e3cade9923857c169c3ac9f00f04861",
+	"agesweep":           "fc1d62127e9e7f31c23b0f049e2bd9283da36573eb8377d7022a262d2ba1873e",
 }
 
 // TestGoldenKeysCoverEveryExperiment keeps the table and the

@@ -21,7 +21,7 @@ func TestKeyStructFieldCountsPinned(t *testing.T) {
 		fields int
 	}{
 		{"core.RunParams", reflect.TypeOf(core.RunParams{}), 13},
-		{"ssd.Config", reflect.TypeOf(ssd.Config{}), 24},
+		{"ssd.Config", reflect.TypeOf(ssd.Config{}), 22},
 		{"ssd.Timing", reflect.TypeOf(ssd.Timing{}), 6},
 		{"nand.Geometry", reflect.TypeOf(nand.Geometry{}), 6},
 		{"nand.ModelParams", reflect.TypeOf(nand.ModelParams{}), 12},

@@ -79,7 +79,7 @@ func steadyDevice(t *testing.T, cfg Config, op trace.Op) (*SSD, func()) {
 	}
 	i := 0
 	one := func() {
-		s.admit(reqs[i%len(reqs)], s.eng.Now(), false)
+		s.Submit(reqs[i%len(reqs)], s.eng.Now(), w, 0)
 		s.eng.Run()
 		i++
 	}
@@ -119,5 +119,28 @@ func TestCachedWriteZeroAlloc(t *testing.T) {
 	_, one := steadyDevice(t, smallConfig(RiF, 2000), trace.Write)
 	if allocs := testing.AllocsPerRun(500, one); allocs != 0 {
 		t.Fatalf("a steady-state cached write allocates %.1f times; the write path must be allocation-free", allocs)
+	}
+}
+
+// TestRunQueuesRequestZeroAlloc pins the closed-loop host on the port:
+// once the pools are warm, issuing one queue request, serving it and
+// crediting its completion to the queue allocates nothing.
+func TestRunQueuesRequestZeroAlloc(t *testing.T) {
+	s, _ := steadyDevice(t, smallConfig(RiF, 2000), trace.Read)
+	l := s.closedLoop([]HostQueue{{Workload: smallWorkload(t, "Ali124", 2), Depth: 1}})
+	one := func() {
+		l.remaining[0] = 1
+		l.issue(0)
+		s.eng.Run()
+	}
+	for range 512 {
+		one()
+	}
+	if allocs := testing.AllocsPerRun(500, one); allocs != 0 {
+		t.Fatalf("a steady-state queue request allocates %.1f times; the closed-loop host must be allocation-free", allocs)
+	}
+	if q := &l.perQueue[0]; q.RequestsCompleted != 512+501 || q.ReadLatencies.N() == 0 {
+		t.Fatalf("queue credited %d requests, %d reads; the pin does not cover the completion handler",
+			q.RequestsCompleted, q.ReadLatencies.N())
 	}
 }

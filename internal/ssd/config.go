@@ -188,20 +188,6 @@ type Config struct {
 	// cross the channel (at the cost of another tPRED + tR).
 	RiFSecondCheck bool
 
-	// OpenLoop issues requests at their trace arrival times instead
-	// of the closed-loop queue-depth discipline (QueueDepth is then
-	// ignored). Use with timestamped traces, e.g. trace.Replayer.
-	OpenLoop bool
-
-	// MaxInFlight bounds the open-loop host's outstanding request
-	// count: an arrival that finds the ring full is held (exactly one
-	// is ever pending) and admitted by the next completion, with its
-	// latency still measured from its arrival instant. Zero leaves
-	// admission unbounded, the pre-existing open-loop behaviour. It is
-	// an open-loop-only knob; Validate rejects it with closed-loop
-	// hosts.
-	MaxInFlight int
-
 	// DiePolicy selects read/program scheduling on each die. The
 	// default DieFIFO matches the paper-calibrated results;
 	// DieReadPriority and DieSuspension are modern-controller
@@ -274,10 +260,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ssd: negative P/E cycles %d", c.PECycles)
 	case c.QueueDepth <= 0:
 		return fmt.Errorf("ssd: queue depth %d", c.QueueDepth)
-	case c.MaxInFlight < 0:
-		return fmt.Errorf("ssd: max in-flight %d is negative; use 0 for unbounded open-loop admission", c.MaxInFlight)
-	case c.MaxInFlight > 0 && !c.OpenLoop:
-		return fmt.Errorf("ssd: MaxInFlight=%d is an open-loop knob but OpenLoop is false; closed-loop admission is bounded by QueueDepth — set OpenLoop or drop MaxInFlight", c.MaxInFlight)
 	case c.ECCBufferSlots < 1:
 		return fmt.Errorf("ssd: ECC buffer slots %d", c.ECCBufferSlots)
 	case c.SentinelExtraReadProb < 0 || c.SentinelExtraReadProb > 1:

@@ -3,6 +3,7 @@ package ssd
 import (
 	"testing"
 
+	"repro/internal/nvme"
 	"repro/internal/obs"
 )
 
@@ -154,5 +155,44 @@ func TestRunQueuesDeterministic(t *testing.T) {
 	m2, q2 := mk()
 	if m1.Makespan != m2.Makespan || q1[0].BytesRead != q2[0].BytesRead || q1[1].BytesWritten != q2[1].BytesWritten {
 		t.Fatal("multi-queue runs diverged")
+	}
+}
+
+// TestPeakInFlightCountsEveryHost checks the port counts the requests
+// in flight whichever host submitted them: the multi-queue host and
+// the NVMe front end, each offering a depth above one, report a peak
+// above one and within the depth they offered.
+func TestPeakInFlightCountsEveryHost(t *testing.T) {
+	s, err := New(smallConfig(RiF, 1000), smallWorkload(t, "Ali124", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queues := []HostQueue{
+		{Workload: smallWorkload(t, "Ali124", 2), Depth: 4},
+		{Workload: smallWorkload(t, "Ali124", 3), Depth: 4},
+	}
+	m, _, err := s.RunQueues(queues, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.PeakInFlight <= 1 || m.PeakInFlight > 8 {
+		t.Fatalf("RunQueues peak in flight %d, want in (1, 8]", m.PeakInFlight)
+	}
+
+	b, c := newNVMeDevice(t, RiF, 1000)
+	sq := c.CreateQueuePair(16, 1)
+	const reads = 6
+	for cid := uint16(0); cid < reads; cid++ {
+		if err := c.Submit(sq, nvme.Command{Opcode: nvme.OpRead, CID: cid, SLBA: int64(cid) * 64, NLB: 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Doorbell()
+	m, err = b.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.PeakInFlight <= 1 || m.PeakInFlight > reads {
+		t.Fatalf("NVMe peak in flight %d, want in (1, %d]", m.PeakInFlight, reads)
 	}
 }

@@ -152,13 +152,14 @@ type Metrics struct {
 	// (DieSuspension policy only).
 	Suspensions int64
 
-	// PeakInFlight is the host ring's high-water outstanding request
-	// count; with Config.MaxInFlight set it never exceeds the bound.
+	// PeakInFlight is the high-water count of requests in flight on
+	// the host port, whichever host submitted them.
 	PeakInFlight int
 
-	// HeldArrivals counts open-loop arrivals that found the bounded
-	// ring full and waited for a completion before admission: the
-	// saturation signal of an intensity sweep.
+	// HeldArrivals counts open-loop arrivals that found replay's
+	// bounded ring full and waited for a completion before admission:
+	// the saturation signal of an intensity sweep. replay.Run writes
+	// it; closed-loop hosts leave it zero.
 	HeldArrivals int64
 
 	// MediaErrorRequests counts host read requests that completed

@@ -7,9 +7,10 @@ import (
 
 // NVMeBackend adapts a simulated SSD to the nvme.Backend interface,
 // so the device can be driven through real submission/completion
-// rings instead of the built-in closed-loop host. The caller submits
-// commands, rings the doorbell, then runs the simulation engine to
-// let the flash back end make progress, and finally reaps CQEs.
+// rings on its host port instead of the built-in closed-loop host. The
+// caller submits commands, rings the doorbell, then runs the
+// simulation engine to let the flash back end make progress, and
+// finally reaps CQEs.
 //
 // LBA geometry: one NVMe logical block is LBABytes (default 4 KiB);
 // the backend converts LBA ranges to 16-KiB logical pages.
@@ -17,11 +18,19 @@ type NVMeBackend struct {
 	SSD *SSD
 	// LBABytes is the logical block size (default 4096).
 	LBABytes int
+
+	// pending holds each in-flight command's completion callback at
+	// its port tag; free lists the vacant tags.
+	pending []func(nvme.Status)
+	free    []int
 }
 
-// NewNVMeBackend wraps an SSD.
+// NewNVMeBackend wraps an SSD and binds the backend as the device's
+// completion handler.
 func NewNVMeBackend(s *SSD) *NVMeBackend {
-	return &NVMeBackend{SSD: s, LBABytes: 4096}
+	b := &NVMeBackend{SSD: s, LBABytes: 4096}
+	s.OnComplete(b.complete)
+	return b
 }
 
 // Execute implements nvme.Backend: it converts the command to a page
@@ -61,30 +70,35 @@ func (b *NVMeBackend) Execute(_ uint16, cmd nvme.Command, done func(nvme.Status)
 		LPN:   firstPage,
 		Pages: int(lastPage-firstPage) + 1,
 	}
-	s.inFlight++
-	start := s.eng.Now()
-	s.runRequest(req, start, false, func(res cmdResult) {
-		s.recordCompletion(req, start, res)
-		// Degradation outcomes surface as real NVMe statuses: a read
-		// with retry-exhausted pages is a media error (SCT 2h / SC
-		// 81h), a write the FTL could not place is an internal error.
-		st := nvme.StatusSuccess
-		if res.uncPages > 0 {
-			st = nvme.StatusMediaError
-		}
-		if res.writeErr {
-			st = nvme.StatusInternal
-		}
-		done(st)
-	})
+	tag := len(b.pending)
+	if n := len(b.free); n > 0 {
+		tag = b.free[n-1]
+		b.free = b.free[:n-1]
+		b.pending[tag] = done
+	} else {
+		b.pending = append(b.pending, done)
+	}
+	s.Submit(req, s.eng.Now(), s.workload, tag)
+}
+
+// complete is the backend's completion handler. Degradation outcomes
+// surface as real NVMe statuses: a read with retry-exhausted pages is
+// a media error (SCT 2h / SC 81h), a write the FTL could not place is
+// an internal error.
+func (b *NVMeBackend) complete(c Completion) {
+	st := nvme.StatusSuccess
+	if c.MediaError {
+		st = nvme.StatusMediaError
+	}
+	if c.WriteError {
+		st = nvme.StatusInternal
+	}
+	done := b.pending[c.Tag]
+	b.pending[c.Tag] = nil
+	b.free = append(b.free, c.Tag)
+	done(st)
 }
 
 // Drain runs the simulation engine until all in-flight work finishes
 // and returns the device metrics. Call after the final Doorbell.
-func (b *NVMeBackend) Drain() (*Metrics, error) {
-	b.SSD.eng.Run()
-	if err := b.SSD.finishRun(); err != nil {
-		return nil, err
-	}
-	return &b.SSD.m, nil
-}
+func (b *NVMeBackend) Drain() (*Metrics, error) { return b.SSD.Drain() }

@@ -14,16 +14,15 @@ import (
 // ownership and ordering rules.
 
 // hostReq is one in-flight host request: the commands it split into
-// report to it, and the last one completes it.
+// report to it, and the last one completes it through the host port.
 type hostReq struct {
 	s       *SSD
 	req     trace.Request
 	arrival sim.Time
-	chain   bool
-	// done, when non-nil, receives the completion instead of the
-	// built-in host's completeRequest (RunQueues and the NVMe front
-	// end).
-	done        func(cmdResult)
+	// src answers the cold-data ages of the request's pages; tag is
+	// reported back in its Completion.
+	src         Workload
+	tag         int
 	outstanding int
 	agg         cmdResult
 }
@@ -147,32 +146,6 @@ func (s *SSD) commandAt(lpn int64, remaining int) dieCommand {
 	return dieCommand{lpn: lpn, n: n}
 }
 
-// runRequest splits a request into die commands along the striping
-// and issues them. The completion goes to done when it is non-nil,
-// otherwise to completeRequest with the arrival and chain flag.
-func (s *SSD) runRequest(req trace.Request, arrival sim.Time, chain bool, done func(cmdResult)) {
-	r := s.newReq()
-	*r = hostReq{s: s, req: req, arrival: arrival, chain: chain, done: done}
-	if req.Pages > 0 {
-		p := int64(s.cfg.Geometry.PlanesPerDie)
-		r.outstanding = int((req.LPN+int64(req.Pages)-1)/p - req.LPN/p + 1)
-	}
-	// A command may complete synchronously (a cached write), and the
-	// last one recycles r: the loop reads only its own locals.
-	lpn, remaining := req.LPN, req.Pages
-	for remaining > 0 {
-		cmd := s.commandAt(lpn, remaining)
-		lpn += int64(cmd.n)
-		remaining -= cmd.n
-		c := s.newCmd(r, cmd)
-		if req.Op == trace.Read {
-			s.readCommand(c)
-		} else {
-			s.writeCommand(c)
-		}
-	}
-}
-
 // cmdDone folds one command's result into the request and completes
 // the request when it was the last one outstanding.
 func (r *hostReq) cmdDone(res cmdResult) {
@@ -182,14 +155,13 @@ func (r *hostReq) cmdDone(res cmdResult) {
 	if r.outstanding > 0 {
 		return
 	}
-	s, req, arrival, chain, done, agg := r.s, r.req, r.arrival, r.chain, r.done, r.agg
+	s, req, arrival, tag, agg := r.s, r.req, r.arrival, r.tag, r.agg
 	*r = hostReq{}
 	s.reqFree = append(s.reqFree, r)
-	if done != nil {
-		done(agg)
-		return
+	c := s.recordCompletion(req, arrival, tag, agg)
+	if s.onComplete != nil {
+		s.onComplete(c)
 	}
-	s.completeRequest(req, arrival, chain, agg)
 }
 
 // then arms the command to resume at stage st and returns its handler.

@@ -324,3 +324,57 @@ func TestVrefModeForScheme(t *testing.T) {
 		}
 	}
 }
+
+func TestSecondCheckReducesUncorAtExtremeWear(t *testing.T) {
+	// At 3K P/E with month-old data, some adjusted-VREF re-reads stay
+	// uncorrectable; the footnote-4 second check keeps part of them
+	// off the channel.
+	mk := func(second bool) *Metrics {
+		cfg := smallConfig(RiF, 3000)
+		cfg.RiFSecondCheck = second
+		return run(t, cfg, smallWorkload(t, "Ali124", 1), 400)
+	}
+	without := mk(false)
+	with := mk(true)
+	if with.AvoidedTransfers < without.AvoidedTransfers {
+		t.Fatalf("second check avoided fewer transfers: %d vs %d",
+			with.AvoidedTransfers, without.AvoidedTransfers)
+	}
+	if with.Channels.Uncor > without.Channels.Uncor {
+		t.Fatalf("second check increased uncor channel time: %v vs %v",
+			with.Channels.Uncor, without.Channels.Uncor)
+	}
+}
+
+func TestSecondCheckNoEffectAtLowWear(t *testing.T) {
+	// When every re-read decodes (the common case), the second check
+	// must not change behaviour beyond its tPRED cost.
+	mk := func(second bool) *Metrics {
+		cfg := smallConfig(RiF, 1000)
+		cfg.RiFSecondCheck = second
+		return run(t, cfg, smallWorkload(t, "Sys0", 2), 300)
+	}
+	without := mk(false)
+	with := mk(true)
+	if with.Channels.Uncor != without.Channels.Uncor {
+		t.Fatalf("second check altered uncor at low wear")
+	}
+	if float64(with.Makespan) > float64(without.Makespan)*1.05 {
+		t.Fatalf("second check cost too much: %v vs %v", with.Makespan, without.Makespan)
+	}
+}
+
+func TestSchemeByName(t *testing.T) {
+	for _, s := range AllSchemes() {
+		got, err := SchemeByName(s.String())
+		if err != nil || got != s {
+			t.Fatalf("round trip %v: %v %v", s, got, err)
+		}
+	}
+	if got, err := SchemeByName("rifssd"); err != nil || got != RiF {
+		t.Fatalf("case-insensitive lookup: %v %v", got, err)
+	}
+	if _, err := SchemeByName("nope"); err == nil {
+		t.Fatal("unknown scheme resolved")
+	}
+}
