@@ -314,7 +314,7 @@ func reportTailSweep(out io.Writer, p RunParams) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "\nRiF P99.99 cut vs SENC at %.0f IOPS (sub-saturation): %.1f%% (closed-loop measured 62.7%%, paper Fig. 19 ~91.8%%)\n",
+	fmt.Fprintf(out, "\nRiF P99.99 cut vs SENC at %.0f IOPS (sub-saturation): %.1f%% (paper Fig. 19 ~91.8%%)\n",
 		rate, 100*gain)
 	return nil
 }
