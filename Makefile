@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race shuffle golden serve-e2e serve-load-smoke crash-smoke bench bench-smoke chaos-smoke agesweep-smoke replay-smoke lint fmt-check vet riflint staticcheck govulncheck
+.PHONY: all build test race shuffle golden serve-e2e serve-load-smoke crash-smoke bench bench-smoke chaos-smoke agesweep-smoke replay-smoke examples-smoke lint fmt-check vet riflint staticcheck govulncheck
 
 all: build test
 
@@ -92,6 +92,14 @@ agesweep-smoke:
 # in minutes". CI runs this on every change.
 replay-smoke:
 	REPLAY_SMOKE_REQUESTS=1000000 $(GO) test -race -count=1 -run TestReplaySmokeHeapFlat -v ./internal/replay/
+
+# examples-smoke runs the runnable examples that drive the device
+# through its host port: nvmehost (the only runnable consumer of the
+# NVMe front end) and quickstart (the closed-loop host). Each takes
+# under a second. CI runs this on every change.
+examples-smoke:
+	$(GO) run ./examples/nvmehost
+	$(GO) run ./examples/quickstart
 
 # lint is the network-free gate: formatting, go vet, and the
 # repository's own invariant suite (internal/analysis via
