@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race shuffle golden serve-e2e serve-load-smoke crash-smoke bench bench-smoke chaos-smoke agesweep-smoke replay-smoke examples-smoke lint fmt-check vet riflint staticcheck govulncheck
+.PHONY: all build test race shuffle golden serve-e2e serve-load-smoke crash-smoke bench bench-smoke chaos-smoke agesweep-smoke replay-smoke examples-smoke fuzz-smoke lint fmt-check vet riflint staticcheck govulncheck
 
 all: build test
 
@@ -100,6 +100,20 @@ replay-smoke:
 examples-smoke:
 	$(GO) run ./examples/nvmehost
 	$(GO) run ./examples/quickstart
+
+# fuzz-smoke runs every fuzz target for FUZZTIME, one per go test
+# invocation (go test fuzzes a single target at a time): the replay
+# path end to end on a tiny device, where a hostile trace must fail the
+# run and never panic the simulator, and the CSV, MSR and alist
+# parsers. A crasher lands in the package's testdata/fuzz. CI runs this
+# on every change.
+FUZZTIME ?= 10s
+
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayCSV$$' -fuzztime $(FUZZTIME) ./internal/replay/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMSR$$' -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadAlistStats$$' -fuzztime $(FUZZTIME) ./internal/ldpc/
 
 # lint is the network-free gate: formatting, go vet, and the
 # repository's own invariant suite (internal/analysis via

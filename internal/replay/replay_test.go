@@ -233,3 +233,19 @@ func TestRunRejectsNegativeMaxInFlight(t *testing.T) {
 		t.Fatalf("negative MaxInFlight: err = %v, want an in-flight error", err)
 	}
 }
+
+// TestRunRejectsOutOfRangeLPN replays a trace line whose pages run
+// past int64, as a write and as a read: the device rejects the
+// request at its port and the replay returns the error instead of
+// panicking mid-simulation.
+func TestRunRejectsOutOfRangeLPN(t *testing.T) {
+	for _, line := range []string{"0,W,9223372036854775806,4\n", "0,R,9223372036854775806,4\n"} {
+		res, err := Run(trace.NewCSVStream(strings.NewReader(line)), Options{
+			Config:  smallConfig(ssd.Zero, 0),
+			AgeDays: 5,
+		})
+		if err == nil || !strings.Contains(err.Error(), "outside the device") {
+			t.Fatalf("%q: replay = (%+v, %v), want an out-of-range error", line, res, err)
+		}
+	}
+}

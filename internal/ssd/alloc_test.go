@@ -3,6 +3,7 @@ package ssd
 import (
 	"testing"
 
+	"repro/internal/nand"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -119,6 +120,54 @@ func TestCachedWriteZeroAlloc(t *testing.T) {
 	_, one := steadyDevice(t, smallConfig(RiF, 2000), trace.Write)
 	if allocs := testing.AllocsPerRun(500, one); allocs != 0 {
 		t.Fatalf("a steady-state cached write allocates %.1f times; the write path must be allocation-free", allocs)
+	}
+}
+
+// TestGCWriteZeroAlloc extends the cached-write pin to the FTL's
+// background work. On a device small enough that every pass over the
+// cycle collects garbage and crosses the read-reclaim threshold, a
+// steady-state request still allocates nothing: victim choice,
+// relocation, the erase back onto the free list and reclaim's
+// migration included.
+func TestGCWriteZeroAlloc(t *testing.T) {
+	cfg := smallConfig(RiF, 0)
+	// 4 planes with 8 write-region blocks of 8 pages each.
+	cfg.Geometry = nand.Geometry{Channels: 2, DiesPerChan: 1, PlanesPerDie: 2,
+		BlocksPerPlane: 16, PagesPerBlock: 8, PageBytes: 16 * 1024}
+	cfg.ReadReclaimThreshold = 8
+	s, err := New(cfg, allocStubWorkload{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite 48 live pages, two at a time, and read each pair back.
+	var reqs []trace.Request
+	for lpn := int64(0); lpn < 48; lpn += 2 {
+		reqs = append(reqs, trace.Request{Op: trace.Write, LPN: lpn, Pages: 2},
+			trace.Request{Op: trace.Read, LPN: lpn, Pages: 2})
+	}
+	i := 0
+	one := func() {
+		s.Submit(reqs[i%len(reqs)], s.eng.Now(), allocStubWorkload{}, 0)
+		s.eng.Run()
+		i++
+	}
+	// Warm-up: enough passes to open every write-region block once.
+	for range 20 * len(reqs) {
+		one()
+	}
+	gcRuns, _ := s.ftl.GCStats()
+	reclaims := s.m.ReadReclaims
+	if allocs := testing.AllocsPerRun(500, one); allocs != 0 {
+		t.Fatalf("a steady-state request with GC and read-reclaim allocates %.1f times; the FTL must be allocation-free", allocs)
+	}
+	if runs, _ := s.ftl.GCStats(); runs == gcRuns {
+		t.Fatal("no garbage collection ran in the measured window; the pin does not cover GC")
+	}
+	if s.m.ReadReclaims == reclaims {
+		t.Fatal("no read-reclaim ran in the measured window; the pin does not cover reclaim")
+	}
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
 	}
 }
 

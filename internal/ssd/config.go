@@ -8,6 +8,7 @@ package ssd
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/faults"
@@ -279,6 +280,9 @@ func (c Config) Validate() error {
 	case c.ReadReclaimThreshold < 0:
 		return fmt.Errorf("ssd: read-reclaim threshold %d is negative; use 0 to disable reclaim", c.ReadReclaimThreshold)
 	}
+	if !pagesFitUint32(c.Geometry) {
+		return fmt.Errorf("ssd: geometry %+v has more pages than the FTL's uint32 page numbers hold", c.Geometry)
+	}
 	// The read path's deepest retry round pays
 	// sim.Time(MaxRetryRounds-1)*RetryBackoff of extra sense time; a
 	// ladder deep enough to overflow the int64 sim clock would wrap
@@ -290,4 +294,18 @@ func (c Config) Validate() error {
 			c.RetryBackoff, c.MaxRetryRounds)
 	}
 	return nil
+}
+
+// pagesFitUint32 reports whether a valid geometry's page count fits
+// the uint32 physical page numbers of the FTL's forward map. It checks
+// each step of the product, so no geometry can overflow it.
+func pagesFitUint32(g nand.Geometry) bool {
+	n := uint64(1)
+	for _, d := range [...]int{g.Channels, g.DiesPerChan, g.PlanesPerDie, g.BlocksPerPlane, g.PagesPerBlock} {
+		if uint64(d) > math.MaxUint32/n {
+			return false
+		}
+		n *= uint64(d)
+	}
+	return true
 }

@@ -2,7 +2,6 @@ package ssd
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/nand"
 	"repro/internal/sim"
@@ -18,9 +17,18 @@ import (
 // holds the pre-fill image (cold data present before the simulation,
 // never rewritten), the upper half is the active write region managed
 // with free-block lists and greedy garbage collection.
+//
+// Every table is a slice, made on first use: the forward map in
+// chunks, a plane's free list and block table on the plane's first
+// open, a block's record on the block's first open. A block's page
+// slots are held only while it may hold valid data and are recycled
+// through a spare pool, so memory follows the live data, not the pages
+// ever written. Once the pool is warm, a write allocates nothing, even
+// one that collects garbage or migrates a block for read-reclaim.
 type FTL struct {
 	geo       nand.Geometry
-	writeBase int // first block of the write region in every plane
+	writeBase int   // first block of the write region in every plane
+	pages     int64 // logical pages; every lpn lies in [0, pages)
 
 	// WearOf, when set, reports a block's erase count so allocation
 	// can pick the least-worn free block (dynamic wear leveling).
@@ -30,14 +38,17 @@ type FTL struct {
 	// fails writes over to the same plane offset of the next live die.
 	DieDown func(dieIdx int) bool
 
-	// Logical map for pages written during the run.
-	written map[int64]mapEntry
+	// fwd is the forward map of pages written during the run: entry
+	// lpn&fwdMask of chunk lpn>>fwdShift holds the page's physical page
+	// number plus one, 0 while the page is still cold. A chunk is made
+	// on the first write into it.
+	fwd []*[fwdChunk]uint32
 
 	planes []planeState
 
-	// retired holds grown-bad blocks pulled from circulation, keyed by
-	// plane index then block index.
-	retired map[int]map[int]bool
+	// spare holds cleared page-slot arrays of blocks that hold no
+	// valid data, for the next block that opens.
+	spare [][]pageSlot
 
 	// Counters surfaced through Metrics.
 	gcRuns         int64
@@ -45,29 +56,50 @@ type FTL struct {
 	dieFailovers   int64
 }
 
-type mapEntry struct {
-	addr      nand.Address
-	writtenAt sim.Time
-}
+// The forward map's chunk size: 4096 entries, 16 KiB.
+const (
+	fwdShift = 12
+	fwdChunk = 1 << fwdShift
+	fwdMask  = fwdChunk - 1
+)
 
 type planeState struct {
 	addr        nand.Address // channel/die/plane coordinates
+	idx         int          // dense plane index
 	cursorBlock int
 	cursorPage  int
-	freeBlocks  []int
-	blocks      map[int]*ftlBlock // sim-written blocks by block index
+	// freeBlocks and blocks are nil until the plane first opens a
+	// block. blocks is indexed by block - writeBase.
+	freeBlocks []int
+	blocks     []*ftlBlock
+	// retired flags grown-bad blocks pulled from circulation, by block
+	// index; nil until the plane's first retirement.
+	retired []bool
 }
 
+// ftlBlock is a write-region block's record, made when the block
+// first opens and reused across its erase cycles.
 type ftlBlock struct {
-	valid map[int]int64 // page-in-block -> lpn
+	slots []pageSlot // by page in block; nil while the block holds no valid data
+	valid int        // slots holding valid data
+	live  bool       // opened since its last erase: a GC candidate
 }
 
-// NewFTL builds the translation layer for a geometry.
+// pageSlot is what one physical page holds.
+type pageSlot struct {
+	lpn uint32   // lpn + 1; 0 when the page holds no valid data
+	at  sim.Time // the data's write time, kept across relocation
+}
+
+// NewFTL builds the translation layer for a geometry. Its page count
+// must fit a uint32, as Config.Validate checks.
 func NewFTL(geo nand.Geometry) *FTL {
+	pages := int64(geo.TotalPages())
 	f := &FTL{
 		geo:       geo,
 		writeBase: geo.BlocksPerPlane / 2,
-		written:   make(map[int64]mapEntry),
+		pages:     pages,
+		fwd:       make([]*[fwdChunk]uint32, (pages+fwdChunk-1)>>fwdShift),
 	}
 	nPlanes := geo.TotalDies() * geo.PlanesPerDie
 	f.planes = make([]planeState, nPlanes)
@@ -75,15 +107,24 @@ func NewFTL(geo nand.Geometry) *FTL {
 		ch, die, pl := f.planeCoords(i)
 		p := &f.planes[i]
 		p.addr = nand.Address{Channel: ch, Die: die, Plane: pl}
-		p.blocks = make(map[int]*ftlBlock)
+		p.idx = i
 		p.cursorBlock = -1
-		// Free blocks: the whole write region, allocated low-first.
-		p.freeBlocks = make([]int, 0, geo.BlocksPerPlane-f.writeBase)
-		for b := geo.BlocksPerPlane - 1; b >= f.writeBase; b-- {
-			p.freeBlocks = append(p.freeBlocks, b)
-		}
 	}
 	return f
+}
+
+// touch makes a plane's free list and block table on its first use.
+// Free blocks: the whole write region, allocated low-first.
+func (f *FTL) touch(p *planeState) {
+	if p.blocks != nil {
+		return
+	}
+	n := f.geo.BlocksPerPlane - f.writeBase
+	p.blocks = make([]*ftlBlock, n)
+	p.freeBlocks = make([]int, 0, n)
+	for b := f.geo.BlocksPerPlane - 1; b >= f.writeBase; b-- {
+		p.freeBlocks = append(p.freeBlocks, b)
+	}
 }
 
 // planeIndexOfAddr maps physical coordinates back to the plane index.
@@ -131,18 +172,49 @@ func (f *FTL) prefillAddress(lpn int64) nand.Address {
 	}
 }
 
+// mapped returns lpn's forward-map entry: its physical page number
+// plus one, or 0 when the page was not written during the run.
+func (f *FTL) mapped(lpn int64) uint32 {
+	c := uint64(lpn) >> fwdShift
+	if c >= uint64(len(f.fwd)) || f.fwd[c] == nil {
+		return 0
+	}
+	return f.fwd[c][lpn&fwdMask]
+}
+
+// ppn numbers a physical page densely, in nand.Geometry.PPN order.
+func (f *FTL) ppn(pIdx, block, page int) uint32 {
+	return uint32((pIdx*f.geo.BlocksPerPlane+block)*f.geo.PagesPerBlock + page)
+}
+
+// slotOf resolves a physical page number to its plane and the
+// write-region slot that holds it.
+func (f *FTL) slotOf(ppn uint32) (p *planeState, block, page int, s *pageSlot) {
+	ppb := uint32(f.geo.PagesPerBlock)
+	bid := ppn / ppb
+	page = int(ppn % ppb)
+	p = &f.planes[bid/uint32(f.geo.BlocksPerPlane)]
+	block = int(bid % uint32(f.geo.BlocksPerPlane))
+	return p, block, page, &p.blocks[block-f.writeBase].slots[page]
+}
+
 // Lookup resolves a logical page. For pages written during the run it
 // reports the mapped address and the write timestamp; for cold pages
 // it reports the pre-fill address with written == false.
 func (f *FTL) Lookup(lpn int64) (addr nand.Address, writtenAt sim.Time, written bool) {
-	if e, ok := f.written[lpn]; ok {
-		return e.addr, e.writtenAt, true
+	if v := f.mapped(lpn); v != 0 {
+		p, block, page, s := f.slotOf(v - 1)
+		addr = p.addr
+		addr.Block = block
+		addr.Page = page
+		return addr, s.at, true
 	}
 	return f.prefillAddress(lpn), 0, false
 }
 
 // GCWork describes the relocation the caller must charge to the die
-// before the write that triggered it proceeds.
+// before the write that triggered it proceeds. The zero value (no
+// erase) means no work was done.
 type GCWork struct {
 	Plane          nand.Address // channel/die/plane of the collected plane
 	VictimBlock    int          // block index erased within the plane
@@ -153,12 +225,15 @@ type GCWork struct {
 // Write maps lpn to a fresh physical page, invalidating any previous
 // mapping. It returns the new address and any garbage-collection work
 // performed to free space. gcLow is the free-block low-water mark.
-func (f *FTL) Write(lpn int64, now sim.Time, gcLow int) (nand.Address, *GCWork, error) {
+func (f *FTL) Write(lpn int64, now sim.Time, gcLow int) (nand.Address, GCWork, error) {
+	if uint64(lpn) >= uint64(f.pages) {
+		return nand.Address{}, GCWork{}, fmt.Errorf("ssd: lpn %d outside the device's %d pages", lpn, f.pages)
+	}
 	pIdx := f.planeIndex(lpn)
 	if f.DieDown != nil {
 		live, ok := f.failover(pIdx)
 		if !ok {
-			return nand.Address{}, nil, fmt.Errorf("ssd: every die down, cannot place lpn %d", lpn)
+			return nand.Address{}, GCWork{}, fmt.Errorf("ssd: every die down, cannot place lpn %d", lpn)
 		}
 		if live != pIdx {
 			f.dieFailovers++
@@ -167,54 +242,91 @@ func (f *FTL) Write(lpn int64, now sim.Time, gcLow int) (nand.Address, *GCWork, 
 	}
 	p := &f.planes[pIdx]
 
-	var gc *GCWork
+	var gc GCWork
 	if p.cursorBlock < 0 || p.cursorPage >= f.geo.PagesPerBlock {
+		f.touch(p)
 		if len(p.freeBlocks) <= gcLow {
 			work, err := f.collect(p)
 			if err != nil {
-				return nand.Address{}, nil, err
+				return nand.Address{}, GCWork{}, err
 			}
 			gc = work
 		}
 		if len(p.freeBlocks) == 0 {
-			return nand.Address{}, nil, fmt.Errorf("ssd: plane %v out of free blocks", p.addr)
+			return nand.Address{}, GCWork{}, fmt.Errorf("ssd: plane %v out of free blocks", p.addr)
 		}
-		p.cursorBlock = f.popFreeBlock(p)
-		p.cursorPage = 0
-		p.blocks[p.cursorBlock] = &ftlBlock{valid: make(map[int]int64)}
+		f.open(p)
 	}
+	f.invalidate(lpn)
+	return f.place(p, lpn, now), gc, nil
+}
 
+// open makes a free block the plane's cursor block.
+func (f *FTL) open(p *planeState) {
+	if p.cursorBlock >= 0 {
+		// The closing block keeps its slots only if it holds valid data.
+		if b := p.blocks[p.cursorBlock-f.writeBase]; b.valid == 0 {
+			f.release(b)
+		}
+	}
+	block := f.popFreeBlock(p)
+	p.cursorBlock = block
+	p.cursorPage = 0
+	b := p.blocks[block-f.writeBase]
+	if b == nil {
+		b = &ftlBlock{}
+		p.blocks[block-f.writeBase] = b
+	}
+	if n := len(f.spare); n > 0 {
+		b.slots = f.spare[n-1]
+		f.spare = f.spare[:n-1]
+	} else {
+		b.slots = make([]pageSlot, f.geo.PagesPerBlock)
+	}
+	b.live = true
+}
+
+// release clears a block's page slots into the spare pool: the block
+// holds no valid data.
+func (f *FTL) release(b *ftlBlock) {
+	clear(b.slots)
+	f.spare = append(f.spare, b.slots)
+	b.slots = nil
+}
+
+// place programs lpn's data, written at time at, into the plane's
+// cursor page and points the forward map at it.
+func (f *FTL) place(p *planeState, lpn int64, at sim.Time) nand.Address {
 	addr := p.addr
 	addr.Block = p.cursorBlock
 	addr.Page = p.cursorPage
 	p.cursorPage++
-
-	f.invalidate(lpn)
-	p.blocks[p.cursorBlock].valid[addr.Page] = lpn
-	f.written[lpn] = mapEntry{addr: addr, writtenAt: now}
-	return addr, gc, nil
+	b := p.blocks[addr.Block-f.writeBase]
+	b.slots[addr.Page] = pageSlot{lpn: uint32(lpn) + 1, at: at}
+	b.valid++
+	c := f.fwd[lpn>>fwdShift]
+	if c == nil {
+		c = new([fwdChunk]uint32)
+		f.fwd[lpn>>fwdShift] = c
+	}
+	c[lpn&fwdMask] = f.ppn(p.idx, addr.Block, addr.Page) + 1
+	return addr
 }
 
 // invalidate drops lpn's old physical page, if any. The old mapping's
-// own coordinates locate the plane: with die failover the page may
-// not live on the plane the striping would predict.
+// own physical page number locates the plane: with die failover the
+// page may not live on the plane the striping would predict.
 func (f *FTL) invalidate(lpn int64) {
-	e, ok := f.written[lpn]
-	if !ok {
+	v := f.mapped(lpn)
+	if v == 0 {
 		return
 	}
-	p := &f.planes[f.planeIndexOfAddr(e.addr)]
-	if b, ok := p.blocks[e.addr.Block]; ok {
-		delete(b.valid, e.addr.Page)
-		if len(b.valid) == 0 && e.addr.Block != p.cursorBlock {
-			// A closed block just lost its last valid page. Its map's
-			// bucket arrays never shrink, and over a long replay every
-			// write block eventually churns through a fully-grown map —
-			// release it (GC still sees the block as a free victim:
-			// len(nil) == 0; only Write appends to valid, and only for
-			// the open cursor block).
-			b.valid = nil
-		}
+	p, block, _, s := f.slotOf(v - 1)
+	s.lpn = 0
+	b := p.blocks[block-f.writeBase]
+	b.valid--
+	if b.valid == 0 && block != p.cursorBlock {
+		f.release(b)
 	}
 }
 
@@ -239,15 +351,12 @@ func (f *FTL) failover(pIdx int) (int, bool) {
 // removed from its plane's free list (if free) and will never be
 // returned to it by garbage collection.
 func (f *FTL) RetireBlock(a nand.Address) {
-	pIdx := f.planeIndexOfAddr(a)
-	if f.retired == nil {
-		f.retired = make(map[int]map[int]bool)
+	p := &f.planes[f.planeIndexOfAddr(a)]
+	if p.retired == nil {
+		p.retired = make([]bool, f.geo.BlocksPerPlane)
 	}
-	if f.retired[pIdx] == nil {
-		f.retired[pIdx] = make(map[int]bool)
-	}
-	f.retired[pIdx][a.Block] = true
-	p := &f.planes[pIdx]
+	p.retired[a.Block] = true
+	f.touch(p)
 	for i, b := range p.freeBlocks {
 		if b == a.Block {
 			p.freeBlocks = append(p.freeBlocks[:i], p.freeBlocks[i+1:]...)
@@ -257,110 +366,112 @@ func (f *FTL) RetireBlock(a nand.Address) {
 }
 
 // isRetired reports whether a plane's block has been retired.
-func (f *FTL) isRetired(pIdx, block int) bool {
-	return f.retired[pIdx][block]
+func (p *planeState) isRetired(block int) bool {
+	return p.retired != nil && p.retired[block]
 }
 
 // blockRetired reports whether the block at a has been retired.
 func (f *FTL) blockRetired(a nand.Address) bool {
-	return f.isRetired(f.planeIndexOfAddr(a), a.Block)
+	return f.planes[f.planeIndexOfAddr(a)].isRetired(a.Block)
 }
 
 // Failovers reports how many writes were re-homed off dead dies.
 func (f *FTL) Failovers() int64 { return f.dieFailovers }
 
 // collect performs greedy garbage collection on a plane: the closed
-// block with the fewest valid pages — the lowest-indexed one on a tie,
-// so the choice does not depend on map iteration order — is relocated
-// (copyback, so no channel traffic) and erased.
-func (f *FTL) collect(p *planeState) (*GCWork, error) {
+// block with the fewest valid pages — the lowest-indexed one on a tie
+// — is relocated (copyback, so no channel traffic) and erased.
+func (f *FTL) collect(p *planeState) (GCWork, error) {
 	victim := -1
 	best := f.geo.PagesPerBlock + 1
-	for b, st := range p.blocks {
-		if b == p.cursorBlock {
+	for i, b := range p.blocks {
+		if b == nil || !b.live || i+f.writeBase == p.cursorBlock {
 			continue
 		}
-		if n := len(st.valid); n < best || n == best && b < victim {
-			best = n
-			victim = b
+		if b.valid < best {
+			best = b.valid
+			victim = i + f.writeBase
 		}
 	}
 	if victim < 0 {
-		return nil, fmt.Errorf("ssd: plane %v has no GC victim", p.addr)
+		return GCWork{}, fmt.Errorf("ssd: plane %v has no GC victim", p.addr)
 	}
-	st := p.blocks[victim]
-	work := &GCWork{Plane: p.addr, VictimBlock: victim, PagesRelocated: len(st.valid), Erases: 1}
-
-	if _, err := f.relocateValid(p, st); err != nil {
-		return nil, err
+	moved, err := f.relocateValid(p, victim)
+	if err != nil {
+		return GCWork{}, err
 	}
-	delete(p.blocks, victim)
-	if !f.isRetired(f.planeIndexOfAddr(p.addr), victim) {
-		p.freeBlocks = append([]int{victim}, p.freeBlocks...)
-	}
+	f.erase(p, victim)
 	f.gcRuns++
-	f.pagesRelocated += int64(work.PagesRelocated)
-	return work, nil
+	f.pagesRelocated += int64(moved)
+	return GCWork{Plane: p.addr, VictimBlock: victim, PagesRelocated: moved, Erases: 1}, nil
 }
 
 // relocateValid moves a block's valid pages into the cursor chain, in
-// page order: map iteration order is randomized per run, and the order
-// pages land on the cursor chain decides the post-GC physical layout
-// (and thus every later read's timing). Write timestamps are
-// preserved — relocation does not refresh retention age.
-func (f *FTL) relocateValid(p *planeState, st *ftlBlock) (int, error) {
-	pages := make([]int, 0, len(st.valid))
-	for page := range st.valid {
-		pages = append(pages, page)
-	}
-	sort.Ints(pages)
-	for _, page := range pages {
-		lpn := st.valid[page]
+// page order: the order pages land on the cursor chain decides the
+// post-GC physical layout (and thus every later read's timing). Write
+// timestamps are preserved — relocation does not refresh retention
+// age.
+func (f *FTL) relocateValid(p *planeState, block int) (int, error) {
+	moved := 0
+	for _, s := range p.blocks[block-f.writeBase].slots {
+		if s.lpn == 0 {
+			continue
+		}
 		if p.cursorBlock < 0 || p.cursorPage >= f.geo.PagesPerBlock {
 			if len(p.freeBlocks) == 0 {
 				return 0, fmt.Errorf("ssd: plane %v wedged during relocation", p.addr)
 			}
-			p.cursorBlock = f.popFreeBlock(p)
-			p.cursorPage = 0
-			p.blocks[p.cursorBlock] = &ftlBlock{valid: make(map[int]int64)}
+			f.open(p)
 		}
-		addr := p.addr
-		addr.Block = p.cursorBlock
-		addr.Page = p.cursorPage
-		p.cursorPage++
-		p.blocks[p.cursorBlock].valid[addr.Page] = lpn
-		old := f.written[lpn]
-		f.written[lpn] = mapEntry{addr: addr, writtenAt: old.writtenAt}
+		f.place(p, int64(s.lpn-1), s.at)
+		moved++
 	}
-	return len(pages), nil
+	return moved, nil
+}
+
+// erase wipes a relocated block's record and returns the block to the
+// front of the free list, unless it has been retired.
+func (f *FTL) erase(p *planeState, block int) {
+	b := p.blocks[block-f.writeBase]
+	if b.slots != nil {
+		f.release(b)
+	}
+	b.valid = 0
+	b.live = false
+	if p.isRetired(block) {
+		return
+	}
+	p.freeBlocks = append(p.freeBlocks, 0)
+	copy(p.freeBlocks[1:], p.freeBlocks)
+	p.freeBlocks[0] = block
 }
 
 // ReclaimBlock migrates a specific write-region block's valid pages
 // and erases it: the read-reclaim path. Unlike collect it does not
 // pick a victim — the caller's disturb counter did — and it does not
-// count into the GC statistics. It returns nil work (no error) when
+// count into the GC statistics. It returns zero work (no error) when
 // the block is not reclaimable right now: never written, already
 // retired, or no free block to migrate into; the caller's counter
 // reset re-arms the threshold.
-func (f *FTL) ReclaimBlock(a nand.Address) (*GCWork, error) {
-	pIdx := f.planeIndexOfAddr(a)
-	p := &f.planes[pIdx]
-	st, ok := p.blocks[a.Block]
-	if !ok || f.isRetired(pIdx, a.Block) || len(p.freeBlocks) == 0 {
-		return nil, nil
+func (f *FTL) ReclaimBlock(a nand.Address) (GCWork, error) {
+	p := &f.planes[f.planeIndexOfAddr(a)]
+	if a.Block < f.writeBase || p.blocks == nil || p.isRetired(a.Block) || len(p.freeBlocks) == 0 {
+		return GCWork{}, nil
+	}
+	if b := p.blocks[a.Block-f.writeBase]; b == nil || !b.live {
+		return GCWork{}, nil
 	}
 	if a.Block == p.cursorBlock {
 		// Reclaiming the open block: close the cursor first so its
 		// pages do not relocate onto themselves.
 		p.cursorBlock = -1
 	}
-	moved, err := f.relocateValid(p, st)
+	moved, err := f.relocateValid(p, a.Block)
 	if err != nil {
-		return nil, err
+		return GCWork{}, err
 	}
-	delete(p.blocks, a.Block)
-	p.freeBlocks = append([]int{a.Block}, p.freeBlocks...)
-	return &GCWork{Plane: p.addr, VictimBlock: a.Block, PagesRelocated: moved, Erases: 1}, nil
+	f.erase(p, a.Block)
+	return GCWork{Plane: p.addr, VictimBlock: a.Block, PagesRelocated: moved, Erases: 1}, nil
 }
 
 // WriteBase reports the first block index of the write region: blocks
@@ -387,7 +498,13 @@ func (f *FTL) popFreeBlock(p *planeState) int {
 }
 
 // FreeBlocks reports a plane's free-block count (for tests).
-func (f *FTL) FreeBlocks(planeIdx int) int { return len(f.planes[planeIdx].freeBlocks) }
+func (f *FTL) FreeBlocks(planeIdx int) int {
+	p := &f.planes[planeIdx]
+	if p.blocks == nil {
+		return f.geo.BlocksPerPlane - f.writeBase
+	}
+	return len(p.freeBlocks)
+}
 
 // PlaneCount reports the number of planes.
 func (f *FTL) PlaneCount() int { return len(f.planes) }

@@ -1,10 +1,14 @@
 package ssd
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/nand"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -76,7 +80,7 @@ func TestFTLWriteRemaps(t *testing.T) {
 	f := NewFTL(tinyGeo())
 	pre, _, _ := f.Lookup(5)
 	addr, gc, err := f.Write(5, 1000, 0)
-	if err != nil || gc != nil {
+	if err != nil || gc.Erases > 0 {
 		t.Fatalf("write: %v gc=%v", err, gc)
 	}
 	if addr.Block < 4 {
@@ -111,7 +115,7 @@ func TestFTLGarbageCollection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
-		if gc != nil {
+		if gc.Erases > 0 {
 			sawGC = true
 			if gc.Erases != 1 {
 				t.Fatalf("gc erases = %d", gc.Erases)
@@ -175,7 +179,7 @@ func TestFTLWearAwareAllocation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gc != nil {
+		if gc.Erases > 0 {
 			key := [2]int{geo.BlockID(nand.Address{Channel: gc.Plane.Channel, Die: gc.Plane.Die, Plane: gc.Plane.Plane}), gc.VictimBlock}
 			wear[key]++
 		}
@@ -260,4 +264,152 @@ func TestGCVictimDeterministic(t *testing.T) {
 		}
 		t.Fatal("same-seed reruns left different per-block state")
 	}
+}
+
+// TestFTLMappingProperties drives the FTL through random sequences of
+// host writes, read-reclaims, block retirements and die failures, and
+// checks after every step that
+//   - no two written lpns resolve to the same physical page, and each
+//     page's slot names the lpn that maps to it;
+//   - Lookup reports every written lpn's last host write time, across
+//     GC relocation and reclaim migration;
+//   - every plane's write region is accounted for: free blocks, blocks
+//     in use (open or closed) and idle retired blocks sum to it;
+//   - only the open block and blocks holding valid data keep page
+//     slots, so memory follows the live data.
+//
+// A sequence stops at the first write the FTL cannot place: a device
+// fails its run there.
+func TestFTLMappingProperties(t *testing.T) {
+	geo := tinyGeo()
+	const lpns = 32 // two live pages per plane
+	prop := func(ops []uint32) bool {
+		f := NewFTL(geo)
+		dead := make([]bool, geo.TotalDies())
+		f.DieDown = func(d int) bool { return dead[d] }
+		want := map[int64]sim.Time{}
+		for i, op := range ops {
+			arg := int(op >> 5)
+			switch k := op % 32; {
+			case k < 26:
+				lpn, now := int64(arg%lpns), sim.Time(i+1)
+				if _, _, err := f.Write(lpn, now, 1); err != nil {
+					return true
+				}
+				want[lpn] = now
+			case k < 29:
+				a, _, _ := f.Lookup(int64(arg % lpns))
+				if _, err := f.ReclaimBlock(a); err != nil {
+					return true
+				}
+			case k == 29:
+				a := f.planes[arg%len(f.planes)].addr
+				a.Block = (arg / len(f.planes)) % geo.BlocksPerPlane
+				f.RetireBlock(a)
+			default:
+				d := arg % len(dead)
+				live := 0
+				for _, down := range dead {
+					if !down {
+						live++
+					}
+				}
+				if !dead[d] && live == 1 {
+					continue // keep one die up
+				}
+				dead[d] = !dead[d]
+			}
+			if msg := checkFTL(f, want, lpns); msg != "" {
+				t.Logf("after op %d of %d (%d): %s", i, len(ops), op, msg)
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{
+		MaxCount: 200,
+		Rand:     rand.New(rand.NewSource(1)),
+		Values: func(v []reflect.Value, r *rand.Rand) {
+			ops := make([]uint32, 200+r.Intn(400))
+			for i := range ops {
+				ops[i] = r.Uint32()
+			}
+			v[0] = reflect.ValueOf(ops)
+		},
+	}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkFTL checks the mapping properties of TestFTLMappingProperties
+// against want, the last host write time of every written lpn below
+// lpns, and describes the first violation ("" if none).
+func checkFTL(f *FTL, want map[int64]sim.Time, lpns int64) string {
+	seen := map[nand.Address]int64{}
+	for lpn := int64(0); lpn < lpns; lpn++ {
+		a, at, written := f.Lookup(lpn)
+		wantAt, ok := want[lpn]
+		switch {
+		case written != ok:
+			return fmt.Sprintf("lpn %d written = %v, want %v", lpn, written, ok)
+		case !ok:
+			continue
+		case at != wantAt:
+			return fmt.Sprintf("lpn %d write time %v, want %v", lpn, at, wantAt)
+		case a.Block < f.writeBase:
+			return fmt.Sprintf("lpn %d maps into the pre-fill region: %+v", lpn, a)
+		}
+		if other, dup := seen[a]; dup {
+			return fmt.Sprintf("lpns %d and %d share page %+v", other, lpn, a)
+		}
+		seen[a] = lpn
+		p := &f.planes[f.planeIndexOfAddr(a)]
+		if got := p.blocks[a.Block-f.writeBase].slots[a.Page].lpn; got != uint32(lpn)+1 {
+			return fmt.Sprintf("page %+v of lpn %d holds slot %d", a, lpn, got)
+		}
+	}
+	valid := 0
+	for i := range f.planes {
+		p := &f.planes[i]
+		region := f.geo.BlocksPerPlane - f.writeBase
+		if p.blocks == nil {
+			if n := f.FreeBlocks(i); n != region {
+				return fmt.Sprintf("untouched plane %d reports %d of %d blocks free", i, n, region)
+			}
+			continue
+		}
+		free := map[int]bool{}
+		for _, b := range p.freeBlocks {
+			if free[b] {
+				return fmt.Sprintf("plane %d lists block %d free twice", i, b)
+			}
+			free[b] = true
+		}
+		inUse, idleRetired := 0, 0
+		for j, b := range p.blocks {
+			block := j + f.writeBase
+			if b != nil && (b.slots != nil) != (b.valid > 0 || block == p.cursorBlock) {
+				return fmt.Sprintf("plane %d block %d with %d valid pages holds slots: %v", i, block, b.valid, b.slots != nil)
+			}
+			switch {
+			case b != nil && b.live:
+				inUse++
+				valid += b.valid
+			case p.isRetired(block):
+				idleRetired++
+			}
+			if (b != nil && b.live || p.isRetired(block)) && free[block] {
+				return fmt.Sprintf("plane %d block %d is free and in use or retired", i, block)
+			}
+		}
+		if f.FreeBlocks(i)+inUse+idleRetired != region {
+			return fmt.Sprintf("plane %d: %d free + %d in use + %d retired of %d blocks",
+				i, f.FreeBlocks(i), inUse, idleRetired, region)
+		}
+	}
+	if valid != len(want) {
+		return fmt.Sprintf("%d valid pages for %d written lpns", valid, len(want))
+	}
+	return ""
 }

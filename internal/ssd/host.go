@@ -36,8 +36,15 @@ func (s *SSD) OnComplete(h func(Completion)) { s.onComplete = h }
 
 // Submit puts one host request in flight, its latency counted from
 // arrival. src answers the retention age of the cold data it reads,
-// and tag comes back in its Completion.
+// and tag comes back in its Completion. A request whose pages do not
+// all lie on the device is rejected before it reaches the FTL: it never
+// completes, and Drain returns the error.
 func (s *SSD) Submit(req trace.Request, arrival sim.Time, src Workload, tag int) {
+	if req.LPN < 0 || req.Pages < 0 || req.LPN > s.ftl.pages-int64(req.Pages) {
+		s.failRun(fmt.Errorf("ssd: request for %d pages at lpn %d lies outside the device's %d pages",
+			req.Pages, req.LPN, s.ftl.pages))
+		return
+	}
 	s.inFlight++
 	if s.inFlight > s.m.PeakInFlight {
 		s.m.PeakInFlight = s.inFlight

@@ -1,10 +1,13 @@
 package ssd
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/nvme"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 func TestRunQueuesBasic(t *testing.T) {
@@ -194,5 +197,50 @@ func TestPeakInFlightCountsEveryHost(t *testing.T) {
 	}
 	if m.PeakInFlight <= 1 || m.PeakInFlight > reads {
 		t.Fatalf("NVMe peak in flight %d, want in (1, %d]", m.PeakInFlight, reads)
+	}
+}
+
+// TestSubmitRejectsOutOfRangeLPN pins the port's range check: a request
+// whose pages [LPN, LPN+Pages) are negative, overflow int64 or reach
+// past the device fails the run through Drain instead of panicking in
+// the FTL, and never reaches the forward map. Requests that end on the
+// device's last page still run.
+func TestSubmitRejectsOutOfRangeLPN(t *testing.T) {
+	cfg := smallConfig(RiF, 0)
+	total := int64(cfg.Geometry.TotalPages())
+	submit := func(req trace.Request) (*SSD, *Metrics, error) {
+		s, err := New(cfg, allocStubWorkload{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Submit(req, 0, allocStubWorkload{}, 0)
+		m, err := s.Drain()
+		return s, m, err
+	}
+	for _, req := range []trace.Request{
+		{Op: trace.Write, LPN: math.MaxInt64 - 1, Pages: 4},
+		{Op: trace.Read, LPN: math.MaxInt64 - 1, Pages: 4},
+		{Op: trace.Read, LPN: -1, Pages: 1},
+		{Op: trace.Write, LPN: 0, Pages: -1},
+		{Op: trace.Write, LPN: total - 1, Pages: 2},
+		{Op: trace.Read, LPN: total, Pages: 1},
+	} {
+		s, _, err := submit(req)
+		if err == nil || !strings.Contains(err.Error(), "outside the device") {
+			t.Fatalf("%+v: Drain err = %v, want an out-of-range error", req, err)
+		}
+		for _, c := range s.ftl.fwd {
+			if c != nil {
+				t.Fatalf("%+v reached the FTL", req)
+			}
+		}
+	}
+	for _, req := range []trace.Request{
+		{Op: trace.Write, LPN: total - 1, Pages: 1},
+		{Op: trace.Read, LPN: total - 4, Pages: 4},
+	} {
+		if _, m, err := submit(req); err != nil || m.RequestsCompleted != 1 {
+			t.Fatalf("%+v on the last pages: err = %v", req, err)
+		}
 	}
 }

@@ -134,14 +134,14 @@ func TestGCEraseClearsDisturbCounter(t *testing.T) {
 func TestFTLReclaimBlockMigratesAndFrees(t *testing.T) {
 	f := NewFTL(tinyGeo())
 	addr, gc, err := f.Write(5, 1000, 0)
-	if err != nil || gc != nil {
+	if err != nil || gc.Erases > 0 {
 		t.Fatalf("write: %v gc=%v", err, gc)
 	}
 	work, err := f.ReclaimBlock(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if work == nil || work.Erases != 1 || work.PagesRelocated != 1 {
+	if work.Erases != 1 || work.PagesRelocated != 1 {
 		t.Fatalf("reclaim work = %+v, want 1 page moved, 1 erase", work)
 	}
 	got, at, written := f.Lookup(5)
@@ -165,8 +165,8 @@ func TestFTLReclaimBlockMigratesAndFrees(t *testing.T) {
 		}
 	}
 	work, err = f.ReclaimBlock(idle)
-	if err != nil || work != nil {
-		t.Fatalf("unwritten block reclaim = (%+v, %v), want (nil, nil)", work, err)
+	if err != nil || work.Erases > 0 {
+		t.Fatalf("unwritten block reclaim = (%+v, %v), want no work and no error", work, err)
 	}
 }
 

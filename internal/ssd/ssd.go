@@ -376,11 +376,11 @@ func (s *SSD) reclaimBlock(bid int) {
 	if s.inj.DieDown(dieIdx) {
 		return
 	}
-	var work *GCWork
+	var work GCWork
 	if addr.Block < s.ftl.WriteBase() {
 		// Pre-fill block: rewrite in place, restarting its retention
 		// clock from now.
-		work = &GCWork{PagesRelocated: s.cfg.Geometry.PagesPerBlock, Erases: 1}
+		work = GCWork{PagesRelocated: s.cfg.Geometry.PagesPerBlock, Erases: 1}
 		b.refreshedAt = s.eng.Now()
 	} else {
 		w, err := s.ftl.ReclaimBlock(addr)
@@ -388,7 +388,7 @@ func (s *SSD) reclaimBlock(bid int) {
 			s.failRun(err)
 			return
 		}
-		if w == nil {
+		if w.Erases == 0 {
 			return
 		}
 		work = w

@@ -27,7 +27,7 @@ func (s *SSD) writeCommand(c *dieCmd) {
 			c.complete(cmdResult{writeErr: true})
 			return
 		}
-		if work != nil {
+		if work.Erases > 0 {
 			gcTime += s.gcTime(work)
 			victim := work.Plane
 			victim.Block = work.VictimBlock
@@ -89,7 +89,7 @@ func (c *dieCmd) buffered() {
 // gcTime charges a garbage collection: valid pages move by in-die
 // copyback (read + program per plane-parallel batch, no channel
 // traffic) and the victim block is erased.
-func (s *SSD) gcTime(work *GCWork) sim.Time {
+func (s *SSD) gcTime(work GCWork) sim.Time {
 	batches := (work.PagesRelocated + s.cfg.Geometry.PlanesPerDie - 1) / s.cfg.Geometry.PlanesPerDie
 	t := sim.Time(batches) * (s.cfg.Timing.TR + s.cfg.Timing.TProg)
 	t += sim.Time(work.Erases) * s.cfg.Timing.TErase
