@@ -104,9 +104,9 @@ examples-smoke:
 # fuzz-smoke runs every fuzz target for FUZZTIME, one per go test
 # invocation (go test fuzzes a single target at a time): the replay
 # path end to end on a tiny device, where a hostile trace must fail the
-# run and never panic the simulator, and the CSV, MSR and alist
-# parsers. A crasher lands in the package's testdata/fuzz. CI runs this
-# on every change.
+# run and never panic the simulator, the CSV, MSR and alist parsers,
+# and the result store's entry decoder. A crasher lands in the
+# package's testdata/fuzz. CI runs this on every change.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -114,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMSR$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAlistStats$$' -fuzztime $(FUZZTIME) ./internal/ldpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/resultcache/
 
 # lint is the network-free gate: formatting, go vet, and the
 # repository's own invariant suite (internal/analysis via

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 
@@ -117,5 +118,22 @@ func TestChaosStudyHonorsStop(t *testing.T) {
 	}
 	if err := json.Unmarshal(blob, &decoded); err != nil || !decoded.Partial {
 		t.Fatalf("partial flag not serialized: %s", blob)
+	}
+}
+
+// BenchmarkChaosGrid times a result-cache miss in rifserve: the twelve
+// cell chaos grid at 40 requests per cell, collected as manifests, on
+// one worker. Device build is a large share of each cell at this
+// sizing, so this is where its cost shows.
+func BenchmarkChaosGrid(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := DefaultRunParams()
+		p.Requests = 40
+		p.Workers = 1
+		p.Collect = obs.NewCollection()
+		if err := RunExperiment(io.Discard, "chaos", p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -158,8 +158,9 @@ func (m *Model) BlockVariation(blockID int) float64 {
 	return math.Exp(m.p.BlockVarSigma * hashNormal(m.seed^uint64(blockID)*0x9e3779b9))
 }
 
-// condition captures the derived distribution state for one read.
-type condition struct {
+// PageCondition captures the derived distribution state for one read:
+// everything a page's RBER under any VREF mode is evaluated from.
+type PageCondition struct {
 	shiftUnit   float64 // retention downshift of the top state (state 7)
 	disturbUnit float64 // read-disturb upshift of the erase state (state 0)
 	sigma       float64 // common per-state std-dev after widening/wear
@@ -176,19 +177,23 @@ type condition struct {
 // voltage recenters on the shifted means but cannot undo the widening
 // or the shrunken state gaps, so disturb degrades every VREF mode by a
 // different amount.
-func (m *Model) conditionAt(blockID, pe int, retentionDays float64, reads int64) condition {
-	return m.conditionWith(m.BlockVariation(blockID), pe, retentionDays, reads)
+func (m *Model) conditionAt(blockID, pe int, retentionDays float64, reads int64) PageCondition {
+	return m.Condition(m.BlockVariation(blockID), pe, retentionDays, reads)
 }
 
-// conditionWith is conditionAt for a block whose BlockVariation the
-// caller already holds.
-func (m *Model) conditionWith(variation float64, pe int, retentionDays float64, reads int64) condition {
+// Condition is conditionAt for a block whose BlockVariation the
+// caller already holds. A caller that may need a page's RBER under
+// more than one VREF mode keeps the condition and evaluates each mode
+// with ConditionRBER only when it needs it.
+//
+//riflint:hotpath
+func (m *Model) Condition(variation float64, pe int, retentionDays float64, reads int64) PageCondition {
 	if retentionDays < 0 {
 		retentionDays = 0
 	}
 	wear := 1 + m.p.PEShiftBoost*float64(pe)/1000
 	l := math.Log1p(retentionDays) * wear * variation
-	c := condition{
+	c := PageCondition{
 		shiftUnit: m.p.RetentionShift * l,
 		sigma:     m.p.SigmaFresh * (1 + m.p.RetentionWiden*l + m.p.PEWiden*float64(pe)/1000),
 	}
@@ -208,7 +213,7 @@ func (m *Model) conditionWith(variation float64, pe int, retentionDays float64, 
 // stress weakly programs cells, raising the erase state by the full
 // disturb unit and tapering to nothing at the top state — the state
 // gaps shrink from both ends.
-func (m *Model) stateMean(i int, c condition) float64 {
+func (m *Model) stateMean(i int, c PageCondition) float64 {
 	return float64(i)*m.p.StateGap - c.shiftUnit*(0.5+0.5*float64(i)/7) + c.disturbUnit*(1-float64(i)/7)
 }
 
@@ -220,12 +225,12 @@ func (m *Model) defaultVref(j int) float64 {
 
 // optimalVref is the equal-density crossing of the two adjacent
 // (shifted) distributions — what Swift-Read estimates.
-func (m *Model) optimalVref(j int, c condition) float64 {
+func (m *Model) optimalVref(j int, c PageCondition) float64 {
 	return (m.stateMean(j-1, c) + m.stateMean(j, c)) / 2
 }
 
 // trackedVref lags the optimum by TrackedResidual of the drift.
-func (m *Model) trackedVref(j int, c condition) float64 {
+func (m *Model) trackedVref(j int, c PageCondition) float64 {
 	opt := m.optimalVref(j, c)
 	def := m.defaultVref(j)
 	return opt + m.p.TrackedResidual*(def-opt)
@@ -233,7 +238,7 @@ func (m *Model) trackedVref(j int, c condition) float64 {
 
 // vrefAt reports the read voltage for threshold j in the given mode
 // under the condition.
-func (m *Model) vrefAt(j int, mode VrefMode, c condition) float64 {
+func (m *Model) vrefAt(j int, mode VrefMode, c PageCondition) float64 {
 	switch mode {
 	case OptimalVref:
 		return m.optimalVref(j, c)
@@ -249,7 +254,7 @@ func (m *Model) vrefAt(j int, mode VrefMode, c condition) float64 {
 // voltage v. A cell is in a specific state with probability 1/8
 // (randomized data); misreads across threshold j come from the two
 // adjacent states.
-func (m *Model) misread(j int, c condition, v float64) float64 {
+func (m *Model) misread(j int, c PageCondition, v float64) float64 {
 	lo := m.stateMean(j-1, c)
 	hi := m.stateMean(j, c)
 	return (qFunc((v-lo)/c.sigma) + qFunc((hi-v)/c.sigma)) / 8
@@ -266,7 +271,7 @@ func capRBER(rber float64) float64 {
 // rberAcross sums the misread probability across the page type's
 // thresholds, sensing threshold j at voltage vref(j): the retry-table
 // walk and the Swift-Read re-read place their own voltages.
-func (m *Model) rberAcross(pt PageType, c condition, vref func(j int) float64) float64 {
+func (m *Model) rberAcross(pt PageType, c PageCondition, vref func(j int) float64) float64 {
 	rber := 0.0
 	for _, j := range thresholdsOf(pt) {
 		rber += m.misread(j, c, vref(j))
@@ -274,8 +279,12 @@ func (m *Model) rberAcross(pt PageType, c condition, vref func(j int) float64) f
 	return capRBER(rber)
 }
 
-// rberAt is rberAcross at the voltages of a VREF mode.
-func (m *Model) rberAt(pt PageType, c condition, mode VrefMode) float64 {
+// ConditionRBER reports the RBER of sensing a page of type pt at the
+// voltages of a VREF mode under condition c; it is bit-identical to
+// PageRBER for the inputs c was derived from.
+//
+//riflint:hotpath
+func (m *Model) ConditionRBER(pt PageType, c PageCondition, mode VrefMode) float64 {
 	rber := 0.0
 	for _, j := range thresholdsOf(pt) {
 		rber += m.misread(j, c, m.vrefAt(j, mode, c))
@@ -286,19 +295,7 @@ func (m *Model) rberAt(pt PageType, c condition, mode VrefMode) float64 {
 // PageRBER reports the raw bit error rate observed when sensing the
 // page with the given VREF mode under the given operating condition.
 func (m *Model) PageRBER(blockID int, pt PageType, pe int, retentionDays float64, reads int64, mode VrefMode) float64 {
-	return m.rberAt(pt, m.conditionAt(blockID, pe, retentionDays, reads), mode)
-}
-
-// PageRBERPair reports the page's RBER under two VREF modes from one
-// evaluation of the operating condition; each value is bit-identical
-// to the matching PageRBER. variation is the block's BlockVariation,
-// which a caller that reads the same block many times can compute
-// once.
-//
-//riflint:hotpath
-func (m *Model) PageRBERPair(variation float64, pt PageType, pe int, retentionDays float64, reads int64, a, b VrefMode) (float64, float64) {
-	c := m.conditionWith(variation, pe, retentionDays, reads)
-	return m.rberAt(pt, c, a), m.rberAt(pt, c, b)
+	return m.ConditionRBER(pt, m.conditionAt(blockID, pe, retentionDays, reads), mode)
 }
 
 // ChunkRBER reports the RBER of chunk chunkIdx (of chunkCount equal

@@ -251,9 +251,11 @@ func TestRBERCappedAtHalf(t *testing.T) {
 	}
 }
 
-// PageRBERPair evaluates one condition for two VREF modes; each value
-// must be bit-identical to the matching single-mode PageRBER, across
-// page types, wear, retention and disturb.
+// A page's condition is evaluated once and its RBER under each VREF
+// mode on demand (Condition, ConditionRBER — the SSD keeps the
+// condition and evaluates the retry mode only for a page that needs
+// it); each value must be bit-identical to the matching single-mode
+// PageRBER, across page types, wear, retention and disturb.
 func TestPageRBERPairMatchesPageRBER(t *testing.T) {
 	m := NewDefaultModel(11)
 	modes := []VrefMode{DefaultVref, OptimalVref, TrackedVref}
@@ -263,12 +265,10 @@ func TestPageRBERPairMatchesPageRBER(t *testing.T) {
 			for _, pe := range []int{0, 1000, 3000} {
 				for _, days := range []float64{-1, 0, 3.5, 90, 730} {
 					for _, reads := range []int64{0, 1, 50_000} {
-						for _, a := range modes {
-							for _, b := range modes {
-								x, y := m.PageRBERPair(v, pt, pe, days, reads, a, b)
-								if x != m.PageRBER(bid, pt, pe, days, reads, a) || y != m.PageRBER(bid, pt, pe, days, reads, b) {
-									t.Fatalf("block %d %v pe=%d days=%v reads=%d modes %v/%v: pair (%v, %v) differs from PageRBER", bid, pt, pe, days, reads, a, b, x, y)
-								}
+						c := m.Condition(v, pe, days, reads)
+						for _, mode := range modes {
+							if x := m.ConditionRBER(pt, c, mode); x != m.PageRBER(bid, pt, pe, days, reads, mode) {
+								t.Fatalf("block %d %v pe=%d days=%v reads=%d mode %v: %v differs from PageRBER", bid, pt, pe, days, reads, mode, x)
 							}
 						}
 					}
@@ -279,16 +279,17 @@ func TestPageRBERPairMatchesPageRBER(t *testing.T) {
 }
 
 // TestPageRBERPairZeroAlloc is the runtime half of the //riflint:hotpath
-// guard on PageRBERPair, which the SSD evaluates for every page read.
+// guard on Condition and ConditionRBER, which the SSD evaluates for
+// every page read.
 func TestPageRBERPairZeroAlloc(t *testing.T) {
 	m := NewDefaultModel(3)
 	v := m.BlockVariation(7)
 	var sink float64
 	if allocs := testing.AllocsPerRun(1000, func() {
-		a, b := m.PageRBERPair(v, CSB, 2000, 30, 1000, DefaultVref, OptimalVref)
-		sink += a + b
+		c := m.Condition(v, 2000, 30, 1000)
+		sink += m.ConditionRBER(CSB, c, DefaultVref) + m.ConditionRBER(CSB, c, OptimalVref)
 	}); allocs != 0 {
-		t.Fatalf("PageRBERPair allocates %.1f times per call", allocs)
+		t.Fatalf("Condition and ConditionRBER allocate %.1f times per page", allocs)
 	}
 	_ = sink
 }

@@ -167,6 +167,18 @@ func (c *Collection) Partial() bool {
 	return c.partial
 }
 
+// Release drops the collected manifests and keeps the partial flag:
+// a caller that has rendered the collection and serves those bytes
+// frees the manifests behind them. Nil-safe.
+func (c *Collection) Release() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.runs = nil
+	c.mu.Unlock()
+}
+
 // Len reports the number of collected runs.
 func (c *Collection) Len() int {
 	if c == nil {

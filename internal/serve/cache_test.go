@@ -441,3 +441,61 @@ func TestInvalidSpecNeverMintsKey(t *testing.T) {
 		t.Fatalf("invalid spec minted a cache key (inflight=%d)", inflight)
 	}
 }
+
+// TestDoneJobReleasesManifests: once a computed job is Done it serves
+// /runs from the bytes rendered at completion and keeps only their run
+// count, so its live collection holds no manifests. Its status must
+// report the completed count and partial flag of the collection
+// before the release, and /runs must be byte-identical to that
+// collection's rendering.
+func TestDoneJobReleasesManifests(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		before  []byte
+		cells   int
+		partial bool
+	)
+	// One cell worker: the last cell's hook sees the complete
+	// collection, before the job renders and releases it.
+	srv, ts, _ := newCachedServer(t, Config{JobWorkers: 1, CellWorkers: 1}, func(j *Job, _ obs.Manifest) {
+		var b bytes.Buffer
+		if err := obs.WriteJSON(&b, j.collect); err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		before, cells, partial = b.Bytes(), j.collect.Len(), j.collect.Partial()
+		mu.Unlock()
+	})
+	events := submitAndWait(t, ts, `{"experiment":"chaos","requests":30,"seed":11}`)
+	last := events[len(events)-1]
+	if last.Event != string(Done) || last.Cached {
+		t.Fatalf("job ended %+v, want a computed done", last)
+	}
+	j, ok := srv.job(last.Job)
+	if !ok {
+		t.Fatalf("job %s not registered", last.Job)
+	}
+	if n, runs := j.collect.Len(), j.collect.Runs(); n != 0 || len(runs) != 0 {
+		t.Fatalf("done job's collection holds %d manifests (%d runs), want none", n, len(runs))
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if cells != len(core.ChaosRates)*len(core.ChaosSchemes) {
+		t.Fatalf("collection held %d runs before the release, want the whole chaos grid", cells)
+	}
+	if last.Completed != cells {
+		t.Fatalf("done event reports %d completed, want %d", last.Completed, cells)
+	}
+	_, body := getBody(t, ts.URL+"/jobs/"+last.Job)
+	var st Status
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("status %q: %v", body, err)
+	}
+	if st.Completed != cells || st.Partial != partial {
+		t.Fatalf("status completed=%d partial=%v, want %d and %v as before the release", st.Completed, st.Partial, cells, partial)
+	}
+	if _, runs := getBody(t, ts.URL+"/runs/"+last.Job); runs != string(before) {
+		t.Fatalf("/runs differs from the collection before the release:\n got %.200s\nwant %.200s", runs, before)
+	}
+}

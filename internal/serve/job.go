@@ -151,24 +151,26 @@ type Job struct {
 	// the bytes rendered once at completion for computed jobs. Serving
 	// stored bytes (rather than re-rendering) is what keeps a cache
 	// hit byte-identical to the run that populated it — Manifest.Config
-	// decodes to a map, and re-encoding a map reorders its keys.
+	// decodes to a map, and re-encoding a map reorders its keys. Once
+	// it is pinned the job keeps only these bytes and their run count,
+	// cells: the live collection holds no manifests.
 	runsJSON []byte
+	cells    int
 	events   []Event
 	notify   chan struct{}
 
 	// fromCache marks a job satisfied from the result cache without
-	// running; cachedCells is the stored collection's run count (the
-	// live collection stays empty).
-	fromCache   bool
-	cachedCells int
+	// running (its live collection stays empty).
+	fromCache bool
 	// key is the job's content address; hasKey guards it (the zero Key
 	// is a valid address). Leader jobs carry it so completion can
 	// populate the cache and clear the single-flight slot.
 	key    resultcache.Key
 	hasKey bool
 
-	// collect gathers the job's per-run manifests; reads are safe at
-	// any time (Collection is internally locked).
+	// collect gathers the job's per-run manifests until runsJSON is
+	// pinned; reads are safe at any time (Collection is internally
+	// locked).
 	collect *obs.Collection
 	// cancelled is the per-job half of the grid's stop hook.
 	cancelled atomic.Bool
@@ -204,8 +206,8 @@ func newCachedJob(id string, spec JobSpec, e resultcache.Entry) *Job {
 	j := newJob(id, spec)
 	j.report = e.Report
 	j.runsJSON = e.Runs
+	j.cells = e.Cells
 	j.fromCache = true
-	j.cachedCells = e.Cells
 	j.setState(Done, Event{Completed: e.Cells, Cached: true})
 	return j
 }
@@ -264,6 +266,32 @@ func (j *Job) runsBytes() []byte {
 	return j.runsJSON
 }
 
+// pinRuns makes runs the job's /runs response and releases the live
+// collection's manifests, keeping only their count, which it returns:
+// a finished job holds one copy of its manifests, the rendered bytes.
+// Under j.mu, so completed never sees the collection released before
+// the pin.
+func (j *Job) pinRuns(runs []byte) int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.runsJSON = runs
+	j.cells = j.collect.Len()
+	j.collect.Release()
+	return j.cells
+}
+
+// completed reports how many runs the job has finished: the pinned
+// count once its manifests are rendered, the live collection's
+// before.
+func (j *Job) completed() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.runsJSON != nil {
+		return j.cells
+	}
+	return j.collect.Len()
+}
+
 // eventsSince returns events[from:] plus a channel that closes when
 // more arrive; stream readers loop on it.
 func (j *Job) eventsSince(from int) ([]Event, <-chan struct{}) {
@@ -296,17 +324,13 @@ type JobRefs struct {
 // status snapshots the job for the REST views.
 func (j *Job) status() Status {
 	state, errMsg := j.State()
-	completed := j.collect.Len()
-	if j.fromCache {
-		completed = j.cachedCells
-	}
 	return Status{
 		ID:         j.ID,
 		State:      state,
 		Experiment: j.Spec.Experiment,
 		Seed:       j.seed(),
 		Requests:   j.requests(),
-		Completed:  completed,
+		Completed:  j.completed(),
 		Partial:    j.collect.Partial(),
 		Cached:     j.fromCache,
 		Error:      errMsg,

@@ -732,15 +732,16 @@ func (s *Server) runJob(j *Job) {
 	default:
 		s.flush(j)
 		s.storeResult(j)
+		cells := j.completed()
 		s.completed.Inc()
-		s.jobRuns.Observe(float64(j.collect.Len()))
-		j.setState(Done, Event{Completed: j.collect.Len()})
+		s.jobRuns.Observe(float64(cells))
+		j.setState(Done, Event{Completed: cells})
 	}
 }
 
 // storeResult renders a completed job's manifest collection once,
-// pins those bytes as the job's /runs response, and populates the
-// result cache (memory and disk tiers) under the job's content
+// pins those bytes as the job's /runs response (releasing the
+// collection's manifests), and populates the result cache (memory and disk tiers) under the job's content
 // address before releasing its single-flight slot. Only complete
 // results ever reach either tier: cancelled (partial) and failed jobs
 // release the slot without storing, so a later identical submission
@@ -756,14 +757,12 @@ func (s *Server) storeResult(j *Job) {
 		s.clearInflight(j)
 		return
 	}
-	j.mu.Lock()
-	j.runsJSON = runs.Bytes()
-	j.mu.Unlock()
+	cells := j.pinRuns(runs.Bytes())
 	if j.hasKey {
 		e := resultcache.Entry{
 			Report: j.Report(),
 			Runs:   runs.Bytes(),
-			Cells:  j.collect.Len(),
+			Cells:  cells,
 		}
 		if s.cache != nil {
 			s.cache.Put(j.key, e)
@@ -780,7 +779,7 @@ func (s *Server) storeResult(j *Job) {
 			Op:    opDone,
 			ID:    j.ID,
 			Key:   hex.EncodeToString(j.key[:]),
-			Cells: j.collect.Len(),
+			Cells: cells,
 		})
 	}
 	s.clearInflight(j)

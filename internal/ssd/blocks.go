@@ -1,0 +1,113 @@
+package ssd
+
+import "repro/internal/sim"
+
+// blockState is the device's record of one physical block.
+type blockState struct {
+	// reads is the disturb state: every real array sense bumps it via
+	// noteSense, and an erase (GC victim, read-reclaim, retirement, die
+	// death) clears it. senses counts the same senses but is never
+	// cleared — the epoch fast-forward extrapolates from it. int64: a
+	// drive-year on a hot-read trace strands an int32.
+	reads  int64
+	senses int64
+	// erases counts erases (wear on top of PECycles); reclaimErases is
+	// the subset caused by read-reclaim. A block wears out within
+	// thousands of erases, so int32 holds any count and keeps the
+	// record at 40 bytes.
+	erases        int32
+	reclaimErases int32
+	// refreshedAt is when read-reclaim last rewrote the block in place
+	// (see refreshedInPlace).
+	refreshedAt sim.Time
+	// variation memoizes the NAND model's BlockVariation, filled on
+	// the block's first read (0 until then: the multiplier is a
+	// positive exponential). It lives in the device rather than the
+	// model because models are shared across concurrent runs.
+	variation float64
+}
+
+// refreshedInPlace reports whether read-reclaim has rewritten a
+// pre-fill (cold) block in place, restarting its retention clock at
+// refreshedAt. Pre-fill blocks are not FTL-managed: reclaim erases
+// one only by refreshing it, so for them a reclaim erase is the mark.
+func (b *blockState) refreshedInPlace() bool { return b.reclaimErases > 0 }
+
+// The block table's chunk size, 16 records (640 bytes), and how many
+// chunks one slab allocation carves: 128 (80 KiB), about what a short
+// run on the shrunk Fig. 17 geometry touches (a 40-request chaos cell
+// makes 96 chunks, a 3,000-request Fig. 17 cell 150 to 220).
+const (
+	blockChunk = 16
+	slabChunks = 128
+)
+
+// blockTable holds the per-block records of a device, by dense block
+// id, in fixed-size chunks made when one of their blocks is first
+// written. A run touches a few percent of a device's blocks, so the
+// table costs what the run touches, not what the geometry holds. A
+// missing chunk reads as all zero: read-only paths (peek, get) never
+// make one. Chunks are carved from a per-device slab, so making them
+// costs one allocation per slabChunks chunks.
+type blockTable struct {
+	chunks []*[blockChunk]blockState
+	slab   [][blockChunk]blockState
+	// unmade counts chunks not yet made, so the last slab is no
+	// larger than what the table can still use.
+	unmade int
+}
+
+func newBlockTable(blocks int) blockTable {
+	n := (blocks + blockChunk - 1) / blockChunk
+	return blockTable{chunks: make([]*[blockChunk]blockState, n), unmade: n}
+}
+
+// at returns block bid's record for writing, making its chunk on
+// first use.
+func (t *blockTable) at(bid int) *blockState {
+	c := t.chunks[bid/blockChunk]
+	if c == nil {
+		c = t.makeChunk(bid / blockChunk)
+	}
+	return &c[bid%blockChunk]
+}
+
+// makeChunk carves chunk ci from the slab, refilling the slab when it
+// runs out.
+func (t *blockTable) makeChunk(ci int) *[blockChunk]blockState {
+	if len(t.slab) == 0 {
+		//riflint:allow alloc -- one slab per slabChunks first-touched chunks; a run touches a bounded set of blocks
+		t.slab = make([][blockChunk]blockState, min(slabChunks, t.unmade))
+	}
+	c := &t.slab[0]
+	t.slab = t.slab[1:]
+	t.chunks[ci] = c
+	t.unmade--
+	return c
+}
+
+// peek returns block bid's record, or nil while its chunk is unmade
+// (every counter of the block is then zero).
+func (t *blockTable) peek(bid int) *blockState {
+	if c := t.chunks[bid/blockChunk]; c != nil {
+		return &c[bid%blockChunk]
+	}
+	return nil
+}
+
+// get returns a copy of block bid's record: zero while its chunk is
+// unmade.
+func (t *blockTable) get(bid int) blockState {
+	if b := t.peek(bid); b != nil {
+		return *b
+	}
+	return blockState{}
+}
+
+// clearReads zeroes block bid's disturb counter (an erase) without
+// making its chunk: an unmade chunk's counters are already zero.
+func (t *blockTable) clearReads(bid int) {
+	if b := t.peek(bid); b != nil {
+		b.reads = 0
+	}
+}

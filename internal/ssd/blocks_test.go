@@ -1,0 +1,147 @@
+package ssd
+
+import (
+	"runtime"
+	"testing"
+)
+
+// madeChunks counts the block-table chunks a device has made.
+func madeChunks(s *SSD) int { return len(s.blocks.chunks) - s.blocks.unmade }
+
+// TestUntouchedBlocksReadZero: a fresh device has made no chunk and
+// reports every counter zero; after a run, BlockState still reports
+// zero for every block whose chunk was never made, and the run made
+// chunks for only a few percent of the device.
+func TestUntouchedBlocksReadZero(t *testing.T) {
+	s, err := New(benchConfig(RiF, 2000), allocStubWorkload{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := madeChunks(s); n != 0 {
+		t.Fatalf("fresh device made %d chunks", n)
+	}
+	for i, r := range s.BlockState().Senses {
+		if r != 0 {
+			t.Fatalf("fresh device block %d senses %d", i, r)
+		}
+	}
+	s, err = New(benchConfig(RiF, 2000), smallWorkload(t, "Ali124", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(200); err != nil {
+		t.Fatal(err)
+	}
+	made := madeChunks(s)
+	if made == 0 || made > len(s.blocks.chunks)/4 {
+		t.Fatalf("200 requests made %d of %d chunks", made, len(s.blocks.chunks))
+	}
+	c := s.BlockState()
+	sensed := 0
+	for i := range c.Senses {
+		if s.blocks.peek(i) == nil {
+			if c.Reads[i] != 0 || c.Senses[i] != 0 || c.Erases[i] != 0 || c.ReclaimErases[i] != 0 {
+				t.Fatalf("block %d has no chunk but reports %d/%d/%d/%d", i, c.Reads[i], c.Senses[i], c.Erases[i], c.ReclaimErases[i])
+			}
+			continue
+		}
+		if c.Senses[i] > 0 {
+			sensed++
+		}
+	}
+	if sensed == 0 {
+		t.Fatal("no sensed block reported")
+	}
+}
+
+// TestSeedBlockStateRoundTrip: seeded counters come back through
+// BlockState, and zero entries make no chunk.
+func TestSeedBlockStateRoundTrip(t *testing.T) {
+	s, err := New(benchConfig(RiF, 1000), allocStubWorkload{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := s.cfg.Geometry.TotalBlocks()
+	reads := make([]int64, n)
+	erases := make([]int64, n)
+	// Two blocks in one chunk, one in another, and an erase count in a
+	// third; everything else zero.
+	reads[3], reads[5], reads[blockChunk*40] = 11, 12, 13
+	erases[n-1] = 7
+	if err := s.SeedBlockState(reads, erases); err != nil {
+		t.Fatal(err)
+	}
+	if got := madeChunks(s); got != 3 {
+		t.Fatalf("seeding made %d chunks, want 3 (zero entries make none)", got)
+	}
+	c := s.BlockState()
+	for i := 0; i < n; i++ {
+		if c.Reads[i] != reads[i] || c.Erases[i] != erases[i] {
+			t.Fatalf("block %d round-trips reads %d erases %d, seeded %d and %d", i, c.Reads[i], c.Erases[i], reads[i], erases[i])
+		}
+	}
+	// Reseeding with zeros clears the seeded counters without making
+	// more chunks.
+	if err := s.SeedBlockState(make([]int64, n), make([]int64, n)); err != nil {
+		t.Fatal(err)
+	}
+	c = s.BlockState()
+	if c.Reads[3] != 0 || c.Reads[blockChunk*40] != 0 || c.Erases[n-1] != 0 || madeChunks(s) != 3 {
+		t.Fatalf("zero reseed left reads %d/%d erases %d with %d chunks", c.Reads[3], c.Reads[blockChunk*40], c.Erases[n-1], madeChunks(s))
+	}
+}
+
+// TestReadOnlyPathsMakeNoChunk: the free-list wear scan (WearOf on
+// every free block of a plane, at every block opening) and a dead
+// die's disturb sweep only read the table, so they make no chunk.
+func TestReadOnlyPathsMakeNoChunk(t *testing.T) {
+	s, err := New(benchConfig(RiF, 1000), allocStubWorkload{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough writes to open a block on every plane, each opening
+	// scanning its plane's whole free list.
+	for lpn := int64(0); lpn < 4096; lpn++ {
+		if _, _, err := s.ftl.Write(lpn, 0, s.cfg.GCFreeBlockLow); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.noteDeadDie(0)
+	s.noteDeadDie(1)
+	if n := madeChunks(s); n != 0 {
+		t.Fatalf("wear scans and dead-die sweeps made %d chunks", n)
+	}
+}
+
+// TestNewAllocationBudget pins what building a device costs: the
+// per-block table is sparse, so a build allocates what its stations,
+// pools and tables need rather than a record per block.
+func TestNewAllocationBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		maxBytes uint64
+	}{
+		{"shrunk Fig. 17", benchConfig(RiF, 1000), 128 << 10},
+		{"Table I", DefaultConfig(RiF, 1000), 1 << 20},
+	} {
+		const runs = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := New(tc.cfg, allocStubWorkload{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		allocs := (after.Mallocs - before.Mallocs) / runs
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d blocks, %d allocations, %d bytes per build", tc.name, tc.cfg.Geometry.TotalBlocks(), allocs, bytes)
+		if allocs > 316 {
+			t.Errorf("%s: New makes %d allocations, want at most 316", tc.name, allocs)
+		}
+		if bytes > tc.maxBytes {
+			t.Errorf("%s: New allocates %d bytes, want at most %d", tc.name, bytes, tc.maxBytes)
+		}
+	}
+}

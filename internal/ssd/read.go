@@ -171,7 +171,7 @@ func (c *dieCmd) planRiF() {
 		secondRetry := false
 		for i := range c.pages {
 			p := &c.pages[i]
-			if !c.predFail[i] || p.rberRetry <= s.dec.Capability {
+			if !c.predFail[i] || s.retryRBER(p) <= s.dec.Capability {
 				continue
 			}
 			s.m.Predictions++
@@ -234,7 +234,7 @@ func (c *dieCmd) rifSensed(job *xferJob) {
 	retriedNow := int64(0)
 	for i, p := range c.pages {
 		if c.predFail[i] {
-			c.rbers[i] = p.rberRetry
+			c.rbers[i] = s.retryRBER(&p)
 			retriedNow++
 			fails := p.rberRetry > s.dec.Capability
 			if s.decodeTimeout() && !fails {
@@ -344,15 +344,15 @@ func (c *dieCmd) resensed() {
 	c.rbers = c.rbers[:n]
 	k := 0
 	for i := 0; i < n; i++ {
-		p := c.failed[i]
-		c.rbers[i] = p.rberRetry
+		p := &c.failed[i]
+		c.rbers[i] = s.retryRBER(p)
 		fails := p.rberRetry > s.dec.Capability
 		if s.decodeTimeout() && !fails {
 			fails = true
 			c.rbers[i] = s.timeoutRBER()
 		}
 		if fails {
-			c.failed[k] = p
+			c.failed[k] = *p
 			k++
 		}
 	}

@@ -51,8 +51,9 @@ type SSD struct {
 	// seam to observe trigger decisions in isolation.
 	reclaim func(bid int)
 
-	// blocks is the per-block record, by dense block id.
-	blocks []blockState
+	// blocks is the per-block record, by dense block id, made on the
+	// block's first write.
+	blocks blockTable
 
 	// deadDieCleared marks dies whose disturb counters were zeroed on
 	// dropout, so the sweep runs once per die.
@@ -87,37 +88,6 @@ type SSD struct {
 
 	m Metrics
 }
-
-// blockState is the device's record of one physical block.
-type blockState struct {
-	// reads is the disturb state: every real array sense bumps it via
-	// noteSense, and an erase (GC victim, read-reclaim, retirement, die
-	// death) clears it. senses counts the same senses but is never
-	// cleared — the epoch fast-forward extrapolates from it. int64: a
-	// drive-year on a hot-read trace strands an int32.
-	reads  int64
-	senses int64
-	// erases counts erases (wear on top of PECycles); reclaimErases is
-	// the subset caused by read-reclaim. A block wears out within
-	// thousands of erases, so int32 holds any count and keeps the
-	// record at 40 bytes.
-	erases        int32
-	reclaimErases int32
-	// refreshedAt is when read-reclaim last rewrote the block in place
-	// (see refreshedInPlace).
-	refreshedAt sim.Time
-	// variation memoizes the NAND model's BlockVariation, filled on
-	// the block's first read (0 until then: the multiplier is a
-	// positive exponential). It lives in the device rather than the
-	// model because models are shared across concurrent runs.
-	variation float64
-}
-
-// refreshedInPlace reports whether read-reclaim has rewritten a
-// pre-fill (cold) block in place, restarting its retention clock at
-// refreshedAt. Pre-fill blocks are not FTL-managed: reclaim erases
-// one only by refreshing it, so for them a reclaim erase is the mark.
-func (b *blockState) refreshedInPlace() bool { return b.reclaimErases > 0 }
 
 // cmdResult is one die command's completion report: the
 // graceful-degradation outcome threaded back to the host model.
@@ -158,7 +128,7 @@ func New(cfg Config, w Workload) (*SSD, error) {
 		predictRNG:  sim.NewRNG(cfg.Seed, 101),
 		sentinelRNG: sim.NewRNG(cfg.Seed, 102),
 		inj:         faults.New(cfg.Faults, cfg.Seed),
-		blocks:      make([]blockState, cfg.Geometry.TotalBlocks()),
+		blocks:      newBlockTable(cfg.Geometry.TotalBlocks()),
 		workload:    w,
 	}
 	s.deadDieCleared = make([]bool, cfg.Geometry.TotalDies())
@@ -181,7 +151,7 @@ func New(cfg Config, w Workload) (*SSD, error) {
 	s.ftl.WearOf = func(plane nand.Address, block int) int {
 		a := plane
 		a.Block = block
-		return int(s.blocks[cfg.Geometry.BlockID(a)].erases)
+		return int(s.blocks.get(cfg.Geometry.BlockID(a)).erases)
 	}
 	s.m.Scheme = cfg.Scheme
 	s.m.PECycles = cfg.PECycles
@@ -190,19 +160,24 @@ func New(cfg Config, w Workload) (*SSD, error) {
 	// no-ops when cfg.Obs is nil.
 	s.dec.Hist = cfg.Obs.Histogram("ecc_decode_latency_us")
 	s.readLat = cfg.Obs.Histogram("ssd_read_latency_us")
+	// A station's name only labels its spans, so it is made only when
+	// spans are recorded.
 	recordSpans := cfg.RecordSpans || cfg.Trace != nil
-	for d := 0; d < cfg.Geometry.TotalDies(); d++ {
+	nDies := cfg.Geometry.TotalDies()
+	s.dies = make([]*dieStation, 0, nDies)
+	for d := 0; d < nDies; d++ {
 		die := newDieStation(eng, cfg.DiePolicy, cfg.ResumePenalty)
-		die.name = fmt.Sprintf("die%d", d)
 		if recordSpans {
+			die.name = fmt.Sprintf("die%d", d)
 			die.record = s.addSpan
 		}
 		s.dies = append(s.dies, die)
 	}
+	s.channels = make([]*channelStation, 0, cfg.Geometry.Channels)
 	for ch := 0; ch < cfg.Geometry.Channels; ch++ {
 		st := newChannelStation(eng, cfg.Timing.TDMAPage, cfg.ECCBufferSlots)
-		st.name = fmt.Sprintf("ch%d", ch)
 		if recordSpans {
+			st.name = fmt.Sprintf("ch%d", ch)
 			st.record = s.addSpan
 		}
 		if cfg.Faults.ChannelCorruptRate > 0 {
@@ -210,7 +185,8 @@ func New(cfg Config, w Workload) (*SSD, error) {
 		}
 		s.channels = append(s.channels, st)
 	}
-	for d := 0; d < cfg.Geometry.TotalDies(); d++ {
+	s.flushers = make([]*dieFlusher, 0, nDies)
+	for d := 0; d < nDies; d++ {
 		s.flushers = append(s.flushers, newDieFlusher(s, s.dies[d], s.channels[d/cfg.Geometry.DiesPerChan]))
 	}
 	return s, nil
@@ -241,20 +217,24 @@ func (s *SSD) Run(nRequests int) (*Metrics, error) {
 // pageView is the resolved physical and reliability state of one page
 // at command issue.
 type pageView struct {
-	lpn       int64
-	addr      nand.Address
-	blockID   int
-	ptype     nand.PageType
-	retention float64 // days
+	addr    nand.Address
+	blockID int
+	// cond is the page's read condition at issue, from which its RBER
+	// under any VREF mode is evaluated.
+	cond      nand.PageCondition
 	rberFirst float64 // at the scheme's first-read VREF mode
-	rberRetry float64 // after VREF adjustment (near-optimal)
-	fails     bool    // first read exceeds the ECC capability
+	// rberRetry is the RBER after VREF adjustment (near-optimal), 0
+	// until retryRBER evaluates it.
+	rberRetry float64
+	ptype     nand.PageType
+	fails     bool // first read exceeds the ECC capability
 }
 
 // resolvePages looks up every page of a command into its scratch
-// pages slice and evaluates each page's RBER under the scheme's
-// first-read VREF mode and after VREF adjustment — both from one
-// evaluation of the block's condition.
+// pages slice and evaluates each page's condition and its RBER under
+// the scheme's first-read VREF mode. The RBER after VREF adjustment is
+// left to retryRBER, since most pages never need it; the Zero scheme,
+// which never looks at an error rate, evaluates none.
 //
 //riflint:hotpath
 func (s *SSD) resolvePages(c *dieCmd) {
@@ -264,7 +244,7 @@ func (s *SSD) resolvePages(c *dieCmd) {
 		lpn := c.cmd.lpn + int64(i)
 		addr, writtenAt, written := s.ftl.Lookup(lpn)
 		bid := s.cfg.Geometry.BlockID(addr)
-		b := &s.blocks[bid]
+		b := s.blocks.at(bid)
 		var age float64
 		switch {
 		case written:
@@ -278,29 +258,36 @@ func (s *SSD) resolvePages(c *dieCmd) {
 		}
 		reads := b.reads
 		s.noteSense(bid)
-		pt := nand.PageTypeOf(addr.Page)
-		pe := s.cfg.PECycles + int(b.erases)
-		if b.variation == 0 {
-			b.variation = s.model.BlockVariation(bid)
-		}
-		first, retry := s.model.PageRBERPair(b.variation, pt, pe, age, reads, firstMode, nand.OptimalVref)
-		if s.inj.BlockStuck(bid) {
+		v := pageView{addr: addr, blockID: bid, ptype: nand.PageTypeOf(addr.Page)}
+		switch {
+		case s.inj.BlockStuck(bid):
 			// Grown-bad block: every read of it is hopeless at any
 			// VREF, so the page rides the retry ladder to exhaustion.
 			s.m.Faults.StuckPageReads++
-			first, retry = stuckRBER, stuckRBER
+			v.rberFirst, v.rberRetry = stuckRBER, stuckRBER
+		case s.cfg.Scheme != Zero:
+			if b.variation == 0 {
+				b.variation = s.model.BlockVariation(bid)
+			}
+			v.cond = s.model.Condition(b.variation, s.cfg.PECycles+int(b.erases), age, reads)
+			v.rberFirst = s.model.ConditionRBER(v.ptype, v.cond, firstMode)
 		}
-		c.pages[i] = pageView{
-			lpn:       lpn,
-			addr:      addr,
-			blockID:   bid,
-			ptype:     pt,
-			retention: age,
-			rberFirst: first,
-			rberRetry: retry,
-			fails:     first > s.dec.Capability,
-		}
+		v.fails = v.rberFirst > s.dec.Capability
+		c.pages[i] = v
 	}
+}
+
+// retryRBER reports a page's RBER after VREF adjustment, evaluating it
+// from the page's condition on first need: when RiF flags the page or
+// a retry re-reads it. The value is kept in the view, so later retry
+// rounds (and RiF's second-check refinement of it) reuse it.
+//
+//riflint:hotpath
+func (s *SSD) retryRBER(p *pageView) float64 {
+	if p.rberRetry == 0 {
+		p.rberRetry = s.model.ConditionRBER(p.ptype, p.cond, nand.OptimalVref)
+	}
+	return p.rberRetry
 }
 
 // dieOf reports the die resource, channel station and dense die index
@@ -340,7 +327,7 @@ func (s *SSD) senseTime(base sim.Time, views []pageView) sim.Time {
 //
 //riflint:hotpath
 func (s *SSD) noteSense(bid int) {
-	b := &s.blocks[bid]
+	b := s.blocks.at(bid)
 	b.senses++
 	n := b.reads + 1
 	b.reads = n
@@ -366,7 +353,7 @@ func (s *SSD) reclaimBlock(bid int) {
 	// The erase clears accumulated disturb whether or not migration
 	// proceeds; a skipped migration (dead die, no free block) simply
 	// re-arms the counter.
-	b := &s.blocks[bid]
+	b := s.blocks.at(bid)
 	b.reads = 0
 	addr := s.cfg.Geometry.BlockAddr(bid)
 	if s.ftl.blockRetired(addr) {
@@ -412,7 +399,7 @@ func (s *SSD) noteDeadDie(dieIdx int) {
 	s.deadDieCleared[dieIdx] = true
 	per := s.cfg.Geometry.PlanesPerDie * s.cfg.Geometry.BlocksPerPlane
 	for b := dieIdx * per; b < (dieIdx+1)*per; b++ {
-		s.blocks[b].reads = 0
+		s.blocks.clearReads(b)
 	}
 }
 
@@ -436,15 +423,18 @@ type BlockCounters struct {
 
 // BlockState snapshots the per-block counters.
 func (s *SSD) BlockState() BlockCounters {
-	n := len(s.blocks)
+	n := s.cfg.Geometry.TotalBlocks()
 	c := BlockCounters{
 		Reads:         make([]int64, n),
 		Senses:        make([]int64, n),
 		Erases:        make([]int64, n),
 		ReclaimErases: make([]int64, n),
 	}
-	for i := range s.blocks {
-		b := &s.blocks[i]
+	for i := 0; i < n; i++ {
+		b := s.blocks.peek(i)
+		if b == nil {
+			continue
+		}
 		c.Reads[i], c.Senses[i] = b.reads, b.senses
 		c.Erases[i], c.ReclaimErases[i] = int64(b.erases), int64(b.reclaimErases)
 	}
@@ -453,7 +443,8 @@ func (s *SSD) BlockState() BlockCounters {
 
 // SeedBlockState loads residual per-block disturb (reads) and wear
 // (erases) into a freshly built device, before Run. Either slice may
-// be nil to leave that counter at zero.
+// be nil to leave that counter at zero. A zero entry of a block never
+// written makes no record.
 func (s *SSD) SeedBlockState(reads, erases []int64) error {
 	n := s.cfg.Geometry.TotalBlocks()
 	if reads != nil {
@@ -461,7 +452,9 @@ func (s *SSD) SeedBlockState(reads, erases []int64) error {
 			return fmt.Errorf("ssd: SeedBlockState reads length %d, want %d", len(reads), n)
 		}
 		for i, r := range reads {
-			s.blocks[i].reads = r
+			if r != 0 || s.blocks.peek(i) != nil {
+				s.blocks.at(i).reads = r
+			}
 		}
 	}
 	if erases != nil {
@@ -472,7 +465,9 @@ func (s *SSD) SeedBlockState(reads, erases []int64) error {
 			if e < 0 || e > math.MaxInt32 {
 				return fmt.Errorf("ssd: SeedBlockState erases[%d] = %d out of range", i, e)
 			}
-			s.blocks[i].erases = int32(e)
+			if e != 0 || s.blocks.peek(i) != nil {
+				s.blocks.at(i).erases = int32(e)
+			}
 		}
 	}
 	return nil
@@ -500,7 +495,7 @@ func (s *SSD) retireBlock(p pageView) {
 	if !s.inj.BlockStuck(p.blockID) || s.ftl.blockRetired(p.addr) {
 		return
 	}
-	s.blocks[p.blockID].reads = 0 // retirement erases the block
+	s.blocks.clearReads(p.blockID) // retirement erases the block
 	s.m.Faults.GrownBadBlocks++
 	s.ftl.RetireBlock(p.addr)
 }

@@ -31,7 +31,7 @@ func (s *SSD) writeCommand(c *dieCmd) {
 			gcTime += s.gcTime(work)
 			victim := work.Plane
 			victim.Block = work.VictimBlock
-			b := &s.blocks[s.cfg.Geometry.BlockID(victim)]
+			b := s.blocks.at(s.cfg.Geometry.BlockID(victim))
 			b.erases++
 			// Erasing also clears the accumulated read disturb.
 			b.reads = 0
