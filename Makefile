@@ -105,8 +105,10 @@ examples-smoke:
 # invocation (go test fuzzes a single target at a time): the replay
 # path end to end on a tiny device, where a hostile trace must fail the
 # run and never panic the simulator, the CSV, MSR and alist parsers,
-# and the result store's entry decoder. A crasher lands in the
-# package's testdata/fuzz. CI runs this on every change.
+# the result store's entry decoder, and rifserve's two untrusted
+# inputs: the POSTed job spec and the job journal replayed at restart.
+# A crasher lands in the package's testdata/fuzz. CI runs this on
+# every change.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -115,6 +117,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMSR$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAlistStats$$' -fuzztime $(FUZZTIME) ./internal/ldpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/resultcache/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalScan$$' -fuzztime $(FUZZTIME) ./internal/serve/
 
 # lint is the network-free gate: formatting, go vet, and the
 # repository's own invariant suite (internal/analysis via

@@ -214,8 +214,8 @@ func BenchmarkFig17_AllSchemes(b *testing.B) {
 }
 
 // BenchmarkFig17_AllSchemesObserved is BenchmarkFig17_AllSchemes with
-// full observability attached (per-run registries, manifests, live
-// latency histograms). Comparing the two ns/op pins the metrics
+// full observability attached (per-run registries, manifests, latency
+// sketches folded into histograms at drain). Comparing the two ns/op pins the metrics
 // overhead; the acceptance bar is < 5% regression (tracked in
 // BENCH_obs.json).
 func BenchmarkFig17_AllSchemesObserved(b *testing.B) {

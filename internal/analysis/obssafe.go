@@ -27,10 +27,9 @@ var ObsSafe = &Analyzer{
 // registryMethods maps obs.Registry method names to the instrument
 // kind they register.
 var registryMethods = map[string]string{
-	"Counter":       "counter",
-	"Gauge":         "gauge",
-	"Histogram":     "histogram",
-	"HistogramWith": "histogram",
+	"Counter":   "counter",
+	"Gauge":     "gauge",
+	"Histogram": "histogram",
 }
 
 // instrumentUse is one registry lookup with a constant name.

@@ -27,5 +27,3 @@ func (r *Registry) Counter(name string) *Counter { return nil }
 func (r *Registry) Gauge(name string) *Gauge { return nil }
 
 func (r *Registry) Histogram(name string) *Histogram { return nil }
-
-func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram { return nil }

@@ -37,7 +37,7 @@ func dupLookup(reg *obs.Registry) {
 func okDistinct(reg *obs.Registry) {
 	_ = reg.Counter("alpha_total")
 	_ = reg.Counter("beta_total")
-	_ = reg.HistogramWith("latency_us", []float64{1, 2, 4})
+	_ = reg.Histogram("latency_us")
 }
 
 func okDynamic(reg *obs.Registry, names []string) {

@@ -52,17 +52,13 @@ type RunParams struct {
 	// so Pool never affects output, only scheduling.
 	Pool *fleet.Scheduler
 
-	// Obs, when non-nil, is attached to every simulation these params
-	// run (instruments are concurrency-safe, so grid cells may share
-	// it). Ignored when Collect is set: each collected run then gets
-	// its own private registry so manifests stay per-run.
-	Obs *obs.Registry
 	// Trace, when non-nil, receives sim-time spans from every run.
 	// Sharing one tracer across a parallel grid interleaves runs;
 	// meaningful mostly for single-simulation experiments.
 	Trace *obs.Tracer
 	// Collect, when non-nil, receives one Manifest per completed
-	// simulation (safe for the parallel grids).
+	// simulation (safe for the parallel grids); each run records into
+	// its own private registry, so manifests stay per-run.
 	Collect *obs.Collection
 	// Tool and Experiment label collected manifests ("rifsim",
 	// "fig17", ...).
@@ -127,39 +123,46 @@ func RunOne(p RunParams, scheme ssd.Scheme, workloadName string, pe int) (*ssd.M
 	if err != nil {
 		return nil, err
 	}
-	cfg := p.BuildConfig(scheme, pe)
-	cfg.Obs = p.Obs
+	return p.record(p.BuildConfig(scheme, pe), obs.Manifest{
+		Scheme:   scheme.String(),
+		Workload: workloadName,
+		PECycles: pe,
+		Requests: p.Requests,
+	}, func(cfg ssd.Config) (*ssd.Metrics, error) {
+		s, err := ssd.New(cfg, w)
+		if err != nil {
+			return nil, err
+		}
+		return s.Run(p.Requests)
+	})
+}
+
+// record runs one simulation of cfg — with p.Trace attached and, when
+// p.Collect is set, a private registry — and collects its manifest:
+// id's run identity (Scheme, Workload, PECycles, Requests, RateIOPS)
+// plus the params' labels, the config, both clocks and the registry
+// snapshot. A zero Requests becomes the count the run completed.
+func (p RunParams) record(cfg ssd.Config, id obs.Manifest, simulate func(ssd.Config) (*ssd.Metrics, error)) (*ssd.Metrics, error) {
 	cfg.Trace = p.Trace
 	var reg *obs.Registry
 	if p.Collect != nil {
 		reg = obs.NewRegistry()
 		cfg.Obs = reg
 	}
-	s, err := ssd.New(cfg, w)
-	if err != nil {
-		return nil, err
-	}
 	start := time.Now() //riflint:allow wallclock -- host-side runtime for the manifest, never feeds the sim
-	m, err := s.Run(p.Requests)
-	if err != nil {
-		return nil, err
+	m, err := simulate(cfg)
+	if err != nil || p.Collect == nil {
+		return m, err
 	}
-	if p.Collect != nil {
-		p.Collect.Add(obs.Manifest{
-			Tool:       p.Tool,
-			Experiment: p.Experiment,
-			Scheme:     scheme.String(),
-			Workload:   workloadName,
-			PECycles:   pe,
-			Seed:       p.Seed,
-			Requests:   p.Requests,
-			Config:     cfg,
-			SimTimeNS:  int64(m.Makespan),
-			//riflint:allow wallclock -- host-side runtime for the manifest, never feeds the sim
-			WallTimeS:  time.Since(start).Seconds(),
-			BandwidthM: m.Bandwidth(),
-			Metrics:    reg.Snapshot(),
-		})
+	id.Tool, id.Experiment, id.Seed, id.Config = p.Tool, p.Experiment, p.Seed, cfg
+	if id.Requests == 0 {
+		id.Requests = int(m.RequestsCompleted)
 	}
+	id.SimTimeNS = int64(m.Makespan)
+	//riflint:allow wallclock -- host-side runtime for the manifest, never feeds the sim
+	id.WallTimeS = time.Since(start).Seconds()
+	id.BandwidthM = m.Bandwidth()
+	id.Metrics = reg.Snapshot()
+	p.Collect.Add(id)
 	return m, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/plot"
@@ -85,39 +84,25 @@ func TailSweep(p RunParams, schemes []ssd.Scheme, workloadName string, pe int, r
 		if err != nil {
 			return TailPoint{}, err
 		}
-		cfg := p.BuildConfig(k.s, pe)
-		cfg.Obs = p.Obs
-		cfg.Trace = p.Trace
-		var reg *obs.Registry
-		if p.Collect != nil {
-			reg = obs.NewRegistry()
-			cfg.Obs = reg
-		}
-		start := time.Now() //riflint:allow wallclock -- host-side runtime for the manifest, never feeds the sim
-		res, err := replay.Run(replay.FromWorkload(w, int64(p.Requests)), replay.Options{
-			Config:   cfg,
-			Arrivals: arr,
+		var res *replay.Result
+		_, err = p.record(p.BuildConfig(k.s, pe), obs.Manifest{
+			Scheme:   k.s.String(),
+			Workload: workloadName,
+			PECycles: pe,
+			Requests: p.Requests,
+			RateIOPS: k.rate,
+		}, func(cfg ssd.Config) (*ssd.Metrics, error) {
+			res, err = replay.Run(replay.FromWorkload(w, int64(p.Requests)), replay.Options{
+				Config:   cfg,
+				Arrivals: arr,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("core: tailsweep %v @ %.0f IOPS: %w", k.s, k.rate, err)
+			}
+			return res.Metrics, nil
 		})
 		if err != nil {
-			return TailPoint{}, fmt.Errorf("core: tailsweep %v @ %.0f IOPS: %w", k.s, k.rate, err)
-		}
-		if p.Collect != nil {
-			p.Collect.Add(obs.Manifest{
-				Tool:       p.Tool,
-				Experiment: p.Experiment,
-				Scheme:     k.s.String(),
-				Workload:   workloadName,
-				PECycles:   pe,
-				Seed:       p.Seed,
-				Requests:   p.Requests,
-				RateIOPS:   k.rate,
-				Config:     cfg,
-				SimTimeNS:  int64(res.Metrics.Makespan),
-				//riflint:allow wallclock -- host-side runtime for the manifest, never feeds the sim
-				WallTimeS:  time.Since(start).Seconds(),
-				BandwidthM: res.Metrics.Bandwidth(),
-				Metrics:    reg.Snapshot(),
-			})
+			return TailPoint{}, err
 		}
 		return TailPoint{
 			Scheme:       k.s,
@@ -208,43 +193,28 @@ func ReplaySweep(p RunParams, rp ReplayParams) ([]TailPoint, error) {
 		if closer != nil {
 			defer closer.Close()
 		}
-		cfg := p.BuildConfig(rp.Scheme, rp.PECycles)
-		cfg.Obs = p.Obs
-		cfg.Trace = p.Trace
-		var reg *obs.Registry
-		if p.Collect != nil {
-			reg = obs.NewRegistry()
-			cfg.Obs = reg
-		}
-		start := time.Now() //riflint:allow wallclock -- host-side runtime for the manifest, never feeds the sim
-		res, err := replay.Run(src, replay.Options{
-			Config:         cfg,
-			Arrivals:       arr,
-			MaxRequests:    rp.MaxRequests,
-			MaxInFlight:    rp.MaxInFlight,
-			AgeDays:        rp.AgeDays,
-			FootprintPages: rp.FootprintPages,
+		var res *replay.Result
+		_, err = p.record(p.BuildConfig(rp.Scheme, rp.PECycles), obs.Manifest{
+			Scheme:   rp.Scheme.String(),
+			Workload: rp.Workload,
+			PECycles: rp.PECycles,
+			RateIOPS: rate,
+		}, func(cfg ssd.Config) (*ssd.Metrics, error) {
+			res, err = replay.Run(src, replay.Options{
+				Config:         cfg,
+				Arrivals:       arr,
+				MaxRequests:    rp.MaxRequests,
+				MaxInFlight:    rp.MaxInFlight,
+				AgeDays:        rp.AgeDays,
+				FootprintPages: rp.FootprintPages,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("core: replay %q: %w", rp.Workload, err)
+			}
+			return res.Metrics, nil
 		})
 		if err != nil {
-			return TailPoint{}, fmt.Errorf("core: replay %q: %w", rp.Workload, err)
-		}
-		if p.Collect != nil {
-			p.Collect.Add(obs.Manifest{
-				Tool:       p.Tool,
-				Experiment: p.Experiment,
-				Scheme:     rp.Scheme.String(),
-				Workload:   rp.Workload,
-				PECycles:   rp.PECycles,
-				Seed:       p.Seed,
-				Requests:   int(res.Requests),
-				RateIOPS:   rate,
-				Config:     cfg,
-				SimTimeNS:  int64(res.Metrics.Makespan),
-				//riflint:allow wallclock -- host-side runtime for the manifest, never feeds the sim
-				WallTimeS:  time.Since(start).Seconds(),
-				BandwidthM: res.Metrics.Bandwidth(),
-				Metrics:    reg.Snapshot(),
-			})
+			return TailPoint{}, err
 		}
 		return TailPoint{
 			Scheme:       rp.Scheme,

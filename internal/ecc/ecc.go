@@ -9,8 +9,8 @@ package ecc
 import (
 	"math"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Engine is the analytic channel-ECC model.
@@ -23,9 +23,9 @@ type Engine struct {
 	// IterationTime is the latency of one decoding iteration, chosen
 	// so tECC spans [MinLatency, MaxIterations*IterationTime].
 	IterationTime sim.Time
-	// Hist, when non-nil, receives every decode attempt's latency in
-	// microseconds (the tECC distribution of the run).
-	Hist *obs.Histogram
+	// Latencies, when non-nil, receives every decode attempt's latency
+	// in microseconds (the tECC distribution of the run).
+	Latencies *stats.Sketch
 }
 
 // NewEngine returns the Table I engine: capability 0.0085, 20
@@ -74,7 +74,9 @@ func (e *Engine) Decode(rber float64) Outcome {
 		Latency:    sim.Time(it) * e.IterationTime,
 		Iterations: it,
 	}
-	e.Hist.Observe(out.Latency.Microseconds())
+	if e.Latencies != nil {
+		e.Latencies.Add(out.Latency.Microseconds())
+	}
 	return out
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -236,83 +237,84 @@ func runLabels(m Manifest) map[string]string {
 }
 
 // WritePrometheus renders every collected run in the Prometheus text
-// exposition format, one labelled sample set per run. Each metric
-// name's # TYPE line is emitted once (the format forbids duplicates),
-// then every run contributes its samples with scheme/workload/pe
-// labels.
+// exposition format, one sample set per run labelled with its
+// scheme/workload/experiment/pe.
 func (c *Collection) WritePrometheus(w io.Writer) error {
 	runs := c.Runs()
-	counterNames := map[string]bool{}
-	gaugeNames := map[string]bool{}
-	histNames := map[string]bool{}
-	for _, m := range runs {
-		for k := range m.Metrics.Counters {
-			counterNames[k] = true
-		}
-		for k := range m.Metrics.Gauges {
-			gaugeNames[k] = true
-		}
-		for k := range m.Metrics.Histograms {
-			histNames[k] = true
-		}
+	sets := make([]promSet, len(runs))
+	for i, m := range runs {
+		sets[i] = promSet{labels: runLabels(m), snap: m.Metrics}
 	}
-	for _, name := range sortedKeys(counterNames) {
-		n := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", n); err != nil {
-			return err
-		}
-		for _, m := range runs {
-			v, ok := m.Metrics.Counters[name]
-			if !ok {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", n, promLabels(runLabels(m)), v); err != nil {
-				return err
-			}
-		}
-	}
-	for _, name := range sortedKeys(gaugeNames) {
-		n := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", n); err != nil {
-			return err
-		}
-		for _, m := range runs {
-			v, ok := m.Metrics.Gauges[name]
-			if !ok {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", n, promLabels(runLabels(m)), v); err != nil {
-				return err
-			}
-		}
-	}
-	for _, name := range sortedKeys(histNames) {
-		n := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", n); err != nil {
-			return err
-		}
-		for _, m := range runs {
-			h, ok := m.Metrics.Histograms[name]
-			if !ok {
-				continue
-			}
-			lbl := runLabels(m)
-			cum := int64(0)
-			for _, b := range h.Buckets {
-				cum += b.Count
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", n, histLabels(lbl, b.UpperBound), cum); err != nil {
-					return err
+	return writePrometheus(w, sets)
+}
+
+// WritePrometheus renders the snapshot in the Prometheus text
+// exposition format under one label set.
+func (s Snapshot) WritePrometheus(w io.Writer, labels map[string]string) error {
+	return writePrometheus(w, []promSet{{labels: labels, snap: s}})
+}
+
+// promSet is one labelled snapshot in an exposition.
+type promSet struct {
+	labels map[string]string
+	snap   Snapshot
+}
+
+// writePrometheus renders sets in the Prometheus text exposition
+// format (version 0.0.4). Each metric name's # TYPE line is emitted
+// once (the format forbids duplicates), then every set that has the
+// metric contributes its samples under its labels. Counters and gauges
+// are single samples; histograms are summaries: the 0.5, 0.9, 0.99 and
+// 0.999 quantiles, then _sum and _count.
+func writePrometheus(w io.Writer, sets []promSet) error {
+	// A bufio.Writer keeps its first write error and Flush returns it,
+	// so the writes below need no checks of their own.
+	bw := bufio.NewWriter(w)
+	scalars := func(kind string, values func(Snapshot) map[string]int64) {
+		for _, name := range unionKeys(sets, values) {
+			n := promName(name)
+			fmt.Fprintf(bw, "# TYPE %s %s\n", n, kind)
+			for _, set := range sets {
+				if v, ok := values(set.snap)[name]; ok {
+					fmt.Fprintf(bw, "%s%s %d\n", n, promLabels(set.labels), v)
 				}
 			}
-			if _, err := fmt.Fprintf(w, "%s_count%s %d\n", n, promLabels(lbl), h.Count); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_mean%s %g\n", n, promLabels(lbl), h.Mean); err != nil {
-				return err
-			}
 		}
 	}
-	return nil
+	scalars("counter", func(s Snapshot) map[string]int64 { return s.Counters })
+	scalars("gauge", func(s Snapshot) map[string]int64 { return s.Gauges })
+	hists := func(s Snapshot) map[string]HistogramSnapshot { return s.Histograms }
+	for _, name := range unionKeys(sets, hists) {
+		n := promName(name)
+		fmt.Fprintf(bw, "# TYPE %s summary\n", n)
+		for _, set := range sets {
+			h, ok := set.snap.Histograms[name]
+			if !ok {
+				continue
+			}
+			for _, q := range [...]struct {
+				label string
+				v     float64
+			}{{"0.5", h.P50}, {"0.9", h.P90}, {"0.99", h.P99}, {"0.999", h.P999}} {
+				fmt.Fprintf(bw, "%s%s %g\n", n, promLabels(withLabel(set.labels, "quantile", q.label)), q.v)
+			}
+			lbl := promLabels(set.labels)
+			fmt.Fprintf(bw, "%s_sum%s %g\n%s_count%s %d\n", n, lbl, h.Mean*float64(h.Count), n, lbl, h.Count)
+		}
+	}
+	return bw.Flush()
+}
+
+// unionKeys returns, sorted, every name the sets' instrument maps
+// hold.
+func unionKeys[V any](sets []promSet, instruments func(Snapshot) map[string]V) []string {
+	names := map[string]bool{}
+	for _, set := range sets {
+		for k := range instruments(set.snap) {
+			names[k] = true
+		}
+	}
+	return sortedKeys(names)
 }
 
 var promInvalid = regexp.MustCompile(`[^a-zA-Z0-9_:]`)
@@ -362,57 +364,14 @@ func promLabels(labels map[string]string) string {
 	return b.String()
 }
 
-// WritePrometheus renders the snapshot in the Prometheus text
-// exposition format (version 0.0.4): counters and gauges as single
-// samples, histograms as the conventional _bucket/_sum-less
-// cumulative form with _count, _min, _max and _mean companions.
-func (s Snapshot) WritePrometheus(w io.Writer, labels map[string]string) error {
-	lbl := promLabels(labels)
-	for _, name := range sortedKeys(s.Counters) {
-		n := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s%s %d\n", n, n, lbl, s.Counters[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(s.Gauges) {
-		n := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %d\n", n, n, lbl, s.Gauges[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(s.Histograms) {
-		h := s.Histograms[name]
-		n := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", n); err != nil {
-			return err
-		}
-		cum := int64(0)
-		for _, b := range h.Buckets {
-			cum += b.Count
-			le := b.UpperBound
-			bl := histLabels(labels, le)
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", n, bl, cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", n, lbl, h.Count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_mean%s %g\n", n, lbl, h.Mean); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// histLabels merges the shared label set with a le bucket label.
-func histLabels(labels map[string]string, le string) string {
+// withLabel returns labels plus one more label.
+func withLabel(labels map[string]string, k, v string) map[string]string {
 	merged := make(map[string]string, len(labels)+1)
-	for k, v := range labels {
-		merged[k] = v
+	for lk, lv := range labels {
+		merged[lk] = lv
 	}
-	merged["le"] = le
-	return promLabels(merged)
+	merged[k] = v
+	return merged
 }
 
 // Format renders the snapshot as a sorted human-readable summary for

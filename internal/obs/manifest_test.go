@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -74,20 +75,14 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatalf("gauge lost: %d", got)
 	}
 	h := m.Metrics.Histograms["ssd_read_latency_us"]
-	if h.Count != 100 || h.Min != 1 || h.Max != 100 {
+	if h != sampleManifest("", 0).Metrics.Histograms["ssd_read_latency_us"] || h.Count != 100 || h.Min != 1 || h.Max != 100 {
 		t.Fatalf("histogram summary lost: %+v", h)
-	}
-	var n int64
-	for _, b := range h.Buckets {
-		n += b.Count
-	}
-	if n != 100 {
-		t.Fatalf("histogram buckets lost %d of 100 observations", 100-n)
 	}
 }
 
 // TestSnapshotPrometheus checks the single-snapshot exposition: TYPE
-// lines, label rendering and cumulative histogram buckets.
+// lines, label rendering, and a histogram as a summary whose quantile
+// samples come in order, followed by _sum and _count.
 func TestSnapshotPrometheus(t *testing.T) {
 	m := sampleManifest("RiFSSD", 2000)
 	var buf bytes.Buffer
@@ -96,27 +91,43 @@ func TestSnapshotPrometheus(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# TYPE ssd_page_reads_total counter",
-		`ssd_page_reads_total{scheme="RiFSSD"} 1234`,
-		"# TYPE ssd_die_queue_depth_highwater gauge",
-		"# TYPE ssd_read_latency_us histogram",
-		`ssd_read_latency_us_count{scheme="RiFSSD"} 100`,
+		"# TYPE ssd_page_reads_total counter\n" + `ssd_page_reads_total{scheme="RiFSSD"} 1234`,
+		"# TYPE ssd_die_queue_depth_highwater gauge\n" + `ssd_die_queue_depth_highwater{scheme="RiFSSD"} 17`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
 	}
-	// Buckets must be cumulative: the last bucket line carries the
-	// full count.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	last := ""
-	for _, l := range lines {
-		if strings.HasPrefix(l, "ssd_read_latency_us_bucket") {
-			last = l
-		}
+	h := m.Metrics.Histograms["ssd_read_latency_us"]
+	summary := fmt.Sprintf(`# TYPE ssd_read_latency_us summary
+ssd_read_latency_us{quantile="0.5",scheme="RiFSSD"} %g
+ssd_read_latency_us{quantile="0.9",scheme="RiFSSD"} %g
+ssd_read_latency_us{quantile="0.99",scheme="RiFSSD"} %g
+ssd_read_latency_us{quantile="0.999",scheme="RiFSSD"} %g
+ssd_read_latency_us_sum{scheme="RiFSSD"} 5050
+ssd_read_latency_us_count{scheme="RiFSSD"} 100
+`, h.P50, h.P90, h.P99, h.P999)
+	if !strings.HasSuffix(out, summary) {
+		t.Fatalf("summary block:\n%s\nwant it to end with:\n%s", out, summary)
 	}
-	if !strings.HasSuffix(last, " 100") {
-		t.Fatalf("last histogram bucket not cumulative: %q", last)
+}
+
+// TestSnapshotPrometheusIsOneRunCollection pins the single writer:
+// a snapshot's exposition is a one-run collection's under the same
+// labels.
+func TestSnapshotPrometheusIsOneRunCollection(t *testing.T) {
+	m := sampleManifest("RiFSSD", 2000)
+	c := NewCollection()
+	c.Add(m)
+	var one, coll bytes.Buffer
+	if err := m.Metrics.WritePrometheus(&one, runLabels(m)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WritePrometheus(&coll); err != nil {
+		t.Fatal(err)
+	}
+	if one.String() != coll.String() {
+		t.Fatalf("snapshot exposition:\n%s\none-run collection:\n%s", one.String(), coll.String())
 	}
 }
 
@@ -131,8 +142,13 @@ func TestCollectionPrometheus(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if got := strings.Count(out, "# TYPE ssd_page_reads_total counter"); got != 1 {
-		t.Fatalf("TYPE line emitted %d times, want exactly 1", got)
+	for _, typ := range []string{"# TYPE ssd_page_reads_total counter", "# TYPE ssd_read_latency_us summary"} {
+		if got := strings.Count(out, typ); got != 1 {
+			t.Fatalf("%q emitted %d times, want exactly 1", typ, got)
+		}
+	}
+	if got := strings.Count(out, "ssd_read_latency_us_count{"); got != 2 {
+		t.Fatalf("summary _count emitted for %d runs, want 2", got)
 	}
 	for _, want := range []string{`scheme="RiFSSD"`, `scheme="SENC"`, `pe="2000"`, `pe="0"`} {
 		if !strings.Contains(out, want) {

@@ -1,6 +1,6 @@
 // Package obs is the simulator-wide observability subsystem: a
 // low-overhead metrics registry (atomic counters, gauges and
-// streaming histograms), a sim-time span tracer with Chrome
+// sketch-backed latency histograms), a sim-time span tracer with Chrome
 // trace_event export, and machine-readable per-run manifests.
 //
 // Every instrument is nil-safe: methods on a nil *Registry, *Counter,
@@ -11,7 +11,6 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,49 +90,18 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram is a streaming histogram: exponential buckets for the
-// exposition formats plus a stats.Summary for exact count, mean and
-// extremes. Observations are mutex-protected (the grids run many
-// simulations concurrently); the buckets are preallocated so Observe
-// never allocates. A nil Histogram discards observations.
+// Histogram is a latency distribution: a stats.Sketch behind a mutex,
+// so concurrent hosts can observe into one instrument and a drained
+// simulation can merge its own sketch in. Observe allocates only when
+// an observation widens the sketch's bucket range. A nil Histogram
+// discards observations.
 type Histogram struct {
-	mu      sync.Mutex
-	bounds  []float64 // bucket upper bounds, ascending; last is +Inf sentinel
-	buckets []int64   // len(bounds)+1, last catches > bounds[len-1]
-	sum     stats.Summary
+	mu sync.Mutex
+	s  stats.Sketch
 }
 
-// DefaultBuckets spans [base, base*growth^(n-1)] exponentially. The
-// registry's default histogram covers 0.1..~1e7 (microsecond-scale
-// latencies in a nanosecond-clock simulator fit comfortably).
-func DefaultBuckets() []float64 { return ExponentialBuckets(0.1, 2, 28) }
-
-// ExponentialBuckets returns n upper bounds starting at base, each
-// growth times the previous.
-func ExponentialBuckets(base, growth float64, n int) []float64 {
-	if n <= 0 || base <= 0 || growth <= 1 {
-		return nil
-	}
-	out := make([]float64, n)
-	b := base
-	for i := range out {
-		out[i] = b
-		b *= growth
-	}
-	return out
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultBuckets()
-	}
-	return &Histogram{
-		bounds:  append([]float64(nil), bounds...),
-		buckets: make([]int64, len(bounds)+1),
-	}
-}
-
-// Observe folds one observation into the histogram.
+// Observe folds one observation into the histogram; like
+// stats.Sketch.Add, it panics on a negative or NaN x.
 //
 //riflint:hotpath
 func (h *Histogram) Observe(x float64) {
@@ -141,23 +109,19 @@ func (h *Histogram) Observe(x float64) {
 		return
 	}
 	h.mu.Lock()
-	h.sum.Add(x)
-	h.buckets[h.bucketOf(x)]++
+	h.s.Add(x)
 	h.mu.Unlock()
 }
 
-// bucketOf binary-searches the bounds; callers hold the lock.
-func (h *Histogram) bucketOf(x float64) int {
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if x <= h.bounds[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+// Merge folds a sketch into the histogram. Merging is exact, so a
+// histogram that held nothing before reads exactly as the sketch does.
+func (h *Histogram) Merge(s *stats.Sketch) {
+	if h == nil {
+		return
 	}
-	return lo
+	h.mu.Lock()
+	h.s.Merge(s)
+	h.mu.Unlock()
 }
 
 // Count reports the number of observations.
@@ -167,60 +131,37 @@ func (h *Histogram) Count() int64 {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.sum.N()
+	return h.s.N()
 }
 
-// Mean reports the arithmetic mean of the observations.
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum.Mean()
-}
-
-// snapshotLocked captures the histogram state; callers hold no lock.
+// snapshot captures the histogram's summary.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := HistogramSnapshot{
-		Count: h.sum.N(),
-		Mean:  h.sum.Mean(),
-		Min:   h.sum.Min(),
-		Max:   h.sum.Max(),
+	return HistogramSnapshot{
+		Count: h.s.N(),
+		Mean:  h.s.Mean(),
+		Min:   h.s.Min(),
+		Max:   h.s.Max(),
+		P50:   h.s.Quantile(0.5),
+		P90:   h.s.Quantile(0.9),
+		P99:   h.s.Quantile(0.99),
+		P999:  h.s.Quantile(0.999),
 	}
-	for i, cnt := range h.buckets {
-		if cnt == 0 {
-			continue
-		}
-		bound := "+Inf"
-		if i < len(h.bounds) {
-			bound = trimFloat(h.bounds[i])
-		}
-		s.Buckets = append(s.Buckets, BucketCount{UpperBound: bound, Count: cnt})
-	}
-	return s
 }
 
-// BucketCount is one non-empty histogram bucket in a snapshot.
-type BucketCount struct {
-	UpperBound string `json:"le"`
-	Count      int64  `json:"count"`
-}
-
-// HistogramSnapshot is the serializable state of one histogram.
+// HistogramSnapshot is the serializable summary of one histogram: the
+// exact count, mean and extremes, and quantiles within the sketch's
+// relative accuracy (stats.SketchAlpha).
 type HistogramSnapshot struct {
-	Count   int64         `json:"count"`
-	Mean    float64       `json:"mean"`
-	Min     float64       `json:"min"`
-	Max     float64       `json:"max"`
-	Buckets []BucketCount `json:"buckets,omitempty"`
-}
-
-func trimFloat(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	return s
+	Count int64   `json:"count"`
+	Mean  float64 `json:"mean"`
+	Min   float64 `json:"min"`
+	Max   float64 `json:"max"`
+	P50   float64 `json:"p50"`
+	P90   float64 `json:"p90"`
+	P99   float64 `json:"p99"`
+	P999  float64 `json:"p999"`
 }
 
 // Registry is a named collection of instruments. Instruments are
@@ -274,16 +215,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram with default buckets,
-// creating it if needed.
+// Histogram returns the named histogram, creating it if needed.
 func (r *Registry) Histogram(name string) *Histogram {
-	return r.HistogramWith(name, nil)
-}
-
-// HistogramWith returns the named histogram, creating it with the
-// given bucket upper bounds (nil selects DefaultBuckets). Bounds are
-// fixed at creation; later calls return the existing histogram.
-func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -291,7 +224,7 @@ func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = newHistogram(bounds)
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // TestNilInstrumentsAreNoOps exercises every method on nil receivers:
@@ -24,7 +26,8 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 	var h *Histogram
 	h.Observe(1)
-	if h.Count() != 0 || h.Mean() != 0 {
+	h.Merge(&stats.Sketch{})
+	if h.Count() != 0 {
 		t.Fatal("nil histogram not a no-op")
 	}
 	var tr *Tracer
@@ -62,8 +65,9 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestEnabledObserveAllocatesNothing checks the live path too: buckets
-// are preallocated, so Observe and Add must not allocate either.
+// TestEnabledObserveAllocatesNothing checks the live path too: once a
+// value's sketch bucket exists, Observe and Add must not allocate
+// either.
 func TestEnabledObserveAllocatesNothing(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
@@ -128,28 +132,51 @@ func TestConcurrentHammering(t *testing.T) {
 }
 
 // TestHistogramQuantiles pins what the manifests and the /metrics
-// exposition read from a histogram: count, mean and the per-bucket
-// counts.
+// exposition read from a histogram: the exact count, mean and
+// extremes, and quantiles within the sketch's relative accuracy of
+// the exact nearest-rank values.
 func TestHistogramQuantiles(t *testing.T) {
-	h := newHistogram(ExponentialBuckets(1, 2, 20))
+	h := NewRegistry().Histogram("h")
+	var exact stats.Sample
 	for i := 1; i <= 1000; i++ {
 		h.Observe(float64(i))
+		exact.Add(float64(i))
 	}
 	if h.Count() != 1000 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if got := h.Mean(); math.Abs(got-500.5) > 1e-9 {
-		t.Fatalf("mean = %v, want 500.5", got)
+	s := h.snapshot()
+	if math.Abs(s.Mean-500.5) > 1e-9 || s.Min != 1 || s.Max != 1000 {
+		t.Fatalf("mean/min/max = %v/%v/%v, want 500.5/1/1000", s.Mean, s.Min, s.Max)
 	}
-	// The median's bucket (256, 512] holds exactly 257..512.
-	var median int64 = -1
-	for _, b := range h.snapshot().Buckets {
-		if b.UpperBound == "512" {
-			median = b.Count
+	for _, c := range []struct {
+		q   float64
+		got float64
+	}{{0.5, s.P50}, {0.9, s.P90}, {0.99, s.P99}, {0.999, s.P999}} {
+		want := exact.Quantile(c.q)
+		if math.Abs(c.got-want) > stats.SketchAlpha*want {
+			t.Errorf("q=%v: %v, exact %v (beyond ±%v)", c.q, c.got, want, stats.SketchAlpha)
 		}
 	}
-	if median != 256 {
-		t.Fatalf("bucket le=512 holds %d observations, want 256", median)
+}
+
+// TestHistogramMergeIsExact pins the fold-at-drain contract: a sketch
+// merged into an empty histogram reads back exactly as the sketch
+// does.
+func TestHistogramMergeIsExact(t *testing.T) {
+	var sk stats.Sketch
+	for i := 1; i <= 777; i++ {
+		sk.Add(float64(i*i%1009) + 0.5)
+	}
+	h := NewRegistry().Histogram("h")
+	h.Merge(&sk)
+	h.Merge(nil)
+	s := h.snapshot()
+	if s.Count != sk.N() || s.Mean != sk.Mean() || s.Min != sk.Min() || s.Max != sk.Max() {
+		t.Fatalf("merged summary %+v diverges from the sketch", s)
+	}
+	if s.P50 != sk.Quantile(0.5) || s.P90 != sk.Quantile(0.9) || s.P99 != sk.Quantile(0.99) || s.P999 != sk.Quantile(0.999) {
+		t.Fatalf("merged quantiles %+v diverge from the sketch", s)
 	}
 }
 
@@ -171,7 +198,7 @@ func TestRegistryReturnsSameInstrument(t *testing.T) {
 	if r.Counter("a") != r.Counter("a") {
 		t.Fatal("counter identity not stable")
 	}
-	if r.Histogram("h") != r.HistogramWith("h", ExponentialBuckets(1, 10, 3)) {
-		t.Fatal("histogram identity not stable (bounds fixed at creation)")
+	if r.Histogram("h") != r.Histogram("h") {
+		t.Fatal("histogram identity not stable")
 	}
 }

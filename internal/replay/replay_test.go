@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/trace"
@@ -247,5 +248,43 @@ func TestRunRejectsOutOfRangeLPN(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "outside the device") {
 			t.Fatalf("%q: replay = (%+v, %v), want an out-of-range error", line, res, err)
 		}
+	}
+}
+
+// notFolded is a source that fails the test if the registry holds a
+// read-latency histogram while the replay still pulls requests.
+type notFolded struct {
+	Source
+	t   *testing.T
+	reg *obs.Registry
+}
+
+func (s notFolded) Next() (trace.Request, error) {
+	if _, ok := s.reg.Snapshot().Histograms["ssd_read_latency_us"]; ok {
+		s.t.Fatal("ssd_read_latency_us is in the registry before drain")
+	}
+	return s.Source.Next()
+}
+
+// TestRunFoldsReadLatenciesAtDrain checks the open-loop host leaves
+// the registry's ssd_read_latency_us to the drain fold, which merges
+// the replay's own latency sketch exactly.
+func TestRunFoldsReadLatenciesAtDrain(t *testing.T) {
+	arr, err := NewPoisson(20000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig(ssd.RiF, 2000)
+	cfg.Obs = obs.NewRegistry()
+	src := notFolded{FromWorkload(smallGenerator(t, "Ali124", 3), 400), t, cfg.Obs}
+	res, err := Run(src, Options{Config: cfg, Arrivals: arr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := cfg.Obs.Snapshot().Histograms["ssd_read_latency_us"]
+	if h.Count == 0 || h.Count != res.Latency.N() ||
+		h.P50 != res.Latency.Quantile(0.5) || h.P99 != res.Latency.Quantile(0.99) {
+		t.Fatalf("folded n=%d p50=%v p99=%v, replay sketch n=%d p50=%v p99=%v",
+			h.Count, h.P50, h.P99, res.Latency.N(), res.Latency.Quantile(0.5), res.Latency.Quantile(0.99))
 	}
 }

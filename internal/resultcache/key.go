@@ -39,7 +39,7 @@ import (
 // changes, or when a field is added to (or removed from) the encoded
 // structs — the reflection guard in key_test.go fails on the latter
 // until both the encoder and this constant move together.
-const SchemaVersion = 4
+const SchemaVersion = 5
 
 // Key is a SHA-256 content address of one canonicalized run
 // configuration.
@@ -76,7 +76,7 @@ func (k *Keyer) Key(experiment string, p core.RunParams) Key {
 	b = appendU64(b, SchemaVersion)
 	b = appendStr(b, experiment)
 
-	// RunParams semantic fields (Workers, Stop, Pool, Obs, Trace,
+	// RunParams semantic fields (Workers, Stop, Pool, Trace,
 	// Collect, Tool excluded: output-invariant plumbing). Experiment is
 	// the argument above; p.Experiment is a manifest label the serving
 	// layer derives from it.

@@ -8,7 +8,7 @@ import (
 )
 
 // goldenKeys pins the content address of (experiment,
-// DefaultRunParams) for every valid experiment at SchemaVersion 4.
+// DefaultRunParams) for every valid experiment at SchemaVersion 5.
 // These constants are the cross-restart half of the key invariant: a
 // recompiled, restarted, or different-host process must mint the very
 // same addresses, or a persisted store written by one server life
@@ -17,23 +17,23 @@ import (
 // encoding moves these values, bump SchemaVersion and regenerate the
 // table — never hand-patch a single row.
 var goldenKeys = map[string]string{
-	"6":                  "81c565b8248c5a09cd483835a8e7b82a2a4aec2d406a5332dd4e1c0c09c493c1",
-	"7":                  "7aba3296bc35742a727f0b20b7e9d3f7d110172cedcb86967c2817ef13bc5d93",
-	"8":                  "0572b830e1059c57f2e15f96e7dbc67df9c2f93bf3bea4b142237586e393c814",
-	"17":                 "c1fb1fa44fda1e4397314ef670c1b3250e8cae26da7abf5b04b00ffd67358742",
-	"18":                 "2088bf150ead146b6733804ddf2510a0bae8595a325eaeb6d5c123bd86338ae6",
-	"19":                 "469c16aba0edf5de651b10b74026456391d370a103b2b28ba9f6768cc220eb9e",
-	"overhead":           "72ecfb141b193ff2ac3acda6a7c2dc8ddf3eb26817c1454fbb360c1b5a45f01d",
-	"ablate-chunk":       "8ff9e6b6dd5b772499cd6eed6fded2bdb75acd3063a26eba8ea62d6fbbed8206",
-	"ablate-buffer":      "1131a156fdbbeff5727cc5ef082d461b01bc908408a3942450176472deab9724",
-	"ablate-accuracy":    "c2091a0ef4b0ec1cb5d58026c2428b1b0f0cc0149555b1e539cb0bf30abe92f1",
-	"ablate-scheduling":  "8896cc0f477779d63ae14747c59da5168fee435b7fc9a60f7be193018024563b",
-	"ablate-secondcheck": "624eb5c13eae89d5d2498c341b1c54e8623a6f51748ea30939e9ed4742a7bcad",
-	"refresh":            "bba7ceb24caf102876155f9c0b6cb31b7000aabd051e5b2ac52f3886942c62dc",
-	"tenants":            "0de35ad2601b2f8fc23973f8945f58f0577758ea75383520ac588173baf89519",
-	"chaos":              "8f608c62e3c0545bc14485ac59c518c5ed611ebb14cc3cd35d2271db97dc2f3d",
-	"tailsweep":          "915fac908a42f5b19a7c1e5488245baf3e3cade9923857c169c3ac9f00f04861",
-	"agesweep":           "fc1d62127e9e7f31c23b0f049e2bd9283da36573eb8377d7022a262d2ba1873e",
+	"6":                  "e430646ac11d628d28ec7daf32319813fc2a7c4a966568ba29af9a5bcdf365a0",
+	"7":                  "10bafcde45d33cda52c4de8a8e743d43543f5dc5e16cbd291d3ae50bb5de38b4",
+	"8":                  "39f76e8a800ddfdc7a953ba1c839cf9f7bc6f9a47d1f6e99e7ae6febaa5c5052",
+	"17":                 "bcab020c208a8fb35930c64d0b232ecaaf720cb6258a42eece359df2e31f2d7c",
+	"18":                 "14d284c6d79eebfb702c6c30364c7be9e095dc8a324153e07893363ce3ccd2a7",
+	"19":                 "5b4ee8f60b20eac6c2028d8f08f5319428428fd350b157972ad4630b62bc456d",
+	"overhead":           "a8c06d1d64819eb7676ea47d69e8c0ff3e4c3744a4a33da399aa7db819612223",
+	"ablate-chunk":       "c278ba75af5948268db3d0787de682b3140c0e95aaa1b79f5420b0a4377feeb7",
+	"ablate-buffer":      "bf995c56f5dc72241b69a49055f0e659d2eb9793b05508cc726b664f87f705f7",
+	"ablate-accuracy":    "a99a7555050bfd39d8a488b0baa860176d422104cfc03885a9d09a5189e382a5",
+	"ablate-scheduling":  "b65a58d44f151d4d0571110a3547546415427492569ff8b590433a981229030d",
+	"ablate-secondcheck": "134f35c21f68bc06fddb96bb9beb3fab7afc3de6ce338c0a2674a75f83c920d1",
+	"refresh":            "8af496def9ce3e551853994f1045363ad9aa0ea0afaa021e3b9ce680269933b8",
+	"tenants":            "f9fb2254641d4495dc78d54be6ef1eecee1278e518b22a619f01ddb390954800",
+	"chaos":              "628c3a730e5024fc7ee57c68eefd7c5aaa5e55d7a2f3715439014a4b81ab57c2",
+	"tailsweep":          "83930b66d7f62e6372427a6e7cbf09429af61883f7e6f8a52512ddf7595b4467",
+	"agesweep":           "10ad6a73ba81ed24ad4db5b1aa2559189ee35429bf2ed5df01d08c6eb68d55d3",
 }
 
 // TestGoldenKeysCoverEveryExperiment keeps the table and the

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 
@@ -80,6 +82,19 @@ func (s JobSpec) Params() (core.RunParams, error) {
 		return core.RunParams{}, err
 	}
 	return p, nil
+}
+
+// decodeJobSpec reads one POSTed job spec, rejecting unknown fields,
+// and derives its RunParams.
+func decodeJobSpec(r io.Reader) (JobSpec, core.RunParams, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var spec JobSpec
+	if err := dec.Decode(&spec); err != nil {
+		return JobSpec{}, core.RunParams{}, fmt.Errorf("serve: bad job spec: %w", err)
+	}
+	p, err := spec.Params()
+	return spec, p, err
 }
 
 // State is a job's lifecycle position.

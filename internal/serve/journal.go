@@ -75,7 +75,7 @@ func openJournal(path string, inj *faults.StorageInjector) (*journal, []journalR
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("serve: open journal: %w", err)
 	}
-	records, keep, size, err := scanJournal(path)
+	records, keep, size, err := loadJournal(path)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -99,18 +99,13 @@ func openJournal(path string, inj *faults.StorageInjector) (*journal, []journalR
 // readJournal parses the journal's NDJSON records; see scanJournal for
 // the torn-tail contract.
 func readJournal(path string) ([]journalRecord, error) {
-	records, _, _, err := scanJournal(path)
+	records, _, _, err := loadJournal(path)
 	return records, err
 }
 
-// scanJournal parses the journal's NDJSON records, also reporting the
-// byte offset just past the last intact record (keep) and the file
-// size, so openJournal can truncate a forgiven tail before appending.
-// Only a torn FINAL line is forgiven (fsync-per-record means the crash
-// can tear at most the last append); garbage earlier in the file is
-// corruption and fails the open, because silently skipping records
-// would un-journal accepted work.
-func scanJournal(path string) (records []journalRecord, keep, size int64, err error) {
+// loadJournal reads the journal file and scans it (a missing file is
+// an empty journal), also reporting the file size.
+func loadJournal(path string) (records []journalRecord, keep, size int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -118,7 +113,21 @@ func scanJournal(path string) (records []journalRecord, keep, size int64, err er
 		}
 		return nil, 0, 0, fmt.Errorf("serve: read journal: %w", err)
 	}
-	size = int64(len(data))
+	records, keep, err = scanJournal(data)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("serve: journal %s: %w", path, err)
+	}
+	return records, keep, int64(len(data)), nil
+}
+
+// scanJournal parses journal bytes into NDJSON records, also reporting
+// the byte offset just past the last intact record (keep), so
+// openJournal can truncate a forgiven tail before appending. Only a
+// torn FINAL line is forgiven (fsync-per-record means the crash can
+// tear at most the last append); garbage earlier in the file is
+// corruption and fails the open, because silently skipping records
+// would un-journal accepted work.
+func scanJournal(data []byte) (records []journalRecord, keep int64, err error) {
 	var torn bool
 	for off := 0; off < len(data); {
 		lineEnd := len(data)
@@ -131,7 +140,7 @@ func scanJournal(path string) (records []journalRecord, keep, size int64, err er
 			continue
 		}
 		if torn {
-			return nil, 0, 0, fmt.Errorf("serve: journal %s: corrupt record before end of file", path)
+			return nil, 0, errors.New("corrupt record before end of file")
 		}
 		var rec journalRecord
 		if jsonErr := json.Unmarshal(line, &rec); jsonErr != nil || rec.Op == "" || rec.ID == "" {
@@ -141,7 +150,7 @@ func scanJournal(path string) (records []journalRecord, keep, size int64, err er
 		records = append(records, rec)
 		keep = int64(lineEnd)
 	}
-	return records, keep, size, nil
+	return records, keep, nil
 }
 
 // append writes one record and fsyncs it. The first failure degrades

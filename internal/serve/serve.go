@@ -213,7 +213,7 @@ func New(cfg Config) *Server {
 		cancelled:  reg.Counter("rifserve_jobs_cancelled_total"),
 		queueDepth: reg.Gauge("rifserve_queue_depth"),
 		running:    reg.Gauge("rifserve_jobs_running"),
-		jobRuns:    reg.HistogramWith("rifserve_job_manifests", obs.ExponentialBuckets(1, 2, 10)),
+		jobRuns:    reg.Histogram("rifserve_job_manifests"),
 
 		cacheHits:      reg.Counter("rifserve_cache_hits_total"),
 		cacheMisses:    reg.Counter("rifserve_cache_misses_total"),
@@ -851,14 +851,7 @@ func (s *Server) Handler() http.Handler {
 // answers 429 with a Retry-After hint — the backpressure contract
 // that keeps a burst of submissions from buffering without bound.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
-		http.Error(w, "serve: bad job spec: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	p, err := spec.Params()
+	spec, p, err := decodeJobSpec(r.Body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -250,7 +250,7 @@ func TestServeEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		`rifserve_jobs_submitted_total{instance="ci\"runner\\1\nblue"} 1`,
 		`rifserve_jobs_completed_total{instance="ci\"runner\\1\nblue"} 1`,
-		"# TYPE rifserve_job_manifests histogram",
+		"# TYPE rifserve_job_manifests summary",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, metrics)

@@ -74,8 +74,7 @@ func (s *SSD) Submit(req trace.Request, arrival sim.Time, src Workload, tag int)
 
 // recordCompletion accounts a finished host request — counters,
 // makespan, bytes and, for a read, its latency (µs) into ReadLatencies
-// and the ssd_read_latency_us histogram — and returns the port's
-// report of it.
+// — and returns the port's report of it.
 //
 //riflint:hotpath
 func (s *SSD) recordCompletion(req trace.Request, arrival sim.Time, tag int, res cmdResult) Completion {
@@ -94,7 +93,6 @@ func (s *SSD) recordCompletion(req trace.Request, arrival sim.Time, tag int, res
 	s.m.BytesRead += c.Bytes
 	c.Latency = (s.eng.Now() - arrival).Microseconds()
 	s.m.ReadLatencies.Add(c.Latency)
-	s.readLat.Observe(c.Latency)
 	return c
 }
 

@@ -50,8 +50,9 @@ func TestRunQueuesBasic(t *testing.T) {
 }
 
 // TestRunQueuesRecordsEveryRead checks the multi-queue host records
-// each read once device-wide: in the ssd_read_latency_us histogram and
-// in Metrics.ReadLatencies, as many as the per-queue sketches hold.
+// each read once device-wide, in Metrics.ReadLatencies, as many as the
+// per-queue sketches hold, and that the registry's
+// ssd_read_latency_us is folded from that sketch at drain.
 func TestRunQueuesRecordsEveryRead(t *testing.T) {
 	cfg := smallConfig(RiF, 1000)
 	cfg.Obs = obs.NewRegistry()
@@ -60,7 +61,7 @@ func TestRunQueuesRecordsEveryRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	queues := []HostQueue{
-		{Workload: smallWorkload(t, "Ali124", 2), Depth: 16},
+		{Workload: notFolded{smallWorkload(t, "Ali124", 2), t, cfg.Obs}, Depth: 16},
 		{Workload: smallWorkload(t, "Ali2", 3), Depth: 16},
 	}
 	m, perQueue, err := s.RunQueues(queues, 150)
@@ -74,11 +75,40 @@ func TestRunQueuesRecordsEveryRead(t *testing.T) {
 	if reads == 0 {
 		t.Fatal("no reads completed")
 	}
-	if got := cfg.Obs.Snapshot().Histograms["ssd_read_latency_us"].Count; got != reads {
-		t.Fatalf("read latency histogram n = %d, per-queue sketches n = %d", got, reads)
-	}
 	if got := m.ReadLatencies.N(); got != reads {
 		t.Fatalf("device sketch n = %d, per-queue sketches n = %d", got, reads)
+	}
+	checkFolded(t, cfg.Obs, m)
+}
+
+// notFolded is a workload that fails the test if the registry holds a
+// read-latency histogram while the run still pulls requests: nothing
+// in the device streams into obs, it folds at drain.
+type notFolded struct {
+	Workload
+	t   *testing.T
+	reg *obs.Registry
+}
+
+func (w notFolded) Next() trace.Request {
+	if _, ok := w.reg.Snapshot().Histograms["ssd_read_latency_us"]; ok {
+		w.t.Fatal("ssd_read_latency_us is in the registry before drain")
+	}
+	return w.Workload.Next()
+}
+
+// checkFolded checks the registry's ssd_read_latency_us after drain:
+// merging is exact, so its count and quantiles are ReadLatencies' own.
+func checkFolded(t *testing.T, reg *obs.Registry, m *Metrics) {
+	t.Helper()
+	h, ok := reg.Snapshot().Histograms["ssd_read_latency_us"]
+	if !ok {
+		t.Fatal("ssd_read_latency_us not folded at drain")
+	}
+	l := &m.ReadLatencies
+	if h.Count != l.N() || h.P50 != l.Quantile(0.5) || h.P99 != l.Quantile(0.99) {
+		t.Fatalf("folded n=%d p50=%v p99=%v, ReadLatencies n=%d p50=%v p99=%v",
+			h.Count, h.P50, h.P99, l.N(), l.Quantile(0.5), l.Quantile(0.99))
 	}
 }
 

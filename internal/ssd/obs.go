@@ -8,8 +8,9 @@ import (
 // foldObs publishes the run's final accounting into the configured
 // observability registry. The simulation engine is single-threaded, so
 // per-run scalars live as plain fields during the run and are folded
-// here once, at drain time; only the latency histograms stream live.
-// A nil registry makes every call below a no-op.
+// here once, at drain time, as are the read-latency and ECC-decode
+// sketches (merging is exact). A nil registry makes every call below
+// a no-op.
 func (s *SSD) foldObs() {
 	reg := s.cfg.Obs
 	if reg == nil {
@@ -25,6 +26,8 @@ func (s *SSD) foldObs() {
 	reg.Counter("ssd_requests_completed_total").Add(int64(s.m.RequestsCompleted))
 	reg.Counter("ssd_bytes_read_total").Add(s.m.BytesRead)
 	reg.Counter("ssd_bytes_written_total").Add(s.m.BytesWritten)
+	reg.Histogram("ssd_read_latency_us").Merge(&s.m.ReadLatencies)
+	reg.Histogram("ecc_decode_latency_us").Merge(s.dec.Latencies)
 
 	// Retry behaviour.
 	reg.Counter("ssd_page_reads_total").Add(s.m.PageReads)

@@ -7,9 +7,9 @@ import (
 	"repro/internal/ecc"
 	"repro/internal/faults"
 	"repro/internal/nand"
-	"repro/internal/obs"
 	"repro/internal/odear"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -76,10 +76,6 @@ type SSD struct {
 
 	spans   []Span
 	nextCmd int
-
-	// readLat streams per-request read latencies (µs) into the
-	// configured registry; nil (a no-op) when observability is off.
-	readLat *obs.Histogram
 
 	// runErr is the first non-fatal device error of the run (dropped
 	// write, cache underflow); surfaced by Drain instead of a
@@ -155,11 +151,11 @@ func New(cfg Config, w Workload) (*SSD, error) {
 	}
 	s.m.Scheme = cfg.Scheme
 	s.m.PECycles = cfg.PECycles
-	// Observability hooks: the ECC engine streams decode latencies,
-	// recordCompletion streams read latencies. Both handles are nil-safe
-	// no-ops when cfg.Obs is nil.
-	s.dec.Hist = cfg.Obs.Histogram("ecc_decode_latency_us")
-	s.readLat = cfg.Obs.Histogram("ssd_read_latency_us")
+	// The ECC engine records decode latencies only for a registry,
+	// which foldObs merges them into at drain.
+	if cfg.Obs != nil {
+		s.dec.Latencies = new(stats.Sketch)
+	}
 	// A station's name only labels its spans, so it is made only when
 	// spans are recorded.
 	recordSpans := cfg.RecordSpans || cfg.Trace != nil

@@ -120,9 +120,9 @@ func (s *Sketch) bucket(k int) {
 		s.counts = grown
 		s.minKey = k
 	}
-	for k >= s.minKey+len(s.counts) {
+	if n := k - s.minKey - len(s.counts) + 1; n > 0 {
 		//riflint:allow alloc -- range extension: at most O(log range) growths over a run, then steady state
-		s.counts = append(s.counts, 0)
+		s.counts = append(s.counts, make([]int64, n)...)
 	}
 	s.counts[k-s.minKey]++
 }
@@ -257,6 +257,13 @@ func (s *Sketch) Merge(other *Sketch) {
 	s.n += other.n
 	s.sum += other.sum
 	s.zero += other.zero
+	if len(s.counts) == 0 {
+		// An empty range takes other's counts whole: one allocation,
+		// not one growth per bucket.
+		s.counts = append([]int64(nil), other.counts...)
+		s.minKey = other.minKey
+		return
+	}
 	for i, cnt := range other.counts {
 		if cnt == 0 {
 			continue

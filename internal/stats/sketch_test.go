@@ -265,6 +265,26 @@ func TestSketchMergeEmptyAndNil(t *testing.T) {
 	NewSketch(0).Merge(&zero)
 }
 
+// TestSketchMergeIntoEmptyAllocatesOnce pins the drain-time fold: an
+// empty sketch takes a merged sketch's bucket counts in one
+// allocation, not one growth per bucket.
+func TestSketchMergeIntoEmptyAllocatesOnce(t *testing.T) {
+	var full Sketch
+	for i := 1; i <= 5000; i++ {
+		full.Add(float64(i))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		var empty Sketch
+		empty.Merge(&full)
+		if empty.N() != full.N() || empty.Quantile(0.99) != full.Quantile(0.99) {
+			t.Fatal("merge into empty lost observations")
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("merge into an empty sketch allocates %v times, want 1", allocs)
+	}
+}
+
 // TestSketchSteadyStateAddAllocs is the zero-alloc pin: once the
 // observed range has materialized its buckets, Add must not allocate —
 // that is the property that keeps a 10M-request replay's heap flat.

@@ -1,7 +1,6 @@
 // Package stats provides the lightweight statistics the experiment
-// harness needs: streaming summaries, a fixed-memory quantile sketch
-// with CDF export, the exact reference sample it is checked against,
-// and geometric means.
+// harness needs: a fixed-memory quantile sketch with CDF export, the
+// exact reference sample it is checked against, and geometric means.
 package stats
 
 import (
@@ -9,61 +8,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Summary accumulates count/mean/min/max/variance in one pass
-// (Welford's algorithm).
-type Summary struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds one observation into the summary.
-func (s *Summary) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// N reports the number of observations.
-func (s *Summary) N() int64 { return s.n }
-
-// Mean reports the arithmetic mean (0 when empty).
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Min reports the smallest observation (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max reports the largest observation (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
-
-// Var reports the sample variance (0 for fewer than two points).
-func (s *Summary) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev reports the sample standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Var()) }
-
-// String formats the summary for experiment logs.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g min=%.4g max=%.4g sd=%.4g",
-		s.n, s.Mean(), s.Min(), s.Max(), s.StdDev())
-}
 
 // Sample keeps every observation for exact percentile queries. It is
 // the reference for the repository's quantile convention: the tests

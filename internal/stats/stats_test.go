@@ -3,70 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d", s.N())
-	}
-	if s.Mean() != 5 {
-		t.Fatalf("Mean = %v", s.Mean())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	// Sample variance of this classic set is 32/7.
-	if math.Abs(s.Var()-32.0/7) > 1e-12 {
-		t.Fatalf("Var = %v", s.Var())
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.N() != 0 || s.Mean() != 0 || s.Var() != 0 || s.StdDev() != 0 {
-		t.Fatal("empty summary not zero")
-	}
-}
-
-func TestSummarySingle(t *testing.T) {
-	var s Summary
-	s.Add(3)
-	if s.Var() != 0 {
-		t.Fatal("variance of single point must be 0")
-	}
-	if s.Min() != 3 || s.Max() != 3 {
-		t.Fatal("min/max of single point wrong")
-	}
-}
-
-func TestSummaryMatchesNaive(t *testing.T) {
-	f := func(raw []float64) bool {
-		var s Summary
-		var sum float64
-		clean := raw[:0]
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e9 {
-				continue
-			}
-			clean = append(clean, x)
-			s.Add(x)
-			sum += x
-		}
-		if len(clean) == 0 {
-			return s.N() == 0
-		}
-		mean := sum / float64(len(clean))
-		return math.Abs(s.Mean()-mean) < 1e-6*(1+math.Abs(mean))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestPercentileNearestRank(t *testing.T) {
 	var s Sample

@@ -109,9 +109,9 @@ func CompareSchemes(p RunParams, schemes []Scheme, workloads []string, peCycles 
 }
 
 // Registry is the observability metrics registry: atomic counters,
-// gauges and streaming histograms. Attach one via Config.Obs or
-// RunParams.Obs; a nil registry disables collection at zero hot-path
-// cost.
+// gauges and sketch-backed latency histograms. Attach one to a device
+// via Config.Obs (a nil registry disables collection at zero hot-path
+// cost); RunParams.Collect gives each collected run its own.
 type Registry = obs.Registry
 
 // NewRegistry returns an empty metrics registry.
