@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race shuffle golden serve-e2e serve-load-smoke crash-smoke bench bench-smoke chaos-smoke agesweep-smoke replay-smoke examples-smoke fuzz-smoke lint fmt-check vet riflint staticcheck govulncheck
+.PHONY: all build test loc race shuffle golden serve-e2e serve-load-smoke crash-smoke bench bench-smoke chaos-smoke agesweep-smoke replay-smoke examples-smoke fuzz-smoke lint fmt-check vet riflint staticcheck govulncheck
 
 all: build test
 
@@ -22,6 +22,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# loc prints ROADMAP aim 2's size measure: non-test Go lines, perfbench,
+# the benchmark build tree and test fixtures excluded. A change reports
+# it before and after with this target.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' \
+		-not -path './.bench_build/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 # shuffle reruns the whole suite twice in randomized test order:
 # it catches tests coupled through package state or relying on

@@ -42,12 +42,12 @@ var chunkConfigs = []struct {
 // and reports the bandwidth/accuracy trade the paper resolves at
 // 4 KiB.
 func AblateChunkSize(p RunParams) ([]ChunkAblationPoint, error) {
-	return gridMap(p, len(chunkConfigs), func(i int) (ChunkAblationPoint, error) {
+	return gridMap(p, len(chunkConfigs), func(p RunParams, i int) (ChunkAblationPoint, error) {
 		cc := chunkConfigs[i]
 		cfg := p.BuildConfig(ssd.RiF, 2000)
 		cfg.Timing.TPred = sim.Time(cc.tPred * float64(sim.Microsecond))
 		cfg.PredictionFloor = cc.floor
-		m, err := runConfig(p, cfg, "Ali124")
+		m, err := p.runWorkload(cfg, "Ali124")
 		if err != nil {
 			return ChunkAblationPoint{}, err
 		}
@@ -74,10 +74,10 @@ type BufferAblationPoint struct {
 // buffers can (and cannot) recover.
 func AblateECCBuffer(p RunParams, scheme ssd.Scheme) ([]BufferAblationPoint, error) {
 	depths := []int{1, 2, 4, 8, 16}
-	return gridMap(p, len(depths), func(i int) (BufferAblationPoint, error) {
+	return gridMap(p, len(depths), func(p RunParams, i int) (BufferAblationPoint, error) {
 		cfg := p.BuildConfig(scheme, 2000)
 		cfg.ECCBufferSlots = depths[i]
-		m, err := runConfig(p, cfg, "Ali124")
+		m, err := p.runWorkload(cfg, "Ali124")
 		if err != nil {
 			return BufferAblationPoint{}, err
 		}
@@ -98,10 +98,10 @@ type AccuracyAblationPoint struct {
 // sufficiently high prediction accuracy" requirement).
 func AblateAccuracy(p RunParams) ([]AccuracyAblationPoint, error) {
 	floors := []float64{0.80, 0.90, 0.95, 0.98, 0.995}
-	return gridMap(p, len(floors), func(i int) (AccuracyAblationPoint, error) {
+	return gridMap(p, len(floors), func(p RunParams, i int) (AccuracyAblationPoint, error) {
 		cfg := p.BuildConfig(ssd.RiF, 2000)
 		cfg.PredictionFloor = floors[i]
-		m, err := runConfig(p, cfg, "Ali124")
+		m, err := p.runWorkload(cfg, "Ali124")
 		if err != nil {
 			return AccuracyAblationPoint{}, err
 		}
@@ -121,10 +121,10 @@ type SecondCheckResult struct {
 // wear (3K P/E), where adjusted-VREF re-reads occasionally remain
 // above the capability.
 func AblateSecondCheck(p RunParams) (*SecondCheckResult, error) {
-	runs, err := gridMap(p, 2, func(i int) (*ssd.Metrics, error) {
+	runs, err := gridMap(p, 2, func(p RunParams, i int) (*ssd.Metrics, error) {
 		cfg := p.BuildConfig(ssd.RiF, 3000)
 		cfg.RiFSecondCheck = i == 1
-		return runConfig(p, cfg, "Ali124")
+		return p.runWorkload(cfg, "Ali124")
 	})
 	if err != nil {
 		return nil, err
@@ -157,11 +157,11 @@ func AblateDieScheduling(p RunParams, schemes []ssd.Scheme) ([]SchedulingPoint, 
 			keys = append(keys, cellKey{scheme, policy})
 		}
 	}
-	return gridMap(p, len(keys), func(i int) (SchedulingPoint, error) {
+	return gridMap(p, len(keys), func(p RunParams, i int) (SchedulingPoint, error) {
 		k := keys[i]
 		cfg := p.BuildConfig(k.scheme, 2000)
 		cfg.DiePolicy = k.policy
-		m, err := runConfig(p, cfg, "Sys0")
+		m, err := p.runWorkload(cfg, "Sys0")
 		if err != nil {
 			return SchedulingPoint{}, err
 		}
@@ -184,20 +184,6 @@ func FormatScheduling(points []SchedulingPoint) string {
 			pt.Scheme, pt.Policy, pt.MBps, pt.P99US, pt.Suspensions)
 	}
 	return b.String()
-}
-
-// runConfig runs an explicit configuration against a named workload.
-func runConfig(p RunParams, cfg ssd.Config, workloadName string) (*ssd.Metrics, error) {
-	w, err := p.workload(workloadName)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Seed = p.Seed
-	s, err := ssd.New(cfg, w)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(p.Requests)
 }
 
 // FormatChunkAblation renders the chunk-size sweep.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/ssd"
 	"repro/internal/trace"
 )
@@ -80,14 +81,11 @@ func AgeSweep(p RunParams, schemes []ssd.Scheme, epochs int, epochDays, duty flo
 	if epochDays <= 0 || duty <= 0 || duty > 1 {
 		return nil, fmt.Errorf("core: age sweep epochDays = %v, duty = %v", epochDays, duty)
 	}
-	spec, err := trace.ByName(workloadName)
+	spec, err := p.spec(workloadName)
 	if err != nil {
 		return nil, err
 	}
-	if p.FootprintPages > 0 {
-		spec.FootprintPages = p.FootprintPages
-	}
-	cells, err := gridMap(p, len(schemes), func(i int) ([]AgePoint, error) {
+	cells, err := gridMap(p, len(schemes), func(p RunParams, i int) ([]AgePoint, error) {
 		return ageSweepScheme(p, schemes[i], spec, epochs, epochDays, duty)
 	})
 	if err != nil {
@@ -117,18 +115,22 @@ func ageSweepScheme(p RunParams, scheme ssd.Scheme, spec trace.Spec, epochs int,
 		// Base wear 0: the drive starts fresh and all aging flows
 		// through the seeded per-block erase counters.
 		cfg := p.BuildConfig(scheme, 0)
-		dev, err := ssd.New(cfg, w)
+		var st ssd.BlockCounters
+		m, err := p.record(cfg, obs.Manifest{Workload: spec.Name, Requests: p.Requests}, func(cfg ssd.Config) (*ssd.Metrics, error) {
+			dev, err := ssd.New(cfg, w)
+			if err != nil {
+				return nil, err
+			}
+			if err := dev.SeedBlockState(reads, erases); err != nil {
+				return nil, err
+			}
+			m, err := dev.Run(p.Requests)
+			st = dev.BlockState()
+			return m, err
+		})
 		if err != nil {
 			return nil, err
 		}
-		if err := dev.SeedBlockState(reads, erases); err != nil {
-			return nil, err
-		}
-		m, err := dev.Run(p.Requests)
-		if err != nil {
-			return nil, err
-		}
-		st := dev.BlockState()
 
 		// Extrapolate the observed window across the epoch: the window
 		// saturates the device, so a month at that rate is scaled by

@@ -71,7 +71,7 @@ func ChaosStudy(p RunParams, rates []float64, schemes []ssd.Scheme) ([]ChaosPoin
 			keys = append(keys, cellKey{r, s})
 		}
 	}
-	return gridMap(p, len(keys), func(i int) (ChaosPoint, error) {
+	return gridMap(p, len(keys), func(p RunParams, i int) (ChaosPoint, error) {
 		k := keys[i]
 		p2 := p
 		p2.Faults = ChaosMix(k.rate)

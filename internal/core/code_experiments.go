@@ -43,7 +43,7 @@ func (p CodeParams) build() *ldpc.Code {
 // panicking and the studies return no error, so a recovered cell
 // panic is raised again here.
 func codeGrid[T any](n int, fn func(i int) T) []T {
-	out, err := gridMap(RunParams{}, n, func(i int) (T, error) { return fn(i), nil })
+	out, err := gridMap(RunParams{}, n, func(_ RunParams, i int) (T, error) { return fn(i), nil })
 	if err != nil {
 		panic(err)
 	}

@@ -64,6 +64,11 @@ type RunParams struct {
 	// "fig17", ...).
 	Tool       string
 	Experiment string
+
+	// cell is the index gridMap gives the copy of the params each grid
+	// cell runs with; record stamps it into Manifest.Cell, so runs
+	// that tie on every identity key still sort in grid order.
+	cell int
 }
 
 // DefaultRunParams returns the sizing used by the cmd tools.
@@ -91,23 +96,37 @@ func (p RunParams) BuildConfig(scheme ssd.Scheme, pe int) ssd.Config {
 // the caller shares one, otherwise a private scheduler of p.Workers
 // (capped at n) that is stopped when the grid returns. It is the only
 // fan-out in core, so every grid honours Workers, Pool and Stop alike.
-func gridMap[T any](p RunParams, n int, fn func(i int) (T, error)) ([]T, error) {
+// Cell i runs fn on a copy of p that carries i as its cell index.
+func gridMap[T any](p RunParams, n int, fn func(p RunParams, i int) (T, error)) ([]T, error) {
 	sched := p.Pool
 	if sched == nil {
 		sched = fleet.NewScheduler(min(fleet.Workers(p.Workers), max(n, 1)))
 		defer sched.Stop()
 	}
-	return fleet.MapOn(sched, n, p.Stop, fn)
+	return fleet.MapOn(sched, n, p.Stop, func(i int) (T, error) {
+		c := p
+		c.cell = i
+		return fn(c, i)
+	})
+}
+
+// spec looks up a Table II workload with p's footprint override.
+func (p RunParams) spec(name string) (trace.Spec, error) {
+	spec, err := trace.ByName(name)
+	if err != nil {
+		return trace.Spec{}, err
+	}
+	if p.FootprintPages > 0 {
+		spec.FootprintPages = p.FootprintPages
+	}
+	return spec, nil
 }
 
 // workload instantiates a Table II workload generator.
 func (p RunParams) workload(name string) (*trace.Generator, error) {
-	spec, err := trace.ByName(name)
+	spec, err := p.spec(name)
 	if err != nil {
 		return nil, err
-	}
-	if p.FootprintPages > 0 {
-		spec.FootprintPages = p.FootprintPages
 	}
 	return trace.NewGenerator(spec, p.Seed)
 }
@@ -116,6 +135,12 @@ func (p RunParams) workload(name string) (*trace.Generator, error) {
 // its metrics. When p.Collect is set, the run is also recorded as a
 // manifest carrying its full configuration and registry snapshot.
 func RunOne(p RunParams, scheme ssd.Scheme, workloadName string, pe int) (*ssd.Metrics, error) {
+	return p.runWorkload(p.BuildConfig(scheme, pe), workloadName)
+}
+
+// runWorkload runs cfg closed-loop for p.Requests requests of the
+// named Table II workload.
+func (p RunParams) runWorkload(cfg ssd.Config, workloadName string) (*ssd.Metrics, error) {
 	if p.Requests <= 0 {
 		return nil, fmt.Errorf("core: requests = %d", p.Requests)
 	}
@@ -123,25 +148,27 @@ func RunOne(p RunParams, scheme ssd.Scheme, workloadName string, pe int) (*ssd.M
 	if err != nil {
 		return nil, err
 	}
-	return p.record(p.BuildConfig(scheme, pe), obs.Manifest{
-		Scheme:   scheme.String(),
-		Workload: workloadName,
-		PECycles: pe,
-		Requests: p.Requests,
-	}, func(cfg ssd.Config) (*ssd.Metrics, error) {
+	return p.closedLoop(cfg, workloadName, w, p.Requests)
+}
+
+// closedLoop runs n requests of w on a fresh device of cfg inside
+// record; label names w in the manifest.
+func (p RunParams) closedLoop(cfg ssd.Config, label string, w ssd.Workload, n int) (*ssd.Metrics, error) {
+	return p.record(cfg, obs.Manifest{Workload: label, Requests: n}, func(cfg ssd.Config) (*ssd.Metrics, error) {
 		s, err := ssd.New(cfg, w)
 		if err != nil {
 			return nil, err
 		}
-		return s.Run(p.Requests)
+		return s.Run(n)
 	})
 }
 
 // record runs one simulation of cfg — with p.Trace attached and, when
 // p.Collect is set, a private registry — and collects its manifest:
-// id's run identity (Scheme, Workload, PECycles, Requests, RateIOPS)
-// plus the params' labels, the config, both clocks and the registry
-// snapshot. A zero Requests becomes the count the run completed.
+// id's Workload, Requests and RateIOPS, cfg's scheme, P/E and seed,
+// the params' labels and cell index, the config, both clocks and the
+// registry snapshot. A zero Requests becomes the count the run
+// completed. Every simulation in core runs through here.
 func (p RunParams) record(cfg ssd.Config, id obs.Manifest, simulate func(ssd.Config) (*ssd.Metrics, error)) (*ssd.Metrics, error) {
 	cfg.Trace = p.Trace
 	var reg *obs.Registry
@@ -154,7 +181,8 @@ func (p RunParams) record(cfg ssd.Config, id obs.Manifest, simulate func(ssd.Con
 	if err != nil || p.Collect == nil {
 		return m, err
 	}
-	id.Tool, id.Experiment, id.Seed, id.Config = p.Tool, p.Experiment, p.Seed, cfg
+	id.Tool, id.Experiment, id.Cell, id.Config = p.Tool, p.Experiment, p.cell, cfg
+	id.Scheme, id.PECycles, id.Seed = cfg.Scheme.String(), cfg.PECycles, cfg.Seed
 	if id.Requests == 0 {
 		id.Requests = int(m.RequestsCompleted)
 	}

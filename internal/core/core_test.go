@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/nand"
+	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/ssd"
 )
 
@@ -195,9 +197,35 @@ func TestTimelinesMatchPaper(t *testing.T) {
 		if us < r.PaperUS*0.95 || us > r.PaperUS*1.05 {
 			t.Errorf("%v: %vus vs paper %vus", r.Scheme, us, r.PaperUS)
 		}
+		for _, row := range []string{"die0", "die1", "ch0"} {
+			if !strings.Contains(r.Gantt, row) {
+				t.Errorf("%v: Gantt has no %s row:\n%s", r.Scheme, row, r.Gantt)
+			}
+		}
 	}
 	if !strings.Contains(FormatTimelines(results), "paper") {
 		t.Fatal("format missing header")
+	}
+}
+
+func TestRenderGantt(t *testing.T) {
+	spans := []obs.Span{
+		{Resource: "die0", Label: "A", Start: 0, End: 40 * sim.Microsecond},
+		{Resource: "ch0", Label: "A", Start: 40 * sim.Microsecond, End: 90 * sim.Microsecond},
+		{Resource: "die0", Label: "A'", Start: 100 * sim.Microsecond, End: 140 * sim.Microsecond},
+	}
+	out := renderGantt(spans, 5)
+	if !strings.Contains(out, "die0") || !strings.Contains(out, "ch0") {
+		t.Fatalf("rows missing:\n%s", out)
+	}
+	if !strings.Contains(out, "A") {
+		t.Fatal("glyph A missing")
+	}
+	if !strings.Contains(out, "a") {
+		t.Fatal("retry glyph (lowercase) missing")
+	}
+	if renderGantt(nil, 5) != "(no spans recorded)\n" {
+		t.Fatal("empty render wrong")
 	}
 }
 

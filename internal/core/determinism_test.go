@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"io"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"repro/internal/obs"
@@ -162,5 +165,40 @@ func TestFig17WorkerCountInvariance(t *testing.T) {
 	if seq.Format(ssd.Sentinel, ssd.AllSchemes(), trace.Names()) !=
 		par.Format(ssd.Sentinel, ssd.AllSchemes(), trace.Names()) {
 		t.Fatal("Fig17 rendered report differs between workers=1 and workers=4")
+	}
+}
+
+// TestEveryExperimentRecordsManifests pins that every simulation in
+// core runs through RunParams.record: each experiment collects at
+// least one manifest under Collect, and the collection's JSON, with
+// the host-noise field wall_time_s masked, is the same on one worker
+// as on four.
+func TestEveryExperimentRecordsManifests(t *testing.T) {
+	wallTime := regexp.MustCompile(`"wall_time_s": [0-9eE.+-]+`)
+	for _, name := range ValidExperiments() {
+		t.Run(name, func(t *testing.T) {
+			var want string
+			for _, workers := range []int{1, 4} {
+				p := goldenParams()
+				p.Workers = workers
+				p.Collect = obs.NewCollection()
+				if err := RunExperiment(io.Discard, name, p); err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if p.Collect.Len() == 0 {
+					t.Fatalf("workers=%d: no manifests collected", workers)
+				}
+				var b bytes.Buffer
+				if err := obs.WriteJSON(&b, p.Collect); err != nil {
+					t.Fatal(err)
+				}
+				got := wallTime.ReplaceAllString(b.String(), `"wall_time_s": 0`)
+				if workers == 1 {
+					want = got
+				} else if got != want {
+					t.Errorf("workers=%d: manifests differ from workers=1", workers)
+				}
+			}
+		})
 	}
 }

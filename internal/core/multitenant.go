@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/ssd"
 )
 
@@ -29,9 +30,8 @@ type MultiTenantResult struct {
 // benefit (the FlashShare-style concern the paper's intro cites).
 func MultiTenantStudy(p RunParams, schemes []ssd.Scheme, pe int) ([]MultiTenantResult, error) {
 	names := []string{"Ali124", "Ali2"}
-	return gridMap(p, len(schemes), func(i int) (MultiTenantResult, error) {
-		scheme := schemes[i]
-		cfg := p.BuildConfig(scheme, pe)
+	return gridMap(p, len(schemes), func(p RunParams, i int) (MultiTenantResult, error) {
+		cfg := p.BuildConfig(schemes[i], pe)
 		var queues []ssd.HostQueue
 		for _, name := range names {
 			w, err := p.workload(name)
@@ -40,17 +40,22 @@ func MultiTenantStudy(p RunParams, schemes []ssd.Scheme, pe int) ([]MultiTenantR
 			}
 			queues = append(queues, ssd.HostQueue{Workload: w, Depth: cfg.QueueDepth / 2})
 		}
-		// The primary workload drives cold-age lookups for its own
-		// requests; each queue's generator carries its own profile.
-		dev, err := ssd.New(cfg, queues[0].Workload)
+		var perQueue []ssd.QueueMetrics
+		m, err := p.record(cfg, obs.Manifest{Workload: strings.Join(names, "+")}, func(cfg ssd.Config) (*ssd.Metrics, error) {
+			// The primary workload drives cold-age lookups for its own
+			// requests; each queue's generator carries its own profile.
+			dev, err := ssd.New(cfg, queues[0].Workload)
+			if err != nil {
+				return nil, err
+			}
+			m, pq, err := dev.RunQueues(queues, p.Requests/2)
+			perQueue = pq
+			return m, err
+		})
 		if err != nil {
 			return MultiTenantResult{}, err
 		}
-		m, perQueue, err := dev.RunQueues(queues, p.Requests/2)
-		if err != nil {
-			return MultiTenantResult{}, err
-		}
-		res := MultiTenantResult{Scheme: scheme}
+		res := MultiTenantResult{Scheme: schemes[i]}
 		for qi, name := range names {
 			q := &perQueue[qi]
 			res.Tenants = append(res.Tenants, TenantResult{

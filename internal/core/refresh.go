@@ -33,16 +33,13 @@ type RefreshPoint struct {
 // (and P/E cycles); long periods push cold data deep into the
 // retry regime. The paper's 1-month choice sits between.
 func AblateRefreshHorizon(p RunParams, scheme ssd.Scheme, pe int) ([]RefreshPoint, error) {
-	spec, err := trace.ByName("Ali124")
+	spec, err := p.spec("Ali124")
 	if err != nil {
 		return nil, err
 	}
-	if p.FootprintPages > 0 {
-		spec.FootprintPages = p.FootprintPages
-	}
 	usedBytes := float64(spec.FootprintPages) * 16 * 1024
 	horizons := []float64{7, 14, 30, 60, 90}
-	return gridMap(p, len(horizons), func(i int) (RefreshPoint, error) {
+	return gridMap(p, len(horizons), func(p RunParams, i int) (RefreshPoint, error) {
 		horizon := horizons[i]
 		s := spec
 		s.MaxAgeDays = horizon
@@ -50,12 +47,7 @@ func AblateRefreshHorizon(p RunParams, scheme ssd.Scheme, pe int) ([]RefreshPoin
 		if err != nil {
 			return RefreshPoint{}, err
 		}
-		cfg := p.BuildConfig(scheme, pe)
-		dev, err := ssd.New(cfg, w)
-		if err != nil {
-			return RefreshPoint{}, err
-		}
-		m, err := dev.Run(p.Requests)
+		m, err := p.closedLoop(p.BuildConfig(scheme, pe), spec.Name, w, p.Requests)
 		if err != nil {
 			return RefreshPoint{}, err
 		}

@@ -150,12 +150,8 @@ func reportTimelines(out io.Writer, p RunParams) error {
 		return err
 	}
 	fmt.Fprint(out, FormatTimelines(results))
-	for _, scheme := range []ssd.Scheme{ssd.Zero, ssd.One, ssd.RiF} {
-		gantt, err := TimelineGantt(scheme)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\n%v (1 column = 5us; lowercase = retry):\n%s", scheme, gantt)
+	for _, r := range results {
+		fmt.Fprintf(out, "\n%v (1 column = 5us; lowercase = retry):\n%s", r.Scheme, r.Gantt)
 	}
 	return nil
 }

@@ -144,7 +144,7 @@ func CompareSchemes(p RunParams, schemes []ssd.Scheme, workloads []string, peCyc
 			}
 		}
 	}
-	cells, err := gridMap(p, len(keys), func(i int) (BandwidthCell, error) {
+	cells, err := gridMap(p, len(keys), func(p RunParams, i int) (BandwidthCell, error) {
 		k := keys[i]
 		m, err := RunOne(p, k.s, k.w, k.pe)
 		if err != nil {
@@ -200,7 +200,7 @@ func Fig18(p RunParams, schemes []ssd.Scheme) ([]UsageCell, error) {
 			}
 		}
 	}
-	return gridMap(p, len(keys), func(i int) (UsageCell, error) {
+	return gridMap(p, len(keys), func(p RunParams, i int) (UsageCell, error) {
 		k := keys[i]
 		m, err := RunOne(p, k.s, k.w, k.pe)
 		if err != nil {
@@ -249,7 +249,7 @@ func Fig19(p RunParams, schemes []ssd.Scheme) ([]LatencyCurve, error) {
 			keys = append(keys, cellKey{pe, s})
 		}
 	}
-	return gridMap(p, len(keys), func(i int) (LatencyCurve, error) {
+	return gridMap(p, len(keys), func(p RunParams, i int) (LatencyCurve, error) {
 		k := keys[i]
 		m, err := RunOne(p, k.s, "Ali124", k.pe)
 		if err != nil {

@@ -74,7 +74,7 @@ func TailSweep(p RunParams, schemes []ssd.Scheme, workloadName string, pe int, r
 			keys = append(keys, cellKey{s, r})
 		}
 	}
-	return gridMap(p, len(keys), func(i int) (TailPoint, error) {
+	return gridMap(p, len(keys), func(p RunParams, i int) (TailPoint, error) {
 		k := keys[i]
 		w, err := p.workload(workloadName)
 		if err != nil {
@@ -84,39 +84,44 @@ func TailSweep(p RunParams, schemes []ssd.Scheme, workloadName string, pe int, r
 		if err != nil {
 			return TailPoint{}, err
 		}
-		var res *replay.Result
-		_, err = p.record(p.BuildConfig(k.s, pe), obs.Manifest{
-			Scheme:   k.s.String(),
-			Workload: workloadName,
-			PECycles: pe,
-			Requests: p.Requests,
-			RateIOPS: k.rate,
-		}, func(cfg ssd.Config) (*ssd.Metrics, error) {
-			res, err = replay.Run(replay.FromWorkload(w, int64(p.Requests)), replay.Options{
-				Config:   cfg,
-				Arrivals: arr,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("core: tailsweep %v @ %.0f IOPS: %w", k.s, k.rate, err)
-			}
-			return res.Metrics, nil
-		})
+		pt, err := p.openLoop(replay.FromWorkload(w, int64(p.Requests)), replay.Options{
+			Config:   p.BuildConfig(k.s, pe),
+			Arrivals: arr,
+		}, obs.Manifest{Workload: workloadName, Requests: p.Requests, RateIOPS: k.rate})
 		if err != nil {
-			return TailPoint{}, err
+			return TailPoint{}, fmt.Errorf("core: tailsweep %v @ %.0f IOPS: %w", k.s, k.rate, err)
 		}
-		return TailPoint{
-			Scheme:       k.s,
-			RateIOPS:     k.rate,
-			Requests:     res.Requests,
-			P50:          res.Latency.Percentile(50),
-			P99:          res.Latency.Percentile(99),
-			P999:         res.Latency.Percentile(99.9),
-			P9999:        res.Latency.Percentile(99.99),
-			MBps:         res.Metrics.Bandwidth(),
-			PeakInFlight: res.Metrics.PeakInFlight,
-			HeldArrivals: res.Metrics.HeldArrivals,
-		}, nil
+		return pt, nil
 	})
+}
+
+// openLoop replays src under opt inside record, on a device of
+// opt.Config, and reads the cell's tail point off the result.
+func (p RunParams) openLoop(src replay.Source, opt replay.Options, id obs.Manifest) (TailPoint, error) {
+	var res *replay.Result
+	_, err := p.record(opt.Config, id, func(cfg ssd.Config) (*ssd.Metrics, error) {
+		opt.Config = cfg
+		var err error
+		if res, err = replay.Run(src, opt); err != nil {
+			return nil, err
+		}
+		return res.Metrics, nil
+	})
+	if err != nil {
+		return TailPoint{}, err
+	}
+	return TailPoint{
+		Scheme:       opt.Config.Scheme,
+		RateIOPS:     id.RateIOPS,
+		Requests:     res.Requests,
+		P50:          res.Latency.Percentile(50),
+		P99:          res.Latency.Percentile(99),
+		P999:         res.Latency.Percentile(99.9),
+		P9999:        res.Latency.Percentile(99.99),
+		MBps:         res.Metrics.Bandwidth(),
+		PeakInFlight: res.Metrics.PeakInFlight,
+		HeldArrivals: res.Metrics.HeldArrivals,
+	}, nil
 }
 
 // ReplayParams configures an external-trace replay sweep.
@@ -171,7 +176,7 @@ func ReplaySweep(p RunParams, rp ReplayParams) ([]TailPoint, error) {
 	if n == 0 {
 		n = 1
 	}
-	return gridMap(p, n, func(i int) (TailPoint, error) {
+	return gridMap(p, n, func(p RunParams, i int) (TailPoint, error) {
 		var (
 			arr  replay.Arrivals
 			rate float64
@@ -193,41 +198,18 @@ func ReplaySweep(p RunParams, rp ReplayParams) ([]TailPoint, error) {
 		if closer != nil {
 			defer closer.Close()
 		}
-		var res *replay.Result
-		_, err = p.record(p.BuildConfig(rp.Scheme, rp.PECycles), obs.Manifest{
-			Scheme:   rp.Scheme.String(),
-			Workload: rp.Workload,
-			PECycles: rp.PECycles,
-			RateIOPS: rate,
-		}, func(cfg ssd.Config) (*ssd.Metrics, error) {
-			res, err = replay.Run(src, replay.Options{
-				Config:         cfg,
-				Arrivals:       arr,
-				MaxRequests:    rp.MaxRequests,
-				MaxInFlight:    rp.MaxInFlight,
-				AgeDays:        rp.AgeDays,
-				FootprintPages: rp.FootprintPages,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("core: replay %q: %w", rp.Workload, err)
-			}
-			return res.Metrics, nil
-		})
+		pt, err := p.openLoop(src, replay.Options{
+			Config:         p.BuildConfig(rp.Scheme, rp.PECycles),
+			Arrivals:       arr,
+			MaxRequests:    rp.MaxRequests,
+			MaxInFlight:    rp.MaxInFlight,
+			AgeDays:        rp.AgeDays,
+			FootprintPages: rp.FootprintPages,
+		}, obs.Manifest{Workload: rp.Workload, RateIOPS: rate})
 		if err != nil {
-			return TailPoint{}, err
+			return TailPoint{}, fmt.Errorf("core: replay %q: %w", rp.Workload, err)
 		}
-		return TailPoint{
-			Scheme:       rp.Scheme,
-			RateIOPS:     rate,
-			Requests:     res.Requests,
-			P50:          res.Latency.Percentile(50),
-			P99:          res.Latency.Percentile(99),
-			P999:         res.Latency.Percentile(99.9),
-			P9999:        res.Latency.Percentile(99.99),
-			MBps:         res.Metrics.Bandwidth(),
-			PeakInFlight: res.Metrics.PeakInFlight,
-			HeldArrivals: res.Metrics.HeldArrivals,
-		}, nil
+		return pt, nil
 	})
 }
 

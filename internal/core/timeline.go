@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/nand"
+	"repro/internal/obs"
 	"repro/internal/odear"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -46,45 +48,90 @@ type TimelineResult struct {
 	Scheme  ssd.Scheme
 	Total   sim.Time
 	PaperUS float64 // the paper's reported total, for comparison
+	// Gantt is the run's execution timeline drawn from its tracer.
+	Gantt string
 }
+
+// timelineSpans bounds the tracer of one Fig. 7/8 run, far above the
+// few dozen occupancies a single 256-KiB read makes.
+const timelineSpans = 1 << 10
 
 // Timelines reproduces the 256-KiB-read execution timelines of
 // Figs. 7 and 8: SSDzero (252 us), SSDone (418 us) and RiF (292 us).
-// The three scheme runs are independent grid cells; only p's
-// scheduling fields (Workers, Pool, Stop) apply, since the scenario
-// fixes its own device and workload.
+// The three scheme runs are independent grid cells, each traced by
+// its own tracer, which draws its Gantt chart. The scenario fixes its
+// own device and workload, so only p's scheduling fields (Workers,
+// Pool, Stop) and manifest collection apply.
 func Timelines(p RunParams) ([]TimelineResult, error) {
 	paper := map[ssd.Scheme]float64{ssd.Zero: 252, ssd.One: 418, ssd.RiF: 292}
 	schemes := []ssd.Scheme{ssd.Zero, ssd.One, ssd.RiF}
-	return gridMap(p, len(schemes), func(i int) (TimelineResult, error) {
+	return gridMap(p, len(schemes), func(p RunParams, i int) (TimelineResult, error) {
 		scheme := schemes[i]
-		s, err := ssd.New(Fig7Config(scheme), fig7Workload{})
+		tr := obs.NewTracer(timelineSpans)
+		p.Trace = tr
+		m, err := p.closedLoop(Fig7Config(scheme), "fig7", fig7Workload{}, 1)
 		if err != nil {
 			return TimelineResult{}, err
 		}
-		m, err := s.Run(1)
-		if err != nil {
-			return TimelineResult{}, err
+		if n := tr.Dropped(); n > 0 {
+			return TimelineResult{}, fmt.Errorf("core: %v timeline dropped %d spans", scheme, n)
 		}
-		return TimelineResult{Scheme: scheme, Total: m.Makespan, PaperUS: paper[scheme]}, nil
+		return TimelineResult{Scheme: scheme, Total: m.Makespan, PaperUS: paper[scheme],
+			Gantt: renderGantt(tr.Spans(), 5)}, nil
 	})
 }
 
-// TimelineGantt runs the Fig. 7/8 scenario with span recording and
-// renders the execution timeline as a text Gantt chart — the direct
-// counterpart of the paper's Fig. 7/8 drawings. Lowercase glyphs mark
-// retry work (A' re-reads), 'W' marks write traffic (none here).
-func TimelineGantt(scheme ssd.Scheme) (string, error) {
-	cfg := Fig7Config(scheme)
-	cfg.RecordSpans = true
-	s, err := ssd.New(cfg, fig7Workload{})
-	if err != nil {
-		return "", err
+// renderGantt draws spans, ordered by (start, resource), as a text
+// Gantt chart — the counterpart of the paper's Fig. 7/8 drawings: one
+// row per resource, one column per usPerCol microseconds. Retry
+// occupancies (labels ending in ') render with their base letter
+// lowercased so the retry phase is visible.
+func renderGantt(spans []obs.Span, usPerCol float64) string {
+	if len(spans) == 0 {
+		return "(no spans recorded)\n"
 	}
-	if _, err := s.Run(1); err != nil {
-		return "", err
+	var resources []string
+	seen := map[string]bool{}
+	var maxEnd sim.Time
+	for _, sp := range spans {
+		if !seen[sp.Resource] {
+			seen[sp.Resource] = true
+			resources = append(resources, sp.Resource)
+		}
+		if sp.End > maxEnd {
+			maxEnd = sp.End
+		}
 	}
-	return ssd.RenderGantt(s.Spans(), 5), nil
+	sort.Strings(resources)
+	cols := int(maxEnd.Microseconds()/usPerCol) + 1
+	if cols > 400 {
+		cols = 400
+	}
+	rows := make(map[string][]byte, len(resources))
+	for _, r := range resources {
+		rows[r] = []byte(strings.Repeat(".", cols))
+	}
+	for _, sp := range spans {
+		row := rows[sp.Resource]
+		glyph := byte('?')
+		if len(sp.Label) > 0 {
+			glyph = sp.Label[0]
+			if strings.HasSuffix(sp.Label, "'") {
+				glyph = byte(strings.ToLower(sp.Label[:1])[0])
+			}
+		}
+		c0 := int(sp.Start.Microseconds() / usPerCol)
+		c1 := int(sp.End.Microseconds() / usPerCol)
+		for c := c0; c <= c1 && c < cols; c++ {
+			row[c] = glyph
+		}
+	}
+	var b strings.Builder
+	for _, r := range resources {
+		fmt.Fprintf(&b, "%-6s |%s|\n", r, rows[r])
+	}
+	fmt.Fprintf(&b, "%-6s  0%*s\n", "us", cols-1, fmt.Sprintf("%.0f", float64(cols)*usPerCol))
+	return b.String()
 }
 
 // FormatTimelines renders the comparison.

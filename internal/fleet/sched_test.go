@@ -9,27 +9,6 @@ import (
 	"testing"
 )
 
-func TestSchedulerCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 16} {
-		s := NewScheduler(workers)
-		const n = 100
-		counts := make([]atomic.Int32, n)
-		err := s.RunStop(n, nil, func(i int) error {
-			counts[i].Add(1)
-			return nil
-		})
-		s.Stop()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range counts {
-			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
-			}
-		}
-	}
-}
-
 // TestSchedulerResultsWorkerInvariant pins the core determinism claim:
 // MapOn's output is identical for any worker count and any steal
 // interleaving, because results are keyed by index.
@@ -128,25 +107,6 @@ func TestSchedulerSharedAcrossGrids(t *testing.T) {
 	}
 }
 
-func TestSchedulerLowestIndexErrorWins(t *testing.T) {
-	errA := errors.New("cell 3")
-	errB := errors.New("cell 7")
-	s := NewScheduler(4)
-	defer s.Stop()
-	err := s.RunStop(10, nil, func(i int) error {
-		switch i {
-		case 3:
-			return errA
-		case 7:
-			return errB
-		}
-		return nil
-	})
-	if err != errA {
-		t.Fatalf("err = %v, want lowest-index %v", err, errA)
-	}
-}
-
 func TestSchedulerStopHookSkipsRemainingCells(t *testing.T) {
 	s := NewScheduler(2)
 	defer s.Stop()
@@ -219,13 +179,5 @@ func TestSchedulerStopDrainsQueuedWork(t *testing.T) {
 	}
 	if err := s.RunStop(1, nil, func(int) error { return nil }); !errors.Is(err, ErrStopped) {
 		t.Fatalf("post-Stop submit err = %v, want ErrStopped", err)
-	}
-}
-
-func TestSchedulerZeroCellsIsNoop(t *testing.T) {
-	s := NewScheduler(2)
-	defer s.Stop()
-	if err := s.RunStop(0, nil, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
 	}
 }

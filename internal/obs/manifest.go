@@ -46,6 +46,11 @@ type Manifest struct {
 
 	// Metrics is the final registry snapshot.
 	Metrics Snapshot `json:"metrics"`
+
+	// Cell is the run's index in its study grid. It only breaks ties
+	// in Runs between runs whose identity keys are all equal (the
+	// points of one ablation sweep), so it is not serialized.
+	Cell int `json:"-"`
 }
 
 // SetSimTime records the virtual makespan.
@@ -118,8 +123,8 @@ func (c *Collection) Add(m Manifest) {
 }
 
 // Runs returns the collected manifests sorted by (experiment, scheme,
-// workload, P/E) so output is deterministic regardless of completion
-// order.
+// workload, P/E, rate, cell) so output is deterministic regardless of
+// completion order.
 func (c *Collection) Runs() []Manifest {
 	if c == nil {
 		return nil
@@ -141,7 +146,10 @@ func (c *Collection) Runs() []Manifest {
 		if a.PECycles != b.PECycles {
 			return a.PECycles < b.PECycles
 		}
-		return a.RateIOPS < b.RateIOPS
+		if a.RateIOPS != b.RateIOPS {
+			return a.RateIOPS < b.RateIOPS
+		}
+		return a.Cell < b.Cell
 	})
 	return out
 }

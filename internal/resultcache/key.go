@@ -39,7 +39,7 @@ import (
 // changes, or when a field is added to (or removed from) the encoded
 // structs — the reflection guard in key_test.go fails on the latter
 // until both the encoder and this constant move together.
-const SchemaVersion = 5
+const SchemaVersion = 6
 
 // Key is a SHA-256 content address of one canonicalized run
 // configuration.
@@ -77,7 +77,8 @@ func (k *Keyer) Key(experiment string, p core.RunParams) Key {
 	b = appendStr(b, experiment)
 
 	// RunParams semantic fields (Workers, Stop, Pool, Trace,
-	// Collect, Tool excluded: output-invariant plumbing). Experiment is
+	// Collect, Tool and the unexported grid-cell index excluded:
+	// output-invariant plumbing). Experiment is
 	// the argument above; p.Experiment is a manifest label the serving
 	// layer derives from it.
 	b = appendU64(b, uint64(int64(p.Requests)))
@@ -125,7 +126,6 @@ func appendConfig(b []byte, c ssd.Config) []byte {
 	b = appendU64(b, uint64(int64(c.ECCBufferSlots)))
 	b = appendF64(b, c.SentinelExtraReadProb)
 	b = appendU64(b, uint64(int64(c.MaxRetryRounds)))
-	b = appendU64(b, uint64(int64(c.RetryBackoff)))
 	b = appendU64(b, uint64(c.ReadReclaimThreshold))
 	b = appendFaults(b, c.Faults)
 	b = appendU64(b, uint64(int64(c.GCFreeBlockLow)))
@@ -134,7 +134,6 @@ func appendConfig(b []byte, c ssd.Config) []byte {
 	b = appendBool(b, c.RiFSecondCheck)
 	b = appendU64(b, uint64(int64(c.DiePolicy)))
 	b = appendU64(b, uint64(int64(c.ResumePenalty)))
-	b = appendBool(b, c.RecordSpans)
 
 	n := c.NANDParams
 	b = appendF64(b, n.StateGap)

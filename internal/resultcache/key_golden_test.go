@@ -8,7 +8,7 @@ import (
 )
 
 // goldenKeys pins the content address of (experiment,
-// DefaultRunParams) for every valid experiment at SchemaVersion 5.
+// DefaultRunParams) for every valid experiment at SchemaVersion 6.
 // These constants are the cross-restart half of the key invariant: a
 // recompiled, restarted, or different-host process must mint the very
 // same addresses, or a persisted store written by one server life
@@ -17,23 +17,23 @@ import (
 // encoding moves these values, bump SchemaVersion and regenerate the
 // table — never hand-patch a single row.
 var goldenKeys = map[string]string{
-	"6":                  "e430646ac11d628d28ec7daf32319813fc2a7c4a966568ba29af9a5bcdf365a0",
-	"7":                  "10bafcde45d33cda52c4de8a8e743d43543f5dc5e16cbd291d3ae50bb5de38b4",
-	"8":                  "39f76e8a800ddfdc7a953ba1c839cf9f7bc6f9a47d1f6e99e7ae6febaa5c5052",
-	"17":                 "bcab020c208a8fb35930c64d0b232ecaaf720cb6258a42eece359df2e31f2d7c",
-	"18":                 "14d284c6d79eebfb702c6c30364c7be9e095dc8a324153e07893363ce3ccd2a7",
-	"19":                 "5b4ee8f60b20eac6c2028d8f08f5319428428fd350b157972ad4630b62bc456d",
-	"overhead":           "a8c06d1d64819eb7676ea47d69e8c0ff3e4c3744a4a33da399aa7db819612223",
-	"ablate-chunk":       "c278ba75af5948268db3d0787de682b3140c0e95aaa1b79f5420b0a4377feeb7",
-	"ablate-buffer":      "bf995c56f5dc72241b69a49055f0e659d2eb9793b05508cc726b664f87f705f7",
-	"ablate-accuracy":    "a99a7555050bfd39d8a488b0baa860176d422104cfc03885a9d09a5189e382a5",
-	"ablate-scheduling":  "b65a58d44f151d4d0571110a3547546415427492569ff8b590433a981229030d",
-	"ablate-secondcheck": "134f35c21f68bc06fddb96bb9beb3fab7afc3de6ce338c0a2674a75f83c920d1",
-	"refresh":            "8af496def9ce3e551853994f1045363ad9aa0ea0afaa021e3b9ce680269933b8",
-	"tenants":            "f9fb2254641d4495dc78d54be6ef1eecee1278e518b22a619f01ddb390954800",
-	"chaos":              "628c3a730e5024fc7ee57c68eefd7c5aaa5e55d7a2f3715439014a4b81ab57c2",
-	"tailsweep":          "83930b66d7f62e6372427a6e7cbf09429af61883f7e6f8a52512ddf7595b4467",
-	"agesweep":           "10ad6a73ba81ed24ad4db5b1aa2559189ee35429bf2ed5df01d08c6eb68d55d3",
+	"6":                  "8bfb5dacd89bc74bac36cc0d74378b474879535177c3de9d7700b96e6b07eb5d",
+	"7":                  "e115f38961d0c42d99af64a611c4754be0eceab2d7c3fa2af6c55c89d8cd1aac",
+	"8":                  "2bd66e78d22b922a1779e864843aebde3699e33e8b9d8122842358ab88aaae7b",
+	"17":                 "58ca385bbf10edab612ccd8639b63c9d6bbed2602614ee98134a2e0be5478fc5",
+	"18":                 "1e783b1f41e1e962566fcb98e2d733904d614d6d8f6f7fb4f62125d1e485cf97",
+	"19":                 "6faa1a33c57568d3d860ea918f1f3d9e1fb2a5ffa50923c7cf9ef99ada29a608",
+	"overhead":           "3a6cbecfa2a0c9c8c5729ab6dc5403e03373449b0e2d81095a4ce058edd05d5e",
+	"ablate-chunk":       "30f8e9001b7bc2d9abad9f362eddb3f3820cb39614e9753f3bab44537edf051a",
+	"ablate-buffer":      "4e07be56248836e8f0d58628100abc1e4644b9aea7ad2c3b9b256f991d1eef0d",
+	"ablate-accuracy":    "b450d1246ad8e078ecd91ab359507261f6f63b8562985b952c2df93ecc3553ef",
+	"ablate-scheduling":  "94d6d495f0a45a5779fadb1a7ee217743cbb8288aa314bf8a2f9c2a0ae4843c6",
+	"ablate-secondcheck": "1a1bf7abf793ba6b8147970f757af472dcdfa610186f7f713d6658706e9b6620",
+	"refresh":            "2a217bbb911590cd85c9cde5eccedee8182c719314bd5c110f1fb2078c8de4c6",
+	"tenants":            "f1744cca3b1898d0c4de3679f4b75f18e8641ad0683eb2d23cb5c3237a187681",
+	"chaos":              "dbb1d8da6ec334269910dda0b3fb967ebbb15f94fee0552706c1d53428b14332",
+	"tailsweep":          "bb9e5d116472720a9fcee774e2d3ebd21599fe47349b5b576bfb90af547cc44d",
+	"agesweep":           "12d158d0ce9b540b9084277ee90159a76a6205f352838dbb7bd660846be8dcef",
 }
 
 // TestGoldenKeysCoverEveryExperiment keeps the table and the

@@ -20,8 +20,8 @@ func TestKeyStructFieldCountsPinned(t *testing.T) {
 		typ    reflect.Type
 		fields int
 	}{
-		{"core.RunParams", reflect.TypeOf(core.RunParams{}), 12},
-		{"ssd.Config", reflect.TypeOf(ssd.Config{}), 22},
+		{"core.RunParams", reflect.TypeOf(core.RunParams{}), 13},
+		{"ssd.Config", reflect.TypeOf(ssd.Config{}), 20},
 		{"ssd.Timing", reflect.TypeOf(ssd.Timing{}), 6},
 		{"nand.Geometry", reflect.TypeOf(nand.Geometry{}), 6},
 		{"nand.ModelParams", reflect.TypeOf(nand.ModelParams{}), 12},

@@ -499,3 +499,31 @@ func TestDoneJobReleasesManifests(t *testing.T) {
 		t.Fatalf("/runs differs from the collection before the release:\n got %.200s\nwant %.200s", runs, before)
 	}
 }
+
+// TestAblationJobServesRuns: an ablation sweeps one configuration
+// knob, so every point shares its scheme, workload and wear; each
+// point still records a manifest, streams a cell event and is served
+// from /runs.
+func TestAblationJobServesRuns(t *testing.T) {
+	_, ts, _ := newCachedServer(t, Config{JobWorkers: 1}, nil)
+	events := submitAndWait(t, ts, `{"experiment":"ablate-buffer","requests":30,"seed":11}`)
+	cells := 0
+	for _, e := range events {
+		if e.Event == "cell" {
+			cells++
+		}
+	}
+	last := events[len(events)-1]
+	// One cell per ECC buffer depth: 1, 2, 4, 8 and 16 slots.
+	if last.Event != string(Done) || last.Completed != 5 || cells != 5 {
+		t.Fatalf("terminal event %+v with %d cell events, want done/5/5", last, cells)
+	}
+	_, body := getBody(t, ts.URL+"/runs/"+last.Job)
+	var coll obs.Collection
+	if err := json.Unmarshal([]byte(body), &coll); err != nil {
+		t.Fatalf("/runs %q: %v", body, err)
+	}
+	if n := len(coll.Runs()); n != 5 {
+		t.Fatalf("/runs served %d runs, want 5", n)
+	}
+}

@@ -145,14 +145,6 @@ type Config struct {
 	// media-error status instead of stalling or panicking.
 	MaxRetryRounds int
 
-	// RetryBackoff adds (round-1)*RetryBackoff of extra sense time to
-	// each successive controller-driven retry round, modelling the
-	// deeper (slower) read-retry table entries a controller walks as
-	// earlier entries keep failing. Zero (the default, used by all
-	// paper figures) keeps every round at the scheme's base re-sense
-	// latency.
-	RetryBackoff sim.Time
-
 	// ReadReclaimThreshold triggers the read-reclaim background job
 	// when a block's sense count since its last erase reaches it: the
 	// block's valid pages migrate elsewhere (competing with GC and
@@ -198,11 +190,6 @@ type Config struct {
 	// ResumePenalty is the extra latency a suspended program pays on
 	// resume (DieSuspension only).
 	ResumePenalty sim.Time
-
-	// RecordSpans captures per-resource occupancy spans so execution
-	// timelines (Figs. 7/8) can be rendered; costs memory, off by
-	// default.
-	RecordSpans bool
 
 	// Obs, when non-nil, receives the run's metrics: per-channel
 	// usage and queue high-waters, ECC decode latency and buffer
@@ -275,23 +262,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ssd: die policy %d", c.DiePolicy)
 	case c.ResumePenalty < 0:
 		return fmt.Errorf("ssd: resume penalty %v", c.ResumePenalty)
-	case c.RetryBackoff < 0:
-		return fmt.Errorf("ssd: retry backoff %v", c.RetryBackoff)
 	case c.ReadReclaimThreshold < 0:
 		return fmt.Errorf("ssd: read-reclaim threshold %d is negative; use 0 to disable reclaim", c.ReadReclaimThreshold)
 	}
 	if !pagesFitUint32(c.Geometry) {
 		return fmt.Errorf("ssd: geometry %+v has more pages than the FTL's uint32 page numbers hold", c.Geometry)
-	}
-	// The read path's deepest retry round pays
-	// sim.Time(MaxRetryRounds-1)*RetryBackoff of extra sense time; a
-	// ladder deep enough to overflow the int64 sim clock would wrap
-	// into the past and silently corrupt event ordering, so reject it
-	// here instead.
-	if c.RetryBackoff > 0 && c.MaxRetryRounds > 1 &&
-		c.RetryBackoff > sim.MaxTime/sim.Time(c.MaxRetryRounds-1) {
-		return fmt.Errorf("ssd: retry backoff %v over %d rounds overflows the sim clock",
-			c.RetryBackoff, c.MaxRetryRounds)
 	}
 	return nil
 }

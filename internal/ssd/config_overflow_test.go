@@ -5,50 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/nand"
-	"repro/internal/sim"
 )
-
-// TestRetryBackoffOverflowRejected pins the Validate guard on the
-// retry ladder: (MaxRetryRounds-1)*RetryBackoff must stay inside the
-// int64 sim clock, otherwise the deepest round's sense time wraps
-// into the past.
-func TestRetryBackoffOverflowRejected(t *testing.T) {
-	base := DefaultConfig(RiF, 1000)
-	if err := base.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	over := base
-	over.MaxRetryRounds = 4
-	over.RetryBackoff = sim.MaxTime / 2 // *3 rounds overflows
-	if over.Validate() == nil {
-		t.Fatal("overflowing retry ladder accepted")
-	}
-
-	neg := base
-	neg.RetryBackoff = -1
-	if neg.Validate() == nil {
-		t.Fatal("negative retry backoff accepted")
-	}
-
-	// The exact boundary — (rounds-1)*backoff == MaxTime — still fits
-	// the clock and must be accepted.
-	edge := base
-	edge.MaxRetryRounds = 3
-	edge.RetryBackoff = sim.MaxTime / 2
-	if err := edge.Validate(); err != nil {
-		t.Fatalf("boundary retry ladder rejected: %v", err)
-	}
-
-	// Degenerate ladders can never overflow: one round pays no
-	// backoff at all.
-	single := base
-	single.MaxRetryRounds = 1
-	single.RetryBackoff = sim.MaxTime
-	if err := single.Validate(); err != nil {
-		t.Fatalf("single-round ladder rejected: %v", err)
-	}
-}
 
 // TestGeometryPageCountFitsFTL pins the Validate guard on the FTL's
 // uint32 physical page numbers: Table I fits, a geometry with exactly

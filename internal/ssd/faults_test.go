@@ -8,7 +8,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/nvme"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // chaosConfig is smallConfig plus an aggressive-but-survivable mix of
@@ -245,23 +244,6 @@ func TestDecodeTimeoutsEnterRetryLadder(t *testing.T) {
 	if m.UnrecoveredPages*10 > m.Faults.DecodeTimeouts {
 		t.Fatalf("%d unrecovered pages from %d timeouts: ladder not recovering",
 			m.UnrecoveredPages, m.Faults.DecodeTimeouts)
-	}
-}
-
-// TestRetryBackoffSlowsLaterRounds checks the per-round backoff adds
-// sense time without changing outcomes.
-func TestRetryBackoffSlowsLaterRounds(t *testing.T) {
-	base := smallConfig(SWR, 0)
-	base.Faults = faults.Config{StuckBlockRate: 0.2} // force multi-round retries
-	backed := base
-	backed.RetryBackoff = 100 * sim.Microsecond
-	a := run(t, base, smallWorkload(t, "Ali124", 1), 300)
-	b := run(t, backed, smallWorkload(t, "Ali124", 1), 300)
-	if b.Makespan <= a.Makespan {
-		t.Fatalf("backoff did not cost time: %v vs %v", b.Makespan, a.Makespan)
-	}
-	if a.UnrecoveredPages != b.UnrecoveredPages {
-		t.Fatal("backoff changed read outcomes")
 	}
 }
 

@@ -124,7 +124,7 @@ func TestObsConfusionMatrixFig14(t *testing.T) {
 }
 
 // TestObsTracerCapturesSpans checks Config.Trace records die, channel
-// and ECC occupancies without RecordSpans.
+// and ECC occupancies.
 func TestObsTracerCapturesSpans(t *testing.T) {
 	tr := obs.NewTracer(1 << 14)
 	cfg := smallConfig(One, 2000)

@@ -28,7 +28,7 @@ func (s *SSD) readCommand(c *dieCmd) {
 	s.resolvePages(c)
 	s.m.PageReads += int64(len(c.pages))
 
-	if s.cfg.RecordSpans || s.cfg.Trace != nil {
+	if s.cfg.Trace != nil {
 		c.lbl = cmdLabel(s.nextCmd)
 		c.lblRetry = c.lbl + "'"
 		s.nextCmd++
@@ -288,21 +288,11 @@ func (c *dieCmd) decoded() {
 }
 
 // retry performs one controller-driven retry round for the failing
-// pages. Each successive round adds RetryBackoff of extra sense time
-// (deeper retry-table entries); SWR and SWR+ re-sense for 2 tR, and
-// Sentinel may first read its sentinel cells.
+// pages. Sentinel may first read its sentinel cells.
 func (c *dieCmd) retry() {
 	s := c.s
 	s.m.RetryRounds++
-	retrySense, sentinel := s.cfg.Timing.TR, false
-	switch s.cfg.Scheme {
-	case SWR, SWRPlus:
-		retrySense = 2 * s.cfg.Timing.TR
-	case Sentinel:
-		sentinel = true
-	}
-	c.sense = retrySense + sim.Time(c.round-1)*s.cfg.RetryBackoff
-	if sentinel && s.sentinelRNG.Bernoulli(s.cfg.SentinelExtraReadProb) {
+	if s.cfg.Scheme == Sentinel && s.sentinelRNG.Bernoulli(s.cfg.SentinelExtraReadProb) {
 		// Sentinel's extra off-chip read: the sentinel cells are read
 		// with the sentinel VREF set and shipped to the controller;
 		// the transfer is pure overhead (UNCOR).
@@ -327,11 +317,16 @@ func (c *dieCmd) sentinelSensed() {
 }
 
 // reread issues the retry round's re-sense: a real array read of
-// every still-failing page's block, so it disturbs them further.
+// every still-failing page's block, so it disturbs them further. SWR
+// and SWR+ re-sense for 2 tR, every other scheme for one.
 func (c *dieCmd) reread() {
 	s := c.s
+	sense := s.cfg.Timing.TR
+	if s.cfg.Scheme == SWR || s.cfg.Scheme == SWRPlus {
+		sense = 2 * s.cfg.Timing.TR
+	}
 	s.noteSenses(c.failed)
-	c.die.ReadLabeled(s.senseTime(c.sense, c.failed), c.lblRetry, c.then(stageResensed))
+	c.die.ReadLabeled(s.senseTime(sense, c.failed), c.lblRetry, c.then(stageResensed))
 }
 
 // resensed ships the retry round's data for decode, keeping in failed
@@ -424,4 +419,14 @@ func vrefModeForScheme(sc Scheme) nand.VrefMode {
 		return nand.TrackedVref
 	}
 	return nand.DefaultVref
+}
+
+// cmdLabel names the n-th read command like the paper labels them:
+// A, B, C, ..., Z, A1, B1, ...
+func cmdLabel(n int) string {
+	letter := string(rune('A' + n%26))
+	if n < 26 {
+		return letter
+	}
+	return fmt.Sprintf("%s%d", letter, n/26)
 }

@@ -86,10 +86,8 @@ type dieCmd struct {
 	engineTime sim.Time
 	// anyRetry reports that RiF flagged a page for an in-die re-read.
 	anyRetry bool
-	// round is the controller-driven retry round in progress, sense
-	// its re-sense duration.
+	// round is the controller-driven retry round in progress.
 	round int
-	sense sim.Time
 	// unc is the uncorrectable page count reported at completion.
 	unc int
 	// gcTime is the garbage-collection debt a write carries.

@@ -1,10 +1,9 @@
 package ssd
 
 import (
-	"strings"
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -25,20 +24,27 @@ func spanConfig(scheme Scheme) Config {
 	cfg.Geometry.Channels = 1
 	cfg.Geometry.DiesPerChan = 2
 	cfg.QueueDepth = 1
-	cfg.RecordSpans = true
 	cfg.Timing.THostPage = 0
 	return cfg
 }
 
+// TestSpansRecorded runs the Fig. 7 scenario on a tracer: every
+// station's row appears and the stressed command A shows its retry A'.
 func TestSpansRecorded(t *testing.T) {
-	s, err := New(spanConfig(One), spanWorkload{})
+	tr := obs.NewTracer(1 << 10)
+	cfg := spanConfig(One)
+	cfg.Trace = tr
+	s, err := New(cfg, spanWorkload{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	spans := s.Spans()
+	if tr.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d spans", tr.Dropped())
+	}
+	spans := tr.Spans()
 	if len(spans) == 0 {
 		t.Fatal("no spans recorded")
 	}
@@ -62,42 +68,6 @@ func TestSpansRecorded(t *testing.T) {
 	// The stressed command A must show a retry label A'.
 	if !labels["A"] || !labels["A'"] {
 		t.Fatalf("labels missing: %v", labels)
-	}
-}
-
-func TestSpansOffByDefault(t *testing.T) {
-	cfg := spanConfig(One)
-	cfg.RecordSpans = false
-	s, err := New(cfg, spanWorkload{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(1); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Spans()) != 0 {
-		t.Fatal("spans recorded while disabled")
-	}
-}
-
-func TestRenderGantt(t *testing.T) {
-	spans := []Span{
-		{Resource: "die0", Label: "A", Start: 0, End: 40 * sim.Microsecond},
-		{Resource: "ch0", Label: "A", Start: 40 * sim.Microsecond, End: 90 * sim.Microsecond},
-		{Resource: "die0", Label: "A'", Start: 100 * sim.Microsecond, End: 140 * sim.Microsecond},
-	}
-	out := RenderGantt(spans, 5)
-	if !strings.Contains(out, "die0") || !strings.Contains(out, "ch0") {
-		t.Fatalf("rows missing:\n%s", out)
-	}
-	if !strings.Contains(out, "A") {
-		t.Fatal("glyph A missing")
-	}
-	if !strings.Contains(out, "a") {
-		t.Fatal("retry glyph (lowercase) missing")
-	}
-	if RenderGantt(nil, 5) != "(no spans recorded)\n" {
-		t.Fatal("empty render wrong")
 	}
 }
 

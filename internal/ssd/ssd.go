@@ -74,7 +74,6 @@ type SSD struct {
 	reqFree []*hostReq
 	cmdFree []*dieCmd
 
-	spans   []Span
 	nextCmd int
 
 	// runErr is the first non-fatal device error of the run (dropped
@@ -157,24 +156,23 @@ func New(cfg Config, w Workload) (*SSD, error) {
 		s.dec.Latencies = new(stats.Sketch)
 	}
 	// A station's name only labels its spans, so it is made only when
-	// spans are recorded.
-	recordSpans := cfg.RecordSpans || cfg.Trace != nil
+	// a tracer records them.
 	nDies := cfg.Geometry.TotalDies()
 	s.dies = make([]*dieStation, 0, nDies)
 	for d := 0; d < nDies; d++ {
 		die := newDieStation(eng, cfg.DiePolicy, cfg.ResumePenalty)
-		if recordSpans {
+		if cfg.Trace != nil {
 			die.name = fmt.Sprintf("die%d", d)
-			die.record = s.addSpan
+			die.record = cfg.Trace.Span
 		}
 		s.dies = append(s.dies, die)
 	}
 	s.channels = make([]*channelStation, 0, cfg.Geometry.Channels)
 	for ch := 0; ch < cfg.Geometry.Channels; ch++ {
 		st := newChannelStation(eng, cfg.Timing.TDMAPage, cfg.ECCBufferSlots)
-		if recordSpans {
+		if cfg.Trace != nil {
 			st.name = fmt.Sprintf("ch%d", ch)
-			st.record = s.addSpan
+			st.record = cfg.Trace.Span
 		}
 		if cfg.Faults.ChannelCorruptRate > 0 {
 			st.corrupt = s.inj.TransferCorrupted

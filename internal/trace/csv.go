@@ -119,7 +119,9 @@ func parseCSVLine(text string, line int) (Request, error) {
 		return Request{}, fmt.Errorf("trace: line %d: want 4 fields, got %d", line, len(parts))
 	}
 	us, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-	if err != nil || us < 0 {
+	// The arrival must convert to a sim.Time: NaN, negative and
+	// clock-overflowing values are rejected.
+	if err != nil || !(us >= 0 && us*float64(sim.Microsecond) < float64(sim.MaxTime)) {
 		return Request{}, fmt.Errorf("trace: line %d: bad arrival %q", line, parts[0])
 	}
 	var op Op
