@@ -112,10 +112,11 @@ examples-smoke:
 # invocation (go test fuzzes a single target at a time): the replay
 # path end to end on a tiny device, where a hostile trace must fail the
 # run and never panic the simulator, the CSV, MSR and alist parsers,
-# the result store's entry decoder, and rifserve's two untrusted
-# inputs: the POSTed job spec and the job journal replayed at restart.
-# A crasher lands in the package's testdata/fuzz. CI runs this on
-# every change.
+# the result store's entry decoder, rifserve's two untrusted inputs
+# (the POSTed job spec and the job journal replayed at restart), and
+# the min-sum decoder on arbitrary finite LLRs against its edge-list
+# reference. A crasher lands in the package's testdata/fuzz. CI runs
+# this on every change.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -126,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/resultcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalScan$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzMinSumDecodeSoft$$' -fuzztime $(FUZZTIME) ./internal/ldpc/
 
 # lint is the network-free gate: formatting, go vet, and the
 # repository's own invariant suite (internal/analysis via

@@ -108,6 +108,31 @@ func BenchmarkDecodeFailing(b *testing.B) {
 	}
 }
 
+func BenchmarkDecodeSoft(b *testing.B) {
+	// Soft-read LLRs past the hard-decision capability: the last-resort
+	// retry step's decode.
+	cd := NewCode(4, 36, 256, 7)
+	rng := rand.New(rand.NewPCG(1, 1))
+	_, llrs := DefaultSoftChannel(0.011).Observe(cd.Encode(RandomBits(cd.K(), rng)), rng)
+	dec := NewMinSumDecoder(cd, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec.DecodeSoft(llrs)
+	}
+}
+
+func BenchmarkDecodePaperScale(b *testing.B) {
+	// The paper's 4-KiB codeword (t=1024) at the capability RBER.
+	cd := NewPaperCode(7)
+	rng := rand.New(rand.NewPCG(1, 1))
+	cw := FlipRandom(cd.Encode(RandomBits(cd.K(), rng)), 0.0085, rng)
+	dec := NewMinSumDecoder(cd, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec.Decode(cw)
+	}
+}
+
 func BenchmarkFlipRandomSparse(b *testing.B) {
 	cd, cw := benchCodeAndWord(b, 256, 0)
 	rng := rand.New(rand.NewPCG(2, 2))

@@ -24,25 +24,51 @@ type Result struct {
 // MinSumDecoder is a normalized min-sum LDPC decoder operating on
 // hard-decision channel outputs (the flash read path senses hard
 // bits). The zero value is not usable; construct with NewMinSumDecoder.
+//
+// Messages are stored circulant-major: one T-wide run of
+// check-to-variable messages per non-zero block of H, blocks in
+// row-major order, so message k of block (bi, bj) belongs to check
+// bi·T+k and variable bj·T+(k+shift)%T. Both half-iterations are then
+// straight loops over two contiguous ranges per block, with no index
+// gather.
 type MinSumDecoder struct {
 	code    *Code
 	maxIter int
 	alpha   float32 // normalization factor
 
-	// Flattened Tanner graph, edges grouped by check.
-	edgeVar  []int32
-	checkOff []int32
-	varEdges [][]int32
+	// blocks lists H's non-zero circulants in row-major order;
+	// rowOff[bi] is the first block of block row bi.
+	blocks []circulant
+	rowOff []int
 
 	// Per-decode scratch, reused across calls so steady-state decoding
 	// allocates nothing. The decoder is NOT safe for concurrent use;
 	// create one per goroutine.
-	ctv   []float32
-	total []float32
-	llrs  []float32 // hard-decision LLRs (Decode)
-	work  Bits      // decision word; Result.Word aliases it
-	syn   *synWS    // parity-check workspace
+	ctv   []float32  // [block][k] check-to-variable messages
+	total []float32  // per-variable belief
+	acc   []checkAcc // one block row's check accumulators, T wide
+	llrs  []float32  // hard-decision LLRs (Decode)
+	work  Bits       // decision word; Result.Word aliases it
+	syn   *synWS     // parity-check workspace
 }
+
+// circulant is one non-zero block of H: its first variable (bj·T) and
+// its shift.
+type circulant struct {
+	col, shift int
+}
+
+// checkAcc accumulates one check's min-sum state over its block row:
+// the two smallest magnitudes (as sign-cleared float32 bits, which
+// order like the floats they encode), the block holding the first
+// minimum, and the sign parity in bit 31.
+type checkAcc struct {
+	min1, min2 uint32
+	minBlk     int32
+	parity     uint32
+}
+
+const signBit = 1 << 31
 
 // NewMinSumDecoder builds a decoder for the code with the given
 // iteration cap (0 means DefaultMaxIterations).
@@ -50,30 +76,29 @@ func NewMinSumDecoder(code *Code, maxIter int) *MinSumDecoder {
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
 	}
-	checkVars, _ := code.adjacency()
-	var edgeVar []int32
-	checkOff := make([]int32, len(checkVars)+1)
-	for m, vars := range checkVars {
-		checkOff[m] = int32(len(edgeVar))
-		edgeVar = append(edgeVar, vars...)
+	var blocks []circulant
+	rowOff := make([]int, code.R+1)
+	for bi := 0; bi < code.R; bi++ {
+		rowOff[bi] = len(blocks)
+		for bj := 0; bj < code.C; bj++ {
+			if sh := code.Shifts[bi][bj]; sh != ZeroBlock {
+				blocks = append(blocks, circulant{col: bj * code.T, shift: sh})
+			}
+		}
 	}
-	checkOff[len(checkVars)] = int32(len(edgeVar))
-	varEdges := make([][]int32, code.N())
-	for e, v := range edgeVar {
-		varEdges[v] = append(varEdges[v], int32(e))
-	}
+	rowOff[code.R] = len(blocks)
 	return &MinSumDecoder{
-		code:     code,
-		maxIter:  maxIter,
-		alpha:    0.75,
-		edgeVar:  edgeVar,
-		checkOff: checkOff,
-		varEdges: varEdges,
-		ctv:      make([]float32, len(edgeVar)),
-		total:    make([]float32, code.N()),
-		llrs:     make([]float32, code.N()),
-		work:     NewBits(code.N()),
-		syn:      newSynWS(code.T),
+		code:    code,
+		maxIter: maxIter,
+		alpha:   0.75,
+		blocks:  blocks,
+		rowOff:  rowOff,
+		ctv:     make([]float32, len(blocks)*code.T),
+		total:   make([]float32, code.N()),
+		acc:     make([]checkAcc, code.T),
+		llrs:    make([]float32, code.N()),
+		work:    NewBits(code.N()),
+		syn:     newSynWS(code.T),
 	}
 }
 
@@ -90,12 +115,12 @@ func (d *MinSumDecoder) Decode(received Bits) Result {
 	if received.Len() != n {
 		panic("ldpc: received length mismatch")
 	}
-	// Hard input: the sign carries all the information.
-	for v := 0; v < n; v++ {
-		if received.Get(v) {
-			d.llrs[v] = -1
-		} else {
-			d.llrs[v] = 1
+	// Hard input: the sign carries all the information, so a set bit
+	// becomes -1 and a clear one +1.
+	for w, word := range received.words {
+		lo := w * 64
+		for i := range d.llrs[lo:min(lo+64, n)] {
+			d.llrs[lo+i] = math.Float32frombits(math.Float32bits(1) | uint32(word>>i&1)<<31)
 		}
 	}
 	return d.DecodeSoft(d.llrs)
@@ -107,81 +132,134 @@ func (d *MinSumDecoder) Decode(received Bits) Result {
 // correct pages beyond the hard-decision capability, the modern
 // last-resort retry step.
 //
+// The domain is finite LLRs whose messages stay finite over the
+// iteration cap (magnitudes up to 1e30 are tested); ±0 and subnormals
+// are fine. NaN or ±Inf inputs give unspecified results.
+//
 //riflint:hotpath
 func (d *MinSumDecoder) DecodeSoft(llrs []float32) Result {
-	n := d.code.N()
-	if len(llrs) != n {
+	if len(llrs) != d.code.N() {
 		panic("ldpc: llr length mismatch")
 	}
-	for i := range d.ctv {
-		d.ctv[i] = 0
-	}
-	work := d.work
-	work.Zero()
-
+	clear(d.ctv)
 	for iter := 1; iter <= d.maxIter; iter++ {
-		// Variable update: total belief per bit.
-		for v := 0; v < n; v++ {
-			t := llrs[v]
-			for _, e := range d.varEdges[v] {
-				t += d.ctv[e]
-			}
-			d.total[v] = t
-			work.Set(v, t < 0)
+		d.variableUpdate(llrs)
+		if d.satisfied(d.work) {
+			return Result{OK: true, Iterations: iter, Word: d.work}
 		}
-		if d.satisfied(work) {
-			return Result{OK: true, Iterations: iter, Word: work}
-		}
-		// Check update: normalized min-sum.
-		for m := 0; m < d.code.M(); m++ {
-			lo, hi := d.checkOff[m], d.checkOff[m+1]
-			min1 := float32(math.MaxFloat32)
-			min2 := float32(math.MaxFloat32)
-			minIdx := int32(-1)
-			signProd := float32(1)
-			for e := lo; e < hi; e++ {
-				vtc := d.total[d.edgeVar[e]] - d.ctv[e]
-				if vtc < 0 {
-					signProd = -signProd
-				}
-				mag := vtc
-				if mag < 0 {
-					mag = -mag
-				}
-				if mag < min1 {
-					min2 = min1
-					min1 = mag
-					minIdx = e
-				} else if mag < min2 {
-					min2 = mag
-				}
-			}
-			for e := lo; e < hi; e++ {
-				vtc := d.total[d.edgeVar[e]] - d.ctv[e]
-				sgn := signProd
-				if vtc < 0 {
-					sgn = -sgn
-				}
-				mag := min1
-				if e == minIdx {
-					mag = min2
-				}
-				d.ctv[e] = d.alpha * sgn * mag
-			}
+		for bi := 0; bi < d.code.R; bi++ {
+			d.checkUpdate(bi)
 		}
 	}
 	// Final hard decision after the last check update.
-	for v := 0; v < n; v++ {
-		t := llrs[v]
-		for _, e := range d.varEdges[v] {
-			t += d.ctv[e]
+	d.variableUpdate(llrs)
+	return Result{OK: d.satisfied(d.work), Iterations: d.maxIter, Word: d.work}
+}
+
+// variableUpdate sets each variable's total belief to its channel LLR
+// plus its incoming messages, added in block-row order, and packs the
+// hard decision (total < 0) into d.work.
+//
+//riflint:hotpath
+func (d *MinSumDecoder) variableUpdate(llrs []float32) {
+	t := d.code.T
+	copy(d.total, llrs)
+	for b, blk := range d.blocks {
+		c := d.ctv[b*t : (b+1)*t]
+		col := d.total[blk.col : blk.col+t]
+		// Message k feeds variable (k+shift)%T of the block column.
+		addInto(col[blk.shift:], c[:t-blk.shift])
+		addInto(col[:blk.shift], c[t-blk.shift:])
+	}
+	words := d.work.words
+	for w := range words {
+		lo := w * 64
+		var word uint64
+		for i, x := range d.total[lo:min(lo+64, len(d.total))] {
+			// x < 0 iff its bits exceed −0's (signBit); total is −0
+			// when its LLR and every message are.
+			word |= uint64(int64(signBit)-int64(math.Float32bits(x))) >> 63 << i
 		}
-		work.Set(v, t < 0)
+		words[w] = word
 	}
-	if d.satisfied(work) {
-		return Result{OK: true, Iterations: d.maxIter, Word: work}
+}
+
+// addInto adds src into dst elementwise; len(src) ≥ len(dst).
+//
+//riflint:hotpath
+func addInto(dst, src []float32) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] += src[i]
 	}
-	return Result{OK: false, Iterations: d.maxIter, Word: work}
+}
+
+// checkUpdate runs normalized min-sum on the T checks of block row bi:
+// one pass folds each block's variable-to-check messages into the
+// accumulators (leaving them in place of the old messages), a second
+// writes alpha·min with the extrinsic sign back.
+//
+//riflint:hotpath
+func (d *MinSumDecoder) checkUpdate(bi int) {
+	t := d.code.T
+	acc := d.acc
+	for k := range acc {
+		acc[k] = checkAcc{min1: math.Float32bits(math.MaxFloat32), min2: math.Float32bits(math.MaxFloat32), minBlk: -1}
+	}
+	lo, hi := d.rowOff[bi], d.rowOff[bi+1]
+	for b := lo; b < hi; b++ {
+		blk := d.blocks[b]
+		c := d.ctv[b*t : (b+1)*t]
+		col := d.total[blk.col : blk.col+t]
+		foldChecks(acc[:t-blk.shift], c[:t-blk.shift], col[blk.shift:], int32(b))
+		foldChecks(acc[t-blk.shift:], c[t-blk.shift:], col[:blk.shift], int32(b))
+	}
+	// alpha·(±mag) is ±(alpha·mag) exactly, so scale the magnitudes once
+	// and attach each message's sign afterwards.
+	for k := range acc {
+		acc[k].min1 = math.Float32bits(d.alpha * math.Float32frombits(acc[k].min1))
+		acc[k].min2 = math.Float32bits(d.alpha * math.Float32frombits(acc[k].min2))
+	}
+	for b := lo; b < hi; b++ {
+		c := d.ctv[b*t : (b+1)*t]
+		c = c[:len(acc)]
+		for k := range acc {
+			a := &acc[k]
+			mag, min2 := a.min1, a.min2
+			if a.minBlk == int32(b) {
+				mag = min2
+			}
+			// c[k] holds this edge's variable-to-check message; the
+			// extrinsic sign is its sign times every other edge's.
+			c[k] = math.Float32frombits(mag | (math.Float32bits(c[k])^a.parity)&signBit)
+		}
+	}
+}
+
+// foldChecks folds one block's variable-to-check messages total−ctv
+// into the check accumulators, overwriting ctv with them. A strict <
+// keeps the first minimum in column order; min2 = min(min2, max(m,
+// min1)) is the branchless form of the two-way update. A message is
+// never −0 (a float sum is −0 only when every term is, and then
+// total−ctv is +0), so its sign bit is exactly "vtc < 0".
+//
+//riflint:hotpath
+func foldChecks(acc []checkAcc, ctv, total []float32, blk int32) {
+	ctv = ctv[:len(acc)]
+	total = total[:len(acc)]
+	for k := range acc {
+		vtc := total[k] - ctv[k]
+		ctv[k] = vtc
+		bits := math.Float32bits(vtc)
+		m := bits &^ signBit
+		a := &acc[k]
+		min1, minBlk := a.min1, a.minBlk
+		if m < min1 {
+			minBlk = blk
+		}
+		a.min1, a.min2, a.minBlk = min(min1, m), min(a.min2, max(m, min1)), minBlk
+		a.parity ^= bits
+	}
 }
 
 func (d *MinSumDecoder) satisfied(cw Bits) bool {
