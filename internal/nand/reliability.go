@@ -100,11 +100,25 @@ func DefaultModelParams() ModelParams {
 type Model struct {
 	p    ModelParams
 	seed uint64
+	// disturbPow[n] is math.Pow(n, DisturbExp), filled by NewModel and
+	// never written after, so models stay safe to share across runs.
+	disturbPow [disturbTable]float64
 }
+
+// disturbTable is how many block read counts, from zero, a model
+// tabulates the disturb power law for. Most reads land on blocks
+// sensed only a few dozen times since their last erase (a Fig. 17
+// cell peaks at 59), so Condition reads the table and calls math.Pow
+// only past it.
+const disturbTable = 64
 
 // NewModel builds a reliability model with the given parameters.
 func NewModel(p ModelParams, seed uint64) *Model {
-	return &Model{p: p, seed: seed}
+	m := &Model{p: p, seed: seed}
+	for n := range m.disturbPow {
+		m.disturbPow[n] = math.Pow(float64(n), p.DisturbExp)
+	}
+	return m
 }
 
 // NewDefaultModel builds a model with DefaultModelParams.
@@ -198,11 +212,19 @@ func (m *Model) Condition(variation float64, pe int, retentionDays float64, read
 		sigma:     m.p.SigmaFresh * (1 + m.p.RetentionWiden*l + m.p.PEWiden*float64(pe)/1000),
 	}
 	if reads > 0 {
-		dl := math.Pow(float64(reads), m.p.DisturbExp) * wear
+		dl := m.disturbPower(reads) * wear
 		c.disturbUnit = m.p.DisturbShift * dl
 		c.sigma *= 1 + m.p.DisturbWiden*dl
 	}
 	return c
+}
+
+// disturbPower reports reads^DisturbExp, bit-equal to math.Pow.
+func (m *Model) disturbPower(reads int64) float64 {
+	if reads < disturbTable {
+		return m.disturbPow[reads]
+	}
+	return math.Pow(float64(reads), m.p.DisturbExp)
 }
 
 // stateMean reports the mean of state i under the condition. All
@@ -253,11 +275,18 @@ func (m *Model) vrefAt(j int, mode VrefMode, c PageCondition) float64 {
 // probability that a cell is misread across threshold j sensed at
 // voltage v. A cell is in a specific state with probability 1/8
 // (randomized data); misreads across threshold j come from the two
-// adjacent states.
+// adjacent states. At a voltage midway between the two means (most
+// OptimalVref thresholds) the two tail arguments are often bit-equal,
+// and then one Q serves both tails: q+q is exact.
 func (m *Model) misread(j int, c PageCondition, v float64) float64 {
 	lo := m.stateMean(j-1, c)
 	hi := m.stateMean(j, c)
-	return (qFunc((v-lo)/c.sigma) + qFunc((hi-v)/c.sigma)) / 8
+	below, above := (v-lo)/c.sigma, (hi-v)/c.sigma
+	q := qFunc(below)
+	if above == below {
+		return (q + q) / 8
+	}
+	return (q + qFunc(above)) / 8
 }
 
 // capRBER saturates a summed error rate at one bit in two.

@@ -27,8 +27,8 @@ func TestPredictFailZeroAlloc(t *testing.T) {
 	fail := pageView{rberFirst: 1e-3, fails: false}
 	pass := pageView{rberFirst: 5e-4, fails: true}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		s.predictFail(fail)
-		s.predictFail(pass)
+		s.predictFail(&fail)
+		s.predictFail(&pass)
 	}); allocs != 0 {
 		t.Fatalf("predictFail allocates %.1f times per call pair; the hot path must be allocation-free", allocs)
 	}

@@ -99,8 +99,10 @@ func TestReadOnlyPathsMakeNoChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Enough writes to open a block on every plane, each opening
+	// The scan is off until a block carries wear; turn it on. Then
+	// enough writes to open a block on every plane, each opening
 	// scanning its plane's whole free list.
+	s.noteWear()
 	for lpn := int64(0); lpn < 4096; lpn++ {
 		if _, _, err := s.ftl.Write(lpn, 0, s.cfg.GCFreeBlockLow); err != nil {
 			t.Fatal(err)
@@ -143,5 +145,38 @@ func TestNewAllocationBudget(t *testing.T) {
 		if bytes > tc.maxBytes {
 			t.Errorf("%s: New allocates %d bytes, want at most %d", tc.name, bytes, tc.maxBytes)
 		}
+	}
+}
+
+// TestWarmupAllocationBudget pins what a fresh device's first requests
+// cost: at queue depth 256 each request in flight needs host-request
+// and die-command records that no earlier request has freed, so the
+// first 256 closed-loop requests fill the pools. Records and their
+// scratch are carved from slabs and stations queue values, so the
+// warm-up makes about 920 allocations (1,120 under -race), most of
+// them one bound handler per die command. A record allocated per
+// command and per station operation would make about 4,300.
+func TestWarmupAllocationBudget(t *testing.T) {
+	const requests, budget = 256, 1200
+	cfg := benchConfig(RiF, 1000)
+	var before, after runtime.MemStats
+	var allocs uint64
+	const runs = 4
+	for i := 0; i < runs; i++ {
+		s, err := New(cfg, smallWorkload(t, "Ali124", uint64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		if _, err := s.Run(requests); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		allocs += after.Mallocs - before.Mallocs
+	}
+	allocs /= runs
+	t.Logf("first %d requests at queue depth %d: %d allocations", requests, cfg.QueueDepth, allocs)
+	if allocs > budget {
+		t.Errorf("a fresh device's first %d requests make %d allocations, want at most %d", requests, allocs, budget)
 	}
 }

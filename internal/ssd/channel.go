@@ -13,9 +13,8 @@ const (
 )
 
 // xferJob is one channel occupancy: a die-command's worth of pages.
-// Callers hand submit a job by value; the station copies it into a
-// recycled record, so submitting allocates only while the channel's
-// backlog sets a new high-water mark.
+// The station queues jobs by value, so submitting allocates only while
+// the channel's backlog sets a new high-water mark.
 type xferJob struct {
 	kind  xferKind
 	pages int
@@ -69,17 +68,16 @@ type channelStation struct {
 	bufHigh  int
 	pendHigh int
 
-	pending     ring[*xferJob] // waiting for channel (+ buffer for reads)
-	decodeQueue ring[*xferJob] // transferred, waiting for the ECC engine
-	free        []*xferJob
+	pending     ring[xferJob] // waiting for channel (+ buffer for reads)
+	decodeQueue ring[xferJob] // transferred, waiting for the ECC engine
 
 	// One transfer and one decode run at a time, so each keeps its job
 	// and start instant here, and one finish handler per stage — bound
 	// once in newChannelStation — serves every job.
-	xfer         *xferJob
+	xfer         xferJob
 	xferStart    sim.Time
 	onXferDone   func()
-	decoding     *xferJob
+	decoding     xferJob
 	decodeStart  sim.Time
 	onDecodeDone func()
 	// eccName labels the ECC engine's timeline row; built from name on
@@ -110,35 +108,18 @@ func newChannelStation(eng *sim.Engine, tDMAPage sim.Time, bufSlots int) *channe
 //
 //riflint:hotpath
 func (c *channelStation) submit(job xferJob) {
-	var rec *xferJob
-	if n := len(c.free); n > 0 {
-		rec = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		//riflint:allow alloc -- free-list refill: one job per backlog high-water slot, reused after
-		rec = &xferJob{}
-	}
-	*rec = job
-	c.pending.push(rec)
+	c.pending.push(job)
 	if c.pending.len() > c.pendHigh {
 		c.pendHigh = c.pending.len()
 	}
 	c.tryStartXfer()
 }
 
-// recycle returns a finished job to the free list.
-func (c *channelStation) recycle(job *xferJob) {
-	*job = xferJob{}
-	//riflint:allow alloc -- within the capacity submit vacated
-	c.free = append(c.free, job)
-}
-
 func (c *channelStation) tryStartXfer() {
 	if c.busy || c.pending.len() == 0 {
 		return
 	}
-	job := c.pending.peek()
-	if job.kind == xferRead && c.bufInUse >= c.bufSlots {
+	if c.pending.peek().kind == xferRead && c.bufInUse >= c.bufSlots {
 		// Channel idle but the ECC buffer is full: ECCWAIT begins.
 		if !c.inECCWait {
 			c.inECCWait = true
@@ -146,7 +127,7 @@ func (c *channelStation) tryStartXfer() {
 		}
 		return
 	}
-	c.pending.pop()
+	job := c.pending.pop()
 	if c.inECCWait {
 		c.eccWait += c.eng.Now() - c.eccWaitSince
 		c.inECCWait = false
@@ -169,7 +150,7 @@ func (c *channelStation) tryStartXfer() {
 //riflint:hotpath
 func (c *channelStation) xferDone() {
 	job := c.xfer
-	c.xfer = nil
+	c.xfer = xferJob{}
 	c.busy = false
 	dur := sim.Time(job.pages) * c.tDMAPage
 	if c.record != nil {
@@ -178,10 +159,8 @@ func (c *channelStation) xferDone() {
 	switch job.kind {
 	case xferWrite:
 		c.write += dur
-		done := job.onDecoded
-		c.recycle(job)
-		if done != nil {
-			done()
+		if job.onDecoded != nil {
+			job.onDecoded()
 		}
 	case xferRead:
 		if c.corrupt != nil && job.resends < maxXferResends && c.corrupt() {
@@ -224,7 +203,7 @@ func (c *channelStation) tryStartDecode() {
 //riflint:hotpath
 func (c *channelStation) decodeDone() {
 	job := c.decoding
-	c.decoding = nil
+	c.decoding = xferJob{}
 	c.engineBusy = false
 	if c.record != nil && job.engineTime > 0 {
 		if c.eccName == "" {
@@ -233,10 +212,8 @@ func (c *channelStation) decodeDone() {
 		c.record(c.eccName, job.label, c.decodeStart, c.eng.Now())
 	}
 	c.bufInUse--
-	done := job.onDecoded
-	c.recycle(job)
-	if done != nil {
-		done()
+	if job.onDecoded != nil {
+		job.onDecoded()
 	}
 	c.tryStartDecode()
 	c.tryStartXfer() // a freed buffer slot may unblock the channel

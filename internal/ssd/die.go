@@ -35,9 +35,9 @@ func (p DiePolicy) String() string {
 	return "unknown"
 }
 
-// dieOp is one array operation. The station recycles ops through its
-// free list, so queuing one allocates only while the die's backlog
-// sets a new high-water mark.
+// dieOp is one array operation. The station queues ops by value, so
+// queuing one allocates only while the die's backlog sets a new
+// high-water mark.
 type dieOp struct {
 	dur    sim.Time
 	isRead bool
@@ -56,21 +56,20 @@ type dieStation struct {
 	// timeline rendering).
 	record func(resource, label string, start, end sim.Time)
 
-	readQ ring[*dieOp]
-	progQ ring[*dieOp]
-	free  []*dieOp
+	readQ ring[dieOp]
+	progQ ring[dieOp]
 
-	// The die runs one operation at a time, so its start instant and
-	// finish event live here, and one finish handler — bound once in
-	// newDieStation — serves every operation.
-	running   *dieOp
+	// The die runs one operation at a time, so the operation, its start
+	// instant and finish event live here, and one finish handler —
+	// bound once in newDieStation — serves every operation.
+	running   dieOp
+	busy      bool
 	startedAt sim.Time
 	finishAt  sim.Time
 	finishEvt sim.EventID
 	onFinish  func()
 
-	suspended  []*dieOp   // preempted programs, LIFO
-	suspRemain []sim.Time // remaining time of each suspended op
+	suspended []dieOp // preempted programs, LIFO, each with its remaining time as dur
 
 	// suspensions counts program/erase preemptions, for metrics.
 	suspensions int64
@@ -82,7 +81,7 @@ type dieStation struct {
 // noteDepth refreshes the queue-depth high-water mark.
 func (d *dieStation) noteDepth() {
 	depth := d.readQ.len() + d.progQ.len() + len(d.suspended)
-	if d.running != nil {
+	if d.busy {
 		depth++
 	}
 	if depth > d.qHigh {
@@ -96,20 +95,6 @@ func newDieStation(eng *sim.Engine, policy DiePolicy, resumePenalty sim.Time) *d
 	return d
 }
 
-// newOp takes an op from the free list.
-func (d *dieStation) newOp(dur sim.Time, isRead bool, label string, done func()) *dieOp {
-	var op *dieOp
-	if n := len(d.free); n > 0 {
-		op = d.free[n-1]
-		d.free = d.free[:n-1]
-	} else {
-		//riflint:allow alloc -- free-list refill: one op per backlog high-water slot, reused after
-		op = &dieOp{}
-	}
-	*op = dieOp{dur: dur, isRead: isRead, label: label, done: done}
-	return op
-}
-
 // Read schedules a sense operation of the given duration.
 func (d *dieStation) Read(dur sim.Time, done func()) {
 	d.ReadLabeled(dur, "", done)
@@ -119,7 +104,7 @@ func (d *dieStation) Read(dur sim.Time, done func()) {
 //
 //riflint:hotpath
 func (d *dieStation) ReadLabeled(dur sim.Time, label string, done func()) {
-	op := d.newOp(dur, true, label, done)
+	op := dieOp{dur: dur, isRead: true, label: label, done: done}
 	if d.policy == DieFIFO {
 		d.progQ.push(op) // single queue in FIFO mode
 	} else {
@@ -132,7 +117,7 @@ func (d *dieStation) ReadLabeled(dur sim.Time, label string, done func()) {
 
 // Program schedules a program/erase/GC occupancy.
 func (d *dieStation) Program(dur sim.Time, done func()) {
-	d.progQ.push(d.newOp(dur, false, "W", done))
+	d.progQ.push(dieOp{dur: dur, label: "W", done: done})
 	d.noteDepth()
 	d.kick()
 }
@@ -140,7 +125,7 @@ func (d *dieStation) Program(dur sim.Time, done func()) {
 // maybePreempt suspends a running program when policy allows and a
 // read is waiting.
 func (d *dieStation) maybePreempt() {
-	if d.policy != DieSuspension || d.running == nil || d.running.isRead || d.readQ.len() == 0 {
+	if d.policy != DieSuspension || !d.busy || d.running.isRead || d.readQ.len() == 0 {
 		return
 	}
 	remaining := d.finishAt - d.eng.Now()
@@ -148,20 +133,20 @@ func (d *dieStation) maybePreempt() {
 		return // completing this instant
 	}
 	d.eng.Cancel(d.finishEvt)
+	op := d.running
+	op.dur = remaining + d.resumePenalty
 	//riflint:allow alloc -- suspension stack: grows only at a new preemption-depth high-water mark
-	d.suspended = append(d.suspended, d.running)
-	//riflint:allow alloc -- parallel to suspended
-	d.suspRemain = append(d.suspRemain, remaining+d.resumePenalty)
+	d.suspended = append(d.suspended, op)
 	d.suspensions++
-	d.running = nil
+	d.running, d.busy = dieOp{}, false
 }
 
 // kick starts the next operation if the die is free.
 func (d *dieStation) kick() {
-	if d.running != nil {
+	if d.busy {
 		return
 	}
-	var op *dieOp
+	var op dieOp
 	switch {
 	case d.readQ.len() > 0:
 		op = d.readQ.pop()
@@ -169,43 +154,38 @@ func (d *dieStation) kick() {
 		// Resume the most recently suspended program.
 		n := len(d.suspended) - 1
 		op = d.suspended[n]
-		op.dur = d.suspRemain[n]
+		d.suspended[n] = dieOp{}
 		d.suspended = d.suspended[:n]
-		d.suspRemain = d.suspRemain[:n]
 	case d.progQ.len() > 0:
 		op = d.progQ.pop()
 	default:
 		return
 	}
-	d.running = op
+	d.running, d.busy = op, true
 	d.startedAt = d.eng.Now()
 	d.finishAt = d.startedAt + op.dur
 	d.finishEvt = d.eng.After(op.dur, d.onFinish)
 }
 
-// finish completes the running operation: record its occupancy,
-// recycle the op, run its continuation, start the next.
+// finish completes the running operation: record its occupancy, run
+// its continuation, start the next.
 //
 //riflint:hotpath
 func (d *dieStation) finish() {
 	op := d.running
-	d.running = nil
+	d.running, d.busy = dieOp{}, false
 	if d.record != nil {
 		d.record(d.name, op.label, d.startedAt, d.eng.Now())
 	}
-	done := op.done
-	*op = dieOp{}
-	//riflint:allow alloc -- returns the op to the free list, within the capacity newOp vacated
-	d.free = append(d.free, op)
-	if done != nil {
-		done()
+	if op.done != nil {
+		op.done()
 	}
 	d.kick()
 }
 
 // Idle reports whether the die has no running or queued work.
 func (d *dieStation) Idle() bool {
-	return d.running == nil && d.readQ.len() == 0 && d.progQ.len() == 0 && len(d.suspended) == 0
+	return !d.busy && d.readQ.len() == 0 && d.progQ.len() == 0 && len(d.suspended) == 0
 }
 
 // Suspensions reports how many preemptions occurred.

@@ -4,7 +4,8 @@ package ssd
 // frees its slot for reuse, so a queue that keeps cycling allocates
 // only while its depth sets a new high-water mark — unlike the
 // `q = q[1:]` idiom, which strands the popped capacity and makes the
-// next append reallocate.
+// next append reallocate. The buffer's length is always a power of two
+// (grow starts at 4 and doubles), so positions wrap with a mask.
 type ring[T any] struct {
 	buf  []T
 	head int
@@ -23,7 +24,7 @@ func (q *ring[T]) grow() {
 	//riflint:allow alloc -- ring growth: only when the queue depth sets a new high-water mark
 	buf := make([]T, size)
 	for i := 0; i < q.n; i++ {
-		buf[i] = q.buf[(q.head+i)%len(q.buf)]
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}
 	q.buf = buf
 	q.head = 0
@@ -34,7 +35,7 @@ func (q *ring[T]) push(v T) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
 	q.n++
 }
 
@@ -43,7 +44,7 @@ func (q *ring[T]) pushFront(v T) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.head = (q.head + len(q.buf) - 1) % len(q.buf)
+	q.head = (q.head - 1) & (len(q.buf) - 1)
 	q.buf[q.head] = v
 	q.n++
 }
@@ -57,7 +58,7 @@ func (q *ring[T]) pop() T {
 	v := q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero // drop the reference for the collector
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return v
 }

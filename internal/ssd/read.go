@@ -56,7 +56,7 @@ func (s *SSD) readCommand(c *dieCmd) {
 // senseFirst occupies the die with the command's first read (dur of
 // array time plus any injected re-issues).
 func (c *dieCmd) senseFirst(dur sim.Time) {
-	c.die.ReadLabeled(c.s.senseTime(dur, c.pages), c.lbl, c.then(stageSensed))
+	c.die.ReadLabeled(c.senseTime(dur, false), c.lbl, c.then(stageSensed))
 }
 
 // planOffChip is the first read of SSDone, SENC, SWR and SWR+: the
@@ -71,7 +71,8 @@ func (c *dieCmd) planOffChip() {
 	c.rbers = c.rbers[:n]
 	c.failed = c.failed[:n]
 	k := 0
-	for i, p := range c.pages {
+	for i := range c.pages {
+		p := &c.pages[i]
 		c.rbers[i] = p.rberFirst
 		fails := p.fails
 		if s.decodeTimeout() && !fails {
@@ -79,7 +80,7 @@ func (c *dieCmd) planOffChip() {
 			c.rbers[i] = s.timeoutRBER()
 		}
 		if fails {
-			c.failed[k] = p
+			c.failed[k] = i
 			k++
 		}
 	}
@@ -99,7 +100,8 @@ func (c *dieCmd) planRPController() {
 	uncor := 0
 	c.failed = c.failed[:len(c.pages)]
 	k := 0
-	for _, p := range c.pages {
+	for i := range c.pages {
+		p := &c.pages[i]
 		predFail := s.predictFail(p)
 		fails := p.fails
 		switch {
@@ -119,7 +121,7 @@ func (c *dieCmd) planRPController() {
 			uncor++
 		}
 		if fails || predFail {
-			c.failed[k] = p
+			c.failed[k] = i
 			k++
 		}
 	}
@@ -136,14 +138,12 @@ func (c *dieCmd) planRPController() {
 //riflint:hotpath
 func (c *dieCmd) planRiF() {
 	s := c.s
-	c.predFail = c.predFail[:len(c.pages)]
 	anyRetry := false
 	flagged := int64(0)
 	for i := range c.pages {
 		p := &c.pages[i]
-		pf := s.predictFail(*p)
-		c.predFail[i] = pf
-		if pf {
+		p.predFail = s.predictFail(p)
+		if p.predFail {
 			anyRetry = true
 			flagged++
 			s.noteSense(p.blockID) // the RVS re-read senses the block again
@@ -171,7 +171,7 @@ func (c *dieCmd) planRiF() {
 		secondRetry := false
 		for i := range c.pages {
 			p := &c.pages[i]
-			if !c.predFail[i] || s.retryRBER(p) <= s.dec.Capability {
+			if !p.predFail || s.retryRBER(p) <= s.dec.Capability {
 				continue
 			}
 			s.m.Predictions++
@@ -232,9 +232,10 @@ func (c *dieCmd) rifSensed(job *xferJob) {
 	c.failed = c.failed[:n]
 	k := 0
 	retriedNow := int64(0)
-	for i, p := range c.pages {
-		if c.predFail[i] {
-			c.rbers[i] = s.retryRBER(&p)
+	for i := range c.pages {
+		p := &c.pages[i]
+		if p.predFail {
+			c.rbers[i] = s.retryRBER(p)
 			retriedNow++
 			fails := p.rberRetry > s.dec.Capability
 			if s.decodeTimeout() && !fails {
@@ -242,7 +243,7 @@ func (c *dieCmd) rifSensed(job *xferJob) {
 				c.rbers[i] = s.timeoutRBER()
 			}
 			if fails {
-				c.failed[k] = p
+				c.failed[k] = i
 				k++
 			}
 		} else {
@@ -255,7 +256,7 @@ func (c *dieCmd) rifSensed(job *xferJob) {
 			if fails {
 				// False negative: the doomed page crosses the
 				// channel and burns a full failing decode.
-				c.failed[k] = p
+				c.failed[k] = i
 				k++
 				retriedNow++
 			}
@@ -297,8 +298,8 @@ func (c *dieCmd) retry() {
 		// with the sentinel VREF set and shipped to the controller;
 		// the transfer is pure overhead (UNCOR).
 		s.m.SentinelExtraReads += int64(len(c.failed))
-		s.noteSenses(c.failed) // the sentinel-cell read senses the array too
-		c.die.ReadLabeled(s.senseTime(s.cfg.Timing.TR, c.failed), c.lbl, c.then(stageSentinelSensed))
+		c.noteFailedSenses() // the sentinel-cell read senses the array too
+		c.die.ReadLabeled(c.senseTime(s.cfg.Timing.TR, true), c.lbl, c.then(stageSentinelSensed))
 		return
 	}
 	c.reread()
@@ -325,8 +326,8 @@ func (c *dieCmd) reread() {
 	if s.cfg.Scheme == SWR || s.cfg.Scheme == SWRPlus {
 		sense = 2 * s.cfg.Timing.TR
 	}
-	s.noteSenses(c.failed)
-	c.die.ReadLabeled(s.senseTime(sense, c.failed), c.lblRetry, c.then(stageResensed))
+	c.noteFailedSenses()
+	c.die.ReadLabeled(c.senseTime(sense, true), c.lblRetry, c.then(stageResensed))
 }
 
 // resensed ships the retry round's data for decode, keeping in failed
@@ -339,7 +340,7 @@ func (c *dieCmd) resensed() {
 	c.rbers = c.rbers[:n]
 	k := 0
 	for i := 0; i < n; i++ {
-		p := &c.failed[i]
+		p := &c.pages[c.failed[i]]
 		c.rbers[i] = s.retryRBER(p)
 		fails := p.rberRetry > s.dec.Capability
 		if s.decodeTimeout() && !fails {
@@ -347,7 +348,7 @@ func (c *dieCmd) resensed() {
 			c.rbers[i] = s.timeoutRBER()
 		}
 		if fails {
-			c.failed[k] = *p
+			c.failed[k] = c.failed[i]
 			k++
 		}
 	}
@@ -373,8 +374,8 @@ func (c *dieCmd) redecoded() {
 	}
 	if c.round >= s.cfg.MaxRetryRounds {
 		s.m.UnrecoveredPages += int64(len(c.failed))
-		for _, p := range c.failed {
-			s.retireBlock(p)
+		for _, i := range c.failed {
+			s.retireBlock(&c.pages[i])
 		}
 		c.finish(len(c.failed))
 		return
@@ -396,7 +397,7 @@ func (c *dieCmd) finish(unc int) {
 // of the accuracy model's own errors.
 //
 //riflint:hotpath
-func (s *SSD) predictFail(p pageView) bool {
+func (s *SSD) predictFail(p *pageView) bool {
 	s.m.Predictions++
 	correct := s.acc.PredictCorrect(p.rberFirst, s.predictRNG.Float64())
 	if s.inj.ForceMispredict() {

@@ -65,7 +65,6 @@ type dieCmd struct {
 	cmd      dieCommand
 	die      *dieStation
 	ch       *channelStation
-	stage    cmdStage
 	resumeFn func()
 
 	// lbl and lblRetry tag the command's occupancies on the timeline;
@@ -73,25 +72,44 @@ type dieCmd struct {
 	lbl, lblRetry string
 
 	// Scratch with capacity PlanesPerDie, kept when the record is
-	// recycled: the resolved pages, RiF's per-page predictions, the
-	// RBERs of the transfer being decoded, and the pages still failing.
-	pages    []pageView
-	predFail []bool
-	rbers    []float64
-	failed   []pageView
+	// recycled: the resolved pages, the RBERs of the transfer being
+	// decoded, and the indices into pages of the pages still failing.
+	pages  []pageView
+	rbers  []float64
+	failed []int
 
 	// uncor counts the pages of the first transfer that will fail
 	// decode; engineTime is RPSSD's precomputed ECC occupancy.
 	uncor      int
 	engineTime sim.Time
-	// anyRetry reports that RiF flagged a page for an in-die re-read.
-	anyRetry bool
 	// round is the controller-driven retry round in progress.
 	round int
 	// unc is the uncorrectable page count reported at completion.
 	unc int
 	// gcTime is the garbage-collection debt a write carries.
 	gcTime sim.Time
+	stage  cmdStage
+	// anyRetry reports that RiF flagged a page for an in-die re-read.
+	anyRetry bool
+}
+
+// recordSlab is how many host-request or die-command records one slab
+// allocation carves. A cell's first few hundred commands make fresh
+// records at a deep queue, and carving them cuts that warm-up's
+// allocations by this factor; a short run wastes at most one slab.
+const recordSlab = 16
+
+// carve takes the next n elements of *slab, refilling it with room for
+// recordSlab such runs when it runs short. The result's capacity is n,
+// so it never reaches into its neighbours.
+func carve[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		//riflint:allow alloc -- slab refill: one allocation per recordSlab records, which are recycled through the free lists after
+		*slab = make([]T, recordSlab*n)
+	}
+	v := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return v
 }
 
 // newReq takes a host-request record from the free list.
@@ -101,7 +119,7 @@ func (s *SSD) newReq() *hostReq {
 		s.reqFree = s.reqFree[:n-1]
 		return r
 	}
-	return &hostReq{}
+	return &carve(&s.reqSlab, 1)[0]
 }
 
 // newCmd takes a die-command record from the free list, reset for cmd.
@@ -112,12 +130,10 @@ func (s *SSD) newCmd(parent *hostReq, cmd dieCommand) *dieCmd {
 		s.cmdFree = s.cmdFree[:n-1]
 	} else {
 		p := s.cfg.Geometry.PlanesPerDie
-		c = &dieCmd{
-			pages:    make([]pageView, 0, p),
-			predFail: make([]bool, 0, p),
-			rbers:    make([]float64, 0, p),
-			failed:   make([]pageView, 0, p),
-		}
+		c = &carve(&s.cmdSlab, 1)[0]
+		c.pages = carve(&s.pageSlab, p)
+		c.rbers = carve(&s.rberSlab, p)
+		c.failed = carve(&s.failSlab, p)
 		c.resumeFn = c.resume
 	}
 	*c = dieCmd{
@@ -126,7 +142,6 @@ func (s *SSD) newCmd(parent *hostReq, cmd dieCommand) *dieCmd {
 		cmd:      cmd,
 		resumeFn: c.resumeFn,
 		pages:    c.pages[:0],
-		predFail: c.predFail[:0],
 		rbers:    c.rbers[:0],
 		failed:   c.failed[:0],
 	}

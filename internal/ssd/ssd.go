@@ -34,7 +34,7 @@ type SSD struct {
 
 	dies     []*dieStation
 	channels []*channelStation
-	host     *sim.Resource
+	host     *hostLink
 
 	predictRNG  *sim.RNG
 	sentinelRNG *sim.RNG
@@ -70,9 +70,15 @@ type SSD struct {
 	// onComplete is the host port's completion handler (OnComplete).
 	onComplete func(Completion)
 
-	// Free lists of host-request and die-command records (request.go).
-	reqFree []*hostReq
-	cmdFree []*dieCmd
+	// Free lists of host-request and die-command records, and the
+	// slabs new records and their scratch are carved from (request.go).
+	reqFree  []*hostReq
+	cmdFree  []*dieCmd
+	reqSlab  []hostReq
+	cmdSlab  []dieCmd
+	pageSlab []pageView
+	rberSlab []float64
+	failSlab []int
 
 	nextCmd int
 
@@ -119,7 +125,7 @@ func New(cfg Config, w Workload) (*SSD, error) {
 		dec:         ecc.NewEngine(),
 		acc:         accuracyModelFor(cfg),
 		ftl:         NewFTL(cfg.Geometry),
-		host:        sim.NewResource(eng, "host", 1),
+		host:        newHostLink(eng),
 		predictRNG:  sim.NewRNG(cfg.Seed, 101),
 		sentinelRNG: sim.NewRNG(cfg.Seed, 102),
 		inj:         faults.New(cfg.Faults, cfg.Seed),
@@ -140,13 +146,6 @@ func New(cfg Config, w Workload) (*SSD, error) {
 			}
 			return down
 		}
-	}
-	// Dynamic wear leveling: allocation prefers the least-erased
-	// free block.
-	s.ftl.WearOf = func(plane nand.Address, block int) int {
-		a := plane
-		a.Block = block
-		return int(s.blocks.get(cfg.Geometry.BlockID(a)).erases)
 	}
 	s.m.Scheme = cfg.Scheme
 	s.m.PECycles = cfg.PECycles
@@ -222,6 +221,9 @@ type pageView struct {
 	rberRetry float64
 	ptype     nand.PageType
 	fails     bool // first read exceeds the ECC capability
+	// predFail is RiF's on-die prediction that the first read fails
+	// (set by planRiF; it fills padding, so the view stays 96 bytes).
+	predFail bool
 }
 
 // resolvePages looks up every page of a command into its scratch
@@ -252,7 +254,8 @@ func (s *SSD) resolvePages(c *dieCmd) {
 		}
 		reads := b.reads
 		s.noteSense(bid)
-		v := pageView{addr: addr, blockID: bid, ptype: nand.PageTypeOf(addr.Page)}
+		v := &c.pages[i]
+		*v = pageView{addr: addr, blockID: bid, ptype: nand.PageTypeOf(addr.Page)}
 		switch {
 		case s.inj.BlockStuck(bid):
 			// Grown-bad block: every read of it is hopeless at any
@@ -267,7 +270,6 @@ func (s *SSD) resolvePages(c *dieCmd) {
 			v.rberFirst = s.model.ConditionRBER(v.ptype, v.cond, firstMode)
 		}
 		v.fails = v.rberFirst > s.dec.Capability
-		c.pages[i] = v
 	}
 }
 
@@ -299,14 +301,23 @@ const stuckRBER = 0.5
 // senseTime charges injected transient sense failures on top of a
 // base array-read occupancy: each glitched sense is re-issued at full
 // tR, and each re-issue is a real array sense, so it disturbs the
-// pages' blocks again. A no-op (no draw) when the class is off.
-func (s *SSD) senseTime(base sim.Time, views []pageView) sim.Time {
+// sensed pages' blocks again — every page of the command's first
+// read, only the failing ones of a retry. A no-op (no draw) when the
+// class is off.
+func (c *dieCmd) senseTime(base sim.Time, retry bool) sim.Time {
+	s := c.s
 	n := s.inj.SenseRetries()
 	if n > 0 {
 		s.m.Faults.TransientSenseFaults += int64(n)
 		base += sim.Time(n) * s.cfg.Timing.TR
 		for i := 0; i < n; i++ {
-			s.noteSenses(views)
+			if retry {
+				c.noteFailedSenses()
+				continue
+			}
+			for j := range c.pages {
+				s.noteSense(c.pages[j].blockID)
+			}
 		}
 	}
 	return base
@@ -330,10 +341,10 @@ func (s *SSD) noteSense(bid int) {
 	}
 }
 
-// noteSenses records one sense per page view.
-func (s *SSD) noteSenses(views []pageView) {
-	for i := range views {
-		s.noteSense(views[i].blockID)
+// noteFailedSenses records one sense of each page still failing.
+func (c *dieCmd) noteFailedSenses() {
+	for _, i := range c.failed {
+		c.s.noteSense(c.pages[i].blockID)
 	}
 }
 
@@ -376,11 +387,30 @@ func (s *SSD) reclaimBlock(bid int) {
 	}
 	b.erases += int32(work.Erases)
 	b.reclaimErases += int32(work.Erases)
+	s.noteWear()
 	s.m.ReadReclaims++
 	s.m.ReclaimPagesMigrated += int64(work.PagesRelocated)
 	// Occupy the die with the migration; no completion callback — the
 	// work only delays whatever the die does next.
 	s.dies[dieIdx].Program(s.gcTime(work), nil)
+}
+
+// noteWear records that some block now carries erase wear, which
+// turns on the FTL's dynamic wear leveling: allocation then prefers the
+// least-erased free block. Until a block is first erased or seeded with
+// wear every count is zero, and the scan would pick the last free
+// block — what the FTL picks without it — so leaving WearOf nil until
+// then is exact and skips a call per free block at every block opening.
+func (s *SSD) noteWear() {
+	if s.ftl.WearOf == nil {
+		s.ftl.WearOf = s.wearOf
+	}
+}
+
+// wearOf reports a block's erase count: the FTL's WearOf.
+func (s *SSD) wearOf(plane nand.Address, block int) int {
+	plane.Block = block
+	return int(s.blocks.get(s.cfg.Geometry.BlockID(plane)).erases)
 }
 
 // noteDeadDie zeroes the disturb counters of a dropped-out die once:
@@ -462,6 +492,9 @@ func (s *SSD) SeedBlockState(reads, erases []int64) error {
 			if e != 0 || s.blocks.peek(i) != nil {
 				s.blocks.at(i).erases = int32(e)
 			}
+			if e != 0 {
+				s.noteWear()
+			}
 		}
 	}
 	return nil
@@ -485,7 +518,7 @@ func (s *SSD) timeoutRBER() float64 { return 4 * s.dec.Capability }
 // the block is genuinely grown bad (every read of it is hopeless), so
 // the allocator stops handing it out. Natural per-page exhaustion at
 // high wear does not retire: the block's other pages are still good.
-func (s *SSD) retireBlock(p pageView) {
+func (s *SSD) retireBlock(p *pageView) {
 	if !s.inj.BlockStuck(p.blockID) || s.ftl.blockRetired(p.addr) {
 		return
 	}
@@ -500,7 +533,7 @@ func (s *SSD) hostTransfer(pages int, next func()) {
 		next()
 		return
 	}
-	s.host.Use(sim.Time(pages)*s.cfg.Timing.THostPage, next)
+	s.host.transfer(sim.Time(pages)*s.cfg.Timing.THostPage, next)
 }
 
 // decodeLatency sums per-page tECC for the given RBERs.

@@ -35,6 +35,7 @@ func (s *SSD) writeCommand(c *dieCmd) {
 			b.erases++
 			// Erasing also clears the accumulated read disturb.
 			b.reads = 0
+			s.noteWear()
 		}
 	}
 	c.gcTime = gcTime
