@@ -37,13 +37,15 @@ shuffle:
 	$(GO) test -shuffle=on -count=2 ./...
 
 # golden rewrites the report corpus in internal/core/testdata/golden
-# (every experiment, plus the code-level figures) from the current
-# code. `make test`, `make race` and `make shuffle` check it. Run this
-# only in a change that means to move a report — a model or report
-# format change, never a refactor or speedup — and say in that change
-# which reports moved and why.
+# (every experiment, plus the code-level figures) and the device
+# signatures in internal/ssd/testdata/signature.golden from the current
+# code. `make test`, `make race` and `make shuffle` check both. Run this
+# only in a change that means to move a report or a signature — a model
+# or report format change, never a refactor or speedup — and say in
+# that change which reports and signature lines moved and why.
 golden:
 	$(GO) test -count=1 -run '^TestGolden' ./internal/core/ -update
+	$(GO) test -count=1 -run '^TestSignatureGolden$$' ./internal/ssd/ -update
 
 # serve-e2e drives the rifserve service end to end under the race
 # detector: submit over HTTP, stream NDJSON progress, verify report

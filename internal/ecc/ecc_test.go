@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -88,5 +89,34 @@ func TestLatencyProportionalToIterations(t *testing.T) {
 		if out.Latency != sim.Time(out.Iterations)*e.IterationTime {
 			t.Fatalf("rber=%v: latency %v != %d iterations", r, out.Latency, out.Iterations)
 		}
+	}
+}
+
+// TestCubeMatchesPow: Iterations cubes rber/Capability by multiplying.
+// That must be bit-equal to the math.Pow(x, 3) it replaced wherever the
+// cube can move the iteration count, so every decode latency is
+// unchanged: a dense sweep of (0, Capability] plus the edge values.
+func TestCubeMatchesPow(t *testing.T) {
+	e := NewEngine()
+	check := func(rber float64) {
+		t.Helper()
+		x := rber / e.Capability
+		if got, want := x*x*x, math.Pow(x, 3); got != want && want >= 0x1p-1022 {
+			t.Fatalf("rber %v: x*x*x = %v, math.Pow = %v", rber, got, want)
+		}
+		want := 1 + int(float64(e.MaxIterations-1)*math.Pow(x, 3)+0.5)
+		if got := e.Iterations(rber); got != min(want, e.MaxIterations) {
+			t.Fatalf("rber %v: %d iterations, math.Pow gives %d", rber, got, want)
+		}
+	}
+	const n = 1_000_000
+	for i := 1; i <= n; i++ {
+		check(e.Capability * float64(i) / n)
+	}
+	for _, r := range []float64{
+		math.SmallestNonzeroFloat64, 0x1p-1022, 1e-300, 1e-12, 1e-6,
+		math.Nextafter(e.Capability, 0), e.Capability,
+	} {
+		check(r)
 	}
 }

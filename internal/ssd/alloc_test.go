@@ -48,7 +48,7 @@ func TestNoteSenseZeroAlloc(t *testing.T) {
 	crossings := 0
 	s.reclaim = func(bid int) {
 		crossings++
-		s.blocks.at(bid).reads = 0
+		s.ftl.blocks.at(bid).reads = 0
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		s.noteSense(1)

@@ -2,7 +2,9 @@ package ssd
 
 import "repro/internal/sim"
 
-// blockState is the device's record of one physical block.
+// blockState is the device's one record of one physical block: its
+// wear and disturb counters and, for a write-region block, the FTL's
+// state of it.
 type blockState struct {
 	// reads is the disturb state: every real array sense bumps it via
 	// noteSense, and an erase (GC victim, read-reclaim, retirement, die
@@ -11,12 +13,6 @@ type blockState struct {
 	// drive-year on a hot-read trace strands an int32.
 	reads  int64
 	senses int64
-	// erases counts erases (wear on top of PECycles); reclaimErases is
-	// the subset caused by read-reclaim. A block wears out within
-	// thousands of erases, so int32 holds any count and keeps the
-	// record at 40 bytes.
-	erases        int32
-	reclaimErases int32
 	// refreshedAt is when read-reclaim last rewrote the block in place
 	// (see refreshedInPlace).
 	refreshedAt sim.Time
@@ -25,6 +21,28 @@ type blockState struct {
 	// positive exponential). It lives in the device rather than the
 	// model because models are shared across concurrent runs.
 	variation float64
+	// erases counts erases (wear on top of PECycles); reclaimErases is
+	// the subset caused by read-reclaim. A block wears out within
+	// thousands of erases, so int32 holds any count, as it does valid.
+	erases        int32
+	reclaimErases int32
+	// slots names the FTL's page-slot array of the block (FTL.slotsOf)
+	// by index plus one; 0 while the block holds no valid data. An
+	// index rather than a slice keeps the record at 56 bytes: most
+	// records are of blocks that are only read.
+	slots int32
+	valid int32 // slots holding valid data
+	// live marks a block opened since its last erase: a GC candidate.
+	live bool
+	// retired marks a grown-bad block pulled from circulation.
+	retired bool
+}
+
+// noteErase counts an erase of the block: one more erase of wear, and
+// the disturb state clears.
+func (b *blockState) noteErase() {
+	b.erases++
+	b.reads = 0
 }
 
 // refreshedInPlace reports whether read-reclaim has rewritten a
@@ -33,10 +51,10 @@ type blockState struct {
 // one only by refreshing it, so for them a reclaim erase is the mark.
 func (b *blockState) refreshedInPlace() bool { return b.reclaimErases > 0 }
 
-// The block table's chunk size, 16 records (640 bytes), and how many
-// chunks one slab allocation carves: 128 (80 KiB), about what a short
+// The block table's chunk size, 16 records (896 bytes), and how many
+// chunks one slab allocation carves: 128 (112 KiB), about what a short
 // run on the shrunk Fig. 17 geometry touches (a 40-request chaos cell
-// makes 96 chunks, a 3,000-request Fig. 17 cell 150 to 220).
+// makes 111 chunks, a 3,000-request one 240).
 const (
 	blockChunk = 16
 	slabChunks = 128
@@ -44,11 +62,11 @@ const (
 
 // blockTable holds the per-block records of a device, by dense block
 // id, in fixed-size chunks made when one of their blocks is first
-// written. A run touches a few percent of a device's blocks, so the
-// table costs what the run touches, not what the geometry holds. A
-// missing chunk reads as all zero: read-only paths (peek, get) never
-// make one. Chunks are carved from a per-device slab, so making them
-// costs one allocation per slabChunks chunks.
+// sensed or opened. A run touches a few percent of a device's blocks,
+// so the table costs what the run touches, not what the geometry
+// holds. A missing chunk reads as all zero: read-only paths (peek,
+// get, erasesOf) never make one. Chunks are carved from a per-device
+// slab, so making them costs one allocation per slabChunks chunks.
 type blockTable struct {
 	chunks []*[blockChunk]blockState
 	slab   [][blockChunk]blockState
@@ -102,6 +120,15 @@ func (t *blockTable) get(bid int) blockState {
 		return *b
 	}
 	return blockState{}
+}
+
+// erasesOf reports block bid's erase count: 0 while its chunk is
+// unmade.
+func (t *blockTable) erasesOf(bid int) int32 {
+	if b := t.peek(bid); b != nil {
+		return b.erases
+	}
+	return 0
 }
 
 // clearReads zeroes block bid's disturb counter (an erase) without

@@ -6,7 +6,7 @@ import (
 )
 
 // madeChunks counts the block-table chunks a device has made.
-func madeChunks(s *SSD) int { return len(s.blocks.chunks) - s.blocks.unmade }
+func madeChunks(s *SSD) int { return len(s.ftl.blocks.chunks) - s.ftl.blocks.unmade }
 
 // TestUntouchedBlocksReadZero: a fresh device has made no chunk and
 // reports every counter zero; after a run, BlockState still reports
@@ -33,13 +33,13 @@ func TestUntouchedBlocksReadZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	made := madeChunks(s)
-	if made == 0 || made > len(s.blocks.chunks)/4 {
-		t.Fatalf("200 requests made %d of %d chunks", made, len(s.blocks.chunks))
+	if made == 0 || made > len(s.ftl.blocks.chunks)/4 {
+		t.Fatalf("200 requests made %d of %d chunks", made, len(s.ftl.blocks.chunks))
 	}
 	c := s.BlockState()
 	sensed := 0
 	for i := range c.Senses {
-		if s.blocks.peek(i) == nil {
+		if s.ftl.blocks.peek(i) == nil {
 			if c.Reads[i] != 0 || c.Senses[i] != 0 || c.Erases[i] != 0 || c.ReclaimErases[i] != 0 {
 				t.Fatalf("block %d has no chunk but reports %d/%d/%d/%d", i, c.Reads[i], c.Senses[i], c.Erases[i], c.ReclaimErases[i])
 			}
@@ -91,27 +91,35 @@ func TestSeedBlockStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadOnlyPathsMakeNoChunk: the free-list wear scan (WearOf on
-// every free block of a plane, at every block opening) and a dead
-// die's disturb sweep only read the table, so they make no chunk.
+// TestReadOnlyPathsMakeNoChunk: opening a block makes its record, but
+// the free-list wear scan (every free block of a plane, at every block
+// opening) and a dead die's disturb sweep only read the table, so they
+// add no chunk to those of the opened blocks.
 func TestReadOnlyPathsMakeNoChunk(t *testing.T) {
 	s, err := New(benchConfig(RiF, 1000), allocStubWorkload{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The scan is off until a block carries wear; turn it on. Then
-	// enough writes to open a block on every plane, each opening
+	// Enough writes to open a block on every plane, each opening
 	// scanning its plane's whole free list.
-	s.noteWear()
 	for lpn := int64(0); lpn < 4096; lpn++ {
 		if _, _, err := s.ftl.Write(lpn, 0, s.cfg.GCFreeBlockLow); err != nil {
 			t.Fatal(err)
 		}
 	}
+	opened := map[int]bool{}
+	for bid := 0; bid < s.cfg.Geometry.TotalBlocks(); bid++ {
+		if b := s.ftl.blocks.peek(bid); b != nil && b.live {
+			opened[bid/blockChunk] = true
+		}
+	}
+	if n := madeChunks(s); n != len(opened) || n == 0 {
+		t.Fatalf("writes made %d chunks, %d of them holding opened blocks", n, len(opened))
+	}
 	s.noteDeadDie(0)
 	s.noteDeadDie(1)
-	if n := madeChunks(s); n != 0 {
-		t.Fatalf("wear scans and dead-die sweeps made %d chunks", n)
+	if n := madeChunks(s); n != len(opened) {
+		t.Fatalf("dead-die sweeps made %d chunks", n-len(opened))
 	}
 }
 

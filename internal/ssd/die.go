@@ -95,15 +95,11 @@ func newDieStation(eng *sim.Engine, policy DiePolicy, resumePenalty sim.Time) *d
 	return d
 }
 
-// Read schedules a sense operation of the given duration.
-func (d *dieStation) Read(dur sim.Time, done func()) {
-	d.ReadLabeled(dur, "", done)
-}
-
-// ReadLabeled is Read with a timeline label.
+// Read schedules a sense operation of the given duration; label
+// names it on the timeline.
 //
 //riflint:hotpath
-func (d *dieStation) ReadLabeled(dur sim.Time, label string, done func()) {
+func (d *dieStation) Read(dur sim.Time, label string, done func()) {
 	op := dieOp{dur: dur, isRead: true, label: label, done: done}
 	if d.policy == DieFIFO {
 		d.progQ.push(op) // single queue in FIFO mode

@@ -12,7 +12,7 @@ func TestDieFIFOOrder(t *testing.T) {
 	var order []string
 	eng.At(0, func() {
 		d.Program(100, func() { order = append(order, "prog") })
-		d.Read(10, func() { order = append(order, "read") })
+		d.Read(10, "R", func() { order = append(order, "read") })
 	})
 	eng.Run()
 	if order[0] != "prog" || order[1] != "read" {
@@ -31,7 +31,7 @@ func TestDieReadPriorityJumpsQueue(t *testing.T) {
 	eng.At(0, func() {
 		d.Program(100, func() { order = append(order, "p1") })
 		d.Program(100, func() { order = append(order, "p2") })
-		d.Read(10, func() { order = append(order, "read"); readDone = eng.Now() })
+		d.Read(10, "R", func() { order = append(order, "read"); readDone = eng.Now() })
 	})
 	eng.Run()
 	// The read overtakes p2 but does not preempt p1.
@@ -52,7 +52,7 @@ func TestDieSuspensionPreemptsProgram(t *testing.T) {
 		d.Program(400, func() { progDone = eng.Now() })
 	})
 	eng.At(50, func() {
-		d.Read(40, func() { readDone = eng.Now() })
+		d.Read(40, "R", func() { readDone = eng.Now() })
 	})
 	eng.Run()
 	// Read preempts at t=50, finishes at 90.
@@ -72,8 +72,8 @@ func TestDieSuspensionDoesNotPreemptReads(t *testing.T) {
 	eng := sim.NewEngine()
 	d := newDieStation(eng, DieSuspension, 20)
 	var first sim.Time
-	eng.At(0, func() { d.Read(40, func() { first = eng.Now() }) })
-	eng.At(10, func() { d.Read(40, nil) })
+	eng.At(0, func() { d.Read(40, "R", func() { first = eng.Now() }) })
+	eng.At(10, func() { d.Read(40, "R", nil) })
 	eng.Run()
 	if first != 40 {
 		t.Fatalf("running read was disturbed: done at %v", first)
@@ -91,8 +91,8 @@ func TestDieSuspensionNestedPreemptions(t *testing.T) {
 	d := newDieStation(eng, DieSuspension, penalty)
 	var eraseDone sim.Time
 	eng.At(0, func() { d.Program(3500, func() { eraseDone = eng.Now() }) })
-	eng.At(100, func() { d.Read(40, nil) })
-	eng.At(1000, func() { d.Read(40, nil) })
+	eng.At(100, func() { d.Read(40, "R", nil) })
+	eng.At(1000, func() { d.Read(40, "R", nil) })
 	eng.Run()
 	// Total = 3500 + 2*40 (reads) + 2*20 (penalties).
 	if want := sim.Time(3500 + 80 + 40); eraseDone != want {

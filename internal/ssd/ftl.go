@@ -19,20 +19,22 @@ import (
 // with free-block lists and greedy garbage collection.
 //
 // Every table is a slice, made on first use: the forward map in
-// chunks, a plane's free list and block table on the plane's first
-// open, a block's record on the block's first open. A block's page
-// slots are held only while it may hold valid data and are recycled
-// through a spare pool, so memory follows the live data, not the pages
-// ever written. Once the pool is warm, a write allocates nothing, even
-// one that collects garbage or migrates a block for read-reclaim.
+// chunks, a plane's free list on the plane's first open. Each block's
+// state lives in the device's one per-block table (blocks), whose
+// record a block gets on its first open. A block's page slots are held
+// only while it may hold valid data and are recycled through a spare
+// pool, so memory follows the live data, not the pages ever written.
+// Once the pool is warm, a write allocates nothing, even one that
+// collects garbage or migrates a block for read-reclaim.
 type FTL struct {
 	geo       nand.Geometry
 	writeBase int   // first block of the write region in every plane
 	pages     int64 // logical pages; every lpn lies in [0, pages)
 
-	// WearOf, when set, reports a block's erase count so allocation
-	// can pick the least-worn free block (dynamic wear leveling).
-	WearOf func(plane nand.Address, block int) int
+	// blocks is the device's per-block record, by dense block id: the
+	// FTL's slots, valid count, live and retired flags, and the wear
+	// and disturb counters the device keeps beside them.
+	blocks blockTable
 
 	// DieDown, when set, reports a dead die by dense index; Write then
 	// fails writes over to the same plane offset of the next live die.
@@ -46,9 +48,12 @@ type FTL struct {
 
 	planes []planeState
 
-	// spare holds cleared page-slot arrays of blocks that hold no
-	// valid data, for the next block that opens.
-	spare [][]pageSlot
+	// slotArrays holds every page-slot array made so far; a block's
+	// record names its array by index plus one (slotsOf). spare lists
+	// the cleared arrays, those of no block holding valid data, for the
+	// next block that opens.
+	slotArrays [][]pageSlot
+	spare      []int32
 
 	// Counters surfaced through Metrics.
 	gcRuns         int64
@@ -68,21 +73,8 @@ type planeState struct {
 	idx         int          // dense plane index
 	cursorBlock int
 	cursorPage  int
-	// freeBlocks and blocks are nil until the plane first opens a
-	// block. blocks is indexed by block - writeBase.
+	// freeBlocks is nil until the plane first opens a block.
 	freeBlocks []int
-	blocks     []*ftlBlock
-	// retired flags grown-bad blocks pulled from circulation, by block
-	// index; nil until the plane's first retirement.
-	retired []bool
-}
-
-// ftlBlock is a write-region block's record, made when the block
-// first opens and reused across its erase cycles.
-type ftlBlock struct {
-	slots []pageSlot // by page in block; nil while the block holds no valid data
-	valid int        // slots holding valid data
-	live  bool       // opened since its last erase: a GC candidate
 }
 
 // pageSlot is what one physical page holds.
@@ -99,6 +91,7 @@ func NewFTL(geo nand.Geometry) *FTL {
 		geo:       geo,
 		writeBase: geo.BlocksPerPlane / 2,
 		pages:     pages,
+		blocks:    newBlockTable(geo.TotalBlocks()),
 		fwd:       make([]*[fwdChunk]uint32, (pages+fwdChunk-1)>>fwdShift),
 	}
 	nPlanes := geo.TotalDies() * geo.PlanesPerDie
@@ -113,14 +106,13 @@ func NewFTL(geo nand.Geometry) *FTL {
 	return f
 }
 
-// touch makes a plane's free list and block table on its first use.
-// Free blocks: the whole write region, allocated low-first.
+// touch makes a plane's free list on its first use. Free blocks: the
+// whole write region, allocated low-first.
 func (f *FTL) touch(p *planeState) {
-	if p.blocks != nil {
+	if p.freeBlocks != nil {
 		return
 	}
 	n := f.geo.BlocksPerPlane - f.writeBase
-	p.blocks = make([]*ftlBlock, n)
 	p.freeBlocks = make([]int, 0, n)
 	for b := f.geo.BlocksPerPlane - 1; b >= f.writeBase; b-- {
 		p.freeBlocks = append(p.freeBlocks, b)
@@ -187,23 +179,34 @@ func (f *FTL) ppn(pIdx, block, page int) uint32 {
 	return uint32((pIdx*f.geo.BlocksPerPlane+block)*f.geo.PagesPerBlock + page)
 }
 
-// slotOf resolves a physical page number to its plane and the
-// write-region slot that holds it.
-func (f *FTL) slotOf(ppn uint32) (p *planeState, block, page int, s *pageSlot) {
+// block returns the record of a plane's block, making its chunk on
+// first use.
+func (f *FTL) block(p *planeState, block int) *blockState {
+	return f.blocks.at(p.idx*f.geo.BlocksPerPlane + block)
+}
+
+// slotOf resolves a physical page number to its plane, its block's
+// record and the write-region slot that holds it.
+func (f *FTL) slotOf(ppn uint32) (p *planeState, b *blockState, block, page int, s *pageSlot) {
 	ppb := uint32(f.geo.PagesPerBlock)
 	bid := ppn / ppb
 	page = int(ppn % ppb)
 	p = &f.planes[bid/uint32(f.geo.BlocksPerPlane)]
 	block = int(bid % uint32(f.geo.BlocksPerPlane))
-	return p, block, page, &p.blocks[block-f.writeBase].slots[page]
+	b = f.blocks.at(int(bid))
+	return p, b, block, page, &f.slotsOf(b)[page]
 }
+
+// slotsOf returns a block's page slots, by page in block. The block
+// must hold them: it is open or holds valid data.
+func (f *FTL) slotsOf(b *blockState) []pageSlot { return f.slotArrays[b.slots-1] }
 
 // Lookup resolves a logical page. For pages written during the run it
 // reports the mapped address and the write timestamp; for cold pages
 // it reports the pre-fill address with written == false.
 func (f *FTL) Lookup(lpn int64) (addr nand.Address, writtenAt sim.Time, written bool) {
 	if v := f.mapped(lpn); v != 0 {
-		p, block, page, s := f.slotOf(v - 1)
+		p, _, block, page, s := f.slotOf(v - 1)
 		addr = p.addr
 		addr.Block = block
 		addr.Page = page
@@ -216,8 +219,6 @@ func (f *FTL) Lookup(lpn int64) (addr nand.Address, writtenAt sim.Time, written 
 // before the write that triggered it proceeds. The zero value (no
 // erase) means no work was done.
 type GCWork struct {
-	Plane          nand.Address // channel/die/plane of the collected plane
-	VictimBlock    int          // block index erased within the plane
 	PagesRelocated int
 	Erases         int
 }
@@ -245,17 +246,22 @@ func (f *FTL) Write(lpn int64, now sim.Time, gcLow int) (nand.Address, GCWork, e
 	var gc GCWork
 	if p.cursorBlock < 0 || p.cursorPage >= f.geo.PagesPerBlock {
 		f.touch(p)
+		victim := -1
 		if len(p.freeBlocks) <= gcLow {
-			work, err := f.collect(p)
-			if err != nil {
+			var err error
+			if gc, victim, err = f.collect(p); err != nil {
 				return nand.Address{}, GCWork{}, err
 			}
-			gc = work
 		}
 		if len(p.freeBlocks) == 0 {
 			return nand.Address{}, GCWork{}, fmt.Errorf("ssd: plane %v out of free blocks", p.addr)
 		}
 		f.open(p)
+		if victim >= 0 {
+			// The victim's erase counts only now: the opening above
+			// chose by wear with the victim at its pre-erase count.
+			f.block(p, victim).noteErase()
+		}
 	}
 	f.invalidate(lpn)
 	return f.place(p, lpn, now), gc, nil
@@ -265,33 +271,30 @@ func (f *FTL) Write(lpn int64, now sim.Time, gcLow int) (nand.Address, GCWork, e
 func (f *FTL) open(p *planeState) {
 	if p.cursorBlock >= 0 {
 		// The closing block keeps its slots only if it holds valid data.
-		if b := p.blocks[p.cursorBlock-f.writeBase]; b.valid == 0 {
+		if b := f.block(p, p.cursorBlock); b.valid == 0 {
 			f.release(b)
 		}
 	}
 	block := f.popFreeBlock(p)
 	p.cursorBlock = block
 	p.cursorPage = 0
-	b := p.blocks[block-f.writeBase]
-	if b == nil {
-		b = &ftlBlock{}
-		p.blocks[block-f.writeBase] = b
-	}
+	b := f.block(p, block)
 	if n := len(f.spare); n > 0 {
 		b.slots = f.spare[n-1]
 		f.spare = f.spare[:n-1]
 	} else {
-		b.slots = make([]pageSlot, f.geo.PagesPerBlock)
+		f.slotArrays = append(f.slotArrays, make([]pageSlot, f.geo.PagesPerBlock))
+		b.slots = int32(len(f.slotArrays))
 	}
 	b.live = true
 }
 
 // release clears a block's page slots into the spare pool: the block
 // holds no valid data.
-func (f *FTL) release(b *ftlBlock) {
-	clear(b.slots)
+func (f *FTL) release(b *blockState) {
+	clear(f.slotsOf(b))
 	f.spare = append(f.spare, b.slots)
-	b.slots = nil
+	b.slots = 0
 }
 
 // place programs lpn's data, written at time at, into the plane's
@@ -301,8 +304,8 @@ func (f *FTL) place(p *planeState, lpn int64, at sim.Time) nand.Address {
 	addr.Block = p.cursorBlock
 	addr.Page = p.cursorPage
 	p.cursorPage++
-	b := p.blocks[addr.Block-f.writeBase]
-	b.slots[addr.Page] = pageSlot{lpn: uint32(lpn) + 1, at: at}
+	b := f.block(p, addr.Block)
+	f.slotsOf(b)[addr.Page] = pageSlot{lpn: uint32(lpn) + 1, at: at}
 	b.valid++
 	c := f.fwd[lpn>>fwdShift]
 	if c == nil {
@@ -321,9 +324,8 @@ func (f *FTL) invalidate(lpn int64) {
 	if v == 0 {
 		return
 	}
-	p, block, _, s := f.slotOf(v - 1)
+	p, b, block, _, s := f.slotOf(v - 1)
 	s.lpn = 0
-	b := p.blocks[block-f.writeBase]
 	b.valid--
 	if b.valid == 0 && block != p.cursorBlock {
 		f.release(b)
@@ -349,13 +351,13 @@ func (f *FTL) failover(pIdx int) (int, bool) {
 
 // RetireBlock pulls a grown-bad block out of circulation: it is
 // removed from its plane's free list (if free) and will never be
-// returned to it by garbage collection.
+// returned to it by garbage collection. Retirement erases the block,
+// so its disturb counter clears.
 func (f *FTL) RetireBlock(a nand.Address) {
 	p := &f.planes[f.planeIndexOfAddr(a)]
-	if p.retired == nil {
-		p.retired = make([]bool, f.geo.BlocksPerPlane)
-	}
-	p.retired[a.Block] = true
+	b := f.block(p, a.Block)
+	b.retired = true
+	b.reads = 0
 	f.touch(p)
 	for i, b := range p.freeBlocks {
 		if b == a.Block {
@@ -365,14 +367,10 @@ func (f *FTL) RetireBlock(a nand.Address) {
 	}
 }
 
-// isRetired reports whether a plane's block has been retired.
-func (p *planeState) isRetired(block int) bool {
-	return p.retired != nil && p.retired[block]
-}
-
 // blockRetired reports whether the block at a has been retired.
 func (f *FTL) blockRetired(a nand.Address) bool {
-	return f.planes[f.planeIndexOfAddr(a)].isRetired(a.Block)
+	b := f.blocks.peek(f.geo.BlockID(a))
+	return b != nil && b.retired
 }
 
 // Failovers reports how many writes were re-homed off dead dies.
@@ -380,30 +378,33 @@ func (f *FTL) Failovers() int64 { return f.dieFailovers }
 
 // collect performs greedy garbage collection on a plane: the closed
 // block with the fewest valid pages — the lowest-indexed one on a tie
-// — is relocated (copyback, so no channel traffic) and erased.
-func (f *FTL) collect(p *planeState) (GCWork, error) {
+// — is relocated (copyback, so no channel traffic) and erased. It
+// returns the work and the victim, whose erase the caller counts.
+func (f *FTL) collect(p *planeState) (GCWork, int, error) {
 	victim := -1
-	best := f.geo.PagesPerBlock + 1
-	for i, b := range p.blocks {
-		if b == nil || !b.live || i+f.writeBase == p.cursorBlock {
+	best := int32(f.geo.PagesPerBlock + 1)
+	base := p.idx * f.geo.BlocksPerPlane
+	for block := f.writeBase; block < f.geo.BlocksPerPlane; block++ {
+		b := f.blocks.peek(base + block)
+		if b == nil || !b.live || block == p.cursorBlock {
 			continue
 		}
 		if b.valid < best {
 			best = b.valid
-			victim = i + f.writeBase
+			victim = block
 		}
 	}
 	if victim < 0 {
-		return GCWork{}, fmt.Errorf("ssd: plane %v has no GC victim", p.addr)
+		return GCWork{}, -1, fmt.Errorf("ssd: plane %v has no GC victim", p.addr)
 	}
 	moved, err := f.relocateValid(p, victim)
 	if err != nil {
-		return GCWork{}, err
+		return GCWork{}, -1, err
 	}
 	f.erase(p, victim)
 	f.gcRuns++
 	f.pagesRelocated += int64(moved)
-	return GCWork{Plane: p.addr, VictimBlock: victim, PagesRelocated: moved, Erases: 1}, nil
+	return GCWork{PagesRelocated: moved, Erases: 1}, victim, nil
 }
 
 // relocateValid moves a block's valid pages into the cursor chain, in
@@ -412,8 +413,12 @@ func (f *FTL) collect(p *planeState) (GCWork, error) {
 // timestamps are preserved — relocation does not refresh retention
 // age.
 func (f *FTL) relocateValid(p *planeState, block int) (int, error) {
+	b := f.block(p, block)
+	if b.slots == 0 {
+		return 0, nil // no valid data
+	}
 	moved := 0
-	for _, s := range p.blocks[block-f.writeBase].slots {
+	for _, s := range f.slotsOf(b) {
 		if s.lpn == 0 {
 			continue
 		}
@@ -429,16 +434,17 @@ func (f *FTL) relocateValid(p *planeState, block int) (int, error) {
 	return moved, nil
 }
 
-// erase wipes a relocated block's record and returns the block to the
-// front of the free list, unless it has been retired.
+// erase wipes a relocated block's FTL state and returns the block to
+// the front of the free list, unless it has been retired. The caller
+// counts the erase (noteErase).
 func (f *FTL) erase(p *planeState, block int) {
-	b := p.blocks[block-f.writeBase]
-	if b.slots != nil {
+	b := f.block(p, block)
+	if b.slots != 0 {
 		f.release(b)
 	}
 	b.valid = 0
 	b.live = false
-	if p.isRetired(block) {
+	if b.retired {
 		return
 	}
 	p.freeBlocks = append(p.freeBlocks, 0)
@@ -449,16 +455,15 @@ func (f *FTL) erase(p *planeState, block int) {
 // ReclaimBlock migrates a specific write-region block's valid pages
 // and erases it: the read-reclaim path. Unlike collect it does not
 // pick a victim — the caller's disturb counter did — and it does not
-// count into the GC statistics. It returns zero work (no error) when
-// the block is not reclaimable right now: never written, already
-// retired, or no free block to migrate into; the caller's counter
-// reset re-arms the threshold.
+// count into the GC statistics; it counts the erase as a reclaim
+// erase. It returns zero work (no error) when the block is not
+// reclaimable right now: never written, already retired, or no free
+// block to migrate into; the caller's counter reset re-arms the
+// threshold.
 func (f *FTL) ReclaimBlock(a nand.Address) (GCWork, error) {
 	p := &f.planes[f.planeIndexOfAddr(a)]
-	if a.Block < f.writeBase || p.blocks == nil || p.isRetired(a.Block) || len(p.freeBlocks) == 0 {
-		return GCWork{}, nil
-	}
-	if b := p.blocks[a.Block-f.writeBase]; b == nil || !b.live {
+	b := f.blocks.peek(f.geo.BlockID(a))
+	if a.Block < f.writeBase || b == nil || !b.live || b.retired || len(p.freeBlocks) == 0 {
 		return GCWork{}, nil
 	}
 	if a.Block == p.cursorBlock {
@@ -471,7 +476,9 @@ func (f *FTL) ReclaimBlock(a nand.Address) (GCWork, error) {
 		return GCWork{}, err
 	}
 	f.erase(p, a.Block)
-	return GCWork{Plane: p.addr, VictimBlock: a.Block, PagesRelocated: moved, Erases: 1}, nil
+	b.noteErase()
+	b.reclaimErases++
+	return GCWork{PagesRelocated: moved, Erases: 1}, nil
 }
 
 // WriteBase reports the first block index of the write region: blocks
@@ -479,17 +486,17 @@ func (f *FTL) ReclaimBlock(a nand.Address) (GCWork, error) {
 func (f *FTL) WriteBase() int { return f.writeBase }
 
 // popFreeBlock takes a block from the plane's free list: the
-// least-worn one when wear information is available (dynamic wear
-// leveling), otherwise the most recently freed.
+// least-erased one (dynamic wear leveling), preferring the list's last
+// entry, then its first, on a tie. It reads wear without making a
+// record: a block never opened has none and no wear.
 func (f *FTL) popFreeBlock(p *planeState) int {
+	base := p.idx * f.geo.BlocksPerPlane
 	idx := len(p.freeBlocks) - 1
-	if f.WearOf != nil {
-		best := f.WearOf(p.addr, p.freeBlocks[idx])
-		for i, b := range p.freeBlocks[:idx] {
-			if w := f.WearOf(p.addr, b); w < best {
-				best = w
-				idx = i
-			}
+	best := f.blocks.erasesOf(base + p.freeBlocks[idx])
+	for i, b := range p.freeBlocks[:idx] {
+		if w := f.blocks.erasesOf(base + b); w < best {
+			best = w
+			idx = i
 		}
 	}
 	block := p.freeBlocks[idx]
@@ -500,7 +507,7 @@ func (f *FTL) popFreeBlock(p *planeState) int {
 // FreeBlocks reports a plane's free-block count (for tests).
 func (f *FTL) FreeBlocks(planeIdx int) int {
 	p := &f.planes[planeIdx]
-	if p.blocks == nil {
+	if p.freeBlocks == nil {
 		return f.geo.BlocksPerPlane - f.writeBase
 	}
 	return len(p.freeBlocks)

@@ -165,36 +165,36 @@ func TestFTLGCPreservesData(t *testing.T) {
 }
 
 func TestFTLWearAwareAllocation(t *testing.T) {
-	// With wear feedback, GC'd planes spread erases across blocks
-	// rather than hammering the most recently freed one.
+	// The FTL counts its GC erases, and GC'd planes spread them across
+	// blocks rather than hammering the most recently freed one.
 	geo := tinyGeo()
-	wear := make(map[[2]int]int) // (planeBlockKey) -> erases
 	f := NewFTL(geo)
-	f.WearOf = func(plane nand.Address, block int) int {
-		return wear[[2]int{geo.BlockID(nand.Address{Channel: plane.Channel, Die: plane.Die, Plane: plane.Plane}), block}]
-	}
+	erases := 0
 	for i := 0; i < 400; i++ {
 		lpn := int64((i % 2) * 16) // two live lpns on plane 0
 		_, gc, err := f.Write(lpn, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gc.Erases > 0 {
-			key := [2]int{geo.BlockID(nand.Address{Channel: gc.Plane.Channel, Die: gc.Plane.Die, Plane: gc.Plane.Plane}), gc.VictimBlock}
-			wear[key]++
+		erases += gc.Erases
+	}
+	worn, total, max := 0, 0, 0
+	for bid := 0; bid < geo.TotalBlocks(); bid++ {
+		if w := int(f.blocks.erasesOf(bid)); w > 0 {
+			worn++
+			total += w
+			if w > max {
+				max = w
+			}
 		}
 	}
-	if len(wear) < 3 {
-		t.Fatalf("erases concentrated on %d blocks; wear leveling inactive", len(wear))
+	if total != erases {
+		t.Fatalf("blocks carry %d erases, GC reported %d", total, erases)
+	}
+	if worn < 3 {
+		t.Fatalf("erases concentrated on %d blocks; wear leveling inactive", worn)
 	}
 	// No block should carry a dominant share of the erases.
-	total, max := 0, 0
-	for _, w := range wear {
-		total += w
-		if w > max {
-			max = w
-		}
-	}
 	if max*2 > total {
 		t.Fatalf("one block took %d of %d erases", max, total)
 	}
@@ -364,8 +364,8 @@ func checkFTL(f *FTL, want map[int64]sim.Time, lpns int64) string {
 			return fmt.Sprintf("lpns %d and %d share page %+v", other, lpn, a)
 		}
 		seen[a] = lpn
-		p := &f.planes[f.planeIndexOfAddr(a)]
-		if got := p.blocks[a.Block-f.writeBase].slots[a.Page].lpn; got != uint32(lpn)+1 {
+		b := f.blocks.get(f.geo.BlockID(a))
+		if got := f.slotsOf(&b)[a.Page].lpn; got != uint32(lpn)+1 {
 			return fmt.Sprintf("page %+v of lpn %d holds slot %d", a, lpn, got)
 		}
 	}
@@ -373,7 +373,7 @@ func checkFTL(f *FTL, want map[int64]sim.Time, lpns int64) string {
 	for i := range f.planes {
 		p := &f.planes[i]
 		region := f.geo.BlocksPerPlane - f.writeBase
-		if p.blocks == nil {
+		if p.freeBlocks == nil {
 			if n := f.FreeBlocks(i); n != region {
 				return fmt.Sprintf("untouched plane %d reports %d of %d blocks free", i, n, region)
 			}
@@ -387,19 +387,19 @@ func checkFTL(f *FTL, want map[int64]sim.Time, lpns int64) string {
 			free[b] = true
 		}
 		inUse, idleRetired := 0, 0
-		for j, b := range p.blocks {
-			block := j + f.writeBase
-			if b != nil && (b.slots != nil) != (b.valid > 0 || block == p.cursorBlock) {
-				return fmt.Sprintf("plane %d block %d with %d valid pages holds slots: %v", i, block, b.valid, b.slots != nil)
+		for block := f.writeBase; block < f.geo.BlocksPerPlane; block++ {
+			b := f.blocks.get(i*f.geo.BlocksPerPlane + block)
+			if (b.slots != 0) != (b.valid > 0 || block == p.cursorBlock) {
+				return fmt.Sprintf("plane %d block %d with %d valid pages holds slots: %v", i, block, b.valid, b.slots != 0)
 			}
 			switch {
-			case b != nil && b.live:
+			case b.live:
 				inUse++
-				valid += b.valid
-			case p.isRetired(block):
+				valid += int(b.valid)
+			case b.retired:
 				idleRetired++
 			}
-			if (b != nil && b.live || p.isRetired(block)) && free[block] {
+			if (b.live || b.retired) && free[block] {
 				return fmt.Sprintf("plane %d block %d is free and in use or retired", i, block)
 			}
 		}

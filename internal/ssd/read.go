@@ -56,7 +56,7 @@ func (s *SSD) readCommand(c *dieCmd) {
 // senseFirst occupies the die with the command's first read (dur of
 // array time plus any injected re-issues).
 func (c *dieCmd) senseFirst(dur sim.Time) {
-	c.die.ReadLabeled(c.senseTime(dur, false), c.lbl, c.then(stageSensed))
+	c.die.Read(c.senseTime(dur, false), c.lbl, c.then(stageSensed))
 }
 
 // planOffChip is the first read of SSDone, SENC, SWR and SWR+: the
@@ -73,12 +73,8 @@ func (c *dieCmd) planOffChip() {
 	k := 0
 	for i := range c.pages {
 		p := &c.pages[i]
-		c.rbers[i] = p.rberFirst
-		fails := p.fails
-		if s.decodeTimeout() && !fails {
-			fails = true
-			c.rbers[i] = s.timeoutRBER()
-		}
+		var fails bool
+		c.rbers[i], fails = s.decodeInput(p.rberFirst, p.fails)
 		if fails {
 			c.failed[k] = i
 			k++
@@ -113,9 +109,7 @@ func (c *dieCmd) planRPController() {
 			// Predicted correctable: the decode runs to completion —
 			// for a false negative that is the full failing decode.
 			engineTime += s.dec.Decode(p.rberFirst).Latency
-			if s.decodeTimeout() && !fails {
-				fails = true
-			}
+			_, fails = s.decodeInput(p.rberFirst, fails)
 		}
 		if fails {
 			uncor++
@@ -235,24 +229,17 @@ func (c *dieCmd) rifSensed(job *xferJob) {
 	for i := range c.pages {
 		p := &c.pages[i]
 		if p.predFail {
-			c.rbers[i] = s.retryRBER(p)
+			r := s.retryRBER(p)
 			retriedNow++
-			fails := p.rberRetry > s.dec.Capability
-			if s.decodeTimeout() && !fails {
-				fails = true
-				c.rbers[i] = s.timeoutRBER()
-			}
+			var fails bool
+			c.rbers[i], fails = s.decodeInput(r, r > s.dec.Capability)
 			if fails {
 				c.failed[k] = i
 				k++
 			}
 		} else {
-			c.rbers[i] = p.rberFirst
-			fails := p.fails
-			if s.decodeTimeout() && !fails {
-				fails = true
-				c.rbers[i] = s.timeoutRBER()
-			}
+			var fails bool
+			c.rbers[i], fails = s.decodeInput(p.rberFirst, p.fails)
 			if fails {
 				// False negative: the doomed page crosses the
 				// channel and burns a full failing decode.
@@ -299,7 +286,7 @@ func (c *dieCmd) retry() {
 		// the transfer is pure overhead (UNCOR).
 		s.m.SentinelExtraReads += int64(len(c.failed))
 		c.noteFailedSenses() // the sentinel-cell read senses the array too
-		c.die.ReadLabeled(c.senseTime(s.cfg.Timing.TR, true), c.lbl, c.then(stageSentinelSensed))
+		c.die.Read(c.senseTime(s.cfg.Timing.TR, true), c.lbl, c.then(stageSentinelSensed))
 		return
 	}
 	c.reread()
@@ -327,7 +314,7 @@ func (c *dieCmd) reread() {
 		sense = 2 * s.cfg.Timing.TR
 	}
 	c.noteFailedSenses()
-	c.die.ReadLabeled(c.senseTime(sense, true), c.lblRetry, c.then(stageResensed))
+	c.die.Read(c.senseTime(sense, true), c.lblRetry, c.then(stageResensed))
 }
 
 // resensed ships the retry round's data for decode, keeping in failed
@@ -341,12 +328,9 @@ func (c *dieCmd) resensed() {
 	k := 0
 	for i := 0; i < n; i++ {
 		p := &c.pages[c.failed[i]]
-		c.rbers[i] = s.retryRBER(p)
-		fails := p.rberRetry > s.dec.Capability
-		if s.decodeTimeout() && !fails {
-			fails = true
-			c.rbers[i] = s.timeoutRBER()
-		}
+		r := s.retryRBER(p)
+		var fails bool
+		c.rbers[i], fails = s.decodeInput(r, r > s.dec.Capability)
 		if fails {
 			c.failed[k] = c.failed[i]
 			k++

@@ -52,25 +52,25 @@ func TestReclaimThresholdBoundary(t *testing.T) {
 	if s.m.ReadReclaims != 0 {
 		t.Fatalf("reclaim fired %d senses below threshold", s.m.ReadReclaims)
 	}
-	if s.blocks.get(bid).reads != 9 {
-		t.Fatalf("net counter = %d after 9 senses", s.blocks.get(bid).reads)
+	if s.ftl.blocks.get(bid).reads != 9 {
+		t.Fatalf("net counter = %d after 9 senses", s.ftl.blocks.get(bid).reads)
 	}
 	s.noteSense(bid) // the threshold-crossing sense
 	if s.m.ReadReclaims != 1 {
 		t.Fatalf("reclaims = %d, want exactly 1 at the boundary", s.m.ReadReclaims)
 	}
-	if s.blocks.get(bid).reads != 0 {
-		t.Fatalf("net counter = %d after reclaim, want 0", s.blocks.get(bid).reads)
+	if s.ftl.blocks.get(bid).reads != 0 {
+		t.Fatalf("net counter = %d after reclaim, want 0", s.ftl.blocks.get(bid).reads)
 	}
-	if s.blocks.get(bid).erases != 1 || s.blocks.get(bid).reclaimErases != 1 {
+	if s.ftl.blocks.get(bid).erases != 1 || s.ftl.blocks.get(bid).reclaimErases != 1 {
 		t.Fatalf("erases = %d, reclaim erases = %d, want 1/1",
-			s.blocks.get(bid).erases, s.blocks.get(bid).reclaimErases)
+			s.ftl.blocks.get(bid).erases, s.ftl.blocks.get(bid).reclaimErases)
 	}
-	if !s.blocks.peek(bid).refreshedInPlace() {
+	if !s.ftl.blocks.peek(bid).refreshedInPlace() {
 		t.Fatal("pre-fill block not marked refreshed in place")
 	}
-	if s.blocks.get(bid).senses != 10 {
-		t.Fatalf("gross senses = %d, want 10 (gross survives the erase)", s.blocks.get(bid).senses)
+	if s.ftl.blocks.get(bid).senses != 10 {
+		t.Fatalf("gross senses = %d, want 10 (gross survives the erase)", s.ftl.blocks.get(bid).senses)
 	}
 	if s.m.ReclaimPagesMigrated != int64(cfg.Geometry.PagesPerBlock) {
 		t.Fatalf("migrated %d pages, want the whole block (%d)",
@@ -350,9 +350,9 @@ func TestDeadDieClearsDisturbOnce(t *testing.T) {
 	for b := 0; b < n; b++ {
 		die := geo.DieID(geo.BlockAddr(b))
 		switch {
-		case die == 0 && s.blocks.get(b).reads != 0:
-			t.Fatalf("block %d on dead die 0 keeps count %d", b, s.blocks.get(b).reads)
-		case die != 0 && s.blocks.get(b).reads != 7:
+		case die == 0 && s.ftl.blocks.get(b).reads != 0:
+			t.Fatalf("block %d on dead die 0 keeps count %d", b, s.ftl.blocks.get(b).reads)
+		case die != 0 && s.ftl.blocks.get(b).reads != 7:
 			t.Fatalf("block %d on live die %d lost its count", b, die)
 		}
 	}
@@ -365,9 +365,9 @@ func TestDeadDieClearsDisturbOnce(t *testing.T) {
 			break
 		}
 	}
-	s.blocks.at(probe).reads = 5
+	s.ftl.blocks.at(probe).reads = 5
 	s.noteDeadDie(0)
-	if s.blocks.get(probe).reads != 5 {
+	if s.ftl.blocks.get(probe).reads != 5 {
 		t.Fatal("second dead-die notification re-cleared counters")
 	}
 }

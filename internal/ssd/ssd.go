@@ -51,10 +51,6 @@ type SSD struct {
 	// seam to observe trigger decisions in isolation.
 	reclaim func(bid int)
 
-	// blocks is the per-block record, by dense block id, made on the
-	// block's first write.
-	blocks blockTable
-
 	// deadDieCleared marks dies whose disturb counters were zeroed on
 	// dropout, so the sweep runs once per die.
 	deadDieCleared []bool
@@ -129,7 +125,6 @@ func New(cfg Config, w Workload) (*SSD, error) {
 		predictRNG:  sim.NewRNG(cfg.Seed, 101),
 		sentinelRNG: sim.NewRNG(cfg.Seed, 102),
 		inj:         faults.New(cfg.Faults, cfg.Seed),
-		blocks:      newBlockTable(cfg.Geometry.TotalBlocks()),
 		workload:    w,
 	}
 	s.deadDieCleared = make([]bool, cfg.Geometry.TotalDies())
@@ -240,7 +235,7 @@ func (s *SSD) resolvePages(c *dieCmd) {
 		lpn := c.cmd.lpn + int64(i)
 		addr, writtenAt, written := s.ftl.Lookup(lpn)
 		bid := s.cfg.Geometry.BlockID(addr)
-		b := s.blocks.at(bid)
+		b := s.ftl.blocks.at(bid)
 		var age float64
 		switch {
 		case written:
@@ -332,7 +327,7 @@ func (c *dieCmd) senseTime(base sim.Time, retry bool) sim.Time {
 //
 //riflint:hotpath
 func (s *SSD) noteSense(bid int) {
-	b := s.blocks.at(bid)
+	b := s.ftl.blocks.at(bid)
 	b.senses++
 	n := b.reads + 1
 	b.reads = n
@@ -350,15 +345,16 @@ func (c *dieCmd) noteFailedSenses() {
 
 // reclaimBlock is the read-reclaim background job for one
 // threshold-crossing block: migrate its valid pages elsewhere, erase
-// it (clearing the disturb counter, exactly like the GC-victim erase),
-// and charge the die with the migration work so reclaim competes with
-// GC and host traffic for die time. Pre-fill (cold-region) blocks are
-// not FTL-managed, so they are refreshed in place instead.
+// it (the FTL counts the erase, as it does a GC victim's), and charge
+// the die with the migration work so reclaim competes with GC and host
+// traffic for die time. Pre-fill (cold-region) blocks are not
+// FTL-managed, so they are refreshed in place instead, and the erase
+// is counted here.
 func (s *SSD) reclaimBlock(bid int) {
 	// The erase clears accumulated disturb whether or not migration
 	// proceeds; a skipped migration (dead die, no free block) simply
 	// re-arms the counter.
-	b := s.blocks.at(bid)
+	b := s.ftl.blocks.at(bid)
 	b.reads = 0
 	addr := s.cfg.Geometry.BlockAddr(bid)
 	if s.ftl.blockRetired(addr) {
@@ -374,6 +370,8 @@ func (s *SSD) reclaimBlock(bid int) {
 		// clock from now.
 		work = GCWork{PagesRelocated: s.cfg.Geometry.PagesPerBlock, Erases: 1}
 		b.refreshedAt = s.eng.Now()
+		b.noteErase()
+		b.reclaimErases++
 	} else {
 		w, err := s.ftl.ReclaimBlock(addr)
 		if err != nil {
@@ -385,32 +383,11 @@ func (s *SSD) reclaimBlock(bid int) {
 		}
 		work = w
 	}
-	b.erases += int32(work.Erases)
-	b.reclaimErases += int32(work.Erases)
-	s.noteWear()
 	s.m.ReadReclaims++
 	s.m.ReclaimPagesMigrated += int64(work.PagesRelocated)
 	// Occupy the die with the migration; no completion callback — the
 	// work only delays whatever the die does next.
 	s.dies[dieIdx].Program(s.gcTime(work), nil)
-}
-
-// noteWear records that some block now carries erase wear, which
-// turns on the FTL's dynamic wear leveling: allocation then prefers the
-// least-erased free block. Until a block is first erased or seeded with
-// wear every count is zero, and the scan would pick the last free
-// block — what the FTL picks without it — so leaving WearOf nil until
-// then is exact and skips a call per free block at every block opening.
-func (s *SSD) noteWear() {
-	if s.ftl.WearOf == nil {
-		s.ftl.WearOf = s.wearOf
-	}
-}
-
-// wearOf reports a block's erase count: the FTL's WearOf.
-func (s *SSD) wearOf(plane nand.Address, block int) int {
-	plane.Block = block
-	return int(s.blocks.get(s.cfg.Geometry.BlockID(plane)).erases)
 }
 
 // noteDeadDie zeroes the disturb counters of a dropped-out die once:
@@ -423,7 +400,7 @@ func (s *SSD) noteDeadDie(dieIdx int) {
 	s.deadDieCleared[dieIdx] = true
 	per := s.cfg.Geometry.PlanesPerDie * s.cfg.Geometry.BlocksPerPlane
 	for b := dieIdx * per; b < (dieIdx+1)*per; b++ {
-		s.blocks.clearReads(b)
+		s.ftl.blocks.clearReads(b)
 	}
 }
 
@@ -455,7 +432,7 @@ func (s *SSD) BlockState() BlockCounters {
 		ReclaimErases: make([]int64, n),
 	}
 	for i := 0; i < n; i++ {
-		b := s.blocks.peek(i)
+		b := s.ftl.blocks.peek(i)
 		if b == nil {
 			continue
 		}
@@ -476,8 +453,8 @@ func (s *SSD) SeedBlockState(reads, erases []int64) error {
 			return fmt.Errorf("ssd: SeedBlockState reads length %d, want %d", len(reads), n)
 		}
 		for i, r := range reads {
-			if r != 0 || s.blocks.peek(i) != nil {
-				s.blocks.at(i).reads = r
+			if r != 0 || s.ftl.blocks.peek(i) != nil {
+				s.ftl.blocks.at(i).reads = r
 			}
 		}
 	}
@@ -489,30 +466,30 @@ func (s *SSD) SeedBlockState(reads, erases []int64) error {
 			if e < 0 || e > math.MaxInt32 {
 				return fmt.Errorf("ssd: SeedBlockState erases[%d] = %d out of range", i, e)
 			}
-			if e != 0 || s.blocks.peek(i) != nil {
-				s.blocks.at(i).erases = int32(e)
-			}
-			if e != 0 {
-				s.noteWear()
+			if e != 0 || s.ftl.blocks.peek(i) != nil {
+				s.ftl.blocks.at(i).erases = int32(e)
 			}
 		}
 	}
 	return nil
 }
 
-// decodeTimeout draws one page's injected LDPC decode-timeout fault.
-func (s *SSD) decodeTimeout() bool {
+// decodeInput draws one page decode's injected LDPC timeout and
+// reports the RBER the decode is billed at and whether it fails. A
+// page at rber decodes unless fails says it does not; a timeout fails
+// a decode that would pass and bills it past capability, so the
+// latency model charges a full failing decode and the page enters the
+// scheme's retry ladder. The draw happens for every decode, failing or
+// not, so the injector's draw order does not depend on the outcome.
+func (s *SSD) decodeInput(rber float64, fails bool) (float64, bool) {
 	if s.inj.DecodeTimeout() {
 		s.m.Faults.DecodeTimeouts++
-		return true
+		if !fails {
+			return 4 * s.dec.Capability, true
+		}
 	}
-	return false
+	return rber, fails
 }
-
-// timeoutRBER is the effective error rate charged to a timed-out
-// decode: past capability, so the latency model bills a full failing
-// decode and the page enters the scheme's retry ladder.
-func (s *SSD) timeoutRBER() float64 { return 4 * s.dec.Capability }
 
 // retireBlock retires the block behind a retry-exhausted page when
 // the block is genuinely grown bad (every read of it is hopeless), so
@@ -522,7 +499,6 @@ func (s *SSD) retireBlock(p *pageView) {
 	if !s.inj.BlockStuck(p.blockID) || s.ftl.blockRetired(p.addr) {
 		return
 	}
-	s.blocks.clearReads(p.blockID) // retirement erases the block
 	s.m.Faults.GrownBadBlocks++
 	s.ftl.RetireBlock(p.addr)
 }

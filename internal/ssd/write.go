@@ -29,13 +29,6 @@ func (s *SSD) writeCommand(c *dieCmd) {
 		}
 		if work.Erases > 0 {
 			gcTime += s.gcTime(work)
-			victim := work.Plane
-			victim.Block = work.VictimBlock
-			b := s.blocks.at(s.cfg.Geometry.BlockID(victim))
-			b.erases++
-			// Erasing also clears the accumulated read disturb.
-			b.reads = 0
-			s.noteWear()
 		}
 	}
 	c.gcTime = gcTime
