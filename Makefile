@@ -102,12 +102,12 @@ agesweep-smoke:
 replay-smoke:
 	REPLAY_SMOKE_REQUESTS=1000000 $(GO) test -race -count=1 -run TestReplaySmokeHeapFlat -v ./internal/replay/
 
-# examples-smoke runs the runnable examples that drive the device
-# through its host port: nvmehost (the only runnable consumer of the
-# NVMe front end) and quickstart (the closed-loop host). Each takes
-# under a second. CI runs this on every change.
+# examples-smoke runs the two quick runnable examples: datapath (the
+# functional chip with its on-die engine, on real bits) and quickstart
+# (the SSD's closed-loop host). Each takes under a second. CI runs this
+# on every change.
 examples-smoke:
-	$(GO) run ./examples/nvmehost
+	$(GO) run ./examples/datapath
 	$(GO) run ./examples/quickstart
 
 # fuzz-smoke runs every fuzz target for FUZZTIME, one per go test

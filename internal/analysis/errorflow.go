@@ -3,10 +3,10 @@ package analysis
 // The errorflow analyzer enforces the degradation contract on the
 // read/fault path, the result-serving layer, and the persistence
 // tier: an error produced in internal/ssd, internal/faults,
-// internal/nvme, internal/replay, internal/resultcache,
-// internal/serve or cmd/rifload must go somewhere — returned to the
-// caller (possibly wrapped), handed to another function, stored, sent
-// on a channel, or counted on an obs instrument. On the durability
+// internal/replay, internal/resultcache, internal/serve or
+// cmd/rifload must go somewhere — returned to the caller (possibly
+// wrapped), handed to another function, stored, sent on a channel, or
+// counted on an obs instrument. On the durability
 // path this is load-bearing in the most literal way: a dropped fsync
 // or Close error is the canonical silent-data-loss bug. Three shapes
 // are flagged:
@@ -38,7 +38,6 @@ import (
 var errorFlowPackages = map[string]bool{
 	"repro/internal/ssd":         true,
 	"repro/internal/faults":      true,
-	"repro/internal/nvme":        true,
 	"repro/internal/replay":      true,
 	"repro/internal/resultcache": true,
 	"repro/internal/serve":       true,

@@ -62,7 +62,7 @@ func TestDerivedDeepSimCoversSimPackages(t *testing.T) {
 	for _, path := range []string{
 		"repro/internal/sim", "repro/internal/ssd", "repro/internal/nand",
 		"repro/internal/chip", "repro/internal/odear", "repro/internal/ecc",
-		"repro/internal/ldpc", "repro/internal/nvme", "repro/internal/core",
+		"repro/internal/ldpc", "repro/internal/core",
 		"repro/internal/faults", "repro/internal/replay", "repro/internal/serve",
 	} {
 		if !deep[path] {

@@ -40,7 +40,7 @@ type Config struct {
 	// StuckBlockRate is the fraction of physical blocks grown bad at
 	// run start: every page in a stuck block reads uncorrectable at
 	// any VREF, so its reads exhaust the retry ladder and surface as
-	// NVMe media errors while the FTL retires the block.
+	// media errors while the FTL retires the block.
 	StuckBlockRate float64 `json:"stuck_block_rate,omitempty"`
 	// DieDropoutRate is the fraction of dies dead at run start. Reads
 	// of data homed on a dead die fail after a probe sense; writes

@@ -141,8 +141,8 @@ type Config struct {
 
 	// MaxRetryRounds bounds controller-driven retry loops. A page
 	// still failing after the last round is reported uncorrectable:
-	// it is counted in Metrics and the request completes with an NVMe
-	// media-error status instead of stalling or panicking.
+	// it is counted in Metrics and the request completes with
+	// Completion.MediaError set instead of stalling or panicking.
 	MaxRetryRounds int
 
 	// ReadReclaimThreshold triggers the read-reclaim background job

@@ -3,11 +3,12 @@ package ssd
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/nvme"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // chaosConfig is smallConfig plus an aggressive-but-survivable mix of
@@ -53,47 +54,76 @@ func TestEveryFaultClassDegradesGracefully(t *testing.T) {
 }
 
 // TestInjectedUNCReadReturnsMediaError drives injected uncorrectable
-// reads through the NVMe front end: every read must complete with the
-// spec's unrecovered-read-error status, never panic.
+// reads through the host port: every read must complete with
+// MediaError set, never panic.
 func TestInjectedUNCReadReturnsMediaError(t *testing.T) {
 	cfg := smallConfig(SWR, 0)
 	cfg.Faults = faults.Config{StuckBlockRate: 1} // every block grown bad
-	s, err := New(cfg, smallWorkload(t, "Ali124", 1))
+	w := smallWorkload(t, "Ali124", 1)
+	s, err := New(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewNVMeBackend(s)
-	c := nvme.NewController(b, nvme.RoundRobin)
-	sq := c.CreateQueuePair(32, 1)
-	for cid := uint16(0); cid < 8; cid++ {
-		if err := c.Submit(sq, nvme.Command{
-			Opcode: nvme.OpRead, CID: cid, SLBA: int64(cid) * 64, NLB: 15,
-		}); err != nil {
-			t.Fatal(err)
+	const reads = 8
+	var done []Completion
+	s.OnComplete(func(c Completion) { done = append(done, c) })
+	for i := 0; i < reads; i++ {
+		s.Submit(trace.Request{Op: trace.Read, LPN: int64(i) * 16, Pages: 4}, 0, w, i)
+	}
+	m, err := s.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != reads {
+		t.Fatalf("%d completions, want %d", len(done), reads)
+	}
+	for _, c := range done {
+		if !c.MediaError {
+			t.Fatalf("read %d completed without MediaError", c.Tag)
 		}
 	}
-	c.Doorbell()
-	m, err := b.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cqes, err := c.Reap(sq, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cqes) != 8 {
-		t.Fatalf("reaped %d completions, want 8", len(cqes))
-	}
-	for _, cqe := range cqes {
-		if cqe.Status != nvme.StatusMediaError {
-			t.Fatalf("command %d completed %v, want StatusMediaError", cqe.CID, cqe.Status)
-		}
-	}
-	if m.MediaErrorRequests != 8 || m.UnrecoveredPages == 0 {
+	if m.MediaErrorRequests != reads || m.UnrecoveredPages == 0 {
 		t.Fatalf("media-error accounting: %+v", m)
 	}
 	if m.Faults.StuckPageReads != m.PageReads {
 		t.Fatalf("%d stuck page reads of %d page reads, want all", m.Faults.StuckPageReads, m.PageReads)
+	}
+}
+
+// TestDroppedWritesCompleteAndFailTheRun pins the unplaceable-write
+// path: with every die down, each write the FTL cannot place still
+// reaches the completion handler, is counted in Faults.DroppedWrites,
+// and the run's Drain returns the FTL's error — write-through and
+// cached alike, since the FTL places a write before the cache sees it.
+func TestDroppedWritesCompleteAndFailTheRun(t *testing.T) {
+	for _, cachePages := range []int{0, 4096} {
+		cfg := smallConfig(RiF, 0)
+		cfg.WriteCachePages = cachePages
+		cfg.Faults = faults.Config{DieDropoutRate: 1}
+		s, err := New(cfg, allocStubWorkload{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const writes = 4
+		completed := 0
+		s.OnComplete(func(Completion) { completed++ })
+		// Each write covers one plane group, so it is one die command.
+		planes := int64(cfg.Geometry.PlanesPerDie)
+		for i := int64(0); i < writes; i++ {
+			req := trace.Request{Op: trace.Write, LPN: i * planes, Pages: int(planes)}
+			s.Submit(req, 0, allocStubWorkload{}, int(i))
+		}
+		_, err = s.Drain()
+		if err == nil || !strings.Contains(err.Error(), "every die down") {
+			t.Fatalf("cache %d: Drain err = %v, want the every-die-down error", cachePages, err)
+		}
+		if completed != writes {
+			t.Fatalf("cache %d: %d of %d writes completed", cachePages, completed, writes)
+		}
+		// A failed Drain returns no Metrics; read the device's own.
+		if got := s.m.Faults.DroppedWrites; got != writes {
+			t.Fatalf("cache %d: %d dropped writes, want %d", cachePages, got, writes)
+		}
 	}
 }
 

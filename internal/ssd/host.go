@@ -8,12 +8,12 @@ import (
 	"repro/internal/trace"
 )
 
-// The device has one host port, the way a real drive has one NVMe
+// The device has one host port, the way a real drive has one
 // submission/completion interface: Submit puts a request in flight and
 // the completion handler bound with OnComplete hears about it when it
 // finishes. Every host is a thin caller of that port — the closed-loop
-// queues below (Run, RunQueues), the open-loop arrival engine in
-// package replay and the NVMe front end (nvmefront.go).
+// queues below (Run, RunQueues) and the open-loop arrival engine in
+// package replay.
 
 // Completion is what the port reports for one finished host request.
 type Completion struct {
@@ -24,9 +24,8 @@ type Completion struct {
 	// µs (zero for a write).
 	Bytes   int64
 	Latency float64
-	// MediaError reports pages that exhausted the retry ladder;
-	// WriteError a write the FTL could not place.
-	MediaError, WriteError bool
+	// MediaError reports pages that exhausted the retry ladder.
+	MediaError bool
 }
 
 // OnComplete binds the port's completion handler. Bind it once, before
@@ -82,7 +81,7 @@ func (s *SSD) recordCompletion(req trace.Request, arrival sim.Time, tag int, res
 	s.m.RequestsCompleted++
 	s.lastDone = s.eng.Now()
 	c := Completion{Tag: tag, Op: req.Op, Bytes: int64(req.Pages) * int64(s.cfg.Geometry.PageBytes),
-		MediaError: res.uncPages > 0, WriteError: res.writeErr}
+		MediaError: res.uncPages > 0}
 	if c.MediaError {
 		s.m.MediaErrorRequests++
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/nvme"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -192,9 +191,9 @@ func TestRunQueuesDeterministic(t *testing.T) {
 }
 
 // TestPeakInFlightCountsEveryHost checks the port counts the requests
-// in flight whichever host submitted them: the multi-queue host and
-// the NVMe front end, each offering a depth above one, report a peak
-// above one and within the depth they offered.
+// in flight whichever host submitted them: the multi-queue host and a
+// burst of direct Submits, each offering a depth above one, report a
+// peak above one and within the depth they offered.
 func TestPeakInFlightCountsEveryHost(t *testing.T) {
 	s, err := New(smallConfig(RiF, 1000), smallWorkload(t, "Ali124", 1))
 	if err != nil {
@@ -212,21 +211,21 @@ func TestPeakInFlightCountsEveryHost(t *testing.T) {
 		t.Fatalf("RunQueues peak in flight %d, want in (1, 8]", m.PeakInFlight)
 	}
 
-	b, c := newNVMeDevice(t, RiF, 1000)
-	sq := c.CreateQueuePair(16, 1)
-	const reads = 6
-	for cid := uint16(0); cid < reads; cid++ {
-		if err := c.Submit(sq, nvme.Command{Opcode: nvme.OpRead, CID: cid, SLBA: int64(cid) * 64, NLB: 7}); err != nil {
-			t.Fatal(err)
-		}
+	w := smallWorkload(t, "Ali124", 1)
+	s, err = New(smallConfig(RiF, 1000), w)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.Doorbell()
-	m, err = b.Drain()
+	const reads = 6
+	for i := 0; i < reads; i++ {
+		s.Submit(trace.Request{Op: trace.Read, LPN: int64(i) * 16, Pages: 2}, 0, w, i)
+	}
+	m, err = s.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.PeakInFlight <= 1 || m.PeakInFlight > reads {
-		t.Fatalf("NVMe peak in flight %d, want in (1, %d]", m.PeakInFlight, reads)
+		t.Fatalf("Submit burst peak in flight %d, want in (1, %d]", m.PeakInFlight, reads)
 	}
 }
 

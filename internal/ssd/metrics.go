@@ -164,8 +164,7 @@ type Metrics struct {
 
 	// MediaErrorRequests counts host read requests that completed
 	// with at least one uncorrectable page: the graceful-degradation
-	// outcome (an NVMe media-error status) instead of a stall or
-	// panic.
+	// outcome (Completion.MediaError set) instead of a stall or panic.
 	MediaErrorRequests int64
 
 	// Faults is the injected-fault accounting.

@@ -163,7 +163,6 @@ func (s *SSD) commandAt(lpn int64, remaining int) dieCommand {
 // the request when it was the last one outstanding.
 func (r *hostReq) cmdDone(res cmdResult) {
 	r.agg.uncPages += res.uncPages
-	r.agg.writeErr = r.agg.writeErr || res.writeErr
 	r.outstanding--
 	if r.outstanding > 0 {
 		return

@@ -58,7 +58,7 @@ type SSD struct {
 	cache    *writeCache
 	flushers []*dieFlusher
 
-	// workload feeds Run and is the NVMe front end's cold-age source.
+	// workload feeds Run.
 	workload Workload
 	inFlight int
 	lastDone sim.Time
@@ -92,9 +92,6 @@ type cmdResult struct {
 	// uncPages counts pages that exhausted the retry ladder and were
 	// reported uncorrectable.
 	uncPages int
-	// writeErr reports that the FTL could not place the command's
-	// writes.
-	writeErr bool
 }
 
 // failRun records the first device error of the run; Drain

@@ -19,12 +19,12 @@ func (s *SSD) writeCommand(c *dieCmd) {
 		_, work, err := s.ftl.Write(c.cmd.lpn+int64(i), s.eng.Now(), s.cfg.GCFreeBlockLow)
 		if err != nil {
 			// An unplaceable write (out of space, every die down) is
-			// dropped: the first error is carried in the run result and
-			// the command completes with a write-error status instead
-			// of panicking mid-simulation.
+			// dropped and counted: the first error is carried in the
+			// run result, and the command still completes rather than
+			// panicking mid-simulation.
 			s.m.Faults.DroppedWrites++
 			s.failRun(err)
-			c.complete(cmdResult{writeErr: true})
+			c.complete(cmdResult{})
 			return
 		}
 		if work.Erases > 0 {
