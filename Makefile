@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test loc race shuffle golden serve-e2e serve-load-smoke crash-smoke bench bench-smoke chaos-smoke agesweep-smoke replay-smoke examples-smoke fuzz-smoke lint fmt-check vet riflint staticcheck govulncheck
+.PHONY: all build test loc prof race shuffle golden serve-e2e serve-load-smoke crash-smoke bench bench-smoke chaos-smoke agesweep-smoke replay-smoke examples-smoke fuzz-smoke lint fmt-check vet riflint staticcheck govulncheck
 
 all: build test
 
@@ -29,6 +29,21 @@ race:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' \
 		-not -path './.bench_build/*' -not -path '*/testdata/*' | xargs cat | wc -l
+
+# prof profiles `rifsim -fig 17 -workers 1`, the run ROADMAP's
+# profile figures are taken from: CPU and heap profiles land in
+# $(PROFDIR) (gitignored), and it prints the top 15 sites by bytes
+# (alloc_space) and by objects (alloc_objects) allocated over the run.
+# Heap profiles are sampled, so the figures are estimates. Not a CI
+# step.
+PROFDIR ?= .prof
+
+prof:
+	@mkdir -p $(PROFDIR)
+	$(GO) build -o $(PROFDIR)/rifsim ./cmd/rifsim
+	$(PROFDIR)/rifsim -fig 17 -workers 1 -cpuprofile $(PROFDIR)/cpu.prof -memprofile $(PROFDIR)/mem.prof > /dev/null
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(PROFDIR)/rifsim $(PROFDIR)/mem.prof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 $(PROFDIR)/rifsim $(PROFDIR)/mem.prof
 
 # shuffle reruns the whole suite twice in randomized test order:
 # it catches tests coupled through package state or relying on

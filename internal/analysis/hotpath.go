@@ -10,6 +10,8 @@ package analysis
 //   - make and new
 //   - append (may grow its backing array)
 //   - function literals (closures capture by heap allocation)
+//   - bound method values (x.m used as a value, not called): binding
+//     the receiver allocates just as a closure does
 //   - calls into fmt, and strings.Builder use
 //   - boxing a non-pointer-shaped value into an interface
 //
@@ -86,6 +88,11 @@ func checkHotFunc(pass *Pass, fi *FuncInfo) {
 						pass.Report(u.Pos(), "alloc", "heap composite literal (&%s{...}) in hot path %s", typeString(tv.Type), where)
 					}
 				}
+			}
+		case *ast.SelectorExpr:
+			if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal && !isCalled(n, stack) {
+				pass.Report(n.Pos(), "alloc", "bound method value %s.%s allocated in hot path %s",
+					typeString(sel.Recv()), n.Sel.Name, where)
 			}
 		case *ast.CallExpr:
 			if isPanicCall(n) {
@@ -223,6 +230,23 @@ func pointerShaped(t types.Type) bool {
 		return true
 	case *types.Basic:
 		return u.Kind() == types.UnsafePointer
+	}
+	return false
+}
+
+// isCalled reports whether the selector x.m is the function of a call,
+// x.m(...), rather than a value bound for later.
+func isCalled(sel *ast.SelectorExpr, stack []ast.Node) bool {
+	var child ast.Expr = sel
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch p := stack[i].(type) {
+		case *ast.ParenExpr:
+			child = p
+			continue
+		case *ast.CallExpr:
+			return p.Fun == child
+		}
+		return false
 	}
 	return false
 }

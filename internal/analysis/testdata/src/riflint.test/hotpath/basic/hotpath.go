@@ -30,6 +30,14 @@ func (d *dev) step(n int) int {
 	var sink interface{}
 	sink = n      // want `interface boxing of int in hot path dev.step`
 	ptr := &dev{} // want `heap composite literal .* in hot path dev.step`
+	// A bound method value carries its receiver in a heap closure; a
+	// call through the selector, a method expression and a plain
+	// function value do not allocate.
+	d.hooks[0] = d.reset // want `bound method value dev.reset allocated in hot path dev.step`
+	(d.reset)()
+	reset := (*dev).reset
+	reset(d)
+	d.hooks[0] = cold2
 	if n < 0 {
 		// The failure path may allocate: the panic argument subtree is
 		// exempt even though Sprintf allocates.
@@ -40,6 +48,10 @@ func (d *dev) step(n int) int {
 	_, _, _, _, _, _, _ = m, s, buf, p, fn, sink, ptr
 	return d.helper(n)
 }
+
+func (d *dev) reset() { d.out = d.out[:0] }
+
+func cold2() {}
 
 // helper carries no annotation but is called from step, so the hot set
 // pulls it in transitively.

@@ -67,10 +67,13 @@ type EventID struct {
 // compare/swap rounds on the sift-down path that dominates pops) and
 // free of the interface boxing container/heap imposes.
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   []*event
-	free    []*event
+	now   Time
+	seq   uint64
+	queue []*event
+	free  []*event
+	// slab is where events beyond the free list are carved from, so a
+	// fresh engine's first events cost one allocation per eventSlab.
+	slab    []event
 	stopped bool
 	// processed counts events executed, for diagnostics and loop guards.
 	processed uint64
@@ -78,6 +81,10 @@ type Engine struct {
 	// observability (how bursty was the schedule?).
 	maxPending int
 }
+
+// eventSlab is how many events one slab allocation carves: about what
+// one closed-loop cell of a Fig. 17 grid has pending at its deepest.
+const eventSlab = 64
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
@@ -111,8 +118,12 @@ func (e *Engine) At(at Time, fn Handler) EventID {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		//riflint:allow alloc -- free-list refill: one event per high-water slot, reused forever after
-		ev = &event{}
+		if len(e.slab) == 0 {
+			//riflint:allow alloc -- free-list refill: one slab per eventSlab high-water slots, each event reused forever after
+			e.slab = make([]event, eventSlab)
+		}
+		ev = &e.slab[0]
+		e.slab = e.slab[1:]
 	}
 	ev.at = at
 	ev.seq = e.seq

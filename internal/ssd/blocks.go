@@ -26,7 +26,7 @@ type blockState struct {
 	// thousands of erases, so int32 holds any count, as it does valid.
 	erases        int32
 	reclaimErases int32
-	// slots names the FTL's page-slot array of the block (FTL.slotsOf)
+	// slots names the FTL's slot-chunk set of the block (FTL.slotsOf)
 	// by index plus one; 0 while the block holds no valid data. An
 	// index rather than a slice keeps the record at 56 bytes: most
 	// records are of blocks that are only read.
@@ -129,6 +129,13 @@ func (t *blockTable) erasesOf(bid int) int32 {
 		return b.erases
 	}
 	return 0
+}
+
+// retired reports whether block bid is retired: false while its chunk
+// is unmade.
+func (t *blockTable) retired(bid int) bool {
+	b := t.peek(bid)
+	return b != nil && b.retired
 }
 
 // clearReads zeroes block bid's disturb counter (an erase) without

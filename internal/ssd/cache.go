@@ -26,7 +26,7 @@ type writeCache struct {
 
 type cacheWaiter struct {
 	pages int
-	fn    func()
+	fn    resumer
 }
 
 func newWriteCache(pages int, fail func(error)) *writeCache {
@@ -36,17 +36,17 @@ func newWriteCache(pages int, fail func(error)) *writeCache {
 // enabled reports whether the device has a cache at all.
 func (c *writeCache) enabled() bool { return c.capacity > 0 }
 
-// acquire grants pages slots, running fn immediately if room exists
+// acquire grants pages slots, resuming fn immediately if room exists
 // or queueing FIFO otherwise. Requests larger than the whole cache
 // are granted alone when the cache drains completely.
-func (c *writeCache) acquire(pages int, fn func()) {
+func (c *writeCache) acquire(pages int, fn resumer) {
 	if c.admissible(pages) && c.waiters.len() == 0 {
 		c.hits++
 		c.inUse += pages
 		if c.inUse > c.inUseHigh {
 			c.inUseHigh = c.inUse
 		}
-		fn()
+		fn.resume()
 		return
 	}
 	c.stalls++
@@ -81,7 +81,7 @@ func (c *writeCache) release(pages int) {
 		if c.inUse > c.inUseHigh {
 			c.inUseHigh = c.inUse
 		}
-		w.fn()
+		w.fn.resume()
 	}
 }
 

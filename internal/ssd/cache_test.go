@@ -9,7 +9,7 @@ import (
 func TestWriteCacheImmediateGrant(t *testing.T) {
 	c := newWriteCache(10, nil)
 	granted := false
-	c.acquire(4, func() { granted = true })
+	c.acquire(4, resumeFunc(func() { granted = true }))
 	if !granted || c.inUse != 4 {
 		t.Fatalf("granted=%v inUse=%d", granted, c.inUse)
 	}
@@ -22,9 +22,9 @@ func TestWriteCacheImmediateGrant(t *testing.T) {
 func TestWriteCacheBackpressureFIFO(t *testing.T) {
 	c := newWriteCache(8, nil)
 	var order []int
-	c.acquire(6, func() { order = append(order, 1) })
-	c.acquire(4, func() { order = append(order, 2) }) // blocked (6+4 > 8)
-	c.acquire(1, func() { order = append(order, 3) }) // blocked behind 2 (FIFO)
+	c.acquire(6, resumeFunc(func() { order = append(order, 1) }))
+	c.acquire(4, resumeFunc(func() { order = append(order, 2) })) // blocked (6+4 > 8)
+	c.acquire(1, resumeFunc(func() { order = append(order, 3) })) // blocked behind 2 (FIFO)
 	if len(order) != 1 {
 		t.Fatalf("order=%v", order)
 	}
@@ -38,12 +38,12 @@ func TestWriteCacheBackpressureFIFO(t *testing.T) {
 func TestWriteCacheOversizeRequest(t *testing.T) {
 	c := newWriteCache(4, nil)
 	granted := false
-	c.acquire(10, func() { granted = true }) // larger than the cache
+	c.acquire(10, resumeFunc(func() { granted = true })) // larger than the cache
 	if !granted {
 		t.Fatal("oversize request must be admitted when the cache is empty")
 	}
 	blocked := false
-	c.acquire(1, func() { blocked = true })
+	c.acquire(1, resumeFunc(func() { blocked = true }))
 	if blocked {
 		t.Fatal("grant while oversized entry resident")
 	}

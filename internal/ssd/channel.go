@@ -5,7 +5,7 @@ import (
 )
 
 // xferKind distinguishes channel jobs.
-type xferKind int
+type xferKind uint8
 
 const (
 	xferRead  xferKind = iota // die -> controller, lands in the ECC buffer
@@ -13,10 +13,10 @@ const (
 )
 
 // xferJob is one channel occupancy: a die-command's worth of pages.
-// The station queues jobs by value, so submitting allocates only while
-// the channel's backlog sets a new high-water mark.
+// The station queues jobs by value, so submitting allocates only when
+// the channel's backlog outgrows its ring's buffer, the first of which
+// is carved from a device slab.
 type xferJob struct {
-	kind  xferKind
 	pages int
 	// uncorPages of the read's pages will fail the subsequent decode
 	// (their transfer time is accounted UNCOR); auxiliary transfers
@@ -25,13 +25,16 @@ type xferJob struct {
 	// engineTime is the ECC engine occupancy once transferred (decode
 	// and/or controller-side RP prediction time).
 	engineTime sim.Time
-	// onDecoded runs when the ECC engine finishes the job (reads) or
-	// when the transfer finishes (writes).
-	onDecoded func()
+	// onDecoded resumes when the ECC engine finishes the job (reads)
+	// or when the transfer finishes (writes).
+	onDecoded resumer
 	// label tags the job for timeline rendering.
 	label string
-	// resends counts injected-corruption re-transfers of this job.
-	resends int
+	kind  xferKind
+	// resends counts injected-corruption re-transfers of this job (at
+	// most maxXferResends). Its byte sits beside kind's, which keeps
+	// the job at 64 bytes.
+	resends uint8
 }
 
 // maxXferResends bounds corruption-driven re-transfers of one job;
@@ -92,13 +95,16 @@ type channelStation struct {
 	opened            sim.Time // window start (engine time at creation)
 }
 
-func newChannelStation(eng *sim.Engine, tDMAPage sim.Time, bufSlots int) *channelStation {
+// newChannelStation builds a channel whose queues carve their first
+// buffers from slab (nil: each makes its own).
+func newChannelStation(eng *sim.Engine, tDMAPage sim.Time, bufSlots int, slab *[]xferJob) *channelStation {
 	c := &channelStation{
 		eng:      eng,
 		tDMAPage: tDMAPage,
 		bufSlots: bufSlots,
 		opened:   eng.Now(),
 	}
+	c.pending.slab, c.decodeQueue.slab = slab, slab
 	c.onXferDone = c.xferDone
 	c.onDecodeDone = c.decodeDone
 	return c
@@ -160,7 +166,7 @@ func (c *channelStation) xferDone() {
 	case xferWrite:
 		c.write += dur
 		if job.onDecoded != nil {
-			job.onDecoded()
+			job.onDecoded.resume()
 		}
 	case xferRead:
 		if c.corrupt != nil && job.resends < maxXferResends && c.corrupt() {
@@ -213,7 +219,7 @@ func (c *channelStation) decodeDone() {
 	}
 	c.bufInUse--
 	if job.onDecoded != nil {
-		job.onDecoded()
+		job.onDecoded.resume()
 	}
 	c.tryStartDecode()
 	c.tryStartXfer() // a freed buffer slot may unblock the channel

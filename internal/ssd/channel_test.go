@@ -8,11 +8,11 @@ import (
 
 func TestChannelTransfersFIFO(t *testing.T) {
 	eng := sim.NewEngine()
-	ch := newChannelStation(eng, 10*sim.Microsecond, 2)
+	ch := newChannelStation(eng, 10*sim.Microsecond, 2, nil)
 	var order []int
 	mk := func(id int) xferJob {
 		return xferJob{kind: xferRead, pages: 1, engineTime: sim.Microsecond,
-			onDecoded: func() { order = append(order, id) }}
+			onDecoded: resumeFunc(func() { order = append(order, id) })}
 	}
 	eng.At(0, func() {
 		ch.submit(mk(1))
@@ -32,7 +32,7 @@ func TestChannelTransfersFIFO(t *testing.T) {
 
 func TestChannelCorUncorSplit(t *testing.T) {
 	eng := sim.NewEngine()
-	ch := newChannelStation(eng, 10*sim.Microsecond, 2)
+	ch := newChannelStation(eng, 10*sim.Microsecond, 2, nil)
 	eng.At(0, func() {
 		ch.submit(xferJob{kind: xferRead, pages: 4, uncorPages: 1, engineTime: 0})
 	})
@@ -45,10 +45,10 @@ func TestChannelCorUncorSplit(t *testing.T) {
 
 func TestChannelWriteAccounting(t *testing.T) {
 	eng := sim.NewEngine()
-	ch := newChannelStation(eng, 10*sim.Microsecond, 2)
+	ch := newChannelStation(eng, 10*sim.Microsecond, 2, nil)
 	done := false
 	eng.At(0, func() {
-		ch.submit(xferJob{kind: xferWrite, pages: 3, onDecoded: func() { done = true }})
+		ch.submit(xferJob{kind: xferWrite, pages: 3, onDecoded: resumeFunc(func() { done = true })})
 	})
 	eng.Run()
 	if !done {
@@ -65,13 +65,13 @@ func TestChannelECCBufferBackpressure(t *testing.T) {
 	// must wait for the first decode to finish even though the wires
 	// are free — the Fig. 7 ECCWAIT condition.
 	eng := sim.NewEngine()
-	ch := newChannelStation(eng, 10*sim.Microsecond, 2)
+	ch := newChannelStation(eng, 10*sim.Microsecond, 2, nil)
 	var thirdDecoded sim.Time
 	eng.At(0, func() {
 		ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: 100 * sim.Microsecond})
 		ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: 100 * sim.Microsecond})
 		ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: sim.Microsecond,
-			onDecoded: func() { thirdDecoded = eng.Now() }})
+			onDecoded: resumeFunc(func() { thirdDecoded = eng.Now() })})
 	})
 	eng.Run()
 	// Timeline: x1 0-10, decode1 10-110; x2 10-20 (slot 2);
@@ -89,7 +89,7 @@ func TestChannelECCBufferBackpressure(t *testing.T) {
 
 func TestChannelNoECCWaitWhenBufferDeep(t *testing.T) {
 	eng := sim.NewEngine()
-	ch := newChannelStation(eng, 10*sim.Microsecond, 8)
+	ch := newChannelStation(eng, 10*sim.Microsecond, 8, nil)
 	eng.At(0, func() {
 		for i := 0; i < 4; i++ {
 			ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: 100 * sim.Microsecond})
@@ -104,11 +104,11 @@ func TestChannelNoECCWaitWhenBufferDeep(t *testing.T) {
 func TestChannelWriteBypassesECCBuffer(t *testing.T) {
 	// A write transfer must proceed while the ECC buffer is full.
 	eng := sim.NewEngine()
-	ch := newChannelStation(eng, 10*sim.Microsecond, 1)
+	ch := newChannelStation(eng, 10*sim.Microsecond, 1, nil)
 	var writeDone sim.Time
 	eng.At(0, func() {
 		ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: 500 * sim.Microsecond})
-		ch.submit(xferJob{kind: xferWrite, pages: 1, onDecoded: func() { writeDone = eng.Now() }})
+		ch.submit(xferJob{kind: xferWrite, pages: 1, onDecoded: resumeFunc(func() { writeDone = eng.Now() })})
 	})
 	eng.Run()
 	if writeDone != 20*sim.Microsecond {
@@ -118,7 +118,7 @@ func TestChannelWriteBypassesECCBuffer(t *testing.T) {
 
 func TestChannelUsageFractionsSumToOne(t *testing.T) {
 	eng := sim.NewEngine()
-	ch := newChannelStation(eng, 10*sim.Microsecond, 2)
+	ch := newChannelStation(eng, 10*sim.Microsecond, 2, nil)
 	eng.At(0, func() {
 		ch.submit(xferJob{kind: xferRead, pages: 2, uncorPages: 1, engineTime: 50 * sim.Microsecond})
 		ch.submit(xferJob{kind: xferWrite, pages: 1})
@@ -137,7 +137,7 @@ func TestChannelUsageFractionsSumToOne(t *testing.T) {
 
 func TestChannelUsageEmptyWindow(t *testing.T) {
 	eng := sim.NewEngine()
-	ch := newChannelStation(eng, 10*sim.Microsecond, 2)
+	ch := newChannelStation(eng, 10*sim.Microsecond, 2, nil)
 	idle, cor, uncor, wait := ch.usage().Fractions()
 	if idle != 1 || cor != 0 || uncor != 0 || wait != 0 {
 		t.Fatal("zero-window fractions wrong")

@@ -36,13 +36,14 @@ func (p DiePolicy) String() string {
 }
 
 // dieOp is one array operation. The station queues ops by value, so
-// queuing one allocates only while the die's backlog sets a new
-// high-water mark.
+// queuing one allocates only when the die's backlog outgrows its
+// ring's buffer, the first of which is carved from a device slab.
+// Whether it is a read is told by the queue it waits in (readRunning),
+// which keeps it at 40 bytes.
 type dieOp struct {
-	dur    sim.Time
-	isRead bool
-	label  string
-	done   func()
+	dur   sim.Time
+	label string
+	done  resumer
 }
 
 // dieStation schedules one die's array operations. Unlike the plain
@@ -62,12 +63,16 @@ type dieStation struct {
 	// The die runs one operation at a time, so the operation, its start
 	// instant and finish event live here, and one finish handler —
 	// bound once in newDieStation — serves every operation.
-	running   dieOp
-	busy      bool
-	startedAt sim.Time
-	finishAt  sim.Time
-	finishEvt sim.EventID
-	onFinish  func()
+	running dieOp
+	busy    bool
+	// readRunning marks a running operation taken from readQ. Under
+	// DieSuspension, the one policy that preempts, every read queues
+	// there, so the mark tells a read apart from a program.
+	readRunning bool
+	startedAt   sim.Time
+	finishAt    sim.Time
+	finishEvt   sim.EventID
+	onFinish    func()
 
 	suspended []dieOp // preempted programs, LIFO, each with its remaining time as dur
 
@@ -89,8 +94,11 @@ func (d *dieStation) noteDepth() {
 	}
 }
 
-func newDieStation(eng *sim.Engine, policy DiePolicy, resumePenalty sim.Time) *dieStation {
+// newDieStation builds a die whose queues carve their first buffers
+// from slab (nil: each makes its own).
+func newDieStation(eng *sim.Engine, policy DiePolicy, resumePenalty sim.Time, slab *[]dieOp) *dieStation {
 	d := &dieStation{eng: eng, policy: policy, resumePenalty: resumePenalty}
+	d.readQ.slab, d.progQ.slab = slab, slab
 	d.onFinish = d.finish
 	return d
 }
@@ -99,8 +107,8 @@ func newDieStation(eng *sim.Engine, policy DiePolicy, resumePenalty sim.Time) *d
 // names it on the timeline.
 //
 //riflint:hotpath
-func (d *dieStation) Read(dur sim.Time, label string, done func()) {
-	op := dieOp{dur: dur, isRead: true, label: label, done: done}
+func (d *dieStation) Read(dur sim.Time, label string, done resumer) {
+	op := dieOp{dur: dur, label: label, done: done}
 	if d.policy == DieFIFO {
 		d.progQ.push(op) // single queue in FIFO mode
 	} else {
@@ -111,8 +119,8 @@ func (d *dieStation) Read(dur sim.Time, label string, done func()) {
 	d.kick()
 }
 
-// Program schedules a program/erase/GC occupancy.
-func (d *dieStation) Program(dur sim.Time, done func()) {
+// Program schedules a program/erase/GC occupancy; done may be nil.
+func (d *dieStation) Program(dur sim.Time, done resumer) {
 	d.progQ.push(dieOp{dur: dur, label: "W", done: done})
 	d.noteDepth()
 	d.kick()
@@ -121,7 +129,7 @@ func (d *dieStation) Program(dur sim.Time, done func()) {
 // maybePreempt suspends a running program when policy allows and a
 // read is waiting.
 func (d *dieStation) maybePreempt() {
-	if d.policy != DieSuspension || !d.busy || d.running.isRead || d.readQ.len() == 0 {
+	if d.policy != DieSuspension || !d.busy || d.readRunning || d.readQ.len() == 0 {
 		return
 	}
 	remaining := d.finishAt - d.eng.Now()
@@ -143,8 +151,9 @@ func (d *dieStation) kick() {
 		return
 	}
 	var op dieOp
+	d.readRunning = d.readQ.len() > 0
 	switch {
-	case d.readQ.len() > 0:
+	case d.readRunning:
 		op = d.readQ.pop()
 	case len(d.suspended) > 0:
 		// Resume the most recently suspended program.
@@ -174,7 +183,7 @@ func (d *dieStation) finish() {
 		d.record(d.name, op.label, d.startedAt, d.eng.Now())
 	}
 	if op.done != nil {
-		op.done()
+		op.done.resume()
 	}
 	d.kick()
 }

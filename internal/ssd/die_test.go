@@ -2,17 +2,37 @@ package ssd
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
 
+// resumeFunc adapts a func to a resumer, so station tests can hand the
+// stations plain closures as continuations.
+type resumeFunc func()
+
+func (f resumeFunc) resume() { f() }
+
+// TestQueuedRecordSizes pins the sizes of the records stations queue by
+// value, which their rings copy and a fresh device's first buffers
+// hold: a resumer is two words where a func was one, so each record
+// packs its flags to stay the size it was.
+func TestQueuedRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(dieOp{}); n != 40 {
+		t.Errorf("dieOp is %d bytes, want 40", n)
+	}
+	if n := unsafe.Sizeof(xferJob{}); n != 64 {
+		t.Errorf("xferJob is %d bytes, want 64", n)
+	}
+}
+
 func TestDieFIFOOrder(t *testing.T) {
 	eng := sim.NewEngine()
-	d := newDieStation(eng, DieFIFO, 0)
+	d := newDieStation(eng, DieFIFO, 0, nil)
 	var order []string
 	eng.At(0, func() {
-		d.Program(100, func() { order = append(order, "prog") })
-		d.Read(10, "R", func() { order = append(order, "read") })
+		d.Program(100, resumeFunc(func() { order = append(order, "prog") }))
+		d.Read(10, "R", resumeFunc(func() { order = append(order, "read") }))
 	})
 	eng.Run()
 	if order[0] != "prog" || order[1] != "read" {
@@ -25,13 +45,13 @@ func TestDieFIFOOrder(t *testing.T) {
 
 func TestDieReadPriorityJumpsQueue(t *testing.T) {
 	eng := sim.NewEngine()
-	d := newDieStation(eng, DieReadPriority, 0)
+	d := newDieStation(eng, DieReadPriority, 0, nil)
 	var order []string
 	var readDone sim.Time
 	eng.At(0, func() {
-		d.Program(100, func() { order = append(order, "p1") })
-		d.Program(100, func() { order = append(order, "p2") })
-		d.Read(10, "R", func() { order = append(order, "read"); readDone = eng.Now() })
+		d.Program(100, resumeFunc(func() { order = append(order, "p1") }))
+		d.Program(100, resumeFunc(func() { order = append(order, "p2") }))
+		d.Read(10, "R", resumeFunc(func() { order = append(order, "read"); readDone = eng.Now() }))
 	})
 	eng.Run()
 	// The read overtakes p2 but does not preempt p1.
@@ -46,13 +66,13 @@ func TestDieReadPriorityJumpsQueue(t *testing.T) {
 func TestDieSuspensionPreemptsProgram(t *testing.T) {
 	eng := sim.NewEngine()
 	const penalty = 20
-	d := newDieStation(eng, DieSuspension, penalty)
+	d := newDieStation(eng, DieSuspension, penalty, nil)
 	var readDone, progDone sim.Time
 	eng.At(0, func() {
-		d.Program(400, func() { progDone = eng.Now() })
+		d.Program(400, resumeFunc(func() { progDone = eng.Now() }))
 	})
 	eng.At(50, func() {
-		d.Read(40, "R", func() { readDone = eng.Now() })
+		d.Read(40, "R", resumeFunc(func() { readDone = eng.Now() }))
 	})
 	eng.Run()
 	// Read preempts at t=50, finishes at 90.
@@ -70,9 +90,9 @@ func TestDieSuspensionPreemptsProgram(t *testing.T) {
 
 func TestDieSuspensionDoesNotPreemptReads(t *testing.T) {
 	eng := sim.NewEngine()
-	d := newDieStation(eng, DieSuspension, 20)
+	d := newDieStation(eng, DieSuspension, 20, nil)
 	var first sim.Time
-	eng.At(0, func() { d.Read(40, "R", func() { first = eng.Now() }) })
+	eng.At(0, func() { d.Read(40, "R", resumeFunc(func() { first = eng.Now() })) })
 	eng.At(10, func() { d.Read(40, "R", nil) })
 	eng.Run()
 	if first != 40 {
@@ -88,9 +108,9 @@ func TestDieSuspensionNestedPreemptions(t *testing.T) {
 	// erase eventually finishes with both penalties.
 	eng := sim.NewEngine()
 	const penalty = 20
-	d := newDieStation(eng, DieSuspension, penalty)
+	d := newDieStation(eng, DieSuspension, penalty, nil)
 	var eraseDone sim.Time
-	eng.At(0, func() { d.Program(3500, func() { eraseDone = eng.Now() }) })
+	eng.At(0, func() { d.Program(3500, resumeFunc(func() { eraseDone = eng.Now() })) })
 	eng.At(100, func() { d.Read(40, "R", nil) })
 	eng.At(1000, func() { d.Read(40, "R", nil) })
 	eng.Run()

@@ -24,11 +24,11 @@ type dieFlusher struct {
 	active   bool
 
 	// The flusher has one batch in flight at a time: its size and GC
-	// debt wait here for the two handlers newDieFlusher binds once.
-	batch        int
-	batchGC      sim.Time
-	onMoved      func()
-	onProgrammed func()
+	// debt wait here, and programming says which of the batch's two
+	// hand-offs the flusher resumes from next.
+	batch       int
+	batchGC     sim.Time
+	programming bool
 }
 
 func newDieFlusher(s *SSD, die *dieStation, ch *channelStation) *dieFlusher {
@@ -38,8 +38,9 @@ func newDieFlusher(s *SSD, die *dieStation, ch *channelStation) *dieFlusher {
 		ch:       ch,
 		perPlane: make([]ring[flushPage], s.cfg.Geometry.PlanesPerDie),
 	}
-	f.onMoved = f.moved
-	f.onProgrammed = f.programmed
+	for i := range f.perPlane {
+		f.perPlane[i].slab = &s.rings.pages
+	}
 	return f
 }
 
@@ -77,17 +78,19 @@ func (f *dieFlusher) flushBatch() {
 	}
 	f.pending -= batch
 	f.batch, f.batchGC = batch, gc
-	f.ch.submit(xferJob{kind: xferWrite, pages: batch, label: "W", onDecoded: f.onMoved})
+	f.ch.submit(xferJob{kind: xferWrite, pages: batch, label: "W", onDecoded: f})
 }
 
-// moved programs the batch once it has crossed the channel.
-func (f *dieFlusher) moved() {
-	f.die.Program(f.batchGC+f.ssd.cfg.Timing.TProg, f.onProgrammed)
-}
-
-// programmed releases the durable batch's cache slots and flushes the
-// next batch.
-func (f *dieFlusher) programmed() {
+// resume advances the batch in flight. Once it has crossed the
+// channel, the die programs it; once programmed, its cache slots are
+// released and the next batch flushes.
+func (f *dieFlusher) resume() {
+	if !f.programming {
+		f.programming = true
+		f.die.Program(f.batchGC+f.ssd.cfg.Timing.TProg, f)
+		return
+	}
+	f.programming = false
 	f.ssd.cache.release(f.batch)
 	f.flushBatch()
 }

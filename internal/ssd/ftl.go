@@ -18,14 +18,16 @@ import (
 // never rewritten), the upper half is the active write region managed
 // with free-block lists and greedy garbage collection.
 //
-// Every table is a slice, made on first use: the forward map in
-// chunks, a plane's free list on the plane's first open. Each block's
-// state lives in the device's one per-block table (blocks), whose
-// record a block gets on its first open. A block's page slots are held
-// only while it may hold valid data and are recycled through a spare
-// pool, so memory follows the live data, not the pages ever written.
-// Once the pool is warm, a write allocates nothing, even one that
-// collects garbage or migrates a block for read-reclaim.
+// Every table is made on first use: the forward map in chunks, a
+// plane's list of erased blocks on the plane's first erase. Each
+// block's state lives in the device's one per-block table (blocks),
+// whose record a block gets on its first open. A block's page slots
+// come in chunks, carved as its cursor reaches them, and are held only
+// while it may hold valid data; released chunks are recycled through a
+// pool, so memory follows the live data, not the blocks opened or the
+// pages ever written. Once the pools are warm, a write allocates
+// nothing, even one that collects garbage or migrates a block for
+// read-reclaim.
 type FTL struct {
 	geo       nand.Geometry
 	writeBase int   // first block of the write region in every plane
@@ -48,12 +50,19 @@ type FTL struct {
 
 	planes []planeState
 
-	// slotArrays holds every page-slot array made so far; a block's
-	// record names its array by index plus one (slotsOf). spare lists
-	// the cleared arrays, those of no block holding valid data, for the
-	// next block that opens.
-	slotArrays [][]pageSlot
-	spare      []int32
+	// slotSets holds every slot set made so far: a block's record
+	// names its set by index plus one (slotsOf), and the set holds the
+	// block's chunks in page order, nil past its cursor. spare lists the
+	// emptied sets, those of no block holding valid data, and chunkPool
+	// the cleared chunks, for the next block that opens or fills a
+	// chunk. New sets are carved from setSlab, setLen pointers each,
+	// and new chunks from chunkSlab.
+	slotSets  [][]*slotChunk
+	setLen    int
+	spare     []int32
+	chunkPool []*slotChunk
+	setSlab   []*slotChunk
+	chunkSlab []slotChunk
 
 	// Counters surfaced through Metrics.
 	gcRuns         int64
@@ -68,13 +77,23 @@ const (
 	fwdMask  = fwdChunk - 1
 )
 
+// planeState is one plane's allocator. Its free blocks are of two
+// kinds. Blocks never opened since the device was built carry no wear
+// (unless wear is seeded onto them), so they are taken lowest first by
+// a cursor: none below nextUnused is one, and unused counts those at
+// or above it, retired ones excluded. Blocks erased since are listed,
+// most recently erased first, and taken by a wear scan.
 type planeState struct {
 	addr        nand.Address // channel/die/plane coordinates
 	idx         int          // dense plane index
 	cursorBlock int
 	cursorPage  int
-	// freeBlocks is nil until the plane first opens a block.
-	freeBlocks []int
+	nextUnused  int
+	unused      int
+	// listed holds the erased free blocks. Once wear is seeded onto a
+	// never-opened block, the plane's never-opened blocks join the
+	// list, highest first, and the scan weighs them too (listUnused).
+	listed []int
 }
 
 // pageSlot is what one physical page holds.
@@ -82,6 +101,17 @@ type pageSlot struct {
 	lpn uint32   // lpn + 1; 0 when the page holds no valid data
 	at  sim.Time // the data's write time, kept across relocation
 }
+
+// A block's page slots come in chunks of slotChunkPages pages (256
+// bytes): a Fig. 17 cell writes a few dozen pages per plane, so one
+// to three chunks of an opened block's eight.
+const (
+	slotShift      = 4
+	slotChunkPages = 1 << slotShift
+	slotMask       = slotChunkPages - 1
+)
+
+type slotChunk [slotChunkPages]pageSlot
 
 // NewFTL builds the translation layer for a geometry. Its page count
 // must fit a uint32, as Config.Validate checks.
@@ -92,6 +122,7 @@ func NewFTL(geo nand.Geometry) *FTL {
 		writeBase: geo.BlocksPerPlane / 2,
 		pages:     pages,
 		blocks:    newBlockTable(geo.TotalBlocks()),
+		setLen:    (geo.PagesPerBlock + slotMask) >> slotShift,
 		fwd:       make([]*[fwdChunk]uint32, (pages+fwdChunk-1)>>fwdShift),
 	}
 	nPlanes := geo.TotalDies() * geo.PlanesPerDie
@@ -102,21 +133,10 @@ func NewFTL(geo nand.Geometry) *FTL {
 		p.addr = nand.Address{Channel: ch, Die: die, Plane: pl}
 		p.idx = i
 		p.cursorBlock = -1
+		p.nextUnused = f.writeBase
+		p.unused = geo.BlocksPerPlane - f.writeBase
 	}
 	return f
-}
-
-// touch makes a plane's free list on its first use. Free blocks: the
-// whole write region, allocated low-first.
-func (f *FTL) touch(p *planeState) {
-	if p.freeBlocks != nil {
-		return
-	}
-	n := f.geo.BlocksPerPlane - f.writeBase
-	p.freeBlocks = make([]int, 0, n)
-	for b := f.geo.BlocksPerPlane - 1; b >= f.writeBase; b-- {
-		p.freeBlocks = append(p.freeBlocks, b)
-	}
 }
 
 // planeIndexOfAddr maps physical coordinates back to the plane index.
@@ -194,12 +214,18 @@ func (f *FTL) slotOf(ppn uint32) (p *planeState, b *blockState, block, page int,
 	p = &f.planes[bid/uint32(f.geo.BlocksPerPlane)]
 	block = int(bid % uint32(f.geo.BlocksPerPlane))
 	b = f.blocks.at(int(bid))
-	return p, b, block, page, &f.slotsOf(b)[page]
+	return p, b, block, page, f.slot(b, page)
 }
 
-// slotsOf returns a block's page slots, by page in block. The block
-// must hold them: it is open or holds valid data.
-func (f *FTL) slotsOf(b *blockState) []pageSlot { return f.slotArrays[b.slots-1] }
+// slotsOf returns a block's slot set: its chunks in page order, nil
+// past the chunk its cursor has reached. The block must hold one: it
+// is open or holds valid data.
+func (f *FTL) slotsOf(b *blockState) []*slotChunk { return f.slotSets[b.slots-1] }
+
+// slot returns the slot of a written page of a block that holds slots.
+func (f *FTL) slot(b *blockState, page int) *pageSlot {
+	return &f.slotsOf(b)[page>>slotShift][page&slotMask]
+}
 
 // Lookup resolves a logical page. For pages written during the run it
 // reports the mapped address and the write timestamp; for cold pages
@@ -245,15 +271,14 @@ func (f *FTL) Write(lpn int64, now sim.Time, gcLow int) (nand.Address, GCWork, e
 
 	var gc GCWork
 	if p.cursorBlock < 0 || p.cursorPage >= f.geo.PagesPerBlock {
-		f.touch(p)
 		victim := -1
-		if len(p.freeBlocks) <= gcLow {
+		if p.free() <= gcLow {
 			var err error
 			if gc, victim, err = f.collect(p); err != nil {
 				return nand.Address{}, GCWork{}, err
 			}
 		}
-		if len(p.freeBlocks) == 0 {
+		if p.free() == 0 {
 			return nand.Address{}, GCWork{}, fmt.Errorf("ssd: plane %v out of free blocks", p.addr)
 		}
 		f.open(p)
@@ -283,18 +308,40 @@ func (f *FTL) open(p *planeState) {
 		b.slots = f.spare[n-1]
 		f.spare = f.spare[:n-1]
 	} else {
-		f.slotArrays = append(f.slotArrays, make([]pageSlot, f.geo.PagesPerBlock))
-		b.slots = int32(len(f.slotArrays))
+		f.slotSets = append(f.slotSets, carve(&f.setSlab, f.setLen))
+		b.slots = int32(len(f.slotSets))
 	}
 	b.live = true
 }
 
-// release clears a block's page slots into the spare pool: the block
-// holds no valid data.
+// release clears a block's slot chunks into the pool and its emptied
+// set into the spares: the block holds no valid data.
 func (f *FTL) release(b *blockState) {
-	clear(f.slotsOf(b))
+	set := f.slotsOf(b)
+	for i, c := range set {
+		if c == nil {
+			break
+		}
+		clear(c[:])
+		f.chunkPool = append(f.chunkPool, c)
+		set[i] = nil
+	}
 	f.spare = append(f.spare, b.slots)
 	b.slots = 0
+}
+
+// addChunk gives a block the slot chunk holding page, which its
+// cursor has just reached: a cleared one from the pool, or one carved
+// from the slab.
+func (f *FTL) addChunk(b *blockState, page int) {
+	var c *slotChunk
+	if n := len(f.chunkPool); n > 0 {
+		c = f.chunkPool[n-1]
+		f.chunkPool = f.chunkPool[:n-1]
+	} else {
+		c = &carve(&f.chunkSlab, 1)[0]
+	}
+	f.slotsOf(b)[page>>slotShift] = c
 }
 
 // place programs lpn's data, written at time at, into the plane's
@@ -305,7 +352,10 @@ func (f *FTL) place(p *planeState, lpn int64, at sim.Time) nand.Address {
 	addr.Page = p.cursorPage
 	p.cursorPage++
 	b := f.block(p, addr.Block)
-	f.slotsOf(b)[addr.Page] = pageSlot{lpn: uint32(lpn) + 1, at: at}
+	if addr.Page&slotMask == 0 {
+		f.addChunk(b, addr.Page)
+	}
+	*f.slot(b, addr.Page) = pageSlot{lpn: uint32(lpn) + 1, at: at}
 	b.valid++
 	c := f.fwd[lpn>>fwdShift]
 	if c == nil {
@@ -350,28 +400,27 @@ func (f *FTL) failover(pIdx int) (int, bool) {
 }
 
 // RetireBlock pulls a grown-bad block out of circulation: it is
-// removed from its plane's free list (if free) and will never be
-// returned to it by garbage collection. Retirement erases the block,
+// removed from its plane's free blocks (if free) and will never be
+// returned to them by garbage collection. Retirement erases the block,
 // so its disturb counter clears.
 func (f *FTL) RetireBlock(a nand.Address) {
 	p := &f.planes[f.planeIndexOfAddr(a)]
 	b := f.block(p, a.Block)
+	if !b.retired && a.Block >= p.nextUnused {
+		p.unused-- // the cursor over never-opened blocks skips it
+	}
 	b.retired = true
 	b.reads = 0
-	f.touch(p)
-	for i, b := range p.freeBlocks {
+	for i, b := range p.listed {
 		if b == a.Block {
-			p.freeBlocks = append(p.freeBlocks[:i], p.freeBlocks[i+1:]...)
+			p.listed = append(p.listed[:i], p.listed[i+1:]...)
 			return
 		}
 	}
 }
 
 // blockRetired reports whether the block at a has been retired.
-func (f *FTL) blockRetired(a nand.Address) bool {
-	b := f.blocks.peek(f.geo.BlockID(a))
-	return b != nil && b.retired
-}
+func (f *FTL) blockRetired(a nand.Address) bool { return f.blocks.retired(f.geo.BlockID(a)) }
 
 // Failovers reports how many writes were re-homed off dead dies.
 func (f *FTL) Failovers() int64 { return f.dieFailovers }
@@ -418,25 +467,30 @@ func (f *FTL) relocateValid(p *planeState, block int) (int, error) {
 		return 0, nil // no valid data
 	}
 	moved := 0
-	for _, s := range f.slotsOf(b) {
-		if s.lpn == 0 {
-			continue
+	for _, c := range f.slotsOf(b) {
+		if c == nil {
+			break
 		}
-		if p.cursorBlock < 0 || p.cursorPage >= f.geo.PagesPerBlock {
-			if len(p.freeBlocks) == 0 {
-				return 0, fmt.Errorf("ssd: plane %v wedged during relocation", p.addr)
+		for _, s := range c {
+			if s.lpn == 0 {
+				continue
 			}
-			f.open(p)
+			if p.cursorBlock < 0 || p.cursorPage >= f.geo.PagesPerBlock {
+				if p.free() == 0 {
+					return 0, fmt.Errorf("ssd: plane %v wedged during relocation", p.addr)
+				}
+				f.open(p)
+			}
+			f.place(p, int64(s.lpn-1), s.at)
+			moved++
 		}
-		f.place(p, int64(s.lpn-1), s.at)
-		moved++
 	}
 	return moved, nil
 }
 
 // erase wipes a relocated block's FTL state and returns the block to
-// the front of the free list, unless it has been retired. The caller
-// counts the erase (noteErase).
+// the front of the plane's list, unless it has been retired. The
+// caller counts the erase (noteErase).
 func (f *FTL) erase(p *planeState, block int) {
 	b := f.block(p, block)
 	if b.slots != 0 {
@@ -447,9 +501,9 @@ func (f *FTL) erase(p *planeState, block int) {
 	if b.retired {
 		return
 	}
-	p.freeBlocks = append(p.freeBlocks, 0)
-	copy(p.freeBlocks[1:], p.freeBlocks)
-	p.freeBlocks[0] = block
+	p.listed = append(p.listed, 0)
+	copy(p.listed[1:], p.listed)
+	p.listed[0] = block
 }
 
 // ReclaimBlock migrates a specific write-region block's valid pages
@@ -463,7 +517,7 @@ func (f *FTL) erase(p *planeState, block int) {
 func (f *FTL) ReclaimBlock(a nand.Address) (GCWork, error) {
 	p := &f.planes[f.planeIndexOfAddr(a)]
 	b := f.blocks.peek(f.geo.BlockID(a))
-	if a.Block < f.writeBase || b == nil || !b.live || b.retired || len(p.freeBlocks) == 0 {
+	if a.Block < f.writeBase || b == nil || !b.live || b.retired || p.free() == 0 {
 		return GCWork{}, nil
 	}
 	if a.Block == p.cursorBlock {
@@ -485,33 +539,67 @@ func (f *FTL) ReclaimBlock(a nand.Address) (GCWork, error) {
 // below it hold the immutable pre-fill image.
 func (f *FTL) WriteBase() int { return f.writeBase }
 
-// popFreeBlock takes a block from the plane's free list: the
-// least-erased one (dynamic wear leveling), preferring the list's last
-// entry, then its first, on a tie. It reads wear without making a
-// record: a block never opened has none and no wear.
+// popFreeBlock takes one of the plane's free blocks: the least-erased
+// one (dynamic wear leveling). A never-opened block carries no wear,
+// so while one remains the lowest is taken. Otherwise the listed
+// blocks are scanned, preferring the list's last entry, then its
+// first, on a tie. This is the choice of one list holding the erased
+// blocks, most recent first, and then the never-opened ones, highest
+// first: its last entry is the lowest never-opened block, and no block
+// is less worn. It reads wear without making a record.
 func (f *FTL) popFreeBlock(p *planeState) int {
 	base := p.idx * f.geo.BlocksPerPlane
-	idx := len(p.freeBlocks) - 1
-	best := f.blocks.erasesOf(base + p.freeBlocks[idx])
-	for i, b := range p.freeBlocks[:idx] {
+	if p.unused > 0 {
+		for f.blocks.retired(base + p.nextUnused) {
+			p.nextUnused++
+		}
+		p.unused--
+		p.nextUnused++
+		return p.nextUnused - 1
+	}
+	idx := len(p.listed) - 1
+	best := f.blocks.erasesOf(base + p.listed[idx])
+	for i, b := range p.listed[:idx] {
 		if w := f.blocks.erasesOf(base + b); w < best {
 			best = w
 			idx = i
 		}
 	}
-	block := p.freeBlocks[idx]
-	p.freeBlocks = append(p.freeBlocks[:idx], p.freeBlocks[idx+1:]...)
+	block := p.listed[idx]
+	p.listed = append(p.listed[:idx], p.listed[idx+1:]...)
 	return block
 }
 
-// FreeBlocks reports a plane's free-block count (for tests).
-func (f *FTL) FreeBlocks(planeIdx int) int {
-	p := &f.planes[planeIdx]
-	if p.freeBlocks == nil {
-		return f.geo.BlocksPerPlane - f.writeBase
+// listUnused moves the plane's never-opened blocks onto its list,
+// highest first, behind the erased ones, so that the wear scan weighs
+// them: it must once wear is seeded onto one of them.
+func (f *FTL) listUnused(p *planeState) {
+	base := p.idx * f.geo.BlocksPerPlane
+	for b := f.geo.BlocksPerPlane - 1; b >= p.nextUnused; b-- {
+		if !f.blocks.retired(base + b) {
+			p.listed = append(p.listed, b)
+		}
 	}
-	return len(p.freeBlocks)
+	p.nextUnused = f.geo.BlocksPerPlane
+	p.unused = 0
 }
+
+// seedErases sets block bid's erase count: SeedBlockState's wear.
+// Wear seeded onto a never-opened block of the write region ends its
+// plane's lowest-first shortcut (listUnused).
+func (f *FTL) seedErases(bid int, erases int32) {
+	p := &f.planes[bid/f.geo.BlocksPerPlane]
+	if erases != 0 && bid%f.geo.BlocksPerPlane >= p.nextUnused {
+		f.listUnused(p)
+	}
+	f.blocks.at(bid).erases = erases
+}
+
+// free reports the plane's free-block count.
+func (p *planeState) free() int { return p.unused + len(p.listed) }
+
+// FreeBlocks reports a plane's free-block count (for tests).
+func (f *FTL) FreeBlocks(planeIdx int) int { return f.planes[planeIdx].free() }
 
 // PlaneCount reports the number of planes.
 func (f *FTL) PlaneCount() int { return len(f.planes) }

@@ -365,7 +365,7 @@ func checkFTL(f *FTL, want map[int64]sim.Time, lpns int64) string {
 		}
 		seen[a] = lpn
 		b := f.blocks.get(f.geo.BlockID(a))
-		if got := f.slotsOf(&b)[a.Page].lpn; got != uint32(lpn)+1 {
+		if got := f.slot(&b, a.Page).lpn; got != uint32(lpn)+1 {
 			return fmt.Sprintf("page %+v of lpn %d holds slot %d", a, lpn, got)
 		}
 	}
@@ -373,18 +373,15 @@ func checkFTL(f *FTL, want map[int64]sim.Time, lpns int64) string {
 	for i := range f.planes {
 		p := &f.planes[i]
 		region := f.geo.BlocksPerPlane - f.writeBase
-		if p.freeBlocks == nil {
-			if n := f.FreeBlocks(i); n != region {
-				return fmt.Sprintf("untouched plane %d reports %d of %d blocks free", i, n, region)
-			}
-			continue
-		}
 		free := map[int]bool{}
-		for _, b := range p.freeBlocks {
+		for _, b := range freeList(f, p) {
 			if free[b] {
 				return fmt.Sprintf("plane %d lists block %d free twice", i, b)
 			}
 			free[b] = true
+		}
+		if n := f.FreeBlocks(i); n != len(free) {
+			return fmt.Sprintf("plane %d counts %d free blocks and holds %d", i, n, len(free))
 		}
 		inUse, idleRetired := 0, 0
 		for block := f.writeBase; block < f.geo.BlocksPerPlane; block++ {

@@ -3,10 +3,10 @@ package ssd
 import "repro/internal/sim"
 
 // hostXfer is one transfer waiting for the host link: how long it
-// holds the link and what runs when it lands.
+// holds the link and what resumes when it lands.
 type hostXfer struct {
 	d    sim.Time
-	done func()
+	done resumer
 }
 
 // hostLink is the device's host interface: one transfer crosses it at
@@ -18,7 +18,7 @@ type hostXfer struct {
 type hostLink struct {
 	eng      *sim.Engine
 	busy     bool
-	done     func() // the running transfer's continuation
+	done     resumer // the running transfer's continuation
 	pending  ring[hostXfer]
 	onFinish func()
 }
@@ -30,10 +30,10 @@ func newHostLink(eng *sim.Engine) *hostLink {
 }
 
 // transfer holds the link for d once the transfers ahead of it have
-// crossed, then runs done.
+// crossed, then resumes done.
 //
 //riflint:hotpath
-func (h *hostLink) transfer(d sim.Time, done func()) {
+func (h *hostLink) transfer(d sim.Time, done resumer) {
 	if h.busy {
 		h.pending.push(hostXfer{d: d, done: done})
 		return
@@ -42,7 +42,7 @@ func (h *hostLink) transfer(d sim.Time, done func()) {
 }
 
 // start puts a transfer on the link.
-func (h *hostLink) start(d sim.Time, done func()) {
+func (h *hostLink) start(d sim.Time, done resumer) {
 	h.busy, h.done = true, done
 	h.eng.After(d, h.onFinish)
 }
@@ -60,5 +60,5 @@ func (h *hostLink) finish() {
 		next := h.pending.pop()
 		h.start(next.d, next.done)
 	}
-	done()
+	done.resume()
 }

@@ -18,10 +18,10 @@ func TestHostLinkFIFOOrder(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for i := 1; i <= 3; i++ {
 			id := 3*round + i
-			h.transfer(sim.Time(10*i), func() {
+			h.transfer(sim.Time(10*i), resumeFunc(func() {
 				order = append(order, id)
 				at = append(at, eng.Now())
-			})
+			}))
 		}
 		eng.Run()
 	}
@@ -43,10 +43,10 @@ func TestHostLinkChainsDone(t *testing.T) {
 	eng := sim.NewEngine()
 	h := newHostLink(eng)
 	var chainedAt, bAt sim.Time = -1, -1
-	h.transfer(10, func() {
-		h.transfer(5, func() { chainedAt = eng.Now() })
-	})
-	h.transfer(10, func() { bAt = eng.Now() })
+	h.transfer(10, resumeFunc(func() {
+		h.transfer(5, resumeFunc(func() { chainedAt = eng.Now() }))
+	}))
+	h.transfer(10, resumeFunc(func() { bAt = eng.Now() }))
 	eng.Run()
 	if bAt != 20 || chainedAt != 25 {
 		t.Fatalf("queued transfer landed at %v and chained one at %v, want 20 and 25", bAt, chainedAt)
@@ -64,12 +64,12 @@ func TestHostLinkBackToBack(t *testing.T) {
 	const n, d = 20, 13
 	landed := 0
 	for i := 0; i < n; i++ {
-		h.transfer(d, func() {
+		h.transfer(d, resumeFunc(func() {
 			landed++
 			if eng.Now() != sim.Time(landed*d) {
 				t.Errorf("transfer %d landed at %v, want %v", landed, eng.Now(), sim.Time(landed*d))
 			}
-		})
+		}))
 	}
 	if end := eng.Run(); end != n*d || landed != n {
 		t.Fatalf("%d transfers ended at %v, want %d at %v", landed, end, n, sim.Time(n*d))
@@ -83,7 +83,7 @@ func TestHostLinkBackToBack(t *testing.T) {
 func TestHostLinkZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	h := newHostLink(eng)
-	done := func() {}
+	done := resumeFunc(func() {})
 	burst := func() {
 		for i := 0; i < 16; i++ {
 			h.transfer(sim.Time(i+1), done)

@@ -59,3 +59,27 @@ func TestRingMatchesSliceModel(t *testing.T) {
 		model = model[1:]
 	}
 }
+
+// TestRingCarvesFirstBuffer: rings sharing a slab take their first
+// buffers from it, ringFirst elements each, and double past that.
+func TestRingCarvesFirstBuffer(t *testing.T) {
+	var slab []int
+	var a, b ring[int]
+	a.slab, b.slab = &slab, &slab
+	a.push(1)
+	b.push(2)
+	if len(a.buf) != ringFirst || len(b.buf) != ringFirst || len(slab) != (recordSlab-2)*ringFirst {
+		t.Fatalf("first buffers of %d and %d, %d left in the slab", len(a.buf), len(b.buf), len(slab))
+	}
+	for i := 2; i <= ringFirst+1; i++ {
+		a.push(i)
+	}
+	if len(a.buf) != 2*ringFirst || len(slab) != (recordSlab-2)*ringFirst {
+		t.Fatalf("grown buffer of %d, %d left in the slab", len(a.buf), len(slab))
+	}
+	for i := 1; i <= ringFirst+1; i++ {
+		if got := a.pop(); got != i {
+			t.Fatalf("pop %d, want %d", got, i)
+		}
+	}
+}

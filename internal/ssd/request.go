@@ -34,12 +34,18 @@ type dieCommand struct {
 	n   int
 }
 
+// resumer is a continuation: what a station resumes once the
+// operation it was handed completes. A die command and a die's flusher
+// each wait on one operation at a time, so each is its own resumer and
+// records which step comes next; an interface holding a pointer does
+// not allocate.
+type resumer interface{ resume() }
+
 // cmdStage names the continuation a die command is waiting on.
 type cmdStage uint8
 
 const (
-	stageProbed         cmdStage = iota // dead die's probe sense timed out
-	stageSensed                         // first sense done
+	stageSensed         cmdStage = iota // first sense done
 	stageDecoded                        // first transfer decoded
 	stageSentinelSensed                 // Sentinel's extra read sensed
 	stageReread                         // ready for a retry round's re-sense
@@ -56,16 +62,14 @@ const (
 // dieCmd is one in-flight die command and the scratch its read or
 // write flow needs. A command waits on one thing at a time — a die
 // operation, a channel job, the host link, a write-cache grant — so
-// one handler, resumeFn, bound once when the record is first
-// allocated, serves every wait: the stage field names the step it
-// resumes.
+// the command itself is the resumer every wait is handed: the stage
+// field names the step it resumes.
 type dieCmd struct {
-	s        *SSD
-	parent   *hostReq
-	cmd      dieCommand
-	die      *dieStation
-	ch       *channelStation
-	resumeFn func()
+	s      *SSD
+	parent *hostReq
+	cmd    dieCommand
+	die    *dieStation
+	ch     *channelStation
 
 	// lbl and lblRetry tag the command's occupancies on the timeline;
 	// empty unless spans are recorded.
@@ -134,16 +138,14 @@ func (s *SSD) newCmd(parent *hostReq, cmd dieCommand) *dieCmd {
 		c.pages = carve(&s.pageSlab, p)
 		c.rbers = carve(&s.rberSlab, p)
 		c.failed = carve(&s.failSlab, p)
-		c.resumeFn = c.resume
 	}
 	*c = dieCmd{
-		s:        s,
-		parent:   parent,
-		cmd:      cmd,
-		resumeFn: c.resumeFn,
-		pages:    c.pages[:0],
-		rbers:    c.rbers[:0],
-		failed:   c.failed[:0],
+		s:      s,
+		parent: parent,
+		cmd:    cmd,
+		pages:  c.pages[:0],
+		rbers:  c.rbers[:0],
+		failed: c.failed[:0],
 	}
 	return c
 }
@@ -176,17 +178,15 @@ func (r *hostReq) cmdDone(res cmdResult) {
 	}
 }
 
-// then arms the command to resume at stage st and returns its handler.
-func (c *dieCmd) then(st cmdStage) func() {
+// then arms the command to resume at stage st and returns it.
+func (c *dieCmd) then(st cmdStage) resumer {
 	c.stage = st
-	return c.resumeFn
+	return c
 }
 
 // resume runs the step the command was waiting on.
 func (c *dieCmd) resume() {
 	switch c.stage {
-	case stageProbed:
-		c.complete(cmdResult{uncPages: c.cmd.n})
 	case stageSensed:
 		c.sensed()
 	case stageDecoded:

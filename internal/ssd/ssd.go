@@ -58,6 +58,12 @@ type SSD struct {
 	cache    *writeCache
 	flushers []*dieFlusher
 
+	// probes holds the read commands of dead dies, oldest first, whose
+	// probe sense has yet to time out; onProbe, bound in New when dies
+	// can drop out, fails the oldest.
+	probes  ring[*dieCmd]
+	onProbe func()
+
 	// workload feeds Run.
 	workload Workload
 	inFlight int
@@ -75,6 +81,9 @@ type SSD struct {
 	pageSlab []pageView
 	rberSlab []float64
 	failSlab []int
+	// rings holds the slabs the stations' queues carve their first
+	// buffers from (queue.go).
+	rings ringSlabs
 
 	nextCmd int
 
@@ -138,6 +147,7 @@ func New(cfg Config, w Workload) (*SSD, error) {
 			}
 			return down
 		}
+		s.onProbe = s.probed
 	}
 	s.m.Scheme = cfg.Scheme
 	s.m.PECycles = cfg.PECycles
@@ -151,7 +161,7 @@ func New(cfg Config, w Workload) (*SSD, error) {
 	nDies := cfg.Geometry.TotalDies()
 	s.dies = make([]*dieStation, 0, nDies)
 	for d := 0; d < nDies; d++ {
-		die := newDieStation(eng, cfg.DiePolicy, cfg.ResumePenalty)
+		die := newDieStation(eng, cfg.DiePolicy, cfg.ResumePenalty, &s.rings.ops)
 		if cfg.Trace != nil {
 			die.name = fmt.Sprintf("die%d", d)
 			die.record = cfg.Trace.Span
@@ -160,7 +170,7 @@ func New(cfg Config, w Workload) (*SSD, error) {
 	}
 	s.channels = make([]*channelStation, 0, cfg.Geometry.Channels)
 	for ch := 0; ch < cfg.Geometry.Channels; ch++ {
-		st := newChannelStation(eng, cfg.Timing.TDMAPage, cfg.ECCBufferSlots)
+		st := newChannelStation(eng, cfg.Timing.TDMAPage, cfg.ECCBufferSlots, &s.rings.jobs)
 		if cfg.Trace != nil {
 			st.name = fmt.Sprintf("ch%d", ch)
 			st.record = cfg.Trace.Span
@@ -464,7 +474,7 @@ func (s *SSD) SeedBlockState(reads, erases []int64) error {
 				return fmt.Errorf("ssd: SeedBlockState erases[%d] = %d out of range", i, e)
 			}
 			if e != 0 || s.ftl.blocks.peek(i) != nil {
-				s.ftl.blocks.at(i).erases = int32(e)
+				s.ftl.seedErases(i, int32(e))
 			}
 		}
 	}
@@ -500,10 +510,10 @@ func (s *SSD) retireBlock(p *pageView) {
 	s.ftl.RetireBlock(p.addr)
 }
 
-// hostTransfer moves pages across the host link, then runs next.
-func (s *SSD) hostTransfer(pages int, next func()) {
+// hostTransfer moves pages across the host link, then resumes next.
+func (s *SSD) hostTransfer(pages int, next resumer) {
 	if s.cfg.Timing.THostPage == 0 {
-		next()
+		next.resume()
 		return
 	}
 	s.host.transfer(sim.Time(pages)*s.cfg.Timing.THostPage, next)

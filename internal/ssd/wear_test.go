@@ -15,8 +15,7 @@ import (
 func TestUnwornScanPicksLastFree(t *testing.T) {
 	f := NewFTL(tinyGeo())
 	p := &f.planes[3]
-	f.touch(p)
-	free := append([]int(nil), p.freeBlocks...)
+	free := freeList(f, p)
 	for n := len(free); n > 0; n-- {
 		if got := f.popFreeBlock(p); got != free[n-1] {
 			t.Fatalf("unworn scan took block %d, want the last free entry %d of %v", got, free[n-1], free[:n])
@@ -39,7 +38,7 @@ func TestGCVictimOpensAtPreEraseWear(t *testing.T) {
 	ppb := f.geo.PagesPerBlock
 	// Overwrite two lpns of plane 0 until the next write collects.
 	i := 0
-	for ; p.freeBlocks == nil || len(p.freeBlocks) > gcLow || p.cursorPage < ppb; i++ {
+	for ; p.cursorBlock < 0 || f.FreeBlocks(p.idx) > gcLow || p.cursorPage < ppb; i++ {
 		if _, _, err := f.Write(int64(i%2)*16, 0, gcLow); err != nil {
 			t.Fatal(err)
 		}
@@ -52,8 +51,8 @@ func TestGCVictimOpensAtPreEraseWear(t *testing.T) {
 			victim, best = block, b.valid
 		}
 	}
-	for _, block := range p.freeBlocks {
-		f.block(p, block).erases = 1
+	for _, block := range freeList(f, p) {
+		f.seedErases(p.idx*f.geo.BlocksPerPlane+block, 1)
 	}
 	_, gc, err := f.Write(int64(i%2)*16, 0, gcLow)
 	if err != nil || gc.Erases != 1 {
@@ -91,9 +90,9 @@ func anyWear(s *SSD) bool {
 	return false
 }
 
-// checkPicksLeastWorn makes the last free block of every opened plane
-// the most worn, then requires the next allocation there to take a
-// least-worn block instead. It restores each free list.
+// checkPicksLeastWorn makes the last free block of every plane with a
+// choice the most worn, then requires the next allocation there to take
+// a least-worn block instead. It restores each free list.
 func checkPicksLeastWorn(t *testing.T, s *SSD) {
 	t.Helper()
 	geo := s.cfg.Geometry
@@ -105,13 +104,13 @@ func checkPicksLeastWorn(t *testing.T, s *SSD) {
 	checked := 0
 	for i := range s.ftl.planes {
 		p := &s.ftl.planes[i]
-		if len(p.freeBlocks) < 2 {
+		free := freeList(s.ftl, p)
+		if len(free) < 2 {
 			continue
 		}
-		free := append([]int(nil), p.freeBlocks...)
 		last := p.addr
 		last.Block = free[len(free)-1]
-		s.ftl.blocks.at(geo.BlockID(last)).erases += 100
+		s.ftl.seedErases(geo.BlockID(last), wearOf(p, last.Block)+100)
 		least := wearOf(p, free[0])
 		for _, b := range free {
 			if w := wearOf(p, b); w < least {
@@ -121,7 +120,7 @@ func checkPicksLeastWorn(t *testing.T, s *SSD) {
 		if got := s.ftl.popFreeBlock(p); wearOf(p, got) != least {
 			t.Fatalf("plane %d took block %d with %d erases, want one with %d", i, got, wearOf(p, got), least)
 		}
-		p.freeBlocks = free
+		p.listed = free
 		checked++
 	}
 	if checked == 0 {
