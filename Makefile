@@ -32,16 +32,18 @@ loc:
 
 # prof profiles `rifsim -fig 17 -workers 1`, the run ROADMAP's
 # profile figures are taken from: CPU and heap profiles land in
-# $(PROFDIR) (gitignored), and it prints the top 15 sites by bytes
-# (alloc_space) and by objects (alloc_objects) allocated over the run.
-# Heap profiles are sampled, so the figures are estimates. Not a CI
-# step.
+# $(PROFDIR) (gitignored), and it prints the top 15 functions by CPU
+# (flat) and the top 15 sites by bytes (alloc_space) and by objects
+# (alloc_objects) allocated over the run. Both profiles are sampled,
+# and the run takes about a second, so the figures are estimates.
+# Not a CI step.
 PROFDIR ?= .prof
 
 prof:
 	@mkdir -p $(PROFDIR)
 	$(GO) build -o $(PROFDIR)/rifsim ./cmd/rifsim
 	$(PROFDIR)/rifsim -fig 17 -workers 1 -cpuprofile $(PROFDIR)/cpu.prof -memprofile $(PROFDIR)/mem.prof > /dev/null
+	$(GO) tool pprof -top -nodecount=15 $(PROFDIR)/rifsim $(PROFDIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(PROFDIR)/rifsim $(PROFDIR)/mem.prof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 $(PROFDIR)/rifsim $(PROFDIR)/mem.prof
 
@@ -132,8 +134,9 @@ examples-smoke:
 # the result store's entry decoder, rifserve's two untrusted inputs
 # (the POSTed job spec and the job journal replayed at restart), and
 # the min-sum decoder on arbitrary finite LLRs against its edge-list
-# reference. A crasher lands in the package's testdata/fuzz. CI runs
-# this on every change.
+# reference, and the RBER enclosure on arbitrary finite read
+# conditions against the exact RBER. A crasher lands in the package's
+# testdata/fuzz. CI runs this on every change.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -145,6 +148,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalScan$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzMinSumDecodeSoft$$' -fuzztime $(FUZZTIME) ./internal/ldpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzConditionBounds$$' -fuzztime $(FUZZTIME) ./internal/nand/
 
 # lint is the network-free gate: formatting, go vet, and the
 # repository's own invariant suite (internal/analysis via

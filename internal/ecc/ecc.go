@@ -72,15 +72,23 @@ type Outcome struct {
 // Decode evaluates a decode attempt for a page with the given RBER.
 func (e *Engine) Decode(rber float64) Outcome {
 	it := e.Iterations(rber)
-	out := Outcome{
+	return Outcome{
 		OK:         rber <= e.Capability,
-		Latency:    sim.Time(it) * e.IterationTime,
+		Latency:    e.DecodeLatency(it),
 		Iterations: it,
 	}
+}
+
+// DecodeLatency is the engine occupancy (tECC) of a decode attempt
+// that runs the given number of iterations, recorded in Latencies: the
+// latency half of Decode, for a caller that has settled the iteration
+// count without the exact RBER.
+func (e *Engine) DecodeLatency(iterations int) sim.Time {
+	lat := sim.Time(iterations) * e.IterationTime
 	if e.Latencies != nil {
-		e.Latencies.Add(out.Latency.Microseconds())
+		e.Latencies.Add(lat.Microseconds())
 	}
-	return out
+	return lat
 }
 
 // MinLatency is the fastest possible decode (one iteration).

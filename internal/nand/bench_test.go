@@ -54,3 +54,36 @@ func BenchmarkScramblePage(b *testing.B) {
 		r.Scramble(buf, int64(i))
 	}
 }
+
+// conditionsForBench derives conditions across blocks and read counts
+// at the grid's middle P/E point, so the bounds and the exact RBER are
+// timed over the same spread of tail arguments.
+func conditionsForBench(m *Model) *[256]PageCondition {
+	var c [256]PageCondition
+	for i := range c {
+		c[i] = m.conditionAt(i, 1000, float64(i&31), int64(i))
+	}
+	return &c
+}
+
+// BenchmarkConditionBounds times the certified RBER enclosure every
+// page read is decided from.
+func BenchmarkConditionBounds(b *testing.B) {
+	m := NewDefaultModel(1)
+	conds := conditionsForBench(m)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ConditionBounds(CSB, conds[i&255], DefaultVref)
+	}
+}
+
+// BenchmarkConditionRBER times the exact RBER, the fallback of a read
+// whose enclosure straddles a decision threshold.
+func BenchmarkConditionRBER(b *testing.B) {
+	m := NewDefaultModel(1)
+	conds := conditionsForBench(m)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ConditionRBER(CSB, conds[i&255], DefaultVref)
+	}
+}

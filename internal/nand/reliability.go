@@ -2,6 +2,7 @@ package nand
 
 import (
 	"math"
+	"sync"
 )
 
 // ECCCapabilityRBER is the correction capability of the 4-KiB QC-LDPC
@@ -114,6 +115,7 @@ const disturbTable = 64
 
 // NewModel builds a reliability model with the given parameters.
 func NewModel(p ModelParams, seed uint64) *Model {
+	qTableOnce.Do(buildQTable)
 	m := &Model{p: p, seed: seed}
 	for n := range m.disturbPow {
 		m.disturbPow[n] = math.Pow(float64(n), p.DisturbExp)
@@ -279,14 +281,23 @@ func (m *Model) vrefAt(j int, mode VrefMode, c PageCondition) float64 {
 // OptimalVref thresholds) the two tail arguments are often bit-equal,
 // and then one Q serves both tails: q+q is exact.
 func (m *Model) misread(j int, c PageCondition, v float64) float64 {
-	lo := m.stateMean(j-1, c)
-	hi := m.stateMean(j, c)
-	below, above := (v-lo)/c.sigma, (hi-v)/c.sigma
+	below, above := m.tails(j, c, v)
 	q := qFunc(below)
 	if above == below {
 		return (q + q) / 8
 	}
 	return (q + qFunc(above)) / 8
+}
+
+// tails reports the tail arguments of threshold j sensed at voltage
+// v: how many standard deviations v lies above the lower state's mean
+// and below the upper state's. misread and ConditionBounds both take
+// them from here, so the enclosure brackets the very arguments the
+// exact value is computed from.
+func (m *Model) tails(j int, c PageCondition, v float64) (below, above float64) {
+	lo := m.stateMean(j-1, c)
+	hi := m.stateMean(j, c)
+	return (v - lo) / c.sigma, (hi - v) / c.sigma
 }
 
 // capRBER saturates a summed error rate at one bit in two.
@@ -319,6 +330,88 @@ func (m *Model) ConditionRBER(pt PageType, c PageCondition, mode VrefMode) float
 		rber += m.misread(j, c, m.vrefAt(j, mode, c))
 	}
 	return capRBER(rber)
+}
+
+// ConditionBounds reports a certified enclosure lo <= ConditionRBER(pt,
+// c, mode) <= hi, at a fraction of its cost: each tail's Q is bracketed
+// from qTable instead of calling math.Erfc. ok is false when a tail
+// argument falls outside the table (or is not a number); the caller
+// then needs the exact value.
+//
+// The enclosure is sound because every step after the tail arguments
+// is monotone: Q is decreasing, so a tail argument in [x_i, x_i+1]
+// puts Q between the table's entries at x_i+1 and x_i, which a
+// relative guard widens past any ulp-level wobble of math.Erfc; and
+// float addition, the division by 8 and capRBER never reverse an
+// order. Summing the brackets in ConditionRBER's order therefore keeps
+// the lower sum at or below the exact one and the upper sum at or
+// above it.
+//
+//riflint:hotpath
+func (m *Model) ConditionBounds(pt PageType, c PageCondition, mode VrefMode) (lo, hi float64, ok bool) {
+	for _, j := range thresholdsOf(pt) {
+		below, above := m.tails(j, c, m.vrefAt(j, mode, c))
+		bLo, bHi, ok := qBracket(below)
+		if !ok {
+			return 0, 0, false
+		}
+		if above == below {
+			lo += (bLo + bLo) / 8
+			hi += (bHi + bHi) / 8
+			continue
+		}
+		aLo, aHi, ok := qBracket(above)
+		if !ok {
+			return 0, 0, false
+		}
+		lo += (bLo + aLo) / 8
+		hi += (bHi + aHi) / 8
+	}
+	return capRBER(lo), capRBER(hi), true
+}
+
+// qTable holds qFunc at every multiple of 1/qTableScale over
+// [-qTableSpan, qTableSpan]: qTable[i] = qFunc((i-qTableZero)/qTableScale).
+// It is built once per process, by the first NewModel, and never
+// written after. Every tail argument of the Fig. 17 grid lies in
+// [-1, 6), so the span leaves room for far more worn or disturbed
+// pages before ConditionBounds gives up.
+var (
+	qTable     [2*qTableZero + 1]float64
+	qTableOnce sync.Once
+)
+
+const (
+	qTableScale = 1024
+	qTableSpan  = 8
+	qTableZero  = qTableSpan * qTableScale
+	// qGuard widens every bracket by 2^-40 relative: far more than the
+	// few-ulp non-monotonicity math.Erfc may show between neighbouring
+	// arguments, and far less than a bracket's own width.
+	qGuard = 1.0 / (1 << 40)
+)
+
+func buildQTable() {
+	for i := range qTable {
+		qTable[i] = qFunc(float64(i-qTableZero) / qTableScale)
+	}
+}
+
+// qBracket reports lo <= qFunc(x) <= hi from the table, or ok false
+// when x lies outside it. x*qTableScale is exact (a power-of-two
+// scaling), so the cell index k satisfies k <= x*qTableScale < k+1
+// exactly, and x lies between the cell's two grid points.
+func qBracket(x float64) (lo, hi float64, ok bool) {
+	s := x * qTableScale
+	if !(s >= -qTableZero && s < qTableZero) {
+		return 0, 0, false
+	}
+	k := int(s) // truncates toward zero
+	if float64(k) > s {
+		k--
+	}
+	i := k + qTableZero
+	return qTable[i+1] * (1 - qGuard), qTable[i] * (1 + qGuard), true
 }
 
 // PageRBER reports the raw bit error rate observed when sensing the

@@ -279,17 +279,18 @@ func TestPageRBERPairMatchesPageRBER(t *testing.T) {
 }
 
 // TestPageRBERPairZeroAlloc is the runtime half of the //riflint:hotpath
-// guard on Condition and ConditionRBER, which the SSD evaluates for
-// every page read.
+// guard on Condition, ConditionBounds and ConditionRBER, which the SSD
+// evaluates for every page read.
 func TestPageRBERPairZeroAlloc(t *testing.T) {
 	m := NewDefaultModel(3)
 	v := m.BlockVariation(7)
 	var sink float64
 	if allocs := testing.AllocsPerRun(1000, func() {
 		c := m.Condition(v, 2000, 30, 1000)
-		sink += m.ConditionRBER(CSB, c, DefaultVref) + m.ConditionRBER(CSB, c, OptimalVref)
+		lo, hi, _ := m.ConditionBounds(CSB, c, DefaultVref)
+		sink += lo + hi + m.ConditionRBER(CSB, c, DefaultVref) + m.ConditionRBER(CSB, c, OptimalVref)
 	}); allocs != 0 {
-		t.Fatalf("Condition and ConditionRBER allocate %.1f times per page", allocs)
+		t.Fatalf("Condition, ConditionBounds and ConditionRBER allocate %.1f times per page", allocs)
 	}
 	_ = sink
 }

@@ -28,7 +28,13 @@ func DefaultAccuracyModel(capability float64) AccuracyModel {
 
 // Accuracy reports P(RP prediction correct | page RBER).
 func (a AccuracyModel) Accuracy(rber float64) float64 {
-	d := math.Abs(rber - a.Capability)
+	return a.accuracyAt(math.Abs(rber - a.Capability))
+}
+
+// accuracyAt is Accuracy at distance d from the capability: monotone
+// in d, rising toward Floor when Floor > 0.5 and falling toward it
+// when Floor < 0.5.
+func (a AccuracyModel) accuracyAt(d float64) float64 {
 	return a.Floor - (a.Floor-0.5)*math.Exp(-d/a.Width)
 }
 
@@ -37,6 +43,41 @@ func (a AccuracyModel) Accuracy(rber float64) float64 {
 // the simulator controls the random stream).
 func (a AccuracyModel) PredictCorrect(rber, u float64) bool {
 	return u < a.Accuracy(rber)
+}
+
+// accuracyGuard absorbs math.Exp's ulp-level non-monotonicity when
+// PredictCorrectRange bounds the accuracy over an interval by its
+// values at the ends.
+const accuracyGuard = 1.0 / (1 << 40)
+
+// PredictCorrectRange is PredictCorrect for a page whose RBER is only
+// known to lie in [lo, hi]: ok reports that every RBER in the range
+// gives the same answer, correct. Accuracy depends on the distance
+// from the capability, which float subtraction keeps monotone on each
+// side of it, so its extremes over the range lie at the distance
+// extremes; a point range is decided exactly. When ok is false the
+// caller needs the exact RBER.
+//
+//riflint:hotpath
+func (a AccuracyModel) PredictCorrectRange(lo, hi, u float64) (correct, ok bool) {
+	if lo == hi {
+		return a.PredictCorrect(lo, u), true
+	}
+	dLo, dHi := math.Abs(lo-a.Capability), math.Abs(hi-a.Capability)
+	near, far := min(dLo, dHi), max(dLo, dHi)
+	if lo <= a.Capability && a.Capability <= hi {
+		near = 0
+	}
+	// least and most are the distances of least and most accuracy:
+	// nearest the capability is least when Floor is above one half.
+	least, most := near, far
+	if a.Floor < 0.5 {
+		least, most = far, near
+	}
+	if u < a.accuracyAt(least)-accuracyGuard {
+		return true, true
+	}
+	return false, u >= a.accuracyAt(most)+accuracyGuard
 }
 
 // MeanAccuracyAbove reports the average accuracy over RBER values in

@@ -178,3 +178,61 @@ func TestHardwareConstants(t *testing.T) {
 		t.Fatal("prediction latency drifted")
 	}
 }
+
+// PredictCorrectRange, whenever it answers, gives PredictCorrect's
+// answer for every RBER in its range: both ends and points between,
+// on either side of the capability and across it, at the default
+// floor and at floors below and at one half.
+func TestPredictCorrectRangeAgrees(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	for _, floor := range []float64{0.995, 0.5, 0.3} {
+		a := DefaultAccuracyModel(nand.ECCCapabilityRBER)
+		a.Floor = floor
+		answered := 0
+		for n := 0; n < 200000; n++ {
+			lo := rng.Float64() * 2 * a.Capability
+			hi := lo * (1 + rng.Float64()*0.01)
+			if n%4 == 0 {
+				hi = lo
+			}
+			u := rng.Float64()
+			got, ok := a.PredictCorrectRange(lo, hi, u)
+			if !ok {
+				if lo == hi {
+					t.Fatalf("floor %v: point range %v undecided", floor, lo)
+				}
+				continue
+			}
+			answered++
+			for _, x := range []float64{lo, hi, lo + (hi-lo)*rng.Float64(), a.Capability} {
+				if x < lo || x > hi {
+					continue
+				}
+				if want := a.PredictCorrect(x, u); got != want {
+					t.Fatalf("floor %v: range [%v, %v] u %v says %v, PredictCorrect(%v) says %v", floor, lo, hi, u, got, x, want)
+				}
+			}
+		}
+		if answered < 190000 {
+			t.Errorf("floor %v: only %d of 200000 ranges decided", floor, answered)
+		}
+	}
+}
+
+// TestPredictCorrectRangeZeroAlloc is the runtime half of the
+// //riflint:hotpath guard on PredictCorrectRange, which the SSD calls
+// for every RP prediction.
+func TestPredictCorrectRangeZeroAlloc(t *testing.T) {
+	a := DefaultAccuracyModel(nand.ECCCapabilityRBER)
+	n := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if c, ok := a.PredictCorrectRange(0.0084, 0.00841, 0.7); c && ok {
+			n++
+		}
+		if c, ok := a.PredictCorrectRange(0.0091, 0.0091, 0.999); c && ok {
+			n++
+		}
+	}); allocs != 0 {
+		t.Fatalf("PredictCorrectRange allocates %.1f times per call pair", allocs)
+	}
+}

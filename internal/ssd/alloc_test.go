@@ -24,8 +24,8 @@ func TestPredictFailZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fail := pageView{rberFirst: 1e-3, fails: false}
-	pass := pageView{rberFirst: 5e-4, fails: true}
+	fail := pageView{first: exactly(1e-3), fails: false}
+	pass := pageView{first: exactly(5e-4), fails: true}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		s.predictFail(&fail)
 		s.predictFail(&pass)

@@ -25,14 +25,12 @@ type ring[T any] struct {
 const ringFirst = 4
 
 // ringSlabs are a device's slabs of first ring buffers, one per kind
-// of queue a device holds many of: the dies' operation queues, the
-// channels' job queues and the flushers' per-plane page queues. The
-// host link, write cache and dead-die probes hold one ring each, which
-// makes its own.
+// of queue a device holds many of: the dies' operation queues and the
+// channels' job queues. The host link, write cache and dead-die probes
+// hold one ring each, which makes its own.
 type ringSlabs struct {
-	ops   []dieOp
-	jobs  []xferJob
-	pages []flushPage
+	ops  []dieOp
+	jobs []xferJob
 }
 
 // len reports the number of queued items.

@@ -77,13 +77,12 @@ func (c *dieCmd) senseFirst(dur sim.Time) {
 func (c *dieCmd) planOffChip() {
 	s := c.s
 	n := len(c.pages)
-	c.rbers = c.rbers[:n]
+	c.iters = c.iters[:n]
 	c.failed = c.failed[:n]
 	k := 0
 	for i := range c.pages {
-		p := &c.pages[i]
 		var fails bool
-		c.rbers[i], fails = s.decodeInput(p.rberFirst, p.fails)
+		c.iters[i], fails = s.firstDecode(&c.pages[i])
 		if fails {
 			c.failed[k] = i
 			k++
@@ -117,8 +116,10 @@ func (c *dieCmd) planRPController() {
 		default:
 			// Predicted correctable: the decode runs to completion —
 			// for a false negative that is the full failing decode.
-			engineTime += s.dec.Decode(p.rberFirst).Latency
-			_, fails = s.decodeInput(p.rberFirst, fails)
+			engineTime += s.dec.DecodeLatency(s.firstIters(p))
+			if s.timedOut(fails) {
+				fails = true
+			}
 		}
 		if fails {
 			uncor++
@@ -174,16 +175,16 @@ func (c *dieCmd) planRiF() {
 		secondRetry := false
 		for i := range c.pages {
 			p := &c.pages[i]
-			if !p.predFail || s.retryRBER(p) <= s.dec.Capability {
+			if !p.predFail || !s.retryFails(p) {
 				continue
 			}
 			s.m.Predictions++
-			caught := s.acc.PredictCorrect(p.rberRetry, s.predictRNG.Float64())
+			caught := s.predictRetry(p, s.predictRNG.Float64())
 			s.m.Confusion.Record(caught, true)
 			if caught {
 				// Caught: a second Swift-Read pass refines the VREF
 				// estimate further (diminishing returns).
-				p.rberRetry *= 0.6
+				p.refine()
 				s.m.AvoidedTransfers++
 				s.m.RVSRereads++
 				s.noteSense(p.blockID) // one more in-die sense
@@ -219,7 +220,7 @@ func (c *dieCmd) sensed() {
 	case RiF:
 		c.rifSensed(&job)
 	default:
-		job.engineTime = s.decodeLatency(c.rbers)
+		job.engineTime = s.decodeLatency(c.iters)
 	}
 	c.ch.submit(job)
 }
@@ -231,24 +232,23 @@ func (c *dieCmd) sensed() {
 func (c *dieCmd) rifSensed(job *xferJob) {
 	s := c.s
 	n := len(c.pages)
-	c.rbers = c.rbers[:n]
+	c.iters = c.iters[:n]
 	c.failed = c.failed[:n]
 	k := 0
 	retriedNow := int64(0)
 	for i := range c.pages {
 		p := &c.pages[i]
 		if p.predFail {
-			r := s.retryRBER(p)
 			retriedNow++
 			var fails bool
-			c.rbers[i], fails = s.decodeInput(r, r > s.dec.Capability)
+			c.iters[i], fails = s.retryDecode(p)
 			if fails {
 				c.failed[k] = i
 				k++
 			}
 		} else {
 			var fails bool
-			c.rbers[i], fails = s.decodeInput(p.rberFirst, p.fails)
+			c.iters[i], fails = s.firstDecode(p)
 			if fails {
 				// False negative: the doomed page crosses the
 				// channel and burns a full failing decode.
@@ -264,7 +264,7 @@ func (c *dieCmd) rifSensed(job *xferJob) {
 		s.m.RetryRounds++
 	}
 	job.uncorPages = k
-	job.engineTime = s.decodeLatency(c.rbers)
+	job.engineTime = s.decodeLatency(c.iters)
 }
 
 // decoded ends the first read: done when every page decoded,
@@ -333,13 +333,11 @@ func (c *dieCmd) reread() {
 func (c *dieCmd) resensed() {
 	s := c.s
 	n := len(c.failed)
-	c.rbers = c.rbers[:n]
+	c.iters = c.iters[:n]
 	k := 0
 	for i := 0; i < n; i++ {
-		p := &c.pages[c.failed[i]]
-		r := s.retryRBER(p)
 		var fails bool
-		c.rbers[i], fails = s.decodeInput(r, r > s.dec.Capability)
+		c.iters[i], fails = s.retryDecode(&c.pages[c.failed[i]])
 		if fails {
 			c.failed[k] = c.failed[i]
 			k++
@@ -350,7 +348,7 @@ func (c *dieCmd) resensed() {
 		kind:       xferRead,
 		pages:      n,
 		uncorPages: k,
-		engineTime: s.decodeLatency(c.rbers),
+		engineTime: s.decodeLatency(c.iters),
 		label:      c.lblRetry,
 		onDecoded:  c.then(stageRedecoded),
 	})
@@ -392,7 +390,7 @@ func (c *dieCmd) finish(unc int) {
 //riflint:hotpath
 func (s *SSD) predictFail(p *pageView) bool {
 	s.m.Predictions++
-	correct := s.acc.PredictCorrect(p.rberFirst, s.predictRNG.Float64())
+	correct := s.predictFirst(p, s.predictRNG.Float64())
 	if s.inj.ForceMispredict() {
 		s.m.Faults.ForcedMispredictions++
 		correct = !correct

@@ -76,10 +76,11 @@ type dieCmd struct {
 	lbl, lblRetry string
 
 	// Scratch with capacity PlanesPerDie, kept when the record is
-	// recycled: the resolved pages, the RBERs of the transfer being
-	// decoded, and the indices into pages of the pages still failing.
+	// recycled: the resolved pages, the decoder iteration counts of
+	// the transfer being decoded, and the indices into pages of the
+	// pages still failing.
 	pages  []pageView
-	rbers  []float64
+	iters  []int
 	failed []int
 
 	// uncor counts the pages of the first transfer that will fail
@@ -136,7 +137,7 @@ func (s *SSD) newCmd(parent *hostReq, cmd dieCommand) *dieCmd {
 		p := s.cfg.Geometry.PlanesPerDie
 		c = &carve(&s.cmdSlab, 1)[0]
 		c.pages = carve(&s.pageSlab, p)
-		c.rbers = carve(&s.rberSlab, p)
+		c.iters = carve(&s.iterSlab, p)
 		c.failed = carve(&s.failSlab, p)
 	}
 	*c = dieCmd{
@@ -144,7 +145,7 @@ func (s *SSD) newCmd(parent *hostReq, cmd dieCommand) *dieCmd {
 		parent: parent,
 		cmd:    cmd,
 		pages:  c.pages[:0],
-		rbers:  c.rbers[:0],
+		iters:  c.iters[:0],
 		failed: c.failed[:0],
 	}
 	return c

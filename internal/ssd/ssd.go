@@ -55,8 +55,9 @@ type SSD struct {
 	// dropout, so the sweep runs once per die.
 	deadDieCleared []bool
 
-	cache    *writeCache
-	flushers []*dieFlusher
+	cache     *writeCache
+	flushers  []*dieFlusher
+	flushPool flushPool
 
 	// probes holds the read commands of dead dies, oldest first, whose
 	// probe sense has yet to time out; onProbe, bound in New when dies
@@ -79,13 +80,18 @@ type SSD struct {
 	reqSlab  []hostReq
 	cmdSlab  []dieCmd
 	pageSlab []pageView
-	rberSlab []float64
+	iterSlab []int
 	failSlab []int
 	// rings holds the slabs the stations' queues carve their first
 	// buffers from (queue.go).
 	rings ringSlabs
 
 	nextCmd int
+
+	// rberEvals counts the RBER enclosures the read path evaluated and
+	// rberExact the exact RBERs it fell back to, when an enclosure
+	// straddled a decision threshold or fell outside nand's table.
+	rberEvals, rberExact int64
 
 	// runErr is the first non-fatal device error of the run (dropped
 	// write, cache underflow); surfaced by Drain instead of a
@@ -209,30 +215,12 @@ func (s *SSD) Run(nRequests int) (*Metrics, error) {
 	return m, err
 }
 
-// pageView is the resolved physical and reliability state of one page
-// at command issue.
-type pageView struct {
-	addr    nand.Address
-	blockID int
-	// cond is the page's read condition at issue, from which its RBER
-	// under any VREF mode is evaluated.
-	cond      nand.PageCondition
-	rberFirst float64 // at the scheme's first-read VREF mode
-	// rberRetry is the RBER after VREF adjustment (near-optimal), 0
-	// until retryRBER evaluates it.
-	rberRetry float64
-	ptype     nand.PageType
-	fails     bool // first read exceeds the ECC capability
-	// predFail is RiF's on-die prediction that the first read fails
-	// (set by planRiF; it fills padding, so the view stays 96 bytes).
-	predFail bool
-}
-
 // resolvePages looks up every page of a command into its scratch
-// pages slice and evaluates each page's condition and its RBER under
-// the scheme's first-read VREF mode. The RBER after VREF adjustment is
-// left to retryRBER, since most pages never need it; the Zero scheme,
-// which never looks at an error rate, evaluates none.
+// pages slice, evaluates each page's condition and encloses its RBER
+// under the scheme's first-read VREF mode, tightly enough to settle
+// whether the first read fails. The retry RBER is left to retryFails,
+// since most pages never need it; the Zero scheme, which never looks
+// at an error rate, evaluates none.
 //
 //riflint:hotpath
 func (s *SSD) resolvePages(c *dieCmd) {
@@ -257,35 +245,22 @@ func (s *SSD) resolvePages(c *dieCmd) {
 		reads := b.reads
 		s.noteSense(bid)
 		v := &c.pages[i]
-		*v = pageView{addr: addr, blockID: bid, ptype: nand.PageTypeOf(addr.Page)}
+		*v = pageView{blockID: bid, ptype: nand.PageTypeOf(addr.Page)}
 		switch {
 		case s.inj.BlockStuck(bid):
 			// Grown-bad block: every read of it is hopeless at any
 			// VREF, so the page rides the retry ladder to exhaustion.
 			s.m.Faults.StuckPageReads++
-			v.rberFirst, v.rberRetry = stuckRBER, stuckRBER
+			v.first, v.retry = exactly(stuckRBER), exactly(stuckRBER)
 		case s.cfg.Scheme != Zero:
 			if b.variation == 0 {
 				b.variation = s.model.BlockVariation(bid)
 			}
 			v.cond = s.model.Condition(b.variation, s.cfg.PECycles+int(b.erases), age, reads)
-			v.rberFirst = s.model.ConditionRBER(v.ptype, v.cond, firstMode)
+			s.encloseFirst(v, firstMode)
 		}
-		v.fails = v.rberFirst > s.dec.Capability
+		v.fails = v.first.lo > s.dec.Capability
 	}
-}
-
-// retryRBER reports a page's RBER after VREF adjustment, evaluating it
-// from the page's condition on first need: when RiF flags the page or
-// a retry re-reads it. The value is kept in the view, so later retry
-// rounds (and RiF's second-check refinement of it) reuse it.
-//
-//riflint:hotpath
-func (s *SSD) retryRBER(p *pageView) float64 {
-	if p.rberRetry == 0 {
-		p.rberRetry = s.model.ConditionRBER(p.ptype, p.cond, nand.OptimalVref)
-	}
-	return p.rberRetry
 }
 
 // dieOf reports the die resource, channel station and dense die index
@@ -481,21 +456,17 @@ func (s *SSD) SeedBlockState(reads, erases []int64) error {
 	return nil
 }
 
-// decodeInput draws one page decode's injected LDPC timeout and
-// reports the RBER the decode is billed at and whether it fails. A
-// page at rber decodes unless fails says it does not; a timeout fails
-// a decode that would pass and bills it past capability, so the
-// latency model charges a full failing decode and the page enters the
+// timedOut draws one page decode's injected LDPC timeout and reports
+// whether it fails a decode that would pass (fails false); such a
+// decode is billed as a full failing one and the page enters the
 // scheme's retry ladder. The draw happens for every decode, failing or
 // not, so the injector's draw order does not depend on the outcome.
-func (s *SSD) decodeInput(rber float64, fails bool) (float64, bool) {
+func (s *SSD) timedOut(fails bool) bool {
 	if s.inj.DecodeTimeout() {
 		s.m.Faults.DecodeTimeouts++
-		if !fails {
-			return 4 * s.dec.Capability, true
-		}
+		return !fails
 	}
-	return rber, fails
+	return false
 }
 
 // retireBlock retires the block behind a retry-exhausted page when
@@ -503,11 +474,11 @@ func (s *SSD) decodeInput(rber float64, fails bool) (float64, bool) {
 // the allocator stops handing it out. Natural per-page exhaustion at
 // high wear does not retire: the block's other pages are still good.
 func (s *SSD) retireBlock(p *pageView) {
-	if !s.inj.BlockStuck(p.blockID) || s.ftl.blockRetired(p.addr) {
+	if !s.inj.BlockStuck(p.blockID) || s.ftl.blocks.retired(p.blockID) {
 		return
 	}
 	s.m.Faults.GrownBadBlocks++
-	s.ftl.RetireBlock(p.addr)
+	s.ftl.RetireBlock(s.cfg.Geometry.BlockAddr(p.blockID))
 }
 
 // hostTransfer moves pages across the host link, then resumes next.
@@ -519,11 +490,11 @@ func (s *SSD) hostTransfer(pages int, next resumer) {
 	s.host.transfer(sim.Time(pages)*s.cfg.Timing.THostPage, next)
 }
 
-// decodeLatency sums per-page tECC for the given RBERs.
-func (s *SSD) decodeLatency(rbers []float64) sim.Time {
+// decodeLatency sums per-page tECC for the given iteration counts.
+func (s *SSD) decodeLatency(iters []int) sim.Time {
 	var t sim.Time
-	for _, r := range rbers {
-		t += s.dec.Decode(r).Latency
+	for _, it := range iters {
+		t += s.dec.DecodeLatency(it)
 	}
 	return t
 }

@@ -75,7 +75,7 @@ func (c *dieCmd) buffered() {
 		if i == 0 {
 			gc = gcTime // the batch that carries page 0 pays the GC debt
 		}
-		f.enqueue(flushPage{plane: a.Plane, gcTime: gc})
+		f.enqueue(a.Plane, gc)
 	}
 	f.kick()
 }
