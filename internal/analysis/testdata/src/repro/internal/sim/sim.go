@@ -18,6 +18,8 @@ func NewEngine() *Engine { return &Engine{} }
 
 func (e *Engine) Now() Time { return e.now }
 
-func (e *Engine) At(t Time, fn func()) {}
+type Handler interface{ Fire() }
 
-func (e *Engine) After(d Time, fn func()) {}
+func (e *Engine) At(t Time, fn Handler) {}
+
+func (e *Engine) After(d Time, fn Handler) {}

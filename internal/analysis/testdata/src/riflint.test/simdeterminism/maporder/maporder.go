@@ -41,7 +41,7 @@ func badBuilder(m map[string]int) string {
 	return string(out)
 }
 
-func badSchedule(e *sim.Engine, m map[int]func()) {
+func badSchedule(e *sim.Engine, m map[int]sim.Handler) {
 	for t, fn := range m { // want `calling sim\.Engine\.At inside a map range`
 		e.At(sim.Time(t)*sim.Microsecond, fn)
 	}

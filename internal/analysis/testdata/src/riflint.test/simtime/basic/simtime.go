@@ -7,11 +7,16 @@ const pollInterval sim.Time = 40000 // want `raw constant 40000 used as sim\.Tim
 
 const okInterval = 40 * sim.Microsecond
 
+// nop is an event handler that does nothing.
+type nop struct{}
+
+func (nop) Fire() {}
+
 func schedule(e *sim.Engine) {
-	e.At(40000, func() {}) // want `raw constant 40000 used as sim\.Time`
-	e.At(40*sim.Microsecond, func() {})
-	e.At(0, func() {})                   // zero is zero in every unit
-	e.After(sim.Time(3*1000), func() {}) // want `raw constant 3000 used as sim\.Time`
+	e.At(40000, nop{}) // want `raw constant 40000 used as sim\.Time`
+	e.At(40*sim.Microsecond, nop{})
+	e.At(0, nop{})                   // zero is zero in every unit
+	e.After(sim.Time(3*1000), nop{}) // want `raw constant 3000 used as sim\.Time`
 }
 
 type timing struct {

@@ -291,7 +291,8 @@ func (w *sourceWorkload) InitialAgeDays(lpn int64) float64 {
 // unless the ring is full. Arrivals are scheduled as a chain, one at a
 // time, so holding the one pending arrival until a completion stalls
 // the whole source — the stream is simply not pulled — and memory
-// stays flat at any intensity.
+// stays flat at any intensity. The host is itself the sim.Handler of
+// its arrivals.
 type openLoop struct {
 	dev *ssd.SSD
 	eng *sim.Engine
@@ -303,17 +304,15 @@ type openLoop struct {
 	// so a stalled chain cannot shift arrivals later and hide
 	// head-of-line wait, and a wrapped trace cannot move them into the
 	// past.
-	next      trace.Request
-	last      sim.Time
-	held      bool
-	nHeld     int64
-	onArrival func()
+	next  trace.Request
+	last  sim.Time
+	held  bool
+	nHeld int64
 }
 
 // newOpenLoop binds an open-loop host to dev's engine and host port.
 func newOpenLoop(dev *ssd.SSD, w *sourceWorkload, maxInFlight int) *openLoop {
 	o := &openLoop{dev: dev, eng: dev.Engine(), w: w, maxInFlight: maxInFlight}
-	o.onArrival = o.arrive
 	dev.OnComplete(o.complete)
 	return o
 }
@@ -326,14 +325,14 @@ func (o *openLoop) schedule() {
 	}
 	o.next = o.w.Next()
 	o.last = max(o.last, o.next.At)
-	o.eng.At(max(o.last, o.eng.Now()), o.onArrival)
+	o.eng.At(max(o.last, o.eng.Now()), o)
 }
 
-// arrive is the arrival handler: it submits the pending arrival, or
+// Fire is the arrival handler: it submits the pending arrival, or
 // holds it when the ring is full.
 //
 //riflint:hotpath
-func (o *openLoop) arrive() {
+func (o *openLoop) Fire() {
 	if o.inFlight >= o.maxInFlight {
 		o.held = true
 		o.nHeld++

@@ -21,7 +21,7 @@ func BenchmarkEngine(b *testing.B) {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			e := NewEngine()
 			fired := 0
-			var hold Handler
+			var hold fire
 			hold = func() {
 				fired++
 				if fired <= b.N {

@@ -36,9 +36,12 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the time with microsecond precision for logs and tests.
 func (t Time) String() string { return fmt.Sprintf("%.3fus", t.Microseconds()) }
 
-// Handler is the body of a scheduled event. It runs when the clock
-// reaches the event's timestamp.
-type Handler func()
+// Handler is what runs when a scheduled event's time comes: the
+// simulator's one continuation type. A model's station or in-flight
+// record is its own handler, so scheduling it stores a pointer in the
+// event and allocates nothing, and a record that waits on several
+// things in turn names the step it resumes in its own state.
+type Handler interface{ Fire() }
 
 // event is a single entry in the calendar queue. Fired and canceled
 // events return to the engine's free list and are reused by later
@@ -73,8 +76,7 @@ type Engine struct {
 	free  []*event
 	// slab is where events beyond the free list are carved from, so a
 	// fresh engine's first events cost one allocation per eventSlab.
-	slab    []event
-	stopped bool
+	slab []event
 	// processed counts events executed, for diagnostics and loop guards.
 	processed uint64
 	// maxPending is the event heap's depth high-water mark, for
@@ -97,14 +99,10 @@ func (e *Engine) Now() Time { return e.now }
 // Processed reports how many events have executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending reports how many events are waiting. Canceled events leave
-// the queue immediately, so this is an exact count.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // MaxPending reports the deepest the event heap has ever been.
 func (e *Engine) MaxPending() int { return e.maxPending }
 
-// At schedules fn to run at absolute time at. Scheduling in the past
+// At schedules fn to fire at absolute time at. Scheduling in the past
 // panics: it is always a model bug.
 //
 //riflint:hotpath
@@ -136,7 +134,7 @@ func (e *Engine) At(at Time, fn Handler) EventID {
 	return EventID{ev: ev, gen: ev.gen}
 }
 
-// After schedules fn to run d nanoseconds from now.
+// After schedules fn to fire d nanoseconds from now.
 //
 //riflint:hotpath
 func (e *Engine) After(d Time, fn Handler) EventID {
@@ -160,7 +158,7 @@ func (e *Engine) Cancel(id EventID) {
 
 // recycle returns a dequeued event to the free list. The generation
 // bump invalidates any EventID still pointing at it, and dropping the
-// handler releases whatever the closure captured.
+// handler releases whatever it points at.
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.gen++
@@ -168,50 +166,21 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue drains or Stop is called.
-// It returns the final clock value.
-func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
-
-// RunUntil executes events with timestamps <= deadline. Events beyond
-// the deadline stay queued; the clock is advanced to min(deadline,
-// last event time). It returns the final clock value.
+// Run fires events in (time, sequence) order until the queue drains,
+// and returns the final clock value.
 //
 //riflint:hotpath
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
+func (e *Engine) Run() Time {
+	for len(e.queue) > 0 {
 		next := e.queue[0]
-		if next.at > deadline {
-			e.now = deadline
-			return e.now
-		}
 		e.popRoot()
 		e.now = next.at
 		e.processed++
 		fn := next.fn
 		e.recycle(next)
-		fn()
+		fn.Fire()
 	}
 	return e.now
-}
-
-// Step executes exactly one event, if any, and reports whether an
-// event ran. Useful for unit tests that single-step a model.
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
-	}
-	next := e.queue[0]
-	e.popRoot()
-	e.now = next.at
-	e.processed++
-	fn := next.fn
-	e.recycle(next)
-	fn()
-	return true
 }
 
 // The 4-ary heap. Children of node i sit at 4i+1..4i+4, the parent at

@@ -127,8 +127,8 @@ func TestReadOnlyPathsMakeNoChunk(t *testing.T) {
 // per-block table is sparse, a plane's free blocks are a cursor until
 // it erases one, and queues take their first buffers on first use, so
 // a build allocates what its stations and tables need rather than a
-// record per block. It makes 175 allocations, under -race too, most of
-// them two per die station and two per flusher; the budget leaves 7%.
+// record per block. The stations are held by value, one slice per kind,
+// so it makes 20 allocations, under -race too; the budget leaves 7%.
 func TestNewAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -150,8 +150,8 @@ func TestNewAllocationBudget(t *testing.T) {
 		allocs := (after.Mallocs - before.Mallocs) / runs
 		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 		t.Logf("%s: %d blocks, %d allocations, %d bytes per build", tc.name, tc.cfg.Geometry.TotalBlocks(), allocs, bytes)
-		if allocs > 187 {
-			t.Errorf("%s: New makes %d allocations, want at most 187", tc.name, allocs)
+		if allocs > 21 {
+			t.Errorf("%s: New makes %d allocations, want at most 21", tc.name, allocs)
 		}
 		if bytes > tc.maxBytes {
 			t.Errorf("%s: New allocates %d bytes, want at most %d", tc.name, bytes, tc.maxBytes)
@@ -166,32 +166,48 @@ func TestNewAllocationBudget(t *testing.T) {
 // scratch are carved from slabs, each die command is its own
 // continuation, stations queue values in rings whose first buffers
 // come from per-device slabs, and a block's page slots come in chunks
-// as it fills. So the warm-up makes about 300 allocations (500 under
-// -race), 130 of them slabs of die-command and request records and
-// their scratch; the budget leaves 7% over the -race count. A record
-// allocated per command and per station operation would make about
-// 4,300.
+// as it fills. Ali124 (96% reads) makes about 300 allocations (500
+// under -race), 130 of them slabs of die-command and request records
+// and their scratch; a record allocated per command and per station
+// operation would make about 4,300. Ali2 (27% reads) builds a flush
+// backlog, so it also pins the write path's warm-up: the write cache's
+// waiters and the flush pool, which doubles as the backlog sets new
+// high-water marks. Each budget leaves 7% over the -race count.
 func TestWarmupAllocationBudget(t *testing.T) {
-	const requests, budget = 256, 532
-	cfg := benchConfig(RiF, 1000)
-	var before, after runtime.MemStats
-	var allocs uint64
-	const runs = 4
-	for i := 0; i < runs; i++ {
-		s, err := New(cfg, smallWorkload(t, "Ali124", uint64(i+1)))
-		if err != nil {
-			t.Fatal(err)
+	const requests = 256
+	for _, tc := range []struct {
+		workload string
+		budget   uint64
+		// minPool is the flush-pool size the first run must reach:
+		// past its first capacity when the case is to pin a backlog.
+		minPool int
+	}{
+		{"Ali124", 532, 0},
+		{"Ali2", 305, flushFirst + 1},
+	} {
+		cfg := benchConfig(RiF, 1000)
+		var before, after runtime.MemStats
+		var allocs uint64
+		const runs = 4
+		for i := 0; i < runs; i++ {
+			s, err := New(cfg, smallWorkload(t, tc.workload, uint64(i+1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			if _, err := s.Run(requests); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			allocs += after.Mallocs - before.Mallocs
+			if n := len(s.flushPool.nodes); i == 0 && n < tc.minPool {
+				t.Fatalf("%s: the flush pool reached %d nodes, want at least %d", tc.workload, n, tc.minPool)
+			}
 		}
-		runtime.ReadMemStats(&before)
-		if _, err := s.Run(requests); err != nil {
-			t.Fatal(err)
+		allocs /= runs
+		t.Logf("%s: first %d requests at queue depth %d: %d allocations", tc.workload, requests, cfg.QueueDepth, allocs)
+		if allocs > tc.budget {
+			t.Errorf("%s: a fresh device's first %d requests make %d allocations, want at most %d", tc.workload, requests, allocs, tc.budget)
 		}
-		runtime.ReadMemStats(&after)
-		allocs += after.Mallocs - before.Mallocs
-	}
-	allocs /= runs
-	t.Logf("first %d requests at queue depth %d: %d allocations", requests, cfg.QueueDepth, allocs)
-	if allocs > budget {
-		t.Errorf("a fresh device's first %d requests make %d allocations, want at most %d", requests, allocs, budget)
 	}
 }

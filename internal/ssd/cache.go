@@ -1,6 +1,10 @@
 package ssd
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // writeCache is the controller's DRAM write buffer: a counting
 // semaphore over page slots. A host write completes once its pages
@@ -13,10 +17,6 @@ type writeCache struct {
 	inUse    int
 	waiters  ring[cacheWaiter]
 
-	// fail receives accounting errors (a release below zero) so the
-	// run can surface them in its result instead of panicking.
-	fail func(error)
-
 	// Observability: immediate admissions vs back-pressured ones, and
 	// the occupancy high-water mark.
 	hits      int64
@@ -26,27 +26,23 @@ type writeCache struct {
 
 type cacheWaiter struct {
 	pages int
-	fn    resumer
-}
-
-func newWriteCache(pages int, fail func(error)) *writeCache {
-	return &writeCache{capacity: pages, fail: fail}
+	fn    sim.Handler
 }
 
 // enabled reports whether the device has a cache at all.
 func (c *writeCache) enabled() bool { return c.capacity > 0 }
 
-// acquire grants pages slots, resuming fn immediately if room exists
+// acquire grants pages slots, firing fn immediately if room exists
 // or queueing FIFO otherwise. Requests larger than the whole cache
 // are granted alone when the cache drains completely.
-func (c *writeCache) acquire(pages int, fn resumer) {
+func (c *writeCache) acquire(pages int, fn sim.Handler) {
 	if c.admissible(pages) && c.waiters.len() == 0 {
 		c.hits++
 		c.inUse += pages
 		if c.inUse > c.inUseHigh {
 			c.inUseHigh = c.inUse
 		}
-		fn.resume()
+		fn.Fire()
 		return
 	}
 	c.stalls++
@@ -61,28 +57,29 @@ func (c *writeCache) admissible(pages int) bool {
 }
 
 // release returns pages slots and admits as many waiters as now fit.
-func (c *writeCache) release(pages int) {
+// A release below zero is an accounting bug: the count is clamped and
+// the error returned, for the run to surface in its result rather than
+// panic mid-simulation.
+func (c *writeCache) release(pages int) error {
+	var err error
 	c.inUse -= pages
 	if c.inUse < 0 {
-		// Accounting bug: clamp and surface it through the run result
-		// rather than panicking mid-simulation.
-		if c.fail != nil {
-			c.fail(fmt.Errorf("ssd: write cache released below zero (%d pages over)", -c.inUse))
-		}
+		err = fmt.Errorf("ssd: write cache released below zero (%d pages over)", -c.inUse)
 		c.inUse = 0
 	}
 	for c.waiters.len() > 0 {
 		w := c.waiters.peek()
 		if !c.admissible(w.pages) {
-			return
+			break
 		}
 		c.waiters.pop()
 		c.inUse += w.pages
 		if c.inUse > c.inUseHigh {
 			c.inUseHigh = c.inUse
 		}
-		w.fn.resume()
+		w.fn.Fire()
 	}
+	return err
 }
 
 // idle reports whether nothing is buffered or waiting.

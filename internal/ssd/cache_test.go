@@ -7,28 +7,32 @@ import (
 )
 
 func TestWriteCacheImmediateGrant(t *testing.T) {
-	c := newWriteCache(10, nil)
+	c := &writeCache{capacity: 10}
 	granted := false
-	c.acquire(4, resumeFunc(func() { granted = true }))
+	c.acquire(4, fire(func() { granted = true }))
 	if !granted || c.inUse != 4 {
 		t.Fatalf("granted=%v inUse=%d", granted, c.inUse)
 	}
-	c.release(4)
+	if err := c.release(4); err != nil {
+		t.Fatal(err)
+	}
 	if !c.idle() {
 		t.Fatal("cache not idle after release")
 	}
 }
 
 func TestWriteCacheBackpressureFIFO(t *testing.T) {
-	c := newWriteCache(8, nil)
+	c := &writeCache{capacity: 8}
 	var order []int
-	c.acquire(6, resumeFunc(func() { order = append(order, 1) }))
-	c.acquire(4, resumeFunc(func() { order = append(order, 2) })) // blocked (6+4 > 8)
-	c.acquire(1, resumeFunc(func() { order = append(order, 3) })) // blocked behind 2 (FIFO)
+	c.acquire(6, fire(func() { order = append(order, 1) }))
+	c.acquire(4, fire(func() { order = append(order, 2) })) // blocked (6+4 > 8)
+	c.acquire(1, fire(func() { order = append(order, 3) })) // blocked behind 2 (FIFO)
 	if len(order) != 1 {
 		t.Fatalf("order=%v", order)
 	}
-	c.release(6)
+	if err := c.release(6); err != nil {
+		t.Fatal(err)
+	}
 	// Both waiters now fit (4+1 <= 8) and must admit in FIFO order.
 	if len(order) != 3 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order=%v", order)
@@ -36,40 +40,37 @@ func TestWriteCacheBackpressureFIFO(t *testing.T) {
 }
 
 func TestWriteCacheOversizeRequest(t *testing.T) {
-	c := newWriteCache(4, nil)
+	c := &writeCache{capacity: 4}
 	granted := false
-	c.acquire(10, resumeFunc(func() { granted = true })) // larger than the cache
+	c.acquire(10, fire(func() { granted = true })) // larger than the cache
 	if !granted {
 		t.Fatal("oversize request must be admitted when the cache is empty")
 	}
 	blocked := false
-	c.acquire(1, resumeFunc(func() { blocked = true }))
+	c.acquire(1, fire(func() { blocked = true }))
 	if blocked {
 		t.Fatal("grant while oversized entry resident")
 	}
-	c.release(10)
+	if err := c.release(10); err != nil {
+		t.Fatal(err)
+	}
 	if !blocked {
 		t.Fatal("waiter not admitted after oversize release")
 	}
 }
 
 func TestWriteCacheReleaseUnderflowSurfacesError(t *testing.T) {
-	var got error
-	c := newWriteCache(4, func(err error) { got = err })
-	c.release(1)
-	if got == nil {
+	c := &writeCache{capacity: 4}
+	if err := c.release(1); err == nil {
 		t.Fatal("underflow release did not report an error")
 	}
 	if c.inUse != 0 {
 		t.Fatalf("inUse not clamped: %d", c.inUse)
 	}
-	// Without a fail hook the underflow must still not panic.
-	c = newWriteCache(4, nil)
-	c.release(1)
 }
 
 func TestWriteCacheDisabled(t *testing.T) {
-	c := newWriteCache(0, nil)
+	c := &writeCache{capacity: 0}
 	if c.enabled() {
 		t.Fatal("zero-capacity cache reports enabled")
 	}

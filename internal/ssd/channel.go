@@ -25,9 +25,9 @@ type xferJob struct {
 	// engineTime is the ECC engine occupancy once transferred (decode
 	// and/or controller-side RP prediction time).
 	engineTime sim.Time
-	// onDecoded resumes when the ECC engine finishes the job (reads)
+	// onDecoded fires when the ECC engine finishes the job (reads)
 	// or when the transfer finishes (writes).
-	onDecoded resumer
+	onDecoded sim.Handler
 	// label tags the job for timeline rendering.
 	label string
 	kind  xferKind
@@ -75,14 +75,13 @@ type channelStation struct {
 	decodeQueue ring[xferJob] // transferred, waiting for the ECC engine
 
 	// One transfer and one decode run at a time, so each keeps its job
-	// and start instant here, and one finish handler per stage — bound
-	// once in newChannelStation — serves every job.
-	xfer         xferJob
-	xferStart    sim.Time
-	onXferDone   func()
-	decoding     xferJob
-	decodeStart  sim.Time
-	onDecodeDone func()
+	// and start instant here. The station is the handler that fires at
+	// every transfer's end, and its eccEngine view the one that fires at
+	// every decode's end.
+	xfer        xferJob
+	xferStart   sim.Time
+	decoding    xferJob
+	decodeStart sim.Time
 	// eccName labels the ECC engine's timeline row; built from name on
 	// the first recorded decode.
 	eccName string
@@ -97,16 +96,14 @@ type channelStation struct {
 
 // newChannelStation builds a channel whose queues carve their first
 // buffers from slab (nil: each makes its own).
-func newChannelStation(eng *sim.Engine, tDMAPage sim.Time, bufSlots int, slab *[]xferJob) *channelStation {
-	c := &channelStation{
+func newChannelStation(eng *sim.Engine, tDMAPage sim.Time, bufSlots int, slab *[]xferJob) channelStation {
+	c := channelStation{
 		eng:      eng,
 		tDMAPage: tDMAPage,
 		bufSlots: bufSlots,
 		opened:   eng.Now(),
 	}
 	c.pending.slab, c.decodeQueue.slab = slab, slab
-	c.onXferDone = c.xferDone
-	c.onDecodeDone = c.decodeDone
 	return c
 }
 
@@ -147,14 +144,14 @@ func (c *channelStation) tryStartXfer() {
 	}
 	c.xfer = job
 	c.xferStart = c.eng.Now()
-	c.eng.After(sim.Time(job.pages)*c.tDMAPage, c.onXferDone)
+	c.eng.After(sim.Time(job.pages)*c.tDMAPage, c)
 }
 
-// xferDone completes the running transfer: a write's continuation
-// runs now; a read lands in the ECC buffer and queues for decode.
+// Fire completes the running transfer: a write's continuation fires
+// now; a read lands in the ECC buffer and queues for decode.
 //
 //riflint:hotpath
-func (c *channelStation) xferDone() {
+func (c *channelStation) Fire() {
 	job := c.xfer
 	c.xfer = xferJob{}
 	c.busy = false
@@ -166,7 +163,7 @@ func (c *channelStation) xferDone() {
 	case xferWrite:
 		c.write += dur
 		if job.onDecoded != nil {
-			job.onDecoded.resume()
+			job.onDecoded.Fire()
 		}
 	case xferRead:
 		if c.corrupt != nil && job.resends < maxXferResends && c.corrupt() {
@@ -199,15 +196,21 @@ func (c *channelStation) tryStartDecode() {
 	c.engineBusy = true
 	c.decoding = job
 	c.decodeStart = c.eng.Now()
-	c.eng.After(job.engineTime, c.onDecodeDone)
+	c.eng.After(job.engineTime, (*eccEngine)(c))
 }
 
-// decodeDone completes the running decode: free its buffer slot, run
-// the job's continuation, then start whatever the freed engine and
-// buffer slot allow.
+// eccEngine is a channel station seen as its ECC engine: the handler
+// that fires at the end of the station's running decode. Converting a
+// *channelStation to an *eccEngine makes no new object.
+type eccEngine channelStation
+
+// Fire completes the running decode: free its buffer slot, fire the
+// job's continuation, then start whatever the freed engine and buffer
+// slot allow.
 //
 //riflint:hotpath
-func (c *channelStation) decodeDone() {
+func (e *eccEngine) Fire() {
+	c := (*channelStation)(e)
 	job := c.decoding
 	c.decoding = xferJob{}
 	c.engineBusy = false
@@ -219,7 +222,7 @@ func (c *channelStation) decodeDone() {
 	}
 	c.bufInUse--
 	if job.onDecoded != nil {
-		job.onDecoded.resume()
+		job.onDecoded.Fire()
 	}
 	c.tryStartDecode()
 	c.tryStartXfer() // a freed buffer slot may unblock the channel

@@ -12,13 +12,13 @@ func TestChannelTransfersFIFO(t *testing.T) {
 	var order []int
 	mk := func(id int) xferJob {
 		return xferJob{kind: xferRead, pages: 1, engineTime: sim.Microsecond,
-			onDecoded: resumeFunc(func() { order = append(order, id) })}
+			onDecoded: fire(func() { order = append(order, id) })}
 	}
-	eng.At(0, func() {
+	eng.At(0, fire(func() {
 		ch.submit(mk(1))
 		ch.submit(mk(2))
 		ch.submit(mk(3))
-	})
+	}))
 	eng.Run()
 	for i, want := range []int{1, 2, 3} {
 		if order[i] != want {
@@ -33,9 +33,9 @@ func TestChannelTransfersFIFO(t *testing.T) {
 func TestChannelCorUncorSplit(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := newChannelStation(eng, 10*sim.Microsecond, 2, nil)
-	eng.At(0, func() {
+	eng.At(0, fire(func() {
 		ch.submit(xferJob{kind: xferRead, pages: 4, uncorPages: 1, engineTime: 0})
-	})
+	}))
 	eng.Run()
 	u := ch.usage()
 	if u.Cor != 30*sim.Microsecond || u.Uncor != 10*sim.Microsecond {
@@ -47,9 +47,9 @@ func TestChannelWriteAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := newChannelStation(eng, 10*sim.Microsecond, 2, nil)
 	done := false
-	eng.At(0, func() {
-		ch.submit(xferJob{kind: xferWrite, pages: 3, onDecoded: resumeFunc(func() { done = true })})
-	})
+	eng.At(0, fire(func() {
+		ch.submit(xferJob{kind: xferWrite, pages: 3, onDecoded: fire(func() { done = true })})
+	}))
 	eng.Run()
 	if !done {
 		t.Fatal("write completion not delivered")
@@ -67,12 +67,12 @@ func TestChannelECCBufferBackpressure(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := newChannelStation(eng, 10*sim.Microsecond, 2, nil)
 	var thirdDecoded sim.Time
-	eng.At(0, func() {
+	eng.At(0, fire(func() {
 		ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: 100 * sim.Microsecond})
 		ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: 100 * sim.Microsecond})
 		ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: sim.Microsecond,
-			onDecoded: resumeFunc(func() { thirdDecoded = eng.Now() })})
-	})
+			onDecoded: fire(func() { thirdDecoded = eng.Now() })})
+	}))
 	eng.Run()
 	// Timeline: x1 0-10, decode1 10-110; x2 10-20 (slot 2);
 	// x3 blocked until decode1 frees a slot at 110; x3 110-120;
@@ -90,11 +90,11 @@ func TestChannelECCBufferBackpressure(t *testing.T) {
 func TestChannelNoECCWaitWhenBufferDeep(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := newChannelStation(eng, 10*sim.Microsecond, 8, nil)
-	eng.At(0, func() {
+	eng.At(0, fire(func() {
 		for i := 0; i < 4; i++ {
 			ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: 100 * sim.Microsecond})
 		}
-	})
+	}))
 	eng.Run()
 	if u := ch.usage(); u.ECCWait != 0 {
 		t.Fatalf("eccwait = %v with deep buffer", u.ECCWait)
@@ -106,10 +106,10 @@ func TestChannelWriteBypassesECCBuffer(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := newChannelStation(eng, 10*sim.Microsecond, 1, nil)
 	var writeDone sim.Time
-	eng.At(0, func() {
+	eng.At(0, fire(func() {
 		ch.submit(xferJob{kind: xferRead, pages: 1, engineTime: 500 * sim.Microsecond})
-		ch.submit(xferJob{kind: xferWrite, pages: 1, onDecoded: resumeFunc(func() { writeDone = eng.Now() })})
-	})
+		ch.submit(xferJob{kind: xferWrite, pages: 1, onDecoded: fire(func() { writeDone = eng.Now() })})
+	}))
 	eng.Run()
 	if writeDone != 20*sim.Microsecond {
 		t.Fatalf("write done at %v, want 20us (not blocked by decode)", writeDone)
@@ -119,11 +119,11 @@ func TestChannelWriteBypassesECCBuffer(t *testing.T) {
 func TestChannelUsageFractionsSumToOne(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := newChannelStation(eng, 10*sim.Microsecond, 2, nil)
-	eng.At(0, func() {
+	eng.At(0, fire(func() {
 		ch.submit(xferJob{kind: xferRead, pages: 2, uncorPages: 1, engineTime: 50 * sim.Microsecond})
 		ch.submit(xferJob{kind: xferWrite, pages: 1})
-	})
-	eng.At(300*sim.Microsecond, func() {}) // extend the window with idle time
+	}))
+	eng.At(300*sim.Microsecond, fire(func() {})) // extend the window with idle time
 	eng.Run()
 	idle, cor, uncor, wait := ch.usage().Fractions()
 	sum := idle + cor + uncor + wait

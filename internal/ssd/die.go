@@ -43,7 +43,7 @@ func (p DiePolicy) String() string {
 type dieOp struct {
 	dur   sim.Time
 	label string
-	done  resumer
+	done  sim.Handler
 }
 
 // dieStation schedules one die's array operations. Unlike the plain
@@ -61,8 +61,8 @@ type dieStation struct {
 	progQ ring[dieOp]
 
 	// The die runs one operation at a time, so the operation, its start
-	// instant and finish event live here, and one finish handler —
-	// bound once in newDieStation — serves every operation.
+	// instant and finish event live here, and the station itself is the
+	// handler that fires at every operation's end.
 	running dieOp
 	busy    bool
 	// readRunning marks a running operation taken from readQ. Under
@@ -72,7 +72,6 @@ type dieStation struct {
 	startedAt   sim.Time
 	finishAt    sim.Time
 	finishEvt   sim.EventID
-	onFinish    func()
 
 	suspended []dieOp // preempted programs, LIFO, each with its remaining time as dur
 
@@ -96,10 +95,9 @@ func (d *dieStation) noteDepth() {
 
 // newDieStation builds a die whose queues carve their first buffers
 // from slab (nil: each makes its own).
-func newDieStation(eng *sim.Engine, policy DiePolicy, resumePenalty sim.Time, slab *[]dieOp) *dieStation {
-	d := &dieStation{eng: eng, policy: policy, resumePenalty: resumePenalty}
+func newDieStation(eng *sim.Engine, policy DiePolicy, resumePenalty sim.Time, slab *[]dieOp) dieStation {
+	d := dieStation{eng: eng, policy: policy, resumePenalty: resumePenalty}
 	d.readQ.slab, d.progQ.slab = slab, slab
-	d.onFinish = d.finish
 	return d
 }
 
@@ -107,7 +105,7 @@ func newDieStation(eng *sim.Engine, policy DiePolicy, resumePenalty sim.Time, sl
 // names it on the timeline.
 //
 //riflint:hotpath
-func (d *dieStation) Read(dur sim.Time, label string, done resumer) {
+func (d *dieStation) Read(dur sim.Time, label string, done sim.Handler) {
 	op := dieOp{dur: dur, label: label, done: done}
 	if d.policy == DieFIFO {
 		d.progQ.push(op) // single queue in FIFO mode
@@ -120,7 +118,7 @@ func (d *dieStation) Read(dur sim.Time, label string, done resumer) {
 }
 
 // Program schedules a program/erase/GC occupancy; done may be nil.
-func (d *dieStation) Program(dur sim.Time, done resumer) {
+func (d *dieStation) Program(dur sim.Time, done sim.Handler) {
 	d.progQ.push(dieOp{dur: dur, label: "W", done: done})
 	d.noteDepth()
 	d.kick()
@@ -169,21 +167,21 @@ func (d *dieStation) kick() {
 	d.running, d.busy = op, true
 	d.startedAt = d.eng.Now()
 	d.finishAt = d.startedAt + op.dur
-	d.finishEvt = d.eng.After(op.dur, d.onFinish)
+	d.finishEvt = d.eng.After(op.dur, d)
 }
 
-// finish completes the running operation: record its occupancy, run
+// Fire completes the running operation: record its occupancy, fire
 // its continuation, start the next.
 //
 //riflint:hotpath
-func (d *dieStation) finish() {
+func (d *dieStation) Fire() {
 	op := d.running
 	d.running, d.busy = dieOp{}, false
 	if d.record != nil {
 		d.record(d.name, op.label, d.startedAt, d.eng.Now())
 	}
 	if op.done != nil {
-		op.done.resume()
+		op.done.Fire()
 	}
 	d.kick()
 }

@@ -7,16 +7,16 @@ import (
 	"repro/internal/sim"
 )
 
-// resumeFunc adapts a func to a resumer, so station tests can hand the
-// stations plain closures as continuations.
-type resumeFunc func()
+// fire adapts a closure to a sim.Handler, so station tests can hand
+// the engine and the stations plain funcs as continuations.
+type fire func()
 
-func (f resumeFunc) resume() { f() }
+func (f fire) Fire() { f() }
 
 // TestQueuedRecordSizes pins the sizes of the records stations queue by
 // value, which their rings copy and a fresh device's first buffers
-// hold: a resumer is two words where a func was one, so each record
-// packs its flags to stay the size it was.
+// hold: a sim.Handler is two words where a func was one, so each
+// record packs its flags to stay the size it was.
 func TestQueuedRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(dieOp{}); n != 40 {
 		t.Errorf("dieOp is %d bytes, want 40", n)
@@ -30,10 +30,10 @@ func TestDieFIFOOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	d := newDieStation(eng, DieFIFO, 0, nil)
 	var order []string
-	eng.At(0, func() {
-		d.Program(100, resumeFunc(func() { order = append(order, "prog") }))
-		d.Read(10, "R", resumeFunc(func() { order = append(order, "read") }))
-	})
+	eng.At(0, fire(func() {
+		d.Program(100, fire(func() { order = append(order, "prog") }))
+		d.Read(10, "R", fire(func() { order = append(order, "read") }))
+	}))
 	eng.Run()
 	if order[0] != "prog" || order[1] != "read" {
 		t.Fatalf("FIFO violated: %v", order)
@@ -48,11 +48,11 @@ func TestDieReadPriorityJumpsQueue(t *testing.T) {
 	d := newDieStation(eng, DieReadPriority, 0, nil)
 	var order []string
 	var readDone sim.Time
-	eng.At(0, func() {
-		d.Program(100, resumeFunc(func() { order = append(order, "p1") }))
-		d.Program(100, resumeFunc(func() { order = append(order, "p2") }))
-		d.Read(10, "R", resumeFunc(func() { order = append(order, "read"); readDone = eng.Now() }))
-	})
+	eng.At(0, fire(func() {
+		d.Program(100, fire(func() { order = append(order, "p1") }))
+		d.Program(100, fire(func() { order = append(order, "p2") }))
+		d.Read(10, "R", fire(func() { order = append(order, "read"); readDone = eng.Now() }))
+	}))
 	eng.Run()
 	// The read overtakes p2 but does not preempt p1.
 	if order[0] != "p1" || order[1] != "read" || order[2] != "p2" {
@@ -68,12 +68,12 @@ func TestDieSuspensionPreemptsProgram(t *testing.T) {
 	const penalty = 20
 	d := newDieStation(eng, DieSuspension, penalty, nil)
 	var readDone, progDone sim.Time
-	eng.At(0, func() {
-		d.Program(400, resumeFunc(func() { progDone = eng.Now() }))
-	})
-	eng.At(50, func() {
-		d.Read(40, "R", resumeFunc(func() { readDone = eng.Now() }))
-	})
+	eng.At(0, fire(func() {
+		d.Program(400, fire(func() { progDone = eng.Now() }))
+	}))
+	eng.At(50, fire(func() {
+		d.Read(40, "R", fire(func() { readDone = eng.Now() }))
+	}))
 	eng.Run()
 	// Read preempts at t=50, finishes at 90.
 	if readDone != 90 {
@@ -92,8 +92,8 @@ func TestDieSuspensionDoesNotPreemptReads(t *testing.T) {
 	eng := sim.NewEngine()
 	d := newDieStation(eng, DieSuspension, 20, nil)
 	var first sim.Time
-	eng.At(0, func() { d.Read(40, "R", resumeFunc(func() { first = eng.Now() })) })
-	eng.At(10, func() { d.Read(40, "R", nil) })
+	eng.At(0, fire(func() { d.Read(40, "R", fire(func() { first = eng.Now() })) }))
+	eng.At(10, fire(func() { d.Read(40, "R", nil) }))
 	eng.Run()
 	if first != 40 {
 		t.Fatalf("running read was disturbed: done at %v", first)
@@ -110,9 +110,9 @@ func TestDieSuspensionNestedPreemptions(t *testing.T) {
 	const penalty = 20
 	d := newDieStation(eng, DieSuspension, penalty, nil)
 	var eraseDone sim.Time
-	eng.At(0, func() { d.Program(3500, resumeFunc(func() { eraseDone = eng.Now() })) })
-	eng.At(100, func() { d.Read(40, "R", nil) })
-	eng.At(1000, func() { d.Read(40, "R", nil) })
+	eng.At(0, fire(func() { d.Program(3500, fire(func() { eraseDone = eng.Now() })) }))
+	eng.At(100, fire(func() { d.Read(40, "R", nil) }))
+	eng.At(1000, fire(func() { d.Read(40, "R", nil) }))
 	eng.Run()
 	// Total = 3500 + 2*40 (reads) + 2*20 (penalties).
 	if want := sim.Time(3500 + 80 + 40); eraseDone != want {

@@ -19,19 +19,10 @@ type dieFlusher struct {
 
 	// The flusher has one batch in flight at a time: its size and GC
 	// debt wait here, and programming says which of the batch's two
-	// hand-offs the flusher resumes from next.
+	// hand-offs the flusher fires next.
 	batch       int
 	batchGC     sim.Time
 	programming bool
-}
-
-func newDieFlusher(s *SSD, die *dieStation, ch *channelStation) *dieFlusher {
-	return &dieFlusher{
-		ssd:      s,
-		die:      die,
-		ch:       ch,
-		perPlane: make([]planeQueue, s.cfg.Geometry.PlanesPerDie),
-	}
 }
 
 // flushNode is one cached page awaiting its background program: the
@@ -155,17 +146,19 @@ func (f *dieFlusher) flushBatch() {
 	f.ch.submit(xferJob{kind: xferWrite, pages: batch, label: "W", onDecoded: f})
 }
 
-// resume advances the batch in flight. Once it has crossed the
-// channel, the die programs it; once programmed, its cache slots are
-// released and the next batch flushes.
-func (f *dieFlusher) resume() {
+// Fire advances the batch in flight. Once it has crossed the channel,
+// the die programs it; once programmed, its cache slots are released
+// and the next batch flushes.
+func (f *dieFlusher) Fire() {
 	if !f.programming {
 		f.programming = true
 		f.die.Program(f.batchGC+f.ssd.cfg.Timing.TProg, f)
 		return
 	}
 	f.programming = false
-	f.ssd.cache.release(f.batch)
+	if err := f.ssd.cache.release(f.batch); err != nil {
+		f.ssd.failRun(err)
+	}
 	f.flushBatch()
 }
 

@@ -109,12 +109,13 @@ func (s *SSD) Drain() (*Metrics, error) {
 	if !s.cache.idle() {
 		return nil, fmt.Errorf("ssd: write cache not drained at end of run")
 	}
-	for _, f := range s.flushers {
-		if !f.idle() {
+	for i := range s.flushers {
+		if !s.flushers[i].idle() {
 			return nil, fmt.Errorf("ssd: die flusher not drained at end of run")
 		}
 	}
-	for _, d := range s.dies {
+	for i := range s.dies {
+		d := &s.dies[i]
 		if !d.Idle() {
 			return nil, fmt.Errorf("ssd: die not drained at end of run")
 		}
@@ -123,7 +124,8 @@ func (s *SSD) Drain() (*Metrics, error) {
 	// Bandwidth is measured to the completion of the last host
 	// request; background flushes may run on slightly past it.
 	s.m.Makespan = s.lastDone
-	for _, ch := range s.channels {
+	for i := range s.channels {
+		ch := &s.channels[i]
 		if !ch.quiesced() {
 			return nil, fmt.Errorf("ssd: channel not quiesced at drain")
 		}

@@ -3,37 +3,30 @@ package ssd
 import "repro/internal/sim"
 
 // hostXfer is one transfer waiting for the host link: how long it
-// holds the link and what resumes when it lands.
+// holds the link and what fires when it lands.
 type hostXfer struct {
 	d    sim.Time
-	done resumer
+	done sim.Handler
 }
 
 // hostLink is the device's host interface: one transfer crosses it at
 // a time, in arrival order. Like the die and channel stations it keeps
-// its running transfer's continuation here and schedules one finish
-// handler, bound once in newHostLink; waiting transfers are values in
-// a ring, so the link allocates only while its backlog sets a new
+// its running transfer's continuation here and is itself the handler
+// that fires at the transfer's end; waiting transfers are values in a
+// ring, so the link allocates only while its backlog sets a new
 // high-water mark.
 type hostLink struct {
-	eng      *sim.Engine
-	busy     bool
-	done     resumer // the running transfer's continuation
-	pending  ring[hostXfer]
-	onFinish func()
-}
-
-func newHostLink(eng *sim.Engine) *hostLink {
-	h := &hostLink{eng: eng}
-	h.onFinish = h.finish
-	return h
+	eng     *sim.Engine
+	busy    bool
+	done    sim.Handler // the running transfer's continuation
+	pending ring[hostXfer]
 }
 
 // transfer holds the link for d once the transfers ahead of it have
-// crossed, then resumes done.
+// crossed, then fires done.
 //
 //riflint:hotpath
-func (h *hostLink) transfer(d sim.Time, done resumer) {
+func (h *hostLink) transfer(d sim.Time, done sim.Handler) {
 	if h.busy {
 		h.pending.push(hostXfer{d: d, done: done})
 		return
@@ -42,23 +35,23 @@ func (h *hostLink) transfer(d sim.Time, done resumer) {
 }
 
 // start puts a transfer on the link.
-func (h *hostLink) start(d sim.Time, done resumer) {
+func (h *hostLink) start(d sim.Time, done sim.Handler) {
 	h.busy, h.done = true, done
-	h.eng.After(d, h.onFinish)
+	h.eng.After(d, h)
 }
 
-// finish ends the running transfer. It releases the link, starts the
-// next waiting transfer, then runs the finished one's continuation, so
-// a continuation that queues another transfer lines up behind the one
-// already started.
+// Fire ends the running transfer. It releases the link, starts the
+// next waiting transfer, then fires the finished one's continuation,
+// so a continuation that queues another transfer lines up behind the
+// one already started.
 //
 //riflint:hotpath
-func (h *hostLink) finish() {
+func (h *hostLink) Fire() {
 	done := h.done
 	h.busy, h.done = false, nil
 	if h.pending.len() > 0 {
 		next := h.pending.pop()
 		h.start(next.d, next.done)
 	}
-	done.resume()
+	done.Fire()
 }

@@ -12,13 +12,13 @@ func (h *hostLink) idle() bool { return !h.busy && h.pending.len() == 0 }
 // keeps that order when its waiting ring is reused across bursts.
 func TestHostLinkFIFOOrder(t *testing.T) {
 	eng := sim.NewEngine()
-	h := newHostLink(eng)
+	h := &hostLink{eng: eng}
 	var order []int
 	var at []sim.Time
 	for round := 0; round < 2; round++ {
 		for i := 1; i <= 3; i++ {
 			id := 3*round + i
-			h.transfer(sim.Time(10*i), resumeFunc(func() {
+			h.transfer(sim.Time(10*i), fire(func() {
 				order = append(order, id)
 				at = append(at, eng.Now())
 			}))
@@ -41,12 +41,12 @@ func TestHostLinkFIFOOrder(t *testing.T) {
 // behind that one, as a chained stage's next hop does.
 func TestHostLinkChainsDone(t *testing.T) {
 	eng := sim.NewEngine()
-	h := newHostLink(eng)
+	h := &hostLink{eng: eng}
 	var chainedAt, bAt sim.Time = -1, -1
-	h.transfer(10, resumeFunc(func() {
-		h.transfer(5, resumeFunc(func() { chainedAt = eng.Now() }))
+	h.transfer(10, fire(func() {
+		h.transfer(5, fire(func() { chainedAt = eng.Now() }))
 	}))
-	h.transfer(10, resumeFunc(func() { bAt = eng.Now() }))
+	h.transfer(10, fire(func() { bAt = eng.Now() }))
 	eng.Run()
 	if bAt != 20 || chainedAt != 25 {
 		t.Fatalf("queued transfer landed at %v and chained one at %v, want 20 and 25", bAt, chainedAt)
@@ -60,11 +60,11 @@ func TestHostLinkChainsDone(t *testing.T) {
 // it busy without a gap: the k-th lands at k*d, the last at n*d.
 func TestHostLinkBackToBack(t *testing.T) {
 	eng := sim.NewEngine()
-	h := newHostLink(eng)
+	h := &hostLink{eng: eng}
 	const n, d = 20, 13
 	landed := 0
 	for i := 0; i < n; i++ {
-		h.transfer(d, resumeFunc(func() {
+		h.transfer(d, fire(func() {
 			landed++
 			if eng.Now() != sim.Time(landed*d) {
 				t.Errorf("transfer %d landed at %v, want %v", landed, eng.Now(), sim.Time(landed*d))
@@ -82,8 +82,8 @@ func TestHostLinkBackToBack(t *testing.T) {
 // queue, start, finish, continuation — allocates nothing.
 func TestHostLinkZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
-	h := newHostLink(eng)
-	done := resumeFunc(func() {})
+	h := &hostLink{eng: eng}
+	done := fire(func() {})
 	burst := func() {
 		for i := 0; i < 16; i++ {
 			h.transfer(sim.Time(i+1), done)

@@ -68,7 +68,8 @@ func (s *SSD) foldObs() {
 
 	// Per-channel usage (the Fig. 18 breakdown, in nanoseconds) plus
 	// occupancy high-waters.
-	for i, ch := range s.channels {
+	for i := range s.channels {
+		ch := &s.channels[i]
 		u := ch.usage()
 		p := fmt.Sprintf("ssd_ch%d_", i)
 		reg.Counter(p + "idle_ns").Add(int64(u.Idle()))
@@ -84,10 +85,8 @@ func (s *SSD) foldObs() {
 	// Die queue pressure (aggregated over dies: with 32+ dies a
 	// per-die series would dominate the snapshot).
 	dieHigh := 0
-	for _, d := range s.dies {
-		if d.qHigh > dieHigh {
-			dieHigh = d.qHigh
-		}
+	for i := range s.dies {
+		dieHigh = max(dieHigh, s.dies[i].qHigh)
 	}
 	reg.Gauge("ssd_die_queue_depth_highwater").SetMax(int64(dieHigh))
 	reg.Counter("ssd_die_suspensions_total").Add(s.m.Suspensions)

@@ -26,8 +26,8 @@ const ringFirst = 4
 
 // ringSlabs are a device's slabs of first ring buffers, one per kind
 // of queue a device holds many of: the dies' operation queues and the
-// channels' job queues. The host link, write cache and dead-die probes
-// hold one ring each, which makes its own.
+// channels' job queues. The host link and write cache hold one ring
+// each, which makes its own.
 type ringSlabs struct {
 	ops  []dieOp
 	jobs []xferJob

@@ -22,8 +22,7 @@ func (s *SSD) readCommand(c *dieCmd) {
 		s.m.PageReads += n
 		s.m.UnrecoveredPages += n
 		s.m.Faults.DieDropoutReads += n
-		s.probes.push(c)
-		s.eng.After(s.cfg.Timing.TR, s.onProbe)
+		s.eng.After(s.cfg.Timing.TR, c.then(stageProbed))
 		return
 	}
 	s.resolvePages(c)
@@ -52,14 +51,6 @@ func (s *SSD) readCommand(c *dieCmd) {
 		s.failRun(fmt.Errorf("ssd: unknown scheme %d", int(s.cfg.Scheme)))
 		c.finish(0)
 	}
-}
-
-// probed fails the command whose probe sense timed out. Every probe
-// waits the same tR, so probes time out in the order they were issued:
-// the oldest waiting command is the one.
-func (s *SSD) probed() {
-	c := s.probes.pop()
-	c.complete(cmdResult{uncPages: c.cmd.n})
 }
 
 // senseFirst occupies the die with the command's first read (dur of

@@ -34,14 +34,7 @@ type dieCommand struct {
 	n   int
 }
 
-// resumer is a continuation: what a station resumes once the
-// operation it was handed completes. A die command and a die's flusher
-// each wait on one operation at a time, so each is its own resumer and
-// records which step comes next; an interface holding a pointer does
-// not allocate.
-type resumer interface{ resume() }
-
-// cmdStage names the continuation a die command is waiting on.
+// cmdStage names the step a die command fires next.
 type cmdStage uint8
 
 const (
@@ -57,13 +50,14 @@ const (
 	stageProgrammed                     // write-through program done
 	stageCacheGranted                   // write-cache slots granted
 	stageBuffered                       // cached write data crossed the host link
+	stageProbed                         // a dead die's probe sense timed out
 )
 
 // dieCmd is one in-flight die command and the scratch its read or
 // write flow needs. A command waits on one thing at a time — a die
 // operation, a channel job, the host link, a write-cache grant — so
-// the command itself is the resumer every wait is handed: the stage
-// field names the step it resumes.
+// the command itself is the sim.Handler every wait is handed: the
+// stage field names the step it fires.
 type dieCmd struct {
 	s      *SSD
 	parent *hostReq
@@ -179,14 +173,14 @@ func (r *hostReq) cmdDone(res cmdResult) {
 	}
 }
 
-// then arms the command to resume at stage st and returns it.
-func (c *dieCmd) then(st cmdStage) resumer {
+// then arms the command to fire stage st and returns it.
+func (c *dieCmd) then(st cmdStage) sim.Handler {
 	c.stage = st
 	return c
 }
 
-// resume runs the step the command was waiting on.
-func (c *dieCmd) resume() {
+// Fire runs the step the command was waiting on.
+func (c *dieCmd) Fire() {
 	switch c.stage {
 	case stageSensed:
 		c.sensed()
@@ -212,6 +206,8 @@ func (c *dieCmd) resume() {
 		c.cacheGranted()
 	case stageBuffered:
 		c.buffered()
+	case stageProbed:
+		c.complete(cmdResult{uncPages: c.cmd.n})
 	}
 }
 

@@ -32,9 +32,12 @@ type SSD struct {
 	acc   odear.AccuracyModel
 	ftl   *FTL
 
-	dies     []*dieStation
-	channels []*channelStation
-	host     *hostLink
+	// The stations are held by value: each is the sim.Handler its own
+	// events fire, so none holds a bound callback, and the device's
+	// dies, channels and flushers are one allocation per kind.
+	dies     []dieStation
+	channels []channelStation
+	host     hostLink
 
 	predictRNG  *sim.RNG
 	sentinelRNG *sim.RNG
@@ -55,15 +58,9 @@ type SSD struct {
 	// dropout, so the sweep runs once per die.
 	deadDieCleared []bool
 
-	cache     *writeCache
-	flushers  []*dieFlusher
+	cache     writeCache
+	flushers  []dieFlusher
 	flushPool flushPool
-
-	// probes holds the read commands of dead dies, oldest first, whose
-	// probe sense has yet to time out; onProbe, bound in New when dies
-	// can drop out, fails the oldest.
-	probes  ring[*dieCmd]
-	onProbe func()
 
 	// workload feeds Run.
 	workload Workload
@@ -133,7 +130,8 @@ func New(cfg Config, w Workload) (*SSD, error) {
 		dec:         ecc.NewEngine(),
 		acc:         accuracyModelFor(cfg),
 		ftl:         NewFTL(cfg.Geometry),
-		host:        newHostLink(eng),
+		host:        hostLink{eng: eng},
+		cache:       writeCache{capacity: cfg.WriteCachePages},
 		predictRNG:  sim.NewRNG(cfg.Seed, 101),
 		sentinelRNG: sim.NewRNG(cfg.Seed, 102),
 		inj:         faults.New(cfg.Faults, cfg.Seed),
@@ -141,7 +139,6 @@ func New(cfg Config, w Workload) (*SSD, error) {
 	}
 	s.deadDieCleared = make([]bool, cfg.Geometry.TotalDies())
 	s.reclaim = s.reclaimBlock
-	s.cache = newWriteCache(cfg.WriteCachePages, s.failRun)
 	if cfg.Faults.DieDropoutRate > 0 {
 		// Writes aimed at a dead die fail over to the next live one;
 		// the dead die's disturb counters are cleared on first sight so
@@ -153,7 +150,6 @@ func New(cfg Config, w Workload) (*SSD, error) {
 			}
 			return down
 		}
-		s.onProbe = s.probed
 	}
 	s.m.Scheme = cfg.Scheme
 	s.m.PECycles = cfg.PECycles
@@ -165,18 +161,19 @@ func New(cfg Config, w Workload) (*SSD, error) {
 	// A station's name only labels its spans, so it is made only when
 	// a tracer records them.
 	nDies := cfg.Geometry.TotalDies()
-	s.dies = make([]*dieStation, 0, nDies)
-	for d := 0; d < nDies; d++ {
-		die := newDieStation(eng, cfg.DiePolicy, cfg.ResumePenalty, &s.rings.ops)
+	s.dies = make([]dieStation, nDies)
+	for d := range s.dies {
+		die := &s.dies[d]
+		*die = newDieStation(eng, cfg.DiePolicy, cfg.ResumePenalty, &s.rings.ops)
 		if cfg.Trace != nil {
 			die.name = fmt.Sprintf("die%d", d)
 			die.record = cfg.Trace.Span
 		}
-		s.dies = append(s.dies, die)
 	}
-	s.channels = make([]*channelStation, 0, cfg.Geometry.Channels)
-	for ch := 0; ch < cfg.Geometry.Channels; ch++ {
-		st := newChannelStation(eng, cfg.Timing.TDMAPage, cfg.ECCBufferSlots, &s.rings.jobs)
+	s.channels = make([]channelStation, cfg.Geometry.Channels)
+	for ch := range s.channels {
+		st := &s.channels[ch]
+		*st = newChannelStation(eng, cfg.Timing.TDMAPage, cfg.ECCBufferSlots, &s.rings.jobs)
 		if cfg.Trace != nil {
 			st.name = fmt.Sprintf("ch%d", ch)
 			st.record = cfg.Trace.Span
@@ -184,11 +181,18 @@ func New(cfg Config, w Workload) (*SSD, error) {
 		if cfg.Faults.ChannelCorruptRate > 0 {
 			st.corrupt = s.inj.TransferCorrupted
 		}
-		s.channels = append(s.channels, st)
 	}
-	s.flushers = make([]*dieFlusher, 0, nDies)
-	for d := 0; d < nDies; d++ {
-		s.flushers = append(s.flushers, newDieFlusher(s, s.dies[d], s.channels[d/cfg.Geometry.DiesPerChan]))
+	// Every flusher's per-plane queues are one slice of the device's.
+	planes := cfg.Geometry.PlanesPerDie
+	queues := make([]planeQueue, nDies*planes)
+	s.flushers = make([]dieFlusher, nDies)
+	for d := range s.flushers {
+		s.flushers[d] = dieFlusher{
+			ssd:      s,
+			die:      &s.dies[d],
+			ch:       &s.channels[d/cfg.Geometry.DiesPerChan],
+			perPlane: queues[d*planes : (d+1)*planes : (d+1)*planes],
+		}
 	}
 	return s, nil
 }
@@ -268,7 +272,7 @@ func (s *SSD) resolvePages(c *dieCmd) {
 func (s *SSD) dieOf(cmd dieCommand) (*dieStation, *channelStation, int) {
 	addr, _, _ := s.ftl.Lookup(cmd.lpn)
 	dieIdx := s.cfg.Geometry.DieID(addr)
-	return s.dies[dieIdx], s.channels[addr.Channel], dieIdx
+	return &s.dies[dieIdx], &s.channels[addr.Channel], dieIdx
 }
 
 // stuckRBER is the effective error rate of a grown-bad block's pages:
@@ -481,10 +485,10 @@ func (s *SSD) retireBlock(p *pageView) {
 	s.ftl.RetireBlock(s.cfg.Geometry.BlockAddr(p.blockID))
 }
 
-// hostTransfer moves pages across the host link, then resumes next.
-func (s *SSD) hostTransfer(pages int, next resumer) {
+// hostTransfer moves pages across the host link, then fires next.
+func (s *SSD) hostTransfer(pages int, next sim.Handler) {
 	if s.cfg.Timing.THostPage == 0 {
-		next.resume()
+		next.Fire()
 		return
 	}
 	s.host.transfer(sim.Time(pages)*s.cfg.Timing.THostPage, next)

@@ -68,7 +68,7 @@ func (c *dieCmd) buffered() {
 	// pages, so the flusher looks them up after it.
 	c.complete(cmdResult{})
 	addr, _, _ := s.ftl.Lookup(cmd.lpn)
-	f := s.flushers[s.cfg.Geometry.DieID(addr)]
+	f := &s.flushers[s.cfg.Geometry.DieID(addr)]
 	for i := 0; i < cmd.n; i++ {
 		a, _, _ := s.ftl.Lookup(cmd.lpn + int64(i))
 		gc := sim.Time(0)
