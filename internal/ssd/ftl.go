@@ -270,7 +270,7 @@ func (f *FTL) Write(lpn int64, now sim.Time, gcLow int) (nand.Address, GCWork, e
 	p := &f.planes[pIdx]
 
 	var gc GCWork
-	if p.cursorBlock < 0 || p.cursorPage >= f.geo.PagesPerBlock {
+	if f.cursorFull(p) {
 		victim := -1
 		if p.free() <= gcLow {
 			var err error
@@ -278,18 +278,27 @@ func (f *FTL) Write(lpn int64, now sim.Time, gcLow int) (nand.Address, GCWork, e
 				return nand.Address{}, GCWork{}, err
 			}
 		}
-		if p.free() == 0 {
-			return nand.Address{}, GCWork{}, fmt.Errorf("ssd: plane %v out of free blocks", p.addr)
+		// Relocating the victim's valid pages may have opened a block
+		// with room left: the write goes there.
+		if f.cursorFull(p) {
+			if p.free() == 0 {
+				return nand.Address{}, GCWork{}, fmt.Errorf("ssd: plane %v out of free blocks", p.addr)
+			}
+			f.open(p)
 		}
-		f.open(p)
 		if victim >= 0 {
-			// The victim's erase counts only now: the opening above
+			// The victim's erase counts only now: any opening above
 			// chose by wear with the victim at its pre-erase count.
 			f.block(p, victim).noteErase()
 		}
 	}
 	f.invalidate(lpn)
 	return f.place(p, lpn, now), gc, nil
+}
+
+// cursorFull reports whether the plane has no open block with room.
+func (f *FTL) cursorFull(p *planeState) bool {
+	return p.cursorBlock < 0 || p.cursorPage >= f.geo.PagesPerBlock
 }
 
 // open makes a free block the plane's cursor block.
@@ -475,7 +484,7 @@ func (f *FTL) relocateValid(p *planeState, block int) (int, error) {
 			if s.lpn == 0 {
 				continue
 			}
-			if p.cursorBlock < 0 || p.cursorPage >= f.geo.PagesPerBlock {
+			if f.cursorFull(p) {
 				if p.free() == 0 {
 					return 0, fmt.Errorf("ssd: plane %v wedged during relocation", p.addr)
 				}

@@ -276,7 +276,9 @@ func TestGCVictimDeterministic(t *testing.T) {
 //   - every plane's write region is accounted for: free blocks, blocks
 //     in use (open or closed) and idle retired blocks sum to it;
 //   - only the open block and blocks holding valid data keep page
-//     slots, so memory follows the live data.
+//     slots, so memory follows the live data;
+//   - each plane has at most one live, unretired, part-written block,
+//     its cursor: no block is closed before it fills.
 //
 // A sequence stops at the first write the FTL cannot place: a device
 // fails its run there.
@@ -389,6 +391,9 @@ func checkFTL(f *FTL, want map[int64]sim.Time, lpns int64) string {
 			if (b.slots != 0) != (b.valid > 0 || block == p.cursorBlock) {
 				return fmt.Sprintf("plane %d block %d with %d valid pages holds slots: %v", i, block, b.valid, b.slots != 0)
 			}
+			if b.live && !b.retired && block != p.cursorBlock && !lastPageWritten(f, &b) {
+				return fmt.Sprintf("plane %d block %d was closed part-written", i, block)
+			}
 			switch {
 			case b.live:
 				inUse++
@@ -409,4 +414,46 @@ func checkFTL(f *FTL, want map[int64]sim.Time, lpns int64) string {
 		return fmt.Sprintf("%d valid pages for %d written lpns", valid, len(want))
 	}
 	return ""
+}
+
+// lastPageWritten reports whether a block's last page has been
+// written, telling from its page slots: a written page keeps its write
+// time, which these tests start at 1, after it is invalidated. A block
+// without slots holds no valid data and tells nothing, so it passes.
+func lastPageWritten(f *FTL, b *blockState) bool {
+	if b.slots == 0 {
+		return true
+	}
+	last := f.geo.PagesPerBlock - 1
+	c := f.slotsOf(b)[last>>slotShift]
+	return c != nil && c[last&slotMask].at != 0
+}
+
+// TestGCRelocationDoesNotWedge runs uniform random writes on one plane
+// at footprints where most GC victims still hold valid pages. A GC
+// that relocates must write on into the block the relocation opened:
+// closing it part-written costs a free block per collection, and the
+// plane runs dry ("wedged during relocation") within a few dozen GCs.
+func TestGCRelocationDoesNotWedge(t *testing.T) {
+	geo := nand.Geometry{
+		Channels: 1, DiesPerChan: 1, PlanesPerDie: 1,
+		BlocksPerPlane: 64, PagesPerBlock: 16, PageBytes: 16 * 1024,
+	}
+	const writes, gcLow = 20_000, 2
+footprints:
+	for _, footprint := range []int{64, 160, 256, 320} {
+		f := NewFTL(geo)
+		rng := sim.NewRNG(1, uint64(footprint))
+		for i := 0; i < writes; i++ {
+			if _, _, err := f.Write(int64(rng.IntN(footprint)), sim.Time(i+1), gcLow); err != nil {
+				t.Errorf("footprint %d: write %d: %v", footprint, i, err)
+				continue footprints
+			}
+		}
+		runs, moved := f.GCStats()
+		t.Logf("footprint %d: %d GCs, write amplification %.2f", footprint, runs, float64(writes+int(moved))/writes)
+		if runs == 0 {
+			t.Errorf("footprint %d: no GC ran", footprint)
+		}
+	}
 }
