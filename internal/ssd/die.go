@@ -61,7 +61,7 @@ type dieStation struct {
 	progQ ring[dieOp]
 
 	// The die runs one operation at a time, so the operation, its start
-	// instant and finish event live here, and the station itself is the
+	// and finish instants live here, and the station itself is the
 	// handler that fires at every operation's end.
 	running dieOp
 	busy    bool
@@ -71,9 +71,15 @@ type dieStation struct {
 	readRunning bool
 	startedAt   sim.Time
 	finishAt    sim.Time
-	finishEvt   sim.EventID
 
 	suspended []dieOp // preempted programs, LIFO, each with its remaining time as dur
+	// stale holds the old finish times of preempted programs, whose
+	// events still fire: Fire ignores a firing at the head's instant.
+	// The times strictly increase, since a preempted program resumes
+	// before any other program starts and ends after its old finish;
+	// and at a tied instant the stale event fires first, since it was
+	// scheduled before the preemption.
+	stale ring[sim.Time]
 
 	// suspensions counts program/erase preemptions, for metrics.
 	suspensions int64
@@ -134,7 +140,7 @@ func (d *dieStation) maybePreempt() {
 	if remaining <= 0 {
 		return // completing this instant
 	}
-	d.eng.Cancel(d.finishEvt)
+	d.stale.push(d.finishAt)
 	op := d.running
 	op.dur = remaining + d.resumePenalty
 	//riflint:allow alloc -- suspension stack: grows only at a new preemption-depth high-water mark
@@ -167,14 +173,19 @@ func (d *dieStation) kick() {
 	d.running, d.busy = op, true
 	d.startedAt = d.eng.Now()
 	d.finishAt = d.startedAt + op.dur
-	d.finishEvt = d.eng.After(op.dur, d)
+	d.eng.After(op.dur, d)
 }
 
 // Fire completes the running operation: record its occupancy, fire
-// its continuation, start the next.
+// its continuation, start the next. A firing at the instant of the
+// oldest stale finish is that preempted program's old end, and passes.
 //
 //riflint:hotpath
 func (d *dieStation) Fire() {
+	if d.stale.len() > 0 && d.stale.peek() == d.eng.Now() {
+		d.stale.pop()
+		return
+	}
 	op := d.running
 	d.running, d.busy = dieOp{}, false
 	if d.record != nil {
