@@ -29,9 +29,6 @@ type cacheWaiter struct {
 	fn    sim.Handler
 }
 
-// enabled reports whether the device has a cache at all.
-func (c *writeCache) enabled() bool { return c.capacity > 0 }
-
 // acquire grants pages slots, firing fn immediately if room exists
 // or queueing FIFO otherwise. Requests larger than the whole cache
 // are granted alone when the cache drains completely.

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -69,10 +70,13 @@ func TestWriteCacheReleaseUnderflowSurfacesError(t *testing.T) {
 	}
 }
 
+// TestWriteCacheDisabled pins that a device has no write-through
+// path: one built without a write cache is refused.
 func TestWriteCacheDisabled(t *testing.T) {
-	c := &writeCache{capacity: 0}
-	if c.enabled() {
-		t.Fatal("zero-capacity cache reports enabled")
+	cfg := smallConfig(RiF, 0)
+	cfg.WriteCachePages = 0
+	if _, err := New(cfg, allocStubWorkload{}); err == nil || !strings.Contains(err.Error(), "write cache") {
+		t.Fatalf("New without a write cache: err = %v, want a write-cache error", err)
 	}
 }
 
@@ -94,21 +98,6 @@ func (w *cacheProbeWorkload) Next() trace.Request {
 
 func (w *cacheProbeWorkload) InitialAgeDays(int64) float64 { return w.cold }
 
-func TestWriteCacheImprovesWriteLatency(t *testing.T) {
-	// With the cache, a write completes at host-transfer time rather
-	// than program time, so mixed-workload makespan drops.
-	base := smallConfig(Zero, 0)
-	base.WriteCachePages = 0
-	cached := smallConfig(Zero, 0)
-	cached.WriteCachePages = 4096
-
-	mBase := run(t, base, &cacheProbeWorkload{cold: 0}, 300)
-	mCached := run(t, cached, &cacheProbeWorkload{cold: 0}, 300)
-	if mCached.Makespan >= mBase.Makespan {
-		t.Fatalf("cache did not help: %v vs %v", mCached.Makespan, mBase.Makespan)
-	}
-}
-
 func TestFlusherBatchesAcrossPlanes(t *testing.T) {
 	// Four pages on four planes of one die must program together: the
 	// flusher's die occupancy is ~one tPROG, not four.
@@ -127,15 +116,6 @@ func TestFlusherBatchesAcrossPlanes(t *testing.T) {
 	}
 	// All flushers drained (checked inside Run) and the cache is
 	// empty: the background path completed.
-}
-
-func TestWriteThroughStillWorks(t *testing.T) {
-	cfg := smallConfig(RiF, 1000)
-	cfg.WriteCachePages = 0
-	m := run(t, cfg, smallWorkload(t, "Ali2", 1), 300)
-	if m.RequestsCompleted != 300 || m.BytesWritten == 0 {
-		t.Fatalf("write-through run broken: %v", m)
-	}
 }
 
 func TestCacheDrainsAtRunEnd(t *testing.T) {

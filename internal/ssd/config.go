@@ -166,8 +166,8 @@ type Config struct {
 
 	// WriteCachePages sizes the controller's DRAM write buffer in
 	// 16-KiB pages. Writes complete to the host once buffered; the
-	// flash program happens in the background (as in MQSim-E). Zero
-	// disables the cache (write-through).
+	// flash program happens in the background (as in MQSim-E). It must
+	// be at least one page.
 	WriteCachePages int
 
 	// PredictionFloor overrides the RP accuracy model's asymptotic
@@ -254,7 +254,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ssd: sentinel extra-read prob %v", c.SentinelExtraReadProb)
 	case c.MaxRetryRounds < 1:
 		return fmt.Errorf("ssd: max retry rounds %d", c.MaxRetryRounds)
-	case c.WriteCachePages < 0:
+	case c.WriteCachePages < 1:
 		return fmt.Errorf("ssd: write cache pages %d", c.WriteCachePages)
 	case c.PredictionFloor < 0 || c.PredictionFloor > 1:
 		return fmt.Errorf("ssd: prediction floor %v", c.PredictionFloor)

@@ -94,37 +94,34 @@ func TestInjectedUNCReadReturnsMediaError(t *testing.T) {
 // TestDroppedWritesCompleteAndFailTheRun pins the unplaceable-write
 // path: with every die down, each write the FTL cannot place still
 // reaches the completion handler, is counted in Faults.DroppedWrites,
-// and the run's Drain returns the FTL's error — write-through and
-// cached alike, since the FTL places a write before the cache sees it.
+// and the run's Drain returns the FTL's error. The FTL places a write
+// before the write cache sees it.
 func TestDroppedWritesCompleteAndFailTheRun(t *testing.T) {
-	for _, cachePages := range []int{0, 4096} {
-		cfg := smallConfig(RiF, 0)
-		cfg.WriteCachePages = cachePages
-		cfg.Faults = faults.Config{DieDropoutRate: 1}
-		s, err := New(cfg, allocStubWorkload{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		const writes = 4
-		completed := 0
-		s.OnComplete(func(Completion) { completed++ })
-		// Each write covers one plane group, so it is one die command.
-		planes := int64(cfg.Geometry.PlanesPerDie)
-		for i := int64(0); i < writes; i++ {
-			req := trace.Request{Op: trace.Write, LPN: i * planes, Pages: int(planes)}
-			s.Submit(req, 0, allocStubWorkload{}, int(i))
-		}
-		_, err = s.Drain()
-		if err == nil || !strings.Contains(err.Error(), "every die down") {
-			t.Fatalf("cache %d: Drain err = %v, want the every-die-down error", cachePages, err)
-		}
-		if completed != writes {
-			t.Fatalf("cache %d: %d of %d writes completed", cachePages, completed, writes)
-		}
-		// A failed Drain returns no Metrics; read the device's own.
-		if got := s.m.Faults.DroppedWrites; got != writes {
-			t.Fatalf("cache %d: %d dropped writes, want %d", cachePages, got, writes)
-		}
+	cfg := smallConfig(RiF, 0)
+	cfg.Faults = faults.Config{DieDropoutRate: 1}
+	s, err := New(cfg, allocStubWorkload{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writes = 4
+	completed := 0
+	s.OnComplete(func(Completion) { completed++ })
+	// Each write covers one plane group, so it is one die command.
+	planes := int64(cfg.Geometry.PlanesPerDie)
+	for i := int64(0); i < writes; i++ {
+		req := trace.Request{Op: trace.Write, LPN: i * planes, Pages: int(planes)}
+		s.Submit(req, 0, allocStubWorkload{}, int(i))
+	}
+	_, err = s.Drain()
+	if err == nil || !strings.Contains(err.Error(), "every die down") {
+		t.Fatalf("Drain err = %v, want the every-die-down error", err)
+	}
+	if completed != writes {
+		t.Fatalf("%d of %d writes completed", completed, writes)
+	}
+	// A failed Drain returns no Metrics; read the device's own.
+	if got := s.m.Faults.DroppedWrites; got != writes {
+		t.Fatalf("%d dropped writes, want %d", got, writes)
 	}
 }
 

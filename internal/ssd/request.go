@@ -45,9 +45,6 @@ const (
 	stageResensed                       // retry re-sense done
 	stageRedecoded                      // retry transfer decoded
 	stageHosted                         // read data crossed the host link
-	stageWriteHosted                    // write-through data crossed the host link
-	stageWriteMoved                     // write-through data crossed the channel
-	stageProgrammed                     // write-through program done
 	stageCacheGranted                   // write-cache slots granted
 	stageBuffered                       // cached write data crossed the host link
 	stageProbed                         // a dead die's probe sense timed out
@@ -196,12 +193,6 @@ func (c *dieCmd) Fire() {
 		c.redecoded()
 	case stageHosted:
 		c.complete(cmdResult{uncPages: c.unc})
-	case stageWriteHosted:
-		c.writeHosted()
-	case stageWriteMoved:
-		c.writeMoved()
-	case stageProgrammed:
-		c.complete(cmdResult{})
 	case stageCacheGranted:
 		c.cacheGranted()
 	case stageBuffered:

@@ -60,6 +60,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.ECCBufferSlots = 0 },
 		func(c *Config) { c.SentinelExtraReadProb = 2 },
 		func(c *Config) { c.MaxRetryRounds = 0 },
+		func(c *Config) { c.WriteCachePages = 0 },
 	}
 	for i, mut := range muts {
 		c := DefaultConfig(RiF, 0)

@@ -10,9 +10,9 @@ import (
 // allocation is charged to the die (copyback relocation plus erase)
 // before the program starts.
 //
-// With a write cache, the host-visible write completes once the data
-// is buffered in controller DRAM; the channel transfer and program
-// run as a background flush that releases the buffer when durable.
+// The host-visible write completes once the data is buffered in the
+// controller's DRAM write cache; the channel transfer and program run
+// as a background flush that releases the buffer when durable.
 func (s *SSD) writeCommand(c *dieCmd) {
 	var gcTime sim.Time
 	for i := 0; i < c.cmd.n; i++ {
@@ -37,22 +37,7 @@ func (s *SSD) writeCommand(c *dieCmd) {
 	// have re-homed the pages away from a dead die.
 	c.die, c.ch, _ = s.dieOf(c.cmd)
 
-	if !s.cache.enabled() {
-		// Write-through: the host waits for the program.
-		s.hostTransfer(c.cmd.n, c.then(stageWriteHosted))
-		return
-	}
 	s.cache.acquire(c.cmd.n, c.then(stageCacheGranted))
-}
-
-// writeHosted moves write-through data across the channel.
-func (c *dieCmd) writeHosted() {
-	c.ch.submit(xferJob{kind: xferWrite, pages: c.cmd.n, label: "W", onDecoded: c.then(stageWriteMoved)})
-}
-
-// writeMoved programs write-through data, paying the GC debt first.
-func (c *dieCmd) writeMoved() {
-	c.die.Program(c.gcTime+c.s.cfg.Timing.TProg, c.then(stageProgrammed))
 }
 
 // cacheGranted moves cached write data across the host link.
