@@ -39,7 +39,7 @@ import (
 // changes, or when a field is added to (or removed from) the encoded
 // structs — the reflection guard in key_test.go fails on the latter
 // until both the encoder and this constant move together.
-const SchemaVersion = 6
+const SchemaVersion = 7
 
 // Key is a SHA-256 content address of one canonicalized run
 // configuration.

@@ -8,7 +8,7 @@ import (
 )
 
 // goldenKeys pins the content address of (experiment,
-// DefaultRunParams) for every valid experiment at SchemaVersion 6.
+// DefaultRunParams) for every valid experiment at SchemaVersion 7.
 // These constants are the cross-restart half of the key invariant: a
 // recompiled, restarted, or different-host process must mint the very
 // same addresses, or a persisted store written by one server life
@@ -17,23 +17,23 @@ import (
 // encoding moves these values, bump SchemaVersion and regenerate the
 // table — never hand-patch a single row.
 var goldenKeys = map[string]string{
-	"6":                  "8bfb5dacd89bc74bac36cc0d74378b474879535177c3de9d7700b96e6b07eb5d",
-	"7":                  "e115f38961d0c42d99af64a611c4754be0eceab2d7c3fa2af6c55c89d8cd1aac",
-	"8":                  "2bd66e78d22b922a1779e864843aebde3699e33e8b9d8122842358ab88aaae7b",
-	"17":                 "58ca385bbf10edab612ccd8639b63c9d6bbed2602614ee98134a2e0be5478fc5",
-	"18":                 "1e783b1f41e1e962566fcb98e2d733904d614d6d8f6f7fb4f62125d1e485cf97",
-	"19":                 "6faa1a33c57568d3d860ea918f1f3d9e1fb2a5ffa50923c7cf9ef99ada29a608",
-	"overhead":           "3a6cbecfa2a0c9c8c5729ab6dc5403e03373449b0e2d81095a4ce058edd05d5e",
-	"ablate-chunk":       "30f8e9001b7bc2d9abad9f362eddb3f3820cb39614e9753f3bab44537edf051a",
-	"ablate-buffer":      "4e07be56248836e8f0d58628100abc1e4644b9aea7ad2c3b9b256f991d1eef0d",
-	"ablate-accuracy":    "b450d1246ad8e078ecd91ab359507261f6f63b8562985b952c2df93ecc3553ef",
-	"ablate-scheduling":  "94d6d495f0a45a5779fadb1a7ee217743cbb8288aa314bf8a2f9c2a0ae4843c6",
-	"ablate-secondcheck": "1a1bf7abf793ba6b8147970f757af472dcdfa610186f7f713d6658706e9b6620",
-	"refresh":            "2a217bbb911590cd85c9cde5eccedee8182c719314bd5c110f1fb2078c8de4c6",
-	"tenants":            "f1744cca3b1898d0c4de3679f4b75f18e8641ad0683eb2d23cb5c3237a187681",
-	"chaos":              "dbb1d8da6ec334269910dda0b3fb967ebbb15f94fee0552706c1d53428b14332",
-	"tailsweep":          "bb9e5d116472720a9fcee774e2d3ebd21599fe47349b5b576bfb90af547cc44d",
-	"agesweep":           "12d158d0ce9b540b9084277ee90159a76a6205f352838dbb7bd660846be8dcef",
+	"6":                  "61e9ddba21a42362c1f50f40df282370eaa9b100a9bdac62ca37572b7ffd7f69",
+	"7":                  "0f20e48421d8b9db7d8feea3019726d90419f87e7b2a19ef9c55501e6b0ebaec",
+	"8":                  "9bc388c46346e68a7d8f7c4821234597da4a8981e9d9e07d66e76c7e6a5190a1",
+	"17":                 "5d2872fb06fc50d12ebd3104d987c94d0605616802fa4ed5ec17969ded7472e7",
+	"18":                 "1401320b5381243d29a78fff1fc7710c06d8d01afe9cab2e5bb3b47997d13b7c",
+	"19":                 "44c71a4ead80c19d168dde9d622c760e5aaf4f3eb9d75e8a5d641fc96bc21921",
+	"overhead":           "0cab067ab61fb54aca1ce636e65975f0591680e4f607d45c01db12f5bd736497",
+	"ablate-chunk":       "866860653bdb650b5bead7454e0c16755232684f8669eafe770f73fab8cd8987",
+	"ablate-buffer":      "4b7fcd611cc4be04ae325f6111c0a16dfddf98001c0554a46dbd533ac32c2cfb",
+	"ablate-accuracy":    "7fb5804348be9f864677c4e19e6c016a82ed2b7a9fdb3bd1649853e303b0b50a",
+	"ablate-scheduling":  "aa81b83f3768953509ae66d081aa1a19774b3f4654d58bdbd9dfbb29410e0db5",
+	"ablate-secondcheck": "aceae552a4a84fb5e8f11019709d3f0fe4f80e7cbeec64779c11ac56b73b146d",
+	"refresh":            "74dfe7a02e4e7553004dae14b99a3cb96dfde2169044d9a195cb569e5660460f",
+	"tenants":            "35a905c9bbddb2f3f8176e0af77ff5c66bc4b3d1b18a262e185ec1aac292e995",
+	"chaos":              "48c3b60c3d6c9e19e4bc48694e982c002bf453cb95e5c7cc8f5b011c49b688f4",
+	"tailsweep":          "1721f14872cd304fa3474c7a5c220fba33cf81d5fa34ea63c6557e94ac8bd7e3",
+	"agesweep":           "79ae89c5a52521616d66e704251f498a6ad2266060f157f84289831e32f21117",
 }
 
 // TestGoldenKeysCoverEveryExperiment keeps the table and the
