@@ -134,8 +134,9 @@ examples-smoke:
 # the result store's entry decoder, rifserve's two untrusted inputs
 # (the POSTed job spec and the job journal replayed at restart), and
 # the min-sum decoder on arbitrary finite LLRs against its edge-list
-# reference, and the RBER enclosure on arbitrary finite read
-# conditions against the exact RBER. A crasher lands in the package's
+# reference, the RBER enclosure on arbitrary finite read conditions
+# against the exact RBER, and the manifest encoder on arbitrary
+# manifests against encoding/json. A crasher lands in the package's
 # testdata/fuzz. CI runs this on every change.
 FUZZTIME ?= 10s
 
@@ -149,6 +150,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalScan$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzMinSumDecodeSoft$$' -fuzztime $(FUZZTIME) ./internal/ldpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzConditionBounds$$' -fuzztime $(FUZZTIME) ./internal/nand/
+	$(GO) test -run '^$$' -fuzz '^FuzzCollectionJSON$$' -fuzztime $(FUZZTIME) ./internal/obs/
 
 # lint is the network-free gate: formatting, go vet, and the
 # repository's own invariant suite (internal/analysis via

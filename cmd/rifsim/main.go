@@ -241,7 +241,7 @@ func writeArtifacts(collect *obs.Collection, tracer *obs.Tracer, metricsPath, tr
 		}
 	}
 	if jsonOut {
-		return obs.WriteJSON(os.Stdout, collect)
+		return collect.WriteJSON(os.Stdout)
 	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"regexp"
 	"sort"
 	"strings"
@@ -56,8 +55,9 @@ type Manifest struct {
 // SetSimTime records the virtual makespan.
 func (m *Manifest) SetSimTime(t sim.Time) { m.SimTimeNS = int64(t) }
 
-// WriteJSON serializes any artifact (a Manifest, a Collection, a
-// result table) as indented JSON.
+// WriteJSON serializes any artifact (a job status, a result table) as
+// indented JSON through encoding/json. A Collection has its own
+// encoder: Collection.JSON writes the same bytes.
 func WriteJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -65,19 +65,6 @@ func WriteJSON(w io.Writer, v any) error {
 		return fmt.Errorf("obs: json encode: %w", err)
 	}
 	return nil
-}
-
-// WriteJSONFile serializes an artifact to a file.
-func WriteJSONFile(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	if err := WriteJSON(f, v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Collection gathers the manifests of a multi-run experiment (a
@@ -198,15 +185,6 @@ func (c *Collection) Len() int {
 	return len(c.runs)
 }
 
-// MarshalJSON serializes the collection as {"runs": [...]}, with
-// "partial": true when the flush preceded completion.
-func (c *Collection) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Partial bool       `json:"partial,omitempty"`
-		Runs    []Manifest `json:"runs"`
-	}{Partial: c.Partial(), Runs: c.Runs()})
-}
-
 // UnmarshalJSON restores a collection written by MarshalJSON.
 func (c *Collection) UnmarshalJSON(data []byte) error {
 	var raw struct {
@@ -221,11 +199,6 @@ func (c *Collection) UnmarshalJSON(data []byte) error {
 	c.partial = raw.Partial
 	c.mu.Unlock()
 	return nil
-}
-
-// WriteFile serializes the collection to a JSON file.
-func (c *Collection) WriteFile(path string) error {
-	return WriteJSONFile(path, c)
 }
 
 // runLabels identifies one run in a multi-run exposition.
@@ -322,7 +295,7 @@ func unionKeys[V any](sets []promSet, instruments func(Snapshot) map[string]V) [
 			names[k] = true
 		}
 	}
-	return sortedKeys(names)
+	return sortedKeys(nil, names)
 }
 
 var promInvalid = regexp.MustCompile(`[^a-zA-Z0-9_:]`)
@@ -356,7 +329,7 @@ func promLabels(labels map[string]string) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	keys := sortedKeys(labels)
+	keys := sortedKeys(nil, labels)
 	var b strings.Builder
 	b.WriteByte('{')
 	for i, k := range keys {
@@ -388,19 +361,19 @@ func (s Snapshot) Format() string {
 	var b strings.Builder
 	if len(s.Counters) > 0 {
 		fmt.Fprintf(&b, "counters:\n")
-		for _, name := range sortedKeys(s.Counters) {
+		for _, name := range sortedKeys(nil, s.Counters) {
 			fmt.Fprintf(&b, "  %-44s %d\n", name, s.Counters[name])
 		}
 	}
 	if len(s.Gauges) > 0 {
 		fmt.Fprintf(&b, "gauges:\n")
-		for _, name := range sortedKeys(s.Gauges) {
+		for _, name := range sortedKeys(nil, s.Gauges) {
 			fmt.Fprintf(&b, "  %-44s %d\n", name, s.Gauges[name])
 		}
 	}
 	if len(s.Histograms) > 0 {
 		fmt.Fprintf(&b, "histograms:\n")
-		for _, name := range sortedKeys(s.Histograms) {
+		for _, name := range sortedKeys(nil, s.Histograms) {
 			h := s.Histograms[name]
 			fmt.Fprintf(&b, "  %-44s n=%d mean=%.4g min=%.4g max=%.4g\n",
 				name, h.Count, h.Mean, h.Min, h.Max)

@@ -11,7 +11,7 @@
 package obs
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -230,43 +230,30 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Snapshot captures every instrument's current value, with
-// deterministic (sorted) ordering for serialization and goldens.
+// Snapshot captures every instrument's current value, in one pass
+// under the registry's lock. Writers sort the names.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-
+	defer r.mu.Unlock()
 	s := Snapshot{}
-	if len(counters) > 0 {
-		s.Counters = make(map[string]int64, len(counters))
-		for k, v := range counters {
+	if len(r.counters) > 0 {
+		s.Counters = make(map[string]int64, len(r.counters))
+		for k, v := range r.counters {
 			s.Counters[k] = v.Value()
 		}
 	}
-	if len(gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(gauges))
-		for k, v := range gauges {
+	if len(r.gauges) > 0 {
+		s.Gauges = make(map[string]int64, len(r.gauges))
+		for k, v := range r.gauges {
 			s.Gauges[k] = v.Value()
 		}
 	}
-	if len(hists) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(hists))
-		for k, v := range hists {
+	if len(r.hists) > 0 {
+		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
+		for k, v := range r.hists {
 			s.Histograms[k] = v.snapshot()
 		}
 	}
@@ -280,13 +267,15 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// sortedKeys returns m's keys in order (generics keep the three
-// instrument maps on one helper).
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys returns m's keys in order, in keys' storage when it has
+// room (the manifest encoder reuses one slice from map to map; nil
+// makes a new one). Generics keep the three instrument maps on one
+// helper.
+func sortedKeys[V any](keys []string, m map[string]V) []string {
+	keys = slices.Grow(keys[:0], len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }

@@ -19,8 +19,8 @@ const entryOverhead = 256
 type Entry struct {
 	// Report is the rendered text report.
 	Report []byte
-	// Runs is the manifest-collection JSON exactly as obs.WriteJSON
-	// rendered it.
+	// Runs is the manifest-collection JSON exactly as obs's manifest
+	// encoder (Collection.JSON) rendered it.
 	Runs []byte
 	// Cells is the number of runs the collection holds, so a hit can
 	// report grid size without re-parsing Runs.

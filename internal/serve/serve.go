@@ -739,29 +739,31 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// storeResult renders a completed job's manifest collection once,
-// pins those bytes as the job's /runs response (releasing the
-// collection's manifests), and populates the result cache (memory and disk tiers) under the job's content
-// address before releasing its single-flight slot. Only complete
-// results ever reach either tier: cancelled (partial) and failed jobs
-// release the slot without storing, so a later identical submission
-// recomputes. The done journal record lands last — after caching —
-// so replay never trusts a completion whose artifacts were not at
-// least attempted on disk.
+// storeResult renders a completed job's manifest collection once
+// (Collection.JSON: one pass, into bytes sized exactly, since the job
+// and the cache keep them for their lifetime), pins those bytes as the
+// job's /runs response (releasing the collection's manifests), and
+// populates the result cache (memory and disk tiers) under the job's
+// content address before releasing its single-flight slot. Only
+// complete results ever reach either tier: cancelled (partial) and
+// failed jobs release the slot without storing, so a later identical
+// submission recomputes. The done journal record lands last — after
+// caching — so replay never trusts a completion whose artifacts were
+// not at least attempted on disk.
 func (s *Server) storeResult(j *Job) {
-	var runs bytes.Buffer
-	if err := obs.WriteJSON(&runs, j.collect); err != nil {
+	runs, err := j.collect.JSON()
+	if err != nil {
 		// Rendering a collection to a buffer cannot fail short of a
 		// marshalling bug; degrade to uncached rather than taking the
 		// job down with an artifact-plumbing error.
 		s.clearInflight(j)
 		return
 	}
-	cells := j.pinRuns(runs.Bytes())
+	cells := j.pinRuns(runs)
 	if j.hasKey {
 		e := resultcache.Entry{
 			Report: j.Report(),
-			Runs:   runs.Bytes(),
+			Runs:   runs,
 			Cells:  cells,
 		}
 		if s.cache != nil {
@@ -968,7 +970,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	//riflint:allow droppederr -- response write: the client went away, nothing to recover
-	obs.WriteJSON(w, j.collect)
+	j.collect.WriteJSON(w)
 }
 
 // handleMetrics serves the server registry in the Prometheus text

@@ -8,11 +8,12 @@ import (
 // BenchmarkEngine times the event heap under the classic hold model:
 // depth events stay pending, and each one that fires schedules its
 // successor a pseudo-random delay ahead, so every event costs one pop
-// and one push at a steady heap depth. A Fig. 17 cell peaks at 48
-// pending events; 16 and 256 bracket it, and 1024 is an open-loop
-// replay's default in-flight bound (replay.DefaultMaxInFlight), the
-// deepest heap a benchmark runs. ns/event is the engine's share of
-// the simulator's per-event cost.
+// and one push at a steady heap depth. 16 and 48 are depths that runs
+// reach: each station keeps at most one event pending, and in-flight
+// requests wait in station queues, not in the heap, so a Fig. 17 cell
+// peaks at about 48 and a tailsweep replay at about 33. 256 and 1024
+// only stress the data structure; no run reaches them. ns/event is the
+// engine's share of the simulator's per-event cost.
 func BenchmarkEngine(b *testing.B) {
 	delays := make([]Time, 1024)
 	rng := NewRNG(1, 1)

@@ -69,10 +69,16 @@ type dieStation struct {
 	// DieSuspension, the one policy that preempts, every read queues
 	// there, so the mark tells a read apart from a program.
 	readRunning bool
-	startedAt   sim.Time
-	finishAt    sim.Time
+	// hasSuspended marks a program waiting in suspended.
+	hasSuspended bool
+	startedAt    sim.Time
+	finishAt     sim.Time
 
-	suspended []dieOp // preempted programs, LIFO, each with its remaining time as dur
+	// suspended is the preempted program, with its remaining time as
+	// dur. One slot is enough: kick resumes it before any queued program
+	// starts, and only a running program is preempted, so a second
+	// program is never suspended while one waits.
+	suspended dieOp
 	// stale holds the old finish times of preempted programs, whose
 	// events still fire: Fire ignores a firing at the head's instant.
 	// The times strictly increase, since a preempted program resumes
@@ -90,8 +96,11 @@ type dieStation struct {
 
 // noteDepth refreshes the queue-depth high-water mark.
 func (d *dieStation) noteDepth() {
-	depth := d.readQ.len() + d.progQ.len() + len(d.suspended)
+	depth := d.readQ.len() + d.progQ.len()
 	if d.busy {
+		depth++
+	}
+	if d.hasSuspended {
 		depth++
 	}
 	if depth > d.qHigh {
@@ -141,10 +150,8 @@ func (d *dieStation) maybePreempt() {
 		return // completing this instant
 	}
 	d.stale.push(d.finishAt)
-	op := d.running
-	op.dur = remaining + d.resumePenalty
-	//riflint:allow alloc -- suspension stack: grows only at a new preemption-depth high-water mark
-	d.suspended = append(d.suspended, op)
+	d.suspended, d.hasSuspended = d.running, true
+	d.suspended.dur = remaining + d.resumePenalty
 	d.suspensions++
 	d.running, d.busy = dieOp{}, false
 }
@@ -159,12 +166,9 @@ func (d *dieStation) kick() {
 	switch {
 	case d.readRunning:
 		op = d.readQ.pop()
-	case len(d.suspended) > 0:
-		// Resume the most recently suspended program.
-		n := len(d.suspended) - 1
-		op = d.suspended[n]
-		d.suspended[n] = dieOp{}
-		d.suspended = d.suspended[:n]
+	case d.hasSuspended:
+		op = d.suspended
+		d.suspended, d.hasSuspended = dieOp{}, false
 	case d.progQ.len() > 0:
 		op = d.progQ.pop()
 	default:
@@ -199,7 +203,7 @@ func (d *dieStation) Fire() {
 
 // Idle reports whether the die has no running or queued work.
 func (d *dieStation) Idle() bool {
-	return !d.busy && d.readQ.len() == 0 && d.progQ.len() == 0 && len(d.suspended) == 0
+	return !d.busy && d.readQ.len() == 0 && d.progQ.len() == 0 && !d.hasSuspended
 }
 
 // Suspensions reports how many preemptions occurred.

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"unsafe"
@@ -208,5 +209,51 @@ func TestSuspensionImprovesReadTail(t *testing.T) {
 func TestDiePolicyNames(t *testing.T) {
 	if DieFIFO.String() != "fifo" || DieReadPriority.String() != "read-priority" || DieSuspension.String() != "suspension" {
 		t.Fatal("policy names wrong")
+	}
+}
+
+// TestDieSuspensionHoldsOneProgram drives one suspending die with
+// programs and reads at random instants, many of them at a running
+// operation's finish. It fails if a read ever arrives while a program
+// runs and another waits suspended (the one state in which a second
+// program would be suspended), and if any operation does not complete
+// exactly once.
+func TestDieSuspensionHoldsOneProgram(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 7))
+		eng := sim.NewEngine()
+		d := newDieStation(eng, DieSuspension, 20, nil)
+		const ops = 400
+		done := make([]int, ops)
+		var arrive func(i int)
+		arrive = func(i int) {
+			complete := fire(func() { done[i]++ })
+			if rng.IntN(3) == 0 {
+				d.Program(sim.Time(100+rng.IntN(3500)), complete)
+			} else {
+				if d.hasSuspended && d.busy && !d.readRunning {
+					t.Fatalf("seed %d: a read arrives at %v while a program runs and another is suspended", seed, eng.Now())
+				}
+				d.Read(sim.Time(10+rng.IntN(100)), "R", complete)
+			}
+			if i+1 == ops {
+				return
+			}
+			next := eng.Now() + sim.Time(rng.IntN(300))
+			if d.busy && rng.IntN(4) == 0 {
+				next = d.finishAt // a tie with the running operation's finish
+			}
+			eng.At(next, fire(func() { arrive(i + 1) }))
+		}
+		eng.At(0, fire(func() { arrive(0) }))
+		eng.Run()
+		for i, n := range done {
+			if n != 1 {
+				t.Fatalf("seed %d: operation %d completed %d times", seed, i, n)
+			}
+		}
+		if !d.Idle() || d.Suspensions() == 0 {
+			t.Fatalf("seed %d: idle = %v after %d suspensions", seed, d.Idle(), d.Suspensions())
+		}
 	}
 }

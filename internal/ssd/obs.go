@@ -71,15 +71,15 @@ func (s *SSD) foldObs() {
 	for i := range s.channels {
 		ch := &s.channels[i]
 		u := ch.usage()
-		p := fmt.Sprintf("ssd_ch%d_", i)
-		reg.Counter(p + "idle_ns").Add(int64(u.Idle()))
-		reg.Counter(p + "cor_ns").Add(int64(u.Cor))
-		reg.Counter(p + "uncor_ns").Add(int64(u.Uncor))
-		reg.Counter(p + "write_ns").Add(int64(u.Write))
-		reg.Counter(p + "eccwait_ns").Add(int64(u.ECCWait))
-		reg.Counter(p + "total_ns").Add(int64(u.Total))
-		reg.Gauge(p + "ecc_buf_highwater").SetMax(int64(ch.bufHigh))
-		reg.Gauge(p + "backlog_highwater").SetMax(int64(ch.pendHigh))
+		n := channelObsNames(i)
+		reg.Counter(n.idle).Add(int64(u.Idle()))
+		reg.Counter(n.cor).Add(int64(u.Cor))
+		reg.Counter(n.uncor).Add(int64(u.Uncor))
+		reg.Counter(n.write).Add(int64(u.Write))
+		reg.Counter(n.eccWait).Add(int64(u.ECCWait))
+		reg.Counter(n.total).Add(int64(u.Total))
+		reg.Gauge(n.eccBuf).SetMax(int64(ch.bufHigh))
+		reg.Gauge(n.backlog).SetMax(int64(ch.pendHigh))
 	}
 
 	// Die queue pressure (aggregated over dies: with 32+ dies a
@@ -99,4 +99,40 @@ func (s *SSD) foldObs() {
 	reg.Counter("ssd_write_cache_hits_total").Add(s.cache.hits)
 	reg.Counter("ssd_write_cache_stalls_total").Add(s.cache.stalls)
 	reg.Gauge("ssd_write_cache_pages_highwater").SetMax(int64(s.cache.inUseHigh))
+}
+
+// chanObsNames are one channel's instrument names in the registry.
+type chanObsNames struct {
+	idle, cor, uncor, write, eccWait, total, eccBuf, backlog string
+}
+
+// namedChannels is how many channels' names are built at package init,
+// twice the default geometry's 8, so a fold formats no name; a wider
+// device formats the rest at each fold.
+const namedChannels = 16
+
+var chanNames = func() [namedChannels]chanObsNames {
+	var t [namedChannels]chanObsNames
+	for i := range t {
+		t[i] = makeChanObsNames(i)
+	}
+	return t
+}()
+
+// channelObsNames returns channel i's instrument names, from the table
+// when it holds them.
+func channelObsNames(i int) chanObsNames {
+	if i < namedChannels {
+		return chanNames[i]
+	}
+	return makeChanObsNames(i)
+}
+
+func makeChanObsNames(i int) chanObsNames {
+	p := fmt.Sprintf("ssd_ch%d_", i)
+	return chanObsNames{
+		idle: p + "idle_ns", cor: p + "cor_ns", uncor: p + "uncor_ns", write: p + "write_ns",
+		eccWait: p + "eccwait_ns", total: p + "total_ns",
+		eccBuf: p + "ecc_buf_highwater", backlog: p + "backlog_highwater",
+	}
 }
