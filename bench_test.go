@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	rif "repro"
+	"repro/internal/core"
 )
 
 func benchParams(requests int) rif.RunParams {
@@ -17,8 +18,8 @@ func benchParams(requests int) rif.RunParams {
 	return p
 }
 
-func benchCode() rif.CodeParams {
-	p := rif.DefaultCodeParams()
+func benchCode() core.CodeParams {
+	p := core.DefaultCodeParams()
 	p.Samples = 60
 	return p
 }
@@ -66,7 +67,7 @@ func BenchmarkFig03_LDPCCapability(b *testing.B) {
 	p := benchCode()
 	var fail, iters float64
 	for i := 0; i < b.N; i++ {
-		pts := rif.LDPCCapability(p, []float64{0.0085})
+		pts := core.Fig3(p, []float64{0.0085})
 		fail, iters = pts[0].FailureProb, pts[0].AvgIters
 	}
 	b.ReportMetric(fail, "P(fail)@cap")
@@ -79,13 +80,15 @@ func BenchmarkFig03_LDPCCapability(b *testing.B) {
 func BenchmarkFig04_RetentionUntilRetry(b *testing.B) {
 	var onset int
 	for i := 0; i < b.N; i++ {
-		cells := rif.RetentionStudy(100, nil)
+		fp := core.DefaultFig4Params()
+		fp.Blocks = 100
+		cells := core.Fig4(fp, nil)
 		onset = onsetOf(cells, 1000)
 	}
 	b.ReportMetric(float64(onset), "onset-days@1K")
 }
 
-func onsetOf(cells []rif.RetentionCell, pe int) int {
+func onsetOf(cells []core.RetentionCell, pe int) int {
 	onset := -1
 	for _, c := range cells {
 		if c.PECycles == pe && (onset < 0 || c.Day < onset) {
@@ -116,7 +119,7 @@ func BenchmarkFig06_OneVsZero(b *testing.B) {
 func BenchmarkFig07_Timeline(b *testing.B) {
 	var zero, one float64
 	for i := 0; i < b.N; i++ {
-		res, err := rif.Timelines(0)
+		res, err := core.Timelines(core.RunParams{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,7 +141,7 @@ func BenchmarkFig07_Timeline(b *testing.B) {
 func BenchmarkFig08_RiFTimeline(b *testing.B) {
 	var rifUS float64
 	for i := 0; i < b.N; i++ {
-		res, err := rif.Timelines(0)
+		res, err := core.Timelines(core.RunParams{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +160,7 @@ func BenchmarkFig10_SyndromeCorrelation(b *testing.B) {
 	p := benchCode()
 	var rho float64
 	for i := 0; i < b.N; i++ {
-		_, _, pruned := rif.SyndromeCorrelation(p, []float64{0.0085})
+		_, _, pruned := core.Fig10(p, []float64{0.0085})
 		rho = float64(pruned)
 	}
 	b.ReportMetric(rho, "rhoS-pruned")
@@ -170,7 +173,7 @@ func BenchmarkFig11_RPAccuracy(b *testing.B) {
 	rbers := []float64{0.011, 0.017, 0.025, 0.033}
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		acc = rif.MeanAccuracyAbove(rif.RPAccuracy(p, rbers, false), 0.0085)
+		acc = core.MeanAccuracyAbove(core.RPAccuracy(p, rbers, false), 0.0085)
 	}
 	b.ReportMetric(100*acc, "%accuracy")
 }
@@ -180,7 +183,7 @@ func BenchmarkFig11_RPAccuracy(b *testing.B) {
 func BenchmarkFig12_ChunkSimilarity(b *testing.B) {
 	var spread float64
 	for i := 0; i < b.N; i++ {
-		spread = rif.MaxChunkSpread(rif.ChunkSimilarity(1, 500), 4)
+		spread = core.MaxSpreadFor(core.Fig12(1, 500), 4)
 	}
 	b.ReportMetric(100*spread, "%max-spread-4K")
 }
@@ -192,7 +195,7 @@ func BenchmarkFig14_RPApproxAccuracy(b *testing.B) {
 	rbers := []float64{0.011, 0.017, 0.025, 0.033}
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		acc = rif.MeanAccuracyAbove(rif.RPAccuracy(p, rbers, true), 0.0085)
+		acc = core.MeanAccuracyAbove(core.RPAccuracy(p, rbers, true), 0.0085)
 	}
 	b.ReportMetric(100*acc, "%accuracy")
 }
@@ -245,7 +248,7 @@ func BenchmarkFig18_ChannelUsage(b *testing.B) {
 	p := benchParams(600)
 	var swrWaste, rifWaste float64
 	for i := 0; i < b.N; i++ {
-		cells, err := rif.ChannelUsageStudy(p, []rif.Scheme{rif.SWR, rif.RiFSSD})
+		cells, err := core.Fig18(p, []rif.Scheme{rif.SWR, rif.RiFSSD})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -271,7 +274,7 @@ func BenchmarkFig19_TailLatency(b *testing.B) {
 	p := benchParams(800)
 	var reduction float64
 	for i := 0; i < b.N; i++ {
-		curves, err := rif.LatencyStudy(p, []rif.Scheme{rif.SENC, rif.RiFSSD})
+		curves, err := core.Fig19(p, []rif.Scheme{rif.SENC, rif.RiFSSD})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,7 +302,7 @@ func BenchmarkOverhead_Energy(b *testing.B) {
 	p := benchParams(600)
 	var net float64
 	for i := 0; i < b.N; i++ {
-		o, err := rif.OverheadStudy(p)
+		o, err := core.OverheadStudy(p)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -39,9 +39,3 @@ type ChipCondition = chip.Condition
 
 // PageReadStats summarizes one end-to-end functional page read.
 type PageReadStats = chip.PageReadStats
-
-// NewQCLDPC constructs a QC-LDPC code with r block rows, c block
-// columns and circulant size t (the paper's code is 4, 36, 1024).
-func NewQCLDPC(r, c, t int, seed uint64) *ldpc.Code {
-	return ldpc.NewCode(r, c, t, seed)
-}

@@ -87,6 +87,10 @@ func TestFig18WorkerCountInvariance(t *testing.T) {
 	if FormatUsage(seq) != FormatUsage(par) {
 		t.Fatal("Fig18 rendered report differs between workers=1 and workers=4")
 	}
+	// Two workloads (Ali121, Ali124) at each paper P/E count per scheme.
+	if want := len(schemes) * 2 * len(PaperPECycles); len(seq) != want {
+		t.Fatalf("Fig18 yielded %d cells, want %d", len(seq), want)
+	}
 }
 
 func TestFig19WorkerCountInvariance(t *testing.T) {
@@ -105,6 +109,11 @@ func TestFig19WorkerCountInvariance(t *testing.T) {
 	}
 	if FormatLatency(seq) != FormatLatency(par) {
 		t.Fatal("Fig19 rendered report differs between workers=1 and workers=4")
+	}
+	for _, c := range seq {
+		if c.P9999 < c.P99 || c.P99 < c.P50 {
+			t.Fatalf("percentiles inverted: %+v", c)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // tooling (perf trackers, dashboards, regression tests) consumes.
 type Manifest struct {
 	// Tool names the producing binary or harness ("rifsim",
-	// "fleetcompare", "bench").
+	// "rifserve", "bench").
 	Tool string `json:"tool,omitempty"`
 	// Experiment names the figure or study the run belongs to.
 	Experiment string `json:"experiment,omitempty"`

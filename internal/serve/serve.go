@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -730,8 +731,12 @@ func (s *Server) runJob(j *Job) {
 		s.failed.Inc()
 		j.setState(Failed, Event{Error: runErr.Error(), Completed: j.collect.Len()})
 	default:
-		s.flush(j)
-		s.storeResult(j)
+		// One render serves the spool file, /runs and the result cache.
+		runs, err := j.collect.JSON()
+		if s.cfg.SpoolDir != "" {
+			j.flushOnce.Do(func() { s.spool(j, runs, err) })
+		}
+		s.storeResult(j, runs, err)
 		cells := j.completed()
 		s.completed.Inc()
 		s.jobRuns.Observe(float64(cells))
@@ -739,19 +744,19 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// storeResult renders a completed job's manifest collection once
+// storeResult takes a completed job's rendered manifest collection
 // (Collection.JSON: one pass, into bytes sized exactly, since the job
-// and the cache keep them for their lifetime), pins those bytes as the
-// job's /runs response (releasing the collection's manifests), and
-// populates the result cache (memory and disk tiers) under the job's
-// content address before releasing its single-flight slot. Only
+// and the cache keep them for their lifetime) and the render's error,
+// pins those bytes as the job's /runs response (releasing the
+// collection's manifests), and populates the result cache (memory and
+// disk tiers) under the job's content address before releasing its
+// single-flight slot. Only
 // complete results ever reach either tier: cancelled (partial) and
 // failed jobs release the slot without storing, so a later identical
 // submission recomputes. The done journal record lands last — after
 // caching — so replay never trusts a completion whose artifacts were
 // not at least attempted on disk.
-func (s *Server) storeResult(j *Job) {
-	runs, err := j.collect.JSON()
+func (s *Server) storeResult(j *Job, runs []byte, err error) {
 	if err != nil {
 		// Rendering a collection to a buffer cannot fail short of a
 		// marshalling bug; degrade to uncached rather than taking the
@@ -822,13 +827,23 @@ func (s *Server) flush(j *Job) {
 		return
 	}
 	j.flushOnce.Do(func() {
-		path := filepath.Join(s.cfg.SpoolDir, j.ID+".json")
-		if err := j.collect.WriteFile(path); err != nil {
-			j.mu.Lock()
-			j.errMsg = "spool: " + err.Error()
-			j.mu.Unlock()
-		}
+		runs, err := j.collect.JSON()
+		s.spool(j, runs, err)
 	})
+}
+
+// spool writes a job's rendered manifest collection to its spool
+// file, or records the render's or the write's error on the job. The
+// caller holds the job's flushOnce.
+func (s *Server) spool(j *Job, runs []byte, err error) {
+	if err == nil {
+		err = os.WriteFile(filepath.Join(s.cfg.SpoolDir, j.ID+".json"), runs, 0o666)
+	}
+	if err != nil {
+		j.mu.Lock()
+		j.errMsg = "spool: " + err.Error()
+		j.mu.Unlock()
+	}
 }
 
 // Handler returns the service's HTTP routes.

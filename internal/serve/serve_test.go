@@ -205,6 +205,9 @@ func TestServeEndToEnd(t *testing.T) {
 	if strings.Contains(string(data), `"partial"`) {
 		t.Fatal("completed job's spool file marked partial")
 	}
+	if string(data) != runsJSON {
+		t.Fatal("spool file differs from the /runs body")
+	}
 
 	// Status and listing views.
 	if code, body := getBody(t, ts.URL+"/jobs/job-1"); code != 200 ||

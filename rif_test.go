@@ -1,6 +1,12 @@
 package rif_test
 
 import (
+	"bytes"
+	"io"
+	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	rif "repro"
@@ -79,61 +85,104 @@ func TestPublicCompareSchemes(t *testing.T) {
 	}
 }
 
-func TestPublicCodeStudies(t *testing.T) {
-	p := rif.DefaultCodeParams()
-	p.Circulant = 128
-	p.Samples = 30
-	cap := rif.LDPCCapability(p, []float64{0.003, 0.012})
-	if len(cap) != 2 || cap[0].FailureProb >= cap[1].FailureProb {
-		t.Fatalf("capability curve wrong: %+v", cap)
+// TestPublicExperiments runs every experiment through the public
+// table at the golden corpus sizing: each report must match
+// internal/core's pinned bytes, so the public API and the CLIs render
+// the same reports.
+func TestPublicExperiments(t *testing.T) {
+	p := rif.DefaultRunParams()
+	p.Requests = 200
+	p.Seed = 1
+	p.Shrink = true
+	names := rif.Experiments()
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("internal", "core", "testdata", "golden", name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if err := rif.RunExperiment(&out, name, p); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Fatalf("report differs from the golden corpus:\n%s", out.Bytes())
+			}
+		})
 	}
-	pts, rhoFull, rhoPruned := rif.SyndromeCorrelation(p, []float64{0.004, 0.012})
-	if len(pts) != 2 || rhoFull <= rhoPruned {
-		t.Fatalf("correlation wrong: %v %d %d", pts, rhoFull, rhoPruned)
-	}
-	acc := rif.RPAccuracy(p, []float64{0.02}, true)
-	if rif.MeanAccuracyAbove(acc, 0.0085) < 0.8 {
-		t.Fatalf("accuracy at high RBER: %+v", acc)
+
+	err := rif.RunExperiment(io.Discard, "bogus", p)
+	if err == nil || !strings.Contains(err.Error(), strings.Join(names, ", ")) {
+		t.Fatalf("unknown experiment: %v, want an error listing %v", err, names)
 	}
 }
 
-func TestPublicRetentionStudy(t *testing.T) {
-	cells := rif.RetentionStudy(40, []int{0, 1000})
-	if len(cells) == 0 {
-		t.Fatal("no retention cells")
+// TestPublicObservability attaches every public obs constructor: a
+// manifest collection and a tracer to an experiment's RunParams, and a
+// registry to a device's Config.
+func TestPublicObservability(t *testing.T) {
+	p := fastParams()
+	p.Collect = rif.NewRunCollection()
+	p.Trace = rif.NewTracer(0)
+	if err := rif.RunExperiment(io.Discard, "overhead", p); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestPublicTimelines(t *testing.T) {
-	res, err := rif.Timelines(0)
-	if err != nil || len(res) != 3 {
-		t.Fatalf("timelines: %v %v", res, err)
+	if p.Collect.Len() == 0 {
+		t.Fatal("collection recorded no runs")
 	}
-}
+	if p.Trace.Len() == 0 {
+		t.Fatal("tracer recorded no spans")
+	}
 
-func TestPublicOverheadStudy(t *testing.T) {
-	o, err := rif.OverheadStudy(fastParams())
+	cfg := rif.DefaultConfig(rif.RiFSSD, 2000)
+	cfg.Geometry.BlocksPerPlane = 128
+	cfg.Geometry.PagesPerBlock = 64
+	cfg.Obs = rif.NewRegistry()
+	spec, _ := rif.WorkloadByName("Ali124")
+	spec.FootprintPages = 1 << 15
+	w, err := rif.NewWorkload(spec, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.AreaMM2 != 0.012 {
-		t.Fatal("area constant wrong")
+	dev, err := rif.New(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.Run(150); err != nil {
+		t.Fatal(err)
+	}
+	if snap := cfg.Obs.Snapshot(); len(snap.Counters) == 0 || len(snap.Histograms) == 0 {
+		t.Fatalf("registry received no data: %+v", snap)
 	}
 }
 
-func TestPublicUsageAndLatencyStudies(t *testing.T) {
-	p := fastParams()
-	cells, err := rif.ChannelUsageStudy(p, []rif.Scheme{rif.RiFSSD})
-	if err != nil || len(cells) != 6 { // 2 workloads x 3 P/E
-		t.Fatalf("usage: %d cells, %v", len(cells), err)
+// TestPublicChip reads one aged MSB page back through the functional
+// chip with the on-die engine on, as examples/datapath does.
+func TestPublicChip(t *testing.T) {
+	cfg := rif.DefaultChipConfig()
+	cfg.ODEAR = true
+	dev, err := rif.NewChip(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	curves, err := rif.LatencyStudy(p, []rif.Scheme{rif.RiFSSD})
-	if err != nil || len(curves) != 3 {
-		t.Fatalf("latency: %d curves, %v", len(curves), err)
+	ctrl := rif.NewChipController(cfg.Code)
+	rng := rand.New(rand.NewPCG(42, 0))
+	data := make([]byte, cfg.PageBytes)
+	for i := range data {
+		data[i] = byte(rng.UintN(256))
 	}
-	for _, c := range curves {
-		if c.P9999 < c.P99 || c.P99 < c.P50 {
-			t.Fatalf("percentiles inverted: %+v", c)
-		}
+	addr := rif.PageAddr{Plane: 0, Block: 0, Page: 2}
+	if err := dev.Program(addr, data); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := ctrl.ReadPage(dev, addr, rif.ChipCondition{PECycles: 2000, RetentionDays: 21}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.OK || !bytes.Equal(stats.Data, data) {
+		t.Fatal("page not recovered byte-exactly")
+	}
+	if stats.OffChipRetries != 0 {
+		t.Fatalf("ODEAR chip needed %d off-chip retries", stats.OffChipRetries)
 	}
 }
