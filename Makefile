@@ -54,8 +54,8 @@ shuffle:
 	$(GO) test -shuffle=on -count=2 ./...
 
 # golden rewrites the report corpus in internal/core/testdata/golden
-# (every experiment, plus the code-level figures) and the device
-# signatures in internal/ssd/testdata/signature.golden from the current
+# (every row of the experiment table, the code-level and
+# characterization figures included) and the device signatures in internal/ssd/testdata/signature.golden from the current
 # code. `make test`, `make race` and `make shuffle` check both. Run this
 # only in a change that means to move a report or a signature — a model
 # or report format change, never a refactor or speedup — and say in

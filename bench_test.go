@@ -1,8 +1,9 @@
 // Benchmarks that regenerate every table and figure of the RiF paper
-// (HPCA 2024). Each benchmark runs the corresponding experiment at a
+// (HPCA 2024). Each benchmark runs the corresponding study at a
 // reduced-but-faithful sizing and reports the headline quantity as a
 // custom metric, so `go test -bench=.` doubles as the reproduction
-// harness. The cmd/ tools run the same experiments at full sizing.
+// harness. The full reports come from the experiment table
+// (rif.RunExperiment, `rifsim -fig N`) at its default sizing.
 package rif_test
 
 import (
@@ -18,11 +19,16 @@ func benchParams(requests int) rif.RunParams {
 	return p
 }
 
-func benchCode() core.CodeParams {
-	p := core.DefaultCodeParams()
-	p.Samples = 60
+// benchCodeParams runs the code-level studies on their default code
+// with codeword streams seeded 7, at benchSamples codewords per RBER
+// point.
+func benchCodeParams() rif.RunParams {
+	p := rif.DefaultRunParams()
+	p.Seed = 7
 	return p
 }
+
+const benchSamples = 60
 
 // BenchmarkTableI_DeviceBuild measures assembling the Table I device:
 // 8 channels x 4 dies x 4 planes with per-block state.
@@ -64,10 +70,13 @@ func BenchmarkTableII_WorkloadGen(b *testing.B) {
 // average iterations (paper: P(fail) > 0.1 and 20 iterations at RBER
 // 0.0085).
 func BenchmarkFig03_LDPCCapability(b *testing.B) {
-	p := benchCode()
+	p := benchCodeParams()
 	var fail, iters float64
 	for i := 0; i < b.N; i++ {
-		pts := core.Fig3(p, []float64{0.0085})
+		pts, err := core.Fig3(p, core.DefaultCodeParams(), benchSamples, []float64{0.0085})
+		if err != nil {
+			b.Fatal(err)
+		}
 		fail, iters = pts[0].FailureProb, pts[0].AvgIters
 	}
 	b.ReportMetric(fail, "P(fail)@cap")
@@ -80,9 +89,7 @@ func BenchmarkFig03_LDPCCapability(b *testing.B) {
 func BenchmarkFig04_RetentionUntilRetry(b *testing.B) {
 	var onset int
 	for i := 0; i < b.N; i++ {
-		fp := core.DefaultFig4Params()
-		fp.Blocks = 100
-		cells := core.Fig4(fp, nil)
+		cells := core.Fig4(1, 100, nil)
 		onset = onsetOf(cells, 1000)
 	}
 	b.ReportMetric(float64(onset), "onset-days@1K")
@@ -157,10 +164,13 @@ func BenchmarkFig08_RiFTimeline(b *testing.B) {
 // BenchmarkFig10_SyndromeCorrelation regenerates the syndrome-weight
 // correlation and reports the calibrated pruned threshold rhoS.
 func BenchmarkFig10_SyndromeCorrelation(b *testing.B) {
-	p := benchCode()
+	p := benchCodeParams()
 	var rho float64
 	for i := 0; i < b.N; i++ {
-		_, _, pruned := core.Fig10(p, []float64{0.0085})
+		_, _, pruned, err := core.Fig10(p, core.DefaultCodeParams(), benchSamples, []float64{0.0085})
+		if err != nil {
+			b.Fatal(err)
+		}
 		rho = float64(pruned)
 	}
 	b.ReportMetric(rho, "rhoS-pruned")
@@ -169,11 +179,15 @@ func BenchmarkFig10_SyndromeCorrelation(b *testing.B) {
 // BenchmarkFig11_RPAccuracy measures the exact predictor's accuracy
 // above the capability (paper: 99.1%).
 func BenchmarkFig11_RPAccuracy(b *testing.B) {
-	p := benchCode()
+	p := benchCodeParams()
 	rbers := []float64{0.011, 0.017, 0.025, 0.033}
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		acc = core.MeanAccuracyAbove(core.RPAccuracy(p, rbers, false), 0.0085)
+		pts, err := core.RPAccuracy(p, core.DefaultCodeParams(), benchSamples, rbers, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		acc = core.MeanAccuracyAbove(pts, 0.0085)
 	}
 	b.ReportMetric(100*acc, "%accuracy")
 }
@@ -191,11 +205,15 @@ func BenchmarkFig12_ChunkSimilarity(b *testing.B) {
 // BenchmarkFig14_RPApproxAccuracy measures the hardware predictor's
 // accuracy above the capability (paper: 98.7%).
 func BenchmarkFig14_RPApproxAccuracy(b *testing.B) {
-	p := benchCode()
+	p := benchCodeParams()
 	rbers := []float64{0.011, 0.017, 0.025, 0.033}
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		acc = core.MeanAccuracyAbove(core.RPAccuracy(p, rbers, true), 0.0085)
+		pts, err := core.RPAccuracy(p, core.DefaultCodeParams(), benchSamples, rbers, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		acc = core.MeanAccuracyAbove(pts, 0.0085)
 	}
 	b.ReportMetric(100*acc, "%accuracy")
 }

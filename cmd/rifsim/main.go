@@ -1,11 +1,13 @@
-// Command rifsim runs the SSD-level experiments of the RiF paper:
-// the bandwidth comparisons (Figs. 6 and 17), the channel-usage
-// breakdown (Fig. 18), the read-latency tails (Fig. 19), the
-// execution timelines (Figs. 7 and 8) and the §VI-C overhead study.
+// Command rifsim runs every row of the RiF reproduction's experiment
+// table: the code-level figures (3, 10, 11, 14, soft), the NAND
+// characterization (4, 12, calibrate), the SSD-level figures (6–8,
+// 17–19), the §VI-C overhead, the ablations and the studies.
 //
 // Usage:
 //
 //	rifsim -fig 17 [-requests 3000] [-seed 1] [-full]
+//	rifsim -fig 3 -requests 1600        # LDPC rows: -requests codewords over the RBER points
+//	rifsim -alist h.alist [-full]       # write the LDPC rows' parity-check matrix
 //	rifsim -fig 18 -metrics out.json    # per-run manifests (config, clocks, counters)
 //	rifsim -fig 19 -chrome-trace t.json # sim-time spans for Perfetto/chrome://tracing
 //	rifsim -fig 6 -json                 # manifests as JSON on stdout, no text report
@@ -75,6 +77,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 	timeout := flag.Duration("timeout", 0,
 		"stop launching new grid cells after this wall-clock duration (0 = no limit); completed runs are flushed as partial artifacts")
+	alist := flag.String("alist", "", "write the LDPC rows' parity-check matrix to this file (alist format) and exit")
 	flag.Parse()
 
 	if err := validateFlags(*workers, *requests); err != nil {
@@ -124,7 +127,9 @@ func main() {
 	}
 
 	var err error
-	if *replayFile != "" {
+	if *alist != "" {
+		err = writeAlist(*alist, p)
+	} else if *replayFile != "" {
 		p.Experiment = "replay"
 		err = runReplay(out, p, replayOptions{
 			file:     *replayFile,
@@ -185,6 +190,25 @@ func cancelHook(timeout time.Duration) func() bool {
 		signal.Stop(sigc)
 	}()
 	return stopped.Load
+}
+
+// writeAlist exports the parity-check matrix the LDPC rows run under p
+// (alist format), for cross-checking against external LDPC tools.
+func writeAlist(path string, p core.RunParams) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	code := p.Code().Build()
+	if err := code.WriteAlist(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %dx%d parity-check matrix to %s\n", code.M(), code.N(), path)
+	return nil
 }
 
 // writeMemProfile snapshots the heap (after a GC, so the profile

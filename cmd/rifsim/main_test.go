@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ldpc"
 	"repro/internal/nand"
 	"repro/internal/replay"
 	"repro/internal/sim"
@@ -46,6 +47,27 @@ func TestValidFigsAreAccepted(t *testing.T) {
 		if err != nil && strings.Contains(err.Error(), "unknown experiment") {
 			t.Errorf("advertised figure %q rejected as unknown", fig)
 		}
+	}
+}
+
+// TestWriteAlist reads the -alist export back: the LDPC rows' shrunken
+// code is the paper's 4x36 block shape at circulant 256.
+func TestWriteAlist(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "h.alist")
+	if err := writeAlist(path, core.DefaultRunParams()); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := ldpc.ReadAlistStats(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.N != 36*256 || st.M != 4*256 {
+		t.Fatalf("alist is %dx%d, want %dx%d", st.M, st.N, 4*256, 36*256)
 	}
 }
 

@@ -13,14 +13,13 @@ import (
 // CodeParams sizes the QC-LDPC used by the code-level studies. The
 // default keeps the paper's 4x36 block shape with a reduced circulant
 // so sweeps are fast; set Circulant to ldpc.PaperCirculant (1024) for
-// the full 4-KiB codeword.
+// the full 4-KiB codeword. Seed draws the code's circulant shifts; the
+// codeword streams are seeded by RunParams.Seed.
 type CodeParams struct {
 	BlockRows int
 	BlockCols int
 	Circulant int
 	Seed      uint64
-	// Samples is the number of test codewords per RBER point.
-	Samples int
 }
 
 // DefaultCodeParams returns the fast-sweep configuration.
@@ -30,22 +29,29 @@ func DefaultCodeParams() CodeParams {
 		BlockCols: ldpc.PaperBlockCols,
 		Circulant: 256,
 		Seed:      7,
-		Samples:   200,
 	}
 }
 
-func (p CodeParams) build() *ldpc.Code {
+// Build constructs the code.
+func (p CodeParams) Build() *ldpc.Code {
 	return ldpc.NewCode(p.BlockRows, p.BlockCols, p.Circulant, p.Seed)
 }
 
-// codeGrid runs one cell per RBER point through gridMap, on a private
-// scheduler of one worker per CPU. A code-level cell can fail only by
-// panicking and the studies return no error, so a recovered cell
-// panic is raised again here.
-func codeGrid[T any](n int, fn func(i int) T) []T {
-	out, err := gridMap(RunParams{}, n, func(_ RunParams, i int) (T, error) { return fn(i), nil })
-	if err != nil {
-		panic(err)
+// The RBER sweeps of the code-level figures.
+var (
+	fig3RBERs     = []float64{0.004, 0.005, 0.006, 0.007, 0.008, 0.0085, 0.009, 0.010}
+	fig10RBERs    = sweep(0.001, 0.016001, 0.001)
+	accuracyRBERs = sweep(0.003, 0.033001, 0.002)
+	softRBERs     = []float64{0.006, 0.0085, 0.010, 0.012, 0.015, 0.02}
+)
+
+// sweep lists lo, lo+step, ... up to hi. The step is accumulated, not
+// multiplied, and that fixes the points' float values, which set each
+// point's bit-flip count.
+func sweep(lo, hi, step float64) []float64 {
+	var out []float64
+	for r := lo; r <= hi; r += step {
+		out = append(out, r)
 	}
 	return out
 }
@@ -59,19 +65,17 @@ type CapabilityPoint struct {
 
 // Fig3 measures the decoding failure probability and the average
 // iteration count of the QC-LDPC decoder across an RBER sweep, using
-// the real min-sum decoder on real noisy codewords.
-func Fig3(p CodeParams, rbers []float64) []CapabilityPoint {
-	if len(rbers) == 0 {
-		rbers = []float64{0.004, 0.005, 0.006, 0.007, 0.008, 0.0085, 0.009, 0.010}
-	}
-	code := p.build()
-	return codeGrid(len(rbers), func(i int) CapabilityPoint {
+// the real min-sum decoder on samples noisy codewords per point. Each
+// point is one gridMap cell, and p.Seed seeds its codeword stream.
+func Fig3(p RunParams, cp CodeParams, samples int, rbers []float64) ([]CapabilityPoint, error) {
+	code := cp.Build()
+	return gridMap(p, len(rbers), func(p RunParams, i int) (CapabilityPoint, error) {
 		r := rbers[i]
 		dec := ldpc.NewMinSumDecoder(code, 0)
 		rng := rand.New(rand.NewPCG(p.Seed, uint64(i)+100))
 		fails, iters := 0, 0
 		k := int(r*float64(code.N()) + 0.5)
-		for s := 0; s < p.Samples; s++ {
+		for s := 0; s < samples; s++ {
 			cw := code.Encode(ldpc.RandomBits(code.K(), rng))
 			res := dec.Decode(ldpc.FlipExact(cw, k, rng))
 			if !res.OK {
@@ -81,9 +85,9 @@ func Fig3(p CodeParams, rbers []float64) []CapabilityPoint {
 		}
 		return CapabilityPoint{
 			RBER:        r,
-			FailureProb: float64(fails) / float64(p.Samples),
-			AvgIters:    float64(iters) / float64(p.Samples),
-		}
+			FailureProb: float64(fails) / float64(samples),
+			AvgIters:    float64(iters) / float64(samples),
+		}, nil
 	})
 }
 
@@ -105,34 +109,29 @@ type CorrelationPoint struct {
 }
 
 // Fig10 measures the RBER-to-syndrome-weight correlation that
-// justifies the RP heuristic, and returns the calibrated threshold
-// rhoS alongside the sweep.
-func Fig10(p CodeParams, rbers []float64) (points []CorrelationPoint, rhoSFull, rhoSPruned int) {
-	if len(rbers) == 0 {
-		for r := 0.001; r <= 0.016001; r += 0.001 {
-			rbers = append(rbers, r)
-		}
-	}
-	code := p.build()
-	points = codeGrid(len(rbers), func(i int) CorrelationPoint {
+// justifies the RP heuristic over samples codewords per point, and
+// returns the calibrated threshold rhoS alongside the sweep.
+func Fig10(p RunParams, cp CodeParams, samples int, rbers []float64) (points []CorrelationPoint, rhoSFull, rhoSPruned int, err error) {
+	code := cp.Build()
+	points, err = gridMap(p, len(rbers), func(p RunParams, i int) (CorrelationPoint, error) {
 		r := rbers[i]
 		rng := rand.New(rand.NewPCG(p.Seed, uint64(i)+200))
 		fullSum, prunedSum := 0, 0
 		k := int(r*float64(code.N()) + 0.5)
-		for s := 0; s < p.Samples; s++ {
+		for s := 0; s < samples; s++ {
 			cw := ldpc.FlipExact(code.Encode(ldpc.RandomBits(code.K(), rng)), k, rng)
 			fullSum += code.SyndromeWeight(cw)
 			prunedSum += code.FirstRowSyndromeWeight(cw)
 		}
 		return CorrelationPoint{
 			RBER:            r,
-			AvgFullWeight:   float64(fullSum) / float64(p.Samples),
-			AvgPrunedWeight: float64(prunedSum) / float64(p.Samples),
-		}
+			AvgFullWeight:   float64(fullSum) / float64(samples),
+			AvgPrunedWeight: float64(prunedSum) / float64(samples),
+		}, nil
 	})
 	return points,
 		odear.RhoS(code, nand.ECCCapabilityRBER, false),
-		odear.RhoS(code, nand.ECCCapabilityRBER, true)
+		odear.RhoS(code, nand.ECCCapabilityRBER, true), err
 }
 
 // FormatFig10 renders the Fig. 10 sweep and its calibrated
@@ -154,24 +153,20 @@ type AccuracyPoint struct {
 }
 
 // RPAccuracy measures the agreement between the RP prediction and the
-// real LDPC decode outcome across an RBER sweep. approximate=false is
-// Fig. 11 (full syndrome weight); approximate=true is Fig. 14
-// (chunk-based prediction with syndrome pruning).
-func RPAccuracy(p CodeParams, rbers []float64, approximate bool) []AccuracyPoint {
-	if len(rbers) == 0 {
-		for r := 0.003; r <= 0.033001; r += 0.002 {
-			rbers = append(rbers, r)
-		}
-	}
-	code := p.build()
+// real LDPC decode outcome across an RBER sweep, over samples
+// codewords per point. approximate=false is Fig. 11 (full syndrome
+// weight); approximate=true is Fig. 14 (chunk-based prediction with
+// syndrome pruning).
+func RPAccuracy(p RunParams, cp CodeParams, samples int, rbers []float64, approximate bool) ([]AccuracyPoint, error) {
+	code := cp.Build()
 	rp := odear.NewRP(code, nand.ECCCapabilityRBER, approximate)
-	return codeGrid(len(rbers), func(i int) AccuracyPoint {
+	return gridMap(p, len(rbers), func(p RunParams, i int) (AccuracyPoint, error) {
 		r := rbers[i]
 		dec := ldpc.NewMinSumDecoder(code, 0)
 		rng := rand.New(rand.NewPCG(p.Seed, uint64(i)+300))
 		agree := 0
 		k := int(r*float64(code.N()) + 0.5)
-		for s := 0; s < p.Samples; s++ {
+		for s := 0; s < samples; s++ {
 			cw := ldpc.FlipExact(code.Encode(ldpc.RandomBits(code.K(), rng)), k, rng)
 			predictRetry := rp.Predict(cw)
 			actualFail := !dec.Decode(cw).OK
@@ -179,7 +174,7 @@ func RPAccuracy(p CodeParams, rbers []float64, approximate bool) []AccuracyPoint
 				agree++
 			}
 		}
-		return AccuracyPoint{RBER: r, Accuracy: float64(agree) / float64(p.Samples)}
+		return AccuracyPoint{RBER: r, Accuracy: float64(agree) / float64(samples)}, nil
 	})
 }
 
@@ -203,15 +198,17 @@ func MeanAccuracyAbove(points []AccuracyPoint, capability float64) float64 {
 // SoftGainStudy measures the capability extension soft-decision
 // decoding buys over hard-decision decoding — the modern last-resort
 // retry the related-work section situates RiF against. It returns the
-// paired failure curves plus the estimated soft-decoding capability.
-func SoftGainStudy(p CodeParams, rbers []float64) (points []ldpc.SoftGainPoint, softCap float64) {
-	if len(rbers) == 0 {
-		rbers = []float64{0.006, 0.0085, 0.010, 0.012, 0.015, 0.02}
-	}
-	code := p.build()
-	points = ldpc.MeasureSoftGain(code, rbers, p.Samples, p.Seed)
-	softCap = ldpc.SoftCapability(code, p.Samples/4+4, p.Seed)
-	return points, softCap
+// paired failure curves at samples codewords per point plus the
+// estimated soft-decoding capability. The study is one gridMap cell:
+// ldpc.MeasureSoftGain draws every point from one stream.
+func SoftGainStudy(p RunParams, cp CodeParams, samples int, rbers []float64) (points []ldpc.SoftGainPoint, softCap float64, err error) {
+	code := cp.Build()
+	_, err = gridMap(p, 1, func(p RunParams, _ int) (struct{}, error) {
+		points = ldpc.MeasureSoftGain(code, rbers, samples, p.Seed)
+		softCap = ldpc.SoftCapability(code, samples/4+4, p.Seed)
+		return struct{}{}, nil
+	})
+	return points, softCap, err
 }
 
 // FormatSoftGain renders the soft-vs-hard comparison.

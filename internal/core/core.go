@@ -16,9 +16,11 @@ import (
 	"repro/internal/trace"
 )
 
-// RunParams sizes an SSD-level experiment run.
+// RunParams sizes an experiment run.
 type RunParams struct {
-	// Requests is the number of host requests per simulation run.
+	// Requests is the number of host requests per simulation run. The
+	// LDPC rows (Figs. 3, 10, 11, 14, soft) read it as their codeword
+	// budget, split evenly (floor) over the figure's RBER points.
 	Requests int
 	// Seed drives all random streams.
 	Seed uint64
@@ -27,7 +29,8 @@ type RunParams struct {
 	FootprintPages int64
 	// Shrink reduces the per-plane block/page counts to keep runs
 	// fast; the channel/die topology (what the experiments measure)
-	// is unchanged. Zero means the full Table I array.
+	// is unchanged. Zero means the full Table I array, and the LDPC
+	// rows' paper-scale code (t = 1024).
 	Shrink bool
 	// Workers sizes the private fleet.Scheduler each grid study runs
 	// its independent cells on when Pool is nil: 0 means one per CPU,

@@ -17,10 +17,17 @@ func fastParams() RunParams {
 	return p
 }
 
+// fastCode shrinks the code for test speed; codeParams carries the
+// stream seed the code-level studies draw codewords from.
 func fastCode() CodeParams {
 	p := DefaultCodeParams()
 	p.Circulant = 128
-	p.Samples = 40
+	return p
+}
+
+func codeParams() RunParams {
+	p := DefaultRunParams()
+	p.Seed = 7
 	return p
 }
 
@@ -84,7 +91,10 @@ func TestNormalizedToBaselineIsOne(t *testing.T) {
 }
 
 func TestFig3CurveShape(t *testing.T) {
-	pts := Fig3(fastCode(), []float64{0.003, 0.0085, 0.012})
+	pts, err := Fig3(codeParams(), fastCode(), 40, []float64{0.003, 0.0085, 0.012})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -103,7 +113,10 @@ func TestFig3CurveShape(t *testing.T) {
 }
 
 func TestFig10Correlation(t *testing.T) {
-	pts, rhoFull, rhoPruned := Fig10(fastCode(), []float64{0.002, 0.0085, 0.014})
+	pts, rhoFull, rhoPruned, err := Fig10(codeParams(), fastCode(), 40, []float64{0.002, 0.0085, 0.014})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rhoFull <= rhoPruned || rhoPruned <= 0 {
 		t.Fatalf("rhoS full=%d pruned=%d", rhoFull, rhoPruned)
 	}
@@ -122,11 +135,15 @@ func TestFig10Correlation(t *testing.T) {
 }
 
 func TestRPAccuracyHeadlines(t *testing.T) {
-	p := fastCode()
-	p.Samples = 60
 	rbers := []float64{0.004, 0.007, 0.0085, 0.011, 0.015, 0.021, 0.027, 0.033}
-	full := RPAccuracy(p, rbers, false)
-	approx := RPAccuracy(p, rbers, true)
+	full, err := RPAccuracy(codeParams(), fastCode(), 60, rbers, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx, err := RPAccuracy(codeParams(), fastCode(), 60, rbers, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mFull := MeanAccuracyAbove(full, nand.ECCCapabilityRBER)
 	mApprox := MeanAccuracyAbove(approx, nand.ECCCapabilityRBER)
 	// Paper: 99.1% (full) and 98.7% (approximate).
@@ -142,9 +159,7 @@ func TestRPAccuracyHeadlines(t *testing.T) {
 }
 
 func TestFig4Distribution(t *testing.T) {
-	p := DefaultFig4Params()
-	p.Blocks = 60
-	cells := Fig4(p, []int{0, 500, 1000})
+	cells := Fig4(1, 60, []int{0, 500, 1000})
 	if len(cells) == 0 {
 		t.Fatal("no cells")
 	}
@@ -163,7 +178,7 @@ func TestFig4Distribution(t *testing.T) {
 		t.Fatalf("onset not shrinking: %d %d %d",
 			OnsetDay(cells, 0), OnsetDay(cells, 500), OnsetDay(cells, 1000))
 	}
-	if !strings.Contains(FormatFig4(cells, p.MaxDays), "onset") {
+	if !strings.Contains(FormatFig4(cells), "onset") {
 		t.Fatal("format missing onset")
 	}
 }
@@ -230,9 +245,10 @@ func TestRenderGantt(t *testing.T) {
 }
 
 func TestSoftGainStudy(t *testing.T) {
-	p := fastCode()
-	p.Samples = 24
-	points, softCap := SoftGainStudy(p, []float64{0.0085, 0.012})
+	points, softCap, err := SoftGainStudy(codeParams(), fastCode(), 24, []float64{0.0085, 0.012})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) != 2 {
 		t.Fatalf("%d points", len(points))
 	}

@@ -178,17 +178,25 @@ func TestFig17WorkerCountInvariance(t *testing.T) {
 }
 
 // TestEveryExperimentRecordsManifests pins that every simulation in
-// core runs through RunParams.record: each experiment collects at
-// least one manifest under Collect, and the collection's JSON, with
-// the host-noise field wall_time_s masked, is the same on one worker
-// as on four.
+// core runs through RunParams.record: each experiment that simulates a
+// device collects at least one manifest under Collect, and the
+// collection's JSON, with the host-noise field wall_time_s masked, is
+// the same on one worker as on four. The code-level and
+// characterization rows simulate no device and are skipped.
 func TestEveryExperimentRecordsManifests(t *testing.T) {
+	noDevice := map[string]bool{
+		"3": true, "4": true, "10": true, "11": true, "12": true, "14": true,
+		"soft": true, "calibrate": true,
+	}
 	wallTime := regexp.MustCompile(`"wall_time_s": [0-9eE.+-]+`)
 	for _, name := range ValidExperiments() {
 		t.Run(name, func(t *testing.T) {
+			if noDevice[name] {
+				t.Skip("simulates no device")
+			}
 			var want string
 			for _, workers := range []int{1, 4} {
-				p := goldenParams()
+				p := goldenParams(name)
 				p.Workers = workers
 				p.Collect = obs.NewCollection()
 				if err := RunExperiment(io.Discard, name, p); err != nil {

@@ -17,43 +17,41 @@ type RetentionCell struct {
 	Proportion float64
 }
 
-// Fig4Params sizes the device characterization sweeps.
-type Fig4Params struct {
-	Seed    uint64
-	Blocks  int // blocks sampled per P/E condition
-	MaxDays int
-}
-
-// DefaultFig4Params returns the characterization sizing.
-func DefaultFig4Params() Fig4Params {
-	return Fig4Params{Seed: 1, Blocks: 300, MaxDays: 40}
-}
+// The characterization rows' fixed populations: blocks per P/E count
+// and the retention horizon of Fig. 4, and pages per condition of
+// Fig. 12.
+const (
+	fig4Blocks  = 300
+	fig4MaxDays = 40
+	fig12Pages  = 2000
+)
 
 // Fig4 reproduces the retention-until-retry distributions: for each
-// P/E count it bins the first-crossing retention day over a block
-// population and all three page types.
-func Fig4(p Fig4Params, peCycles []int) []RetentionCell {
+// P/E count (nil: the paper's six) it bins the first-crossing
+// retention day, up to a 40-day horizon, over blocks blocks and all
+// three page types of a model seeded by seed.
+func Fig4(seed uint64, blocks int, peCycles []int) []RetentionCell {
 	if len(peCycles) == 0 {
 		peCycles = []int{0, 100, 200, 300, 500, 1000}
 	}
-	m := nand.NewDefaultModel(p.Seed)
+	m := nand.NewDefaultModel(seed)
 	var out []RetentionCell
 	types := []nand.PageType{nand.LSB, nand.CSB, nand.MSB}
 	for _, pe := range peCycles {
-		counts := make([]int, p.MaxDays+2) // last bin: never within horizon
+		counts := make([]int, fig4MaxDays+2) // last bin: never within horizon
 		total := 0
-		for b := 0; b < p.Blocks; b++ {
+		for b := 0; b < blocks; b++ {
 			for _, pt := range types {
-				d := m.RetentionUntilRetry(b, pt, pe, float64(p.MaxDays))
+				d := m.RetentionUntilRetry(b, pt, pe, fig4MaxDays)
 				bin := int(math.Ceil(d))
-				if d >= float64(p.MaxDays) {
-					bin = p.MaxDays + 1
+				if d >= fig4MaxDays {
+					bin = fig4MaxDays + 1
 				}
 				counts[bin]++
 				total++
 			}
 		}
-		for day := 0; day <= p.MaxDays+1; day++ {
+		for day := 0; day <= fig4MaxDays+1; day++ {
 			if counts[day] == 0 {
 				continue
 			}
@@ -83,7 +81,7 @@ func OnsetDay(cells []RetentionCell, pe int) int {
 }
 
 // FormatFig4 renders the distribution as one row per P/E count.
-func FormatFig4(cells []RetentionCell, maxDays int) string {
+func FormatFig4(cells []RetentionCell) string {
 	byPE := map[int]map[int]float64{}
 	var pes []int
 	for _, c := range cells {
@@ -97,7 +95,7 @@ func FormatFig4(cells []RetentionCell, maxDays int) string {
 	fmt.Fprintf(&b, "%6s | proportion of pages crossing the ECC capability per retention day\n", "P/E")
 	for _, pe := range pes {
 		fmt.Fprintf(&b, "%6d |", pe)
-		for d := 0; d <= maxDays; d++ {
+		for d := 0; d <= fig4MaxDays; d++ {
 			v := byPE[pe][d]
 			switch {
 			case v == 0:
@@ -127,11 +125,9 @@ type SimilarityPoint struct {
 }
 
 // Fig12 reproduces the intra-page chunk RBER similarity study for
-// 4/2/1-KiB chunks of a 16-KiB page under increasing stress.
+// 4/2/1-KiB chunks of a 16-KiB page under increasing stress, over
+// pages pages per condition.
 func Fig12(seed uint64, pages int) []SimilarityPoint {
-	if pages <= 0 {
-		pages = 2000
-	}
 	m := nand.NewDefaultModel(seed)
 	var out []SimilarityPoint
 	for _, chunkKiB := range []int{4, 2, 1} {

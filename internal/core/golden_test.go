@@ -3,32 +3,44 @@ package core
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/fleet"
-	"repro/internal/nand"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current code")
 
-// goldenDir holds one report per experiment plus the code-level
-// figures: the byte-level pin every refactor and "pure speedup" is
-// checked against across commits.
+// goldenDir holds one report per experiment: the byte-level pin every
+// refactor and "pure speedup" is checked against across commits.
 var goldenDir = filepath.Join("testdata", "golden")
 
-// goldenParams is the corpus sizing: small enough that every
-// experiment runs in well under a second, large enough that retries,
-// faults and the tail percentiles all show up in the reports.
-func goldenParams() RunParams {
+// goldenParams is the corpus sizing of experiment name: small enough
+// that every experiment runs in well under a second, large enough that
+// retries, faults and the tail percentiles all show up in the reports.
+// The LDPC rows, whose Requests is a codeword budget, run 8 codewords
+// per RBER point (codeGoldenRequests): decoding is the slowest work in
+// the corpus, and 20 times slower under the race detector.
+func goldenParams(name string) RunParams {
 	p := DefaultRunParams()
 	p.Requests = 200
+	if n, ok := codeGoldenRequests[name]; ok {
+		p.Requests = n
+	}
 	p.Seed = 1
 	p.Shrink = true
 	return p
+}
+
+// codeGoldenRequests sizes the LDPC rows at 8 codewords per RBER point.
+var codeGoldenRequests = map[string]int{
+	"3":    8 * len(fig3RBERs),
+	"10":   8 * len(fig10RBERs),
+	"11":   8 * len(accuracyRBERs),
+	"14":   8 * len(accuracyRBERs),
+	"soft": 8 * len(softRBERs),
 }
 
 // checkGolden compares got against testdata/golden/<name>.txt, or
@@ -86,7 +98,7 @@ func TestGoldenReports(t *testing.T) {
 				{"workers=4", 4, nil},
 				{"pool=3", 0, pool},
 			} {
-				p := goldenParams()
+				p := goldenParams(name)
 				p.Workers = v.workers
 				p.Pool = v.pool
 				var out bytes.Buffer
@@ -99,27 +111,5 @@ func TestGoldenReports(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestGoldenCodeFigures pins the code-level figures (Figs. 3, 10, 11
-// and 14) as cmd/ldpcstudy renders their tables, at 8 codewords per
-// RBER point.
-func TestGoldenCodeFigures(t *testing.T) {
-	cp := DefaultCodeParams()
-	cp.Samples = 8
-
-	checkGolden(t, "code-fig3", "samples=8", FormatFig3(Fig3(cp, nil)))
-
-	checkGolden(t, "code-fig10", "samples=8", FormatFig10(Fig10(cp, nil)))
-
-	for _, fig := range []struct {
-		name   string
-		approx bool
-	}{{"code-fig11", false}, {"code-fig14", true}} {
-		pts := RPAccuracy(cp, nil, fig.approx)
-		got := FormatAccuracy(pts) + fmt.Sprintf("mean accuracy above capability: %.3f\n",
-			MeanAccuracyAbove(pts, nand.ECCCapabilityRBER))
-		checkGolden(t, fig.name, "samples=8", got)
 	}
 }

@@ -6,6 +6,9 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/fit"
+	"repro/internal/ldpc"
+	"repro/internal/nand"
 	"repro/internal/plot"
 	"repro/internal/ssd"
 	"repro/internal/trace"
@@ -29,9 +32,15 @@ type experiment struct {
 
 // experiments lists every experiment in presentation order.
 var experiments = []experiment{
+	{"3", "Fig. 3 — QC-LDPC capability", reportFig3},
+	{"4", "Fig. 4 — retention time until RBER exceeds the ECC capability", reportFig4},
 	{"6", "Fig. 6 — SSDone vs SSDzero I/O bandwidth (MB/s)", reportFig6},
 	{"7", timelinesTitle, reportTimelines},
 	{"8", timelinesTitle, reportTimelines},
+	{"10", "Fig. 10 — RBER vs syndrome weight", reportFig10},
+	{"11", "RP prediction accuracy w/o approximations (Fig. 11)", accuracyReport(false, 0.991)},
+	{"12", "Fig. 12 — RBER similarity among fixed-size chunks of a 16-KiB page", reportFig12},
+	{"14", "RP prediction accuracy w/ chunking + syndrome pruning (Fig. 14)", accuracyReport(true, 0.987)},
 	{"17", "Fig. 17 — I/O bandwidth normalized to SENC", reportFig17},
 	{"18", "Fig. 18 — channel usage breakdown", reportFig18},
 	{"19", "Fig. 19 — Ali124 read-latency percentiles", reportFig19},
@@ -46,6 +55,8 @@ var experiments = []experiment{
 	{"chaos", "Study — chaos sweep: every fault class injected, Ali124 at 2K P/E", reportChaos},
 	{"tailsweep", "Study — open-loop tail sweep: Poisson arrivals, Ali124 at 2K P/E", reportTailSweep},
 	{"agesweep", "Study — drive-age sweep: a simulated drive-year of wear, read disturb and read-reclaim, Ali124", reportAgeSweep},
+	{"soft", "Extension — soft-decision decoding gain over the hard capability", reportSoft},
+	{"calibrate", "Calibration — fitting the Vth model to the Fig. 4 frontier", reportCalibrate},
 }
 
 const timelinesTitle = "Figs. 7/8 — 256-KiB read execution timelines"
@@ -121,6 +132,138 @@ func RunExperiment(out io.Writer, name string, p RunParams) error {
 		err = werr
 	}
 	return err
+}
+
+// Code returns the code the LDPC rows run under p: DefaultCodeParams',
+// at the paper's circulant unless p.Shrink.
+func (p RunParams) Code() CodeParams {
+	cp := DefaultCodeParams()
+	if !p.Shrink {
+		cp.Circulant = ldpc.PaperCirculant
+	}
+	return cp
+}
+
+// codeSizing sizes an LDPC row: p's code, and p.Requests codewords
+// split evenly (floor) over the figure's points RBER points.
+func codeSizing(p RunParams, points int) (CodeParams, int, error) {
+	samples := p.Requests / points
+	if samples < 1 {
+		return CodeParams{}, 0, fmt.Errorf("core: requests = %d, want at least one codeword for each of %d RBER points",
+			p.Requests, points)
+	}
+	return p.Code(), samples, nil
+}
+
+// writeCodeSizing writes the line that opens an LDPC row's report.
+func writeCodeSizing(out io.Writer, cp CodeParams, samples int) {
+	fmt.Fprintf(out, "N=%d bits, %d samples/point\n", cp.BlockCols*cp.Circulant, samples)
+}
+
+func reportFig3(out io.Writer, p RunParams) error {
+	cp, samples, err := codeSizing(p, len(fig3RBERs))
+	if err != nil {
+		return err
+	}
+	points, err := Fig3(p, cp, samples, fig3RBERs)
+	if err != nil {
+		return err
+	}
+	writeCodeSizing(out, cp, samples)
+	fmt.Fprint(out, FormatFig3(points))
+	fail := plot.Series{Name: "P(failure)"}
+	iters := plot.Series{Name: "avg iterations / 20"}
+	for _, pt := range points {
+		fail.Points = append(fail.Points, plot.XY{X: pt.RBER * 1000, Y: pt.FailureProb})
+		iters.Points = append(iters.Points, plot.XY{X: pt.RBER * 1000, Y: pt.AvgIters / 20})
+	}
+	fmt.Fprintln(out)
+	fmt.Fprint(out, plot.Chart("capability cliff (x: RBER x1e-3)", []plot.Series{fail, iters}, 56, 12))
+	fmt.Fprintf(out, "paper: failure probability exceeds 1e-1 and iterations reach 20 near RBER %.4f\n",
+		nand.ECCCapabilityRBER)
+	return nil
+}
+
+func reportFig4(out io.Writer, p RunParams) error {
+	fmt.Fprint(out, FormatFig4(Fig4(p.Seed, fig4Blocks, nil)))
+	fmt.Fprintln(out, "paper onsets: 17d @0 P/E, 14d @200, 10d @500, 8d @1000")
+	return nil
+}
+
+func reportFig10(out io.Writer, p RunParams) error {
+	cp, samples, err := codeSizing(p, len(fig10RBERs))
+	if err != nil {
+		return err
+	}
+	points, rhoFull, rhoPruned, err := Fig10(p, cp, samples, fig10RBERs)
+	if err != nil {
+		return err
+	}
+	writeCodeSizing(out, cp, samples)
+	fmt.Fprint(out, FormatFig10(points, rhoFull, rhoPruned))
+	fmt.Fprintln(out, "paper: rhoS = 3830 at RBER 0.0085 for the full 4-KiB code")
+	return nil
+}
+
+// accuracyReport renders Fig. 11 (exact RP) or Fig. 14 (approximate
+// RP) against the paper's mean accuracy above the capability.
+func accuracyReport(approximate bool, paper float64) func(io.Writer, RunParams) error {
+	return func(out io.Writer, p RunParams) error {
+		cp, samples, err := codeSizing(p, len(accuracyRBERs))
+		if err != nil {
+			return err
+		}
+		points, err := RPAccuracy(p, cp, samples, accuracyRBERs, approximate)
+		if err != nil {
+			return err
+		}
+		writeCodeSizing(out, cp, samples)
+		fmt.Fprint(out, FormatAccuracy(points))
+		fmt.Fprintf(out, "mean accuracy above capability: %.3f (paper: %.3f)\n",
+			MeanAccuracyAbove(points, nand.ECCCapabilityRBER), paper)
+		return nil
+	}
+}
+
+func reportFig12(out io.Writer, p RunParams) error {
+	pts := Fig12(p.Seed, fig12Pages)
+	fmt.Fprint(out, FormatFig12(pts))
+	fmt.Fprintf(out, "worst spreads: 4K=%.1f%% 2K=%.1f%% 1K=%.1f%% (paper: 4.5%% / ~8%% / 13.5%%)\n",
+		100*MaxSpreadFor(pts, 4), 100*MaxSpreadFor(pts, 2), 100*MaxSpreadFor(pts, 1))
+	return nil
+}
+
+func reportSoft(out io.Writer, p RunParams) error {
+	cp, samples, err := codeSizing(p, len(softRBERs))
+	if err != nil {
+		return err
+	}
+	points, softCap, err := SoftGainStudy(p, cp, samples, softRBERs)
+	if err != nil {
+		return err
+	}
+	writeCodeSizing(out, cp, samples)
+	fmt.Fprint(out, FormatSoftGain(points, softCap))
+	return nil
+}
+
+// reportCalibrate fits the NAND model's retention knobs to the paper's
+// Fig. 4 onsets and prints the fit beside the targets.
+func reportCalibrate(out io.Writer, p RunParams) error {
+	targets := fit.PaperTargets()
+	res, err := fit.Calibrate(nand.DefaultModelParams(), targets, fit.Options{Seed: p.Seed})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "RMSLE = %.4f over %d evaluations\n", res.RMSLE, res.Evaluations)
+	got := fit.CrossingDays(res.Params, targets, p.Seed)
+	fmt.Fprintf(out, "%8s %10s %10s\n", "P/E", "target", "fitted")
+	for i, t := range targets {
+		fmt.Fprintf(out, "%8d %9.1fd %9.1fd\n", t.PECycles, t.CrossDays, got[i])
+	}
+	fmt.Fprintf(out, "fitted knobs: RetentionShift=%.1f PEShiftBoost=%.3f PEWiden=%.3f\n",
+		res.Params.RetentionShift, res.Params.PEShiftBoost, res.Params.PEWiden)
+	return nil
 }
 
 func reportFig6(out io.Writer, p RunParams) error {

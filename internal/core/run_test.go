@@ -85,14 +85,16 @@ func TestRunExperimentWorkerIndependence(t *testing.T) {
 	}
 }
 
-// TestTimelinesHonorStopAndPool: the Figs. 7/8 timelines are a grid
-// like any other, so a fired Stop hook cancels them and a shared Pool
-// runs their cells. A stopped scheduler rejects every submission, so
-// ErrStopped from it proves the cells went to p.Pool.
+// TestTimelinesHonorStopAndPool: the Figs. 7/8 timelines and the
+// code-level rows (Figs. 3, 10, 11, 14 and the soft-decision study)
+// are grids like any other, so a fired Stop hook cancels them and a
+// shared Pool runs their cells. A stopped scheduler rejects every
+// submission, so ErrStopped from it proves the cells went to p.Pool;
+// neither case may panic.
 func TestTimelinesHonorStopAndPool(t *testing.T) {
 	closed := fleet.NewScheduler(1)
 	closed.Stop()
-	for _, name := range []string{"7", "8"} {
+	for _, name := range []string{"7", "8", "3", "10", "11", "14", "soft"} {
 		p := DefaultRunParams()
 		p.Stop = func() bool { return true }
 		if err := RunExperiment(io.Discard, name, p); !errors.Is(err, fleet.ErrStopped) {

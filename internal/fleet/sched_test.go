@@ -107,40 +107,6 @@ func TestSchedulerSharedAcrossGrids(t *testing.T) {
 	}
 }
 
-func TestSchedulerStopHookSkipsRemainingCells(t *testing.T) {
-	s := NewScheduler(2)
-	defer s.Stop()
-	var ran atomic.Int32
-	var stop atomic.Bool
-	err := s.RunStop(100, stop.Load, func(i int) error {
-		if ran.Add(1) == 3 {
-			stop.Store(true)
-		}
-		return nil
-	})
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	if n := ran.Load(); n >= 100 {
-		t.Fatalf("all %d cells ran despite stop", n)
-	}
-}
-
-func TestSchedulerPanicIsolation(t *testing.T) {
-	s := NewScheduler(4)
-	defer s.Stop()
-	err := s.RunStop(20, nil, func(i int) error {
-		if i == 5 {
-			panic("boom")
-		}
-		return nil
-	})
-	var pe *CellPanicError
-	if !errors.As(err, &pe) || pe.Cell != 5 {
-		t.Fatalf("err = %v, want CellPanicError for cell 5", err)
-	}
-}
-
 // TestSchedulerStopDrainsQueuedWork pins the drain contract: Stop
 // skips queued-but-unstarted cells (their grid returns ErrStopped, the
 // submitter does not hang) and later submissions fail fast.

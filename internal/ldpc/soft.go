@@ -76,6 +76,13 @@ type SoftGainPoint struct {
 // codewords at each RBER, quantifying the capability extension soft
 // reads buy.
 func MeasureSoftGain(code *Code, rbers []float64, samples int, seed uint64) []SoftGainPoint {
+	return measureSoftGain(code, rbers, samples, seed, true)
+}
+
+// measureSoftGain is MeasureSoftGain, except that with hard false it
+// runs no hard decode and leaves HardFail and HardIters zero. Decoding
+// draws no randomness, so the soft columns are the same either way.
+func measureSoftGain(code *Code, rbers []float64, samples int, seed uint64, hard bool) []SoftGainPoint {
 	out := make([]SoftGainPoint, len(rbers))
 	dec := NewMinSumDecoder(code, 0)
 	rng := rand.New(rand.NewPCG(seed, 0x50f7))
@@ -85,12 +92,14 @@ func MeasureSoftGain(code *Code, rbers []float64, samples int, seed uint64) []So
 		hardIters, softIters := 0, 0
 		for s := 0; s < samples; s++ {
 			cw := code.Encode(RandomBits(code.K(), rng))
-			hard, llrs := ch.Observe(cw, rng)
-			hres := dec.Decode(hard)
-			if !hres.OK {
-				hardFails++
+			bits, llrs := ch.Observe(cw, rng)
+			if hard {
+				hres := dec.Decode(bits)
+				if !hres.OK {
+					hardFails++
+				}
+				hardIters += hres.Iterations
 			}
-			hardIters += hres.Iterations
 			sres := dec.DecodeSoft(llrs)
 			if !sres.OK {
 				softFails++
@@ -110,12 +119,12 @@ func MeasureSoftGain(code *Code, rbers []float64, samples int, seed uint64) []So
 
 // SoftCapability estimates the RBER at which soft decoding starts
 // failing more than half the time, by bisection over the channel
-// model.
+// model. Only the soft decodes are run.
 func SoftCapability(code *Code, samples int, seed uint64) float64 {
 	lo, hi := 0.005, 0.05
 	for i := 0; i < 12; i++ {
 		mid := (lo + hi) / 2
-		pts := MeasureSoftGain(code, []float64{mid}, samples, seed+uint64(i))
+		pts := measureSoftGain(code, []float64{mid}, samples, seed+uint64(i), false)
 		if pts[0].SoftFail > 0.5 {
 			hi = mid
 		} else {

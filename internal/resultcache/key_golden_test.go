@@ -9,6 +9,7 @@ import (
 
 // goldenKeys pins the content address of (experiment,
 // DefaultRunParams) for every valid experiment at SchemaVersion 7.
+// Adding a row adds its key and moves no other.
 // These constants are the cross-restart half of the key invariant: a
 // recompiled, restarted, or different-host process must mint the very
 // same addresses, or a persisted store written by one server life
@@ -17,9 +18,15 @@ import (
 // encoding moves these values, bump SchemaVersion and regenerate the
 // table — never hand-patch a single row.
 var goldenKeys = map[string]string{
+	"3":                  "fa418499692ca168bb47d9ae665be837fed202648a30548b784319d695377199",
+	"4":                  "99205ded9ece247ddea9d4cee035683fb07d62cf2e96017f274dd51adb9e5fe6",
 	"6":                  "61e9ddba21a42362c1f50f40df282370eaa9b100a9bdac62ca37572b7ffd7f69",
 	"7":                  "0f20e48421d8b9db7d8feea3019726d90419f87e7b2a19ef9c55501e6b0ebaec",
 	"8":                  "9bc388c46346e68a7d8f7c4821234597da4a8981e9d9e07d66e76c7e6a5190a1",
+	"10":                 "4cb8d4dea94ccc0747e44e556776e0dfc3dde6fb90c9c5ea470972b6ecd96b13",
+	"11":                 "a3c46c118b69f38e6328fca8817a164e3bbeeb6557864d25d3539a813dc6f8a5",
+	"12":                 "621b105ba228c3ec75d58149815167c9c5d9c1cf2dee10111f439495399176ef",
+	"14":                 "44c4c2af9bad15052ded2901a884946ab8a871902aada0c59ca2e2d675355f82",
 	"17":                 "5d2872fb06fc50d12ebd3104d987c94d0605616802fa4ed5ec17969ded7472e7",
 	"18":                 "1401320b5381243d29a78fff1fc7710c06d8d01afe9cab2e5bb3b47997d13b7c",
 	"19":                 "44c71a4ead80c19d168dde9d622c760e5aaf4f3eb9d75e8a5d641fc96bc21921",
@@ -34,6 +41,8 @@ var goldenKeys = map[string]string{
 	"chaos":              "48c3b60c3d6c9e19e4bc48694e982c002bf453cb95e5c7cc8f5b011c49b688f4",
 	"tailsweep":          "1721f14872cd304fa3474c7a5c220fba33cf81d5fa34ea63c6557e94ac8bd7e3",
 	"agesweep":           "79ae89c5a52521616d66e704251f498a6ad2266060f157f84289831e32f21117",
+	"soft":               "1489e58f029decdc7536e62af29651bf5f01700c086cc0202e9891ba90016899",
+	"calibrate":          "ff7eb0cfd64e74749d4f56cf92d0a2c947d284c8e26d3088597d3cf00863fa38",
 }
 
 // TestGoldenKeysCoverEveryExperiment keeps the table and the

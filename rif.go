@@ -14,8 +14,10 @@
 //     (internal/ssd).
 //
 // This package re-exports the pieces an application needs to build
-// SSD configurations, run workloads, and regenerate every figure and
-// table of the paper. See examples/ for runnable entry points.
+// SSD configurations and run workloads; Experiments and RunExperiment
+// regenerate every figure of the paper through one experiment table,
+// from the code-level Figs. 3–14 to the SSD-level Figs. 17–19. See
+// examples/ for runnable entry points.
 package rif
 
 import (
