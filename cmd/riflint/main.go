@@ -5,16 +5,11 @@
 // paths allocation-free, the degradation ladders honest about errors,
 // and the observability plane trustworthy.
 //
-// Standalone usage (the blessed path — CI runs exactly this):
+// Usage (CI runs exactly this):
 //
 //	go run ./cmd/riflint ./...
 //	go run ./cmd/riflint -analyzers simtime,seedflow ./internal/ssd
 //	go run ./cmd/riflint -json ./...   # machine-readable diagnostics
-//
-// It also speaks the `go vet -vettool` unit-checker protocol:
-//
-//	go build -o riflint ./cmd/riflint
-//	go vet -vettool=$(pwd)/riflint ./...
 //
 // Exit status: 0 when clean, 1 on a violation or load failure.
 package main
@@ -24,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -34,26 +28,6 @@ func main() {
 }
 
 func run(args []string, stdout, stderr *os.File) int {
-	// `go vet -vettool` probes the tool's version with -V=full before
-	// handing it per-package .cfg files; both shapes bypass flag
-	// parsing entirely.
-	for _, arg := range args {
-		switch arg {
-		case "-V=full", "--V=full":
-			// The go command parses "<name> version <semver>".
-			fmt.Fprintf(stdout, "riflint version v1.0.0\n")
-			return 0
-		case "-flags", "--flags":
-			// The go command asks which vet flags the tool accepts
-			// (a JSON array of flag descriptions); riflint takes none.
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		}
-	}
-	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
-		return runVettool(args[n-1], stdout, stderr)
-	}
-
 	fs := flag.NewFlagSet("riflint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	names := fs.String("analyzers", "", "comma-separated analyzers to run (default: all)")

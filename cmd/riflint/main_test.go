@@ -1,11 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -30,70 +30,6 @@ func TestTreeIsClean(t *testing.T) {
 	}
 }
 
-// TestVersionFlag covers the -V=full probe the go command sends a
-// -vettool before trusting it.
-func TestVersionFlag(t *testing.T) {
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code := run([]string{"-V=full"}, w, os.Stderr); code != 0 {
-		t.Fatalf("run(-V=full) = %d, want 0", code)
-	}
-	w.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r); err != nil {
-		t.Fatal(err)
-	}
-	fields := strings.Fields(buf.String())
-	if len(fields) < 3 || fields[0] != "riflint" || fields[1] != "version" {
-		t.Fatalf("-V=full output %q does not match %q", buf.String(), "riflint version <v>")
-	}
-}
-
-// TestGoVetVettool builds the binary and drives it through the real
-// `go vet -vettool` protocol: clean on a real package, failing on a
-// throwaway module with a violation.
-func TestGoVetVettool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and runs go vet")
-	}
-	tmp := t.TempDir()
-	tool := filepath.Join(tmp, "riflint")
-	build := exec.Command("go", "build", "-o", tool, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building riflint: %v\n%s", err, out)
-	}
-
-	// Clean package: vet must succeed.
-	clean := exec.Command("go", "vet", "-vettool="+tool, "repro/internal/sim")
-	if out, err := clean.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool on clean package failed: %v\n%s", err, out)
-	}
-
-	// Violating module: vet must fail and name the violation.
-	dir := filepath.Join(tmp, "badmod")
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, filepath.Join(dir, "go.mod"), "module badmod\n\ngo 1.22\n")
-	writeFile(t, filepath.Join(dir, "bad.go"), `package badmod
-
-import "math/rand/v2"
-
-func Roll() int { return rand.IntN(6) }
-`)
-	vet := exec.Command("go", "vet", "-vettool="+tool, ".")
-	vet.Dir = dir
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool on violating module unexpectedly passed:\n%s", out)
-	}
-	if !strings.Contains(string(out), "process-global random stream") {
-		t.Fatalf("go vet output does not name the violation:\n%s", out)
-	}
-}
-
 // TestJSONOutput drives the built binary with -json on a violating
 // throwaway module and on a clean package: the former must emit a
 // parseable array naming the finding, the latter exactly [].
@@ -101,24 +37,7 @@ func TestJSONOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and runs it")
 	}
-	tmp := t.TempDir()
-	tool := filepath.Join(tmp, "riflint")
-	build := exec.Command("go", "build", "-o", tool, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building riflint: %v\n%s", err, out)
-	}
-
-	dir := filepath.Join(tmp, "badmod")
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, filepath.Join(dir, "go.mod"), "module badmod\n\ngo 1.22\n")
-	writeFile(t, filepath.Join(dir, "bad.go"), `package badmod
-
-import "math/rand/v2"
-
-func Roll() int { return rand.IntN(6) }
-`)
+	tool, dir := buildTool(t), badModule(t)
 	cmd := exec.Command(tool, "-json", "./...")
 	cmd.Dir = dir
 	out, err := cmd.Output()
@@ -155,6 +74,102 @@ func Roll() int { return rand.IntN(6) }
 	if len(empty) != 0 {
 		t.Errorf("clean package produced %d findings in -json output", len(empty))
 	}
+}
+
+// TestPlainOutputMatchesProblemMatcher pins the contract CI's
+// annotations depend on: every plain-text finding line must match the
+// regexp in .github/riflint-problem-matcher.json, with the analyzer
+// name in its code group, and a clean package must print nothing.
+func TestPlainOutputMatchesProblemMatcher(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary and runs it")
+	}
+	data, err := os.ReadFile("../../.github/riflint-problem-matcher.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var matcher struct {
+		ProblemMatcher []struct {
+			Pattern []struct {
+				Regexp string
+				Code   int
+			}
+		}
+	}
+	if err := json.Unmarshal(data, &matcher); err != nil {
+		t.Fatalf("parsing problem matcher: %v", err)
+	}
+	if len(matcher.ProblemMatcher) == 0 || len(matcher.ProblemMatcher[0].Pattern) == 0 {
+		t.Fatal("problem matcher has no pattern")
+	}
+	pattern := matcher.ProblemMatcher[0].Pattern[0]
+	re, err := regexp.Compile(pattern.Regexp)
+	if err != nil {
+		t.Fatalf("compiling problem-matcher regexp: %v", err)
+	}
+
+	tool, dir := buildTool(t), badModule(t)
+	cmd := exec.Command(tool, "./...")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+		t.Fatalf("riflint on violating module: err = %v, want exit status 1\n%s", err, out)
+	}
+	if len(out) == 0 {
+		t.Fatal("no findings printed; expected the globalrand finding")
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(out), "\n"), "\n") {
+		m := re.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("finding line does not match the problem matcher %q:\n%s", pattern.Regexp, line)
+			continue
+		}
+		if got := m[pattern.Code]; got != "simdeterminism" {
+			t.Errorf("matcher code group = %q, want simdeterminism:\n%s", got, line)
+		}
+	}
+
+	clean := exec.Command(tool, "repro/internal/sim")
+	cleanOut, err := clean.Output()
+	if err != nil {
+		t.Fatalf("riflint on clean package failed: %v\n%s", err, cleanOut)
+	}
+	if len(cleanOut) != 0 {
+		t.Errorf("clean package printed findings:\n%s", cleanOut)
+	}
+
+	name := regexp.MustCompile(`^[a-z]+$`)
+	for _, a := range analysis.All() {
+		if !name.MatchString(a.Name) {
+			t.Errorf("analyzer name %q would not match the problem matcher's code group", a.Name)
+		}
+	}
+}
+
+// buildTool builds riflint into a temporary directory.
+func buildTool(t *testing.T) string {
+	t.Helper()
+	tool := filepath.Join(t.TempDir(), "riflint")
+	build := exec.Command("go", "build", "-o", tool, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building riflint: %v\n%s", err, out)
+	}
+	return tool
+}
+
+// badModule writes a throwaway module whose one function draws from
+// the process-global math/rand/v2 stream, and returns its directory.
+func badModule(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	writeFile(t, filepath.Join(dir, "go.mod"), "module badmod\n\ngo 1.22\n")
+	writeFile(t, filepath.Join(dir, "bad.go"), `package badmod
+
+import "math/rand/v2"
+
+func Roll() int { return rand.IntN(6) }
+`)
+	return dir
 }
 
 func writeFile(t *testing.T, path, content string) {

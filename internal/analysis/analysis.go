@@ -48,8 +48,7 @@ type Package struct {
 	// DeepSim marks packages inside the maporder blast radius: the
 	// package transitively imports the sim engine or device model, or
 	// feeds output into a package that does. Load derives it from the
-	// import graph; the vettool driver from propagated facts; the
-	// golden harness opts fixtures in.
+	// import graph; the golden harness opts fixtures in.
 	DeepSim bool
 
 	allows map[string]map[int][]string // file -> line -> allowed categories

@@ -117,19 +117,6 @@ func checkPackage(fset *token.FileSet, path string, files []*ast.File, imp types
 	return pkg, nil
 }
 
-// ParseFiles parses the named Go files (joined to dir when relative)
-// with comments retained. Exported for the vettool driver, which gets
-// its file list from the go command rather than `go list`.
-func ParseFiles(fset *token.FileSet, dir string, files []string) ([]*ast.File, error) {
-	return parseFiles(fset, dir, files)
-}
-
-// Check type-checks one parsed package against an importer and wraps
-// it for analysis. Exported for the vettool driver.
-func Check(fset *token.FileSet, path string, files []*ast.File, imp types.Importer, goVersion string) (*Package, error) {
-	return checkPackage(fset, path, files, imp, goVersion)
-}
-
 // Load resolves the package patterns (relative to dir; "" means the
 // current directory) and returns the matched packages parsed and
 // type-checked from source. Dependencies — including other packages in

@@ -23,19 +23,6 @@ const (
 // be forgotten.
 var deepSimRoots = []string{simPkgPath, ssdPkgPath}
 
-// IsDeepSimRoot reports whether path seeds the deep-sim blast radius.
-// Exported for the vettool driver, which derives package depth from
-// facts propagated along the import graph rather than a whole-module
-// go list.
-func IsDeepSimRoot(path string) bool {
-	for _, r := range deepSimRoots {
-		if r == path {
-			return true
-		}
-	}
-	return false
-}
-
 // namedFrom reports whether t (after stripping pointers) is the named
 // type pkgPath.name, returning the stripped named type.
 func namedFrom(t types.Type, pkgPath, name string) bool {

@@ -271,9 +271,6 @@ func (p *Program) enclosing(pkg *Package, pos token.Pos) *FuncInfo {
 	return best
 }
 
-// FuncOf returns the info for a declared function object, if indexed.
-func (p *Program) FuncOf(obj *types.Func) *FuncInfo { return p.funcs[obj] }
-
 // propagateHot walks the call graph from every annotated root and
 // marks each statically reachable function hot, recording the caller
 // that reached it first so diagnostics can name the chain.

@@ -96,9 +96,6 @@ func NewScheduler(workers int) *Scheduler {
 	return s
 }
 
-// NumWorkers reports the size of the worker set.
-func (s *Scheduler) NumWorkers() int { return len(s.deques) }
-
 // Steals reports how many times a worker has stolen work from a
 // sibling deque since the scheduler started — the load-imbalance
 // signal the serving layer exports as a metric.

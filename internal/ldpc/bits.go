@@ -56,14 +56,6 @@ func (b Bits) Clone() Bits {
 	return Bits{n: b.n, words: w}
 }
 
-// CopyFrom overwrites b with src. The lengths must match.
-func (b Bits) CopyFrom(src Bits) {
-	if b.n != src.n {
-		panic(fmt.Sprintf("ldpc: CopyFrom length mismatch %d != %d", b.n, src.n))
-	}
-	copy(b.words, src.words)
-}
-
 // Zero clears every bit.
 func (b Bits) Zero() {
 	for i := range b.words {

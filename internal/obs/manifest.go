@@ -9,8 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"repro/internal/sim"
 )
 
 // Manifest is the machine-readable record of one simulation run: what
@@ -51,9 +49,6 @@ type Manifest struct {
 	// points of one ablation sweep), so it is not serialized.
 	Cell int `json:"-"`
 }
-
-// SetSimTime records the virtual makespan.
-func (m *Manifest) SetSimTime(t sim.Time) { m.SimTimeNS = int64(t) }
 
 // WriteJSON serializes any artifact (a job status, a result table) as
 // indented JSON through encoding/json. A Collection has its own

@@ -610,9 +610,6 @@ func (p *planeState) free() int { return p.unused + len(p.listed) }
 // FreeBlocks reports a plane's free-block count (for tests).
 func (f *FTL) FreeBlocks(planeIdx int) int { return f.planes[planeIdx].free() }
 
-// PlaneCount reports the number of planes.
-func (f *FTL) PlaneCount() int { return len(f.planes) }
-
 // PlaneIndexOf exposes the striping for tests and the request
 // splitter.
 func (f *FTL) PlaneIndexOf(lpn int64) int { return f.planeIndex(lpn) }
