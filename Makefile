@@ -36,6 +36,11 @@ loc:
 # (flat) and the top 15 sites by bytes (alloc_space) and by objects
 # (alloc_objects) allocated over the run. Both profiles are sampled,
 # and the run takes about a second, so the figures are estimates.
+# It then profiles a short cell's fixed cost: the chaos grid at 40
+# requests a cell, rifserve's cold job, with its manifests written so
+# the registry and manifest path runs, and prints that run's top 15
+# sites by bytes. That run allocates about 3 MB, so it samples every
+# 4 KB (GODEBUG memprofilerate) rather than every 512 KB.
 # Not a CI step.
 PROFDIR ?= .prof
 
@@ -46,6 +51,8 @@ prof:
 	$(GO) tool pprof -top -nodecount=15 $(PROFDIR)/rifsim $(PROFDIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(PROFDIR)/rifsim $(PROFDIR)/mem.prof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 $(PROFDIR)/rifsim $(PROFDIR)/mem.prof
+	GODEBUG=memprofilerate=4096 $(PROFDIR)/rifsim -fig chaos -requests 40 -workers 1 -metrics $(PROFDIR)/chaos-runs.json -memprofile $(PROFDIR)/chaos-mem.prof > /dev/null
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(PROFDIR)/rifsim $(PROFDIR)/chaos-mem.prof
 
 # shuffle reruns the whole suite twice in randomized test order:
 # it catches tests coupled through package state or relying on

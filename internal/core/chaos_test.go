@@ -122,9 +122,10 @@ func TestChaosStudyHonorsStop(t *testing.T) {
 }
 
 // BenchmarkChaosGrid times a result-cache miss in rifserve: the twelve
-// cell chaos grid at 40 requests per cell, collected as manifests, on
-// one worker. Device build is a large share of each cell at this
-// sizing, so this is where its cost shows.
+// cell chaos grid at 40 requests per cell, collected as manifests on
+// one worker and rendered once, as a finished job renders them. Device
+// build and the per-run registry and manifest are a large share of
+// each cell at this sizing, so this is where their cost shows.
 func BenchmarkChaosGrid(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -133,6 +134,9 @@ func BenchmarkChaosGrid(b *testing.B) {
 		p.Workers = 1
 		p.Collect = obs.NewCollection()
 		if err := RunExperiment(io.Discard, "chaos", p); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Collect.JSON(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -75,8 +75,11 @@ type manifestEncoder struct {
 	indent bool
 	depth  int  // open objects and arrays
 	first  bool // the innermost open one has no element yet
-	keys   []string
-	err    error
+	// The sorted key order of each instrument kind in the last
+	// manifest: the runs of a collection mostly register the same
+	// instruments, so each order is sorted once (see keyOrder).
+	counterKeys, gaugeKeys, histKeys []string
+	err                              error
 }
 
 // collection appends {"partial": true, "runs": [...]}. A nil runs is
@@ -150,17 +153,16 @@ func (e *manifestEncoder) snapshot(s *Snapshot) {
 	e.open('{')
 	if len(s.Counters) > 0 {
 		e.key("counters")
-		e.ints(s.Counters)
+		e.ints(&e.counterKeys, s.Counters)
 	}
 	if len(s.Gauges) > 0 {
 		e.key("gauges")
-		e.ints(s.Gauges)
+		e.ints(&e.gaugeKeys, s.Gauges)
 	}
 	if len(s.Histograms) > 0 {
 		e.key("histograms")
 		e.open('{')
-		e.keys = sortedKeys(e.keys, s.Histograms)
-		for _, k := range e.keys {
+		for _, k := range keyOrder(&e.histKeys, s.Histograms) {
 			e.elem()
 			e.string(k)
 			e.colon()
@@ -171,10 +173,30 @@ func (e *manifestEncoder) snapshot(s *Snapshot) {
 	e.close('}')
 }
 
-func (e *manifestEncoder) ints(m map[string]int64) {
+// keyOrder returns m's keys in order, reusing *last, the order of the
+// kind's previous map, when m holds exactly its keys: as many of them,
+// and every one (last's keys are distinct, so the two sets are then
+// equal). Otherwise it sorts m's keys into last's storage.
+func keyOrder[V any](last *[]string, m map[string]V) []string {
+	if len(*last) == len(m) && hasAll(m, *last) {
+		return *last
+	}
+	*last = sortedKeys(*last, m)
+	return *last
+}
+
+func hasAll[V any](m map[string]V, keys []string) bool {
+	for _, k := range keys {
+		if _, ok := m[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+func (e *manifestEncoder) ints(order *[]string, m map[string]int64) {
 	e.open('{')
-	e.keys = sortedKeys(e.keys, m)
-	for _, k := range e.keys {
+	for _, k := range keyOrder(order, m) {
 		e.elem()
 		e.string(k)
 		e.colon()

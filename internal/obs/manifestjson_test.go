@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -168,6 +169,12 @@ func TestCollectionJSONMatchesEncodingJSON(t *testing.T) {
 			{Config: full.Config},
 		}},
 		{"histograms", false, []Manifest{{Metrics: Snapshot{Histograms: map[string]HistogramSnapshot{"b": hist, "a": {}}}}}},
+		{"counter keys change at equal length", false, keySetRuns("counters", "a c", "b d", "b d")},
+		{"counter keys subset then superset", false, keySetRuns("counters", "b", "a b c", "b")},
+		{"gauge keys change at equal length", false, keySetRuns("gauges", "a c", "b d", "b d")},
+		{"gauge keys subset then superset", false, keySetRuns("gauges", "b", "a b c", "b")},
+		{"histogram keys change at equal length", false, keySetRuns("histograms", "a c", "b d", "b d")},
+		{"histogram keys subset then superset", false, keySetRuns("histograms", "b", "a b c", "b")},
 		{"nan wall time", false, []Manifest{{WallTimeS: math.NaN()}}},
 		{"inf rate", false, []Manifest{{RateIOPS: math.Inf(1)}}},
 		{"-inf histogram", false, []Manifest{{Metrics: Snapshot{Histograms: map[string]HistogramSnapshot{"h": {Max: math.Inf(-1)}}}}}},
@@ -178,6 +185,31 @@ func TestCollectionJSONMatchesEncodingJSON(t *testing.T) {
 			checkAgainstReference(t, tc.partial, tc.runs)
 		})
 	}
+}
+
+// keySetRuns makes one manifest per key set, each set space-separated,
+// with one instrument kind holding those keys: consecutive manifests
+// whose key sets differ, so an encoder that reuses the last sorted key
+// order when it should sort again writes the wrong keys.
+func keySetRuns(kind string, sets ...string) []Manifest {
+	runs := make([]Manifest, len(sets))
+	for i, set := range sets {
+		ints := map[string]int64{}
+		hists := map[string]HistogramSnapshot{}
+		for j, k := range strings.Fields(set) {
+			ints[k] = int64(10*i + j + 1)
+			hists[k] = HistogramSnapshot{Count: int64(10*i + j + 1)}
+		}
+		switch kind {
+		case "counters":
+			runs[i].Metrics.Counters = ints
+		case "gauges":
+			runs[i].Metrics.Gauges = ints
+		case "histograms":
+			runs[i].Metrics.Histograms = hists
+		}
+	}
+	return runs
 }
 
 // TestCollectionJSONCoversEveryField sets every field of a Manifest,
@@ -292,13 +324,17 @@ func TestCollectionJSONAllocationBudget(t *testing.T) {
 	}
 }
 
-// FuzzCollectionJSON renders arbitrary manifests both ways. The config
-// is the fuzzed JSON text decoded when it parses, the raw string when
-// it does not.
+// FuzzCollectionJSON renders arbitrary pairs of manifests both ways.
+// The config is the fuzzed JSON text decoded when it parses, the raw
+// string when it does not; the fuzzed strings name the instruments, so
+// the pair's key sets are equal, nested or apart.
 func FuzzCollectionJSON(f *testing.F) {
 	f.Add("rifsim", "ssd_page_reads_total", `{"a":[1,2.5e-7,null],"b":{"c":"<&>"}}`, uint64(7), 2000, int64(1234), 0.25, 1e-7, 812.5, false)
 	f.Add("", "", "", uint64(math.MaxUint64), -1, int64(math.MinInt64), math.Inf(1), 1e21, -0.0, true)
 	f.Add("a\u2028\xff", "k\x00\"\\", "[]", uint64(0), 0, int64(0), 5e-324, math.NaN(), 1e-6, false)
+	// Distinct strings: the two manifests' counter maps are as long as
+	// each other with different keys.
+	f.Add("ssd_b_total", "ssd_a_total", "ssd_c_total", uint64(1), 1000, int64(5), 0.5, 0.25, 1.0, false)
 	f.Fuzz(func(t *testing.T, name, key, config string, seed uint64, pe int, n int64, x, y, z float64, partial bool) {
 		var cfg any = config
 		if json.Valid([]byte(config)) {
@@ -316,7 +352,14 @@ func FuzzCollectionJSON(f *testing.F) {
 				Histograms: map[string]HistogramSnapshot{key: {Count: n, Mean: x, Min: y, Max: z, P50: x * y, P90: y * z, P99: x + z, P999: -x}},
 			},
 		}
-		checkAgainstReference(t, partial, []Manifest{m, {Tool: key, Metrics: Snapshot{Gauges: map[string]int64{name: n}}}})
+		// The second manifest's counters and histograms swap key for
+		// config: equal in number to the first's, different in name.
+		next := Manifest{Tool: key, Metrics: Snapshot{
+			Counters:   map[string]int64{config: n, name: int64(pe)},
+			Gauges:     map[string]int64{name: n},
+			Histograms: map[string]HistogramSnapshot{config: {Count: n}},
+		}}
+		checkAgainstReference(t, partial, []Manifest{m, next})
 	})
 }
 

@@ -51,51 +51,83 @@ func (b *blockState) noteErase() {
 // one only by refreshing it, so for them a reclaim erase is the mark.
 func (b *blockState) refreshedInPlace() bool { return b.reclaimErases > 0 }
 
-// The block table's chunk size, 16 records (896 bytes), and how many
-// chunks one slab allocation carves: 128 (112 KiB), about what a short
-// run on the shrunk Fig. 17 geometry touches (a 40-request chaos cell
-// makes 111 chunks, a 3,000-request one 240).
+// The block table's shape. An index chunk maps 16 blocks to their
+// records (128 bytes); one slab allocation carves 128 of them
+// (16 KiB), about what a short run on the shrunk Fig. 17 geometry
+// touches (a 40-request chaos cell makes 111 chunks, a 3,000-request
+// one 240). Records come from slabs of their own, each twice the size
+// of the one before, from recordsFirst (10.5 KiB) up to recordsMax
+// (42 KiB): a 40-request cell makes 155 records from one slab, a
+// 3,000-request one 1,136 from three.
 const (
-	blockChunk = 16
-	slabChunks = 128
+	blockChunk   = 16
+	slabChunks   = 128
+	recordsFirst = 192
+	recordsMax   = 768
 )
 
 // blockTable holds the per-block records of a device, by dense block
-// id, in fixed-size chunks made when one of their blocks is first
-// sensed or opened. A run touches a few percent of a device's blocks,
-// so the table costs what the run touches, not what the geometry
-// holds. A missing chunk reads as all zero: read-only paths (peek,
-// get, erasesOf) never make one. Chunks are carved from a per-device
-// slab, so making them costs one allocation per slabChunks chunks.
+// id. A block's 56-byte record is made when the block is first sensed
+// or opened; the 16-block index chunk that points at it is made with
+// the chunk's first record. A run touches a few percent of a device's
+// blocks, so the table costs what the run touches, not what the
+// geometry holds. A missing record reads as all zero: read-only paths
+// (peek, get, erasesOf, retired, clearReads) never make one, nor a
+// chunk. Chunks and records are carved from per-device slabs, and a
+// record never moves, so a pointer from at stays valid for the
+// device's lifetime.
 type blockTable struct {
-	chunks []*[blockChunk]blockState
-	slab   [][blockChunk]blockState
-	// unmade counts chunks not yet made, so the last slab is no
-	// larger than what the table can still use.
-	unmade int
+	chunks []*[blockChunk]*blockState
+	slab   [][blockChunk]*blockState
+	recs   []blockState
+	// unmade and unmadeRecs count the chunks and records not yet made,
+	// so the last slabs are no larger than what the table can still
+	// use. nextRecs is the size of the next record slab.
+	unmade, unmadeRecs, nextRecs int
 }
 
 func newBlockTable(blocks int) blockTable {
 	n := (blocks + blockChunk - 1) / blockChunk
-	return blockTable{chunks: make([]*[blockChunk]blockState, n), unmade: n}
+	return blockTable{chunks: make([]*[blockChunk]*blockState, n), unmade: n, unmadeRecs: blocks, nextRecs: recordsFirst}
 }
 
-// at returns block bid's record for writing, making its chunk on
-// first use.
+// at returns block bid's record for writing, making it (and its
+// chunk) on first use.
 func (t *blockTable) at(bid int) *blockState {
+	if c := t.chunks[bid/blockChunk]; c != nil {
+		if b := c[bid%blockChunk]; b != nil {
+			return b
+		}
+	}
+	return t.makeRecord(bid)
+}
+
+// makeRecord carves block bid's record from the record slab, making
+// its chunk first if it has none, and refilling the slab when it runs
+// out.
+func (t *blockTable) makeRecord(bid int) *blockState {
 	c := t.chunks[bid/blockChunk]
 	if c == nil {
 		c = t.makeChunk(bid / blockChunk)
 	}
-	return &c[bid%blockChunk]
+	if len(t.recs) == 0 {
+		//riflint:allow alloc -- record slabs double up to recordsMax; a run touches a bounded set of blocks
+		t.recs = make([]blockState, min(t.nextRecs, t.unmadeRecs))
+		t.nextRecs = min(2*t.nextRecs, recordsMax)
+	}
+	b := &t.recs[0]
+	t.recs = t.recs[1:]
+	c[bid%blockChunk] = b
+	t.unmadeRecs--
+	return b
 }
 
-// makeChunk carves chunk ci from the slab, refilling the slab when it
-// runs out.
-func (t *blockTable) makeChunk(ci int) *[blockChunk]blockState {
+// makeChunk carves index chunk ci from the chunk slab, refilling the
+// slab when it runs out.
+func (t *blockTable) makeChunk(ci int) *[blockChunk]*blockState {
 	if len(t.slab) == 0 {
 		//riflint:allow alloc -- one slab per slabChunks first-touched chunks; a run touches a bounded set of blocks
-		t.slab = make([][blockChunk]blockState, min(slabChunks, t.unmade))
+		t.slab = make([][blockChunk]*blockState, min(slabChunks, t.unmade))
 	}
 	c := &t.slab[0]
 	t.slab = t.slab[1:]
@@ -104,17 +136,16 @@ func (t *blockTable) makeChunk(ci int) *[blockChunk]blockState {
 	return c
 }
 
-// peek returns block bid's record, or nil while its chunk is unmade
-// (every counter of the block is then zero).
+// peek returns block bid's record, or nil while it is unmade (every
+// counter of the block is then zero).
 func (t *blockTable) peek(bid int) *blockState {
 	if c := t.chunks[bid/blockChunk]; c != nil {
-		return &c[bid%blockChunk]
+		return c[bid%blockChunk]
 	}
 	return nil
 }
 
-// get returns a copy of block bid's record: zero while its chunk is
-// unmade.
+// get returns a copy of block bid's record: zero while it is unmade.
 func (t *blockTable) get(bid int) blockState {
 	if b := t.peek(bid); b != nil {
 		return *b
@@ -122,7 +153,7 @@ func (t *blockTable) get(bid int) blockState {
 	return blockState{}
 }
 
-// erasesOf reports block bid's erase count: 0 while its chunk is
+// erasesOf reports block bid's erase count: 0 while its record is
 // unmade.
 func (t *blockTable) erasesOf(bid int) int32 {
 	if b := t.peek(bid); b != nil {
@@ -131,15 +162,15 @@ func (t *blockTable) erasesOf(bid int) int32 {
 	return 0
 }
 
-// retired reports whether block bid is retired: false while its chunk
-// is unmade.
+// retired reports whether block bid is retired: false while its
+// record is unmade.
 func (t *blockTable) retired(bid int) bool {
 	b := t.peek(bid)
 	return b != nil && b.retired
 }
 
 // clearReads zeroes block bid's disturb counter (an erase) without
-// making its chunk: an unmade chunk's counters are already zero.
+// making its record: an unmade record's counters are already zero.
 func (t *blockTable) clearReads(bid int) {
 	if b := t.peek(bid); b != nil {
 		b.reads = 0

@@ -1,16 +1,130 @@
 package ssd
 
 import (
+	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
+	"testing/quick"
 )
 
 // madeChunks counts the block-table chunks a device has made.
 func madeChunks(s *SSD) int { return len(s.ftl.blocks.chunks) - s.ftl.blocks.unmade }
 
+// TestBlockTableMatchesDense drives a block table and a dense slice of
+// records with the same random calls: every read agrees with the dense
+// record, read-only calls make no record and no chunk, the table makes
+// one record per block written through at and one chunk per chunk of
+// them, and a pointer at returned stays the block's record through
+// every later call, record slabs refilled included. 1,000 blocks leave
+// the last chunk short; up to 3,000 calls cross every record slab size.
+func TestBlockTableMatchesDense(t *testing.T) {
+	const blocks = 1000
+	prop := func(ops []uint32) bool {
+		tab := newBlockTable(blocks)
+		dense := make([]blockState, blocks)
+		held := map[int]*blockState{}
+		chunks := map[int]bool{}
+		for _, op := range ops {
+			bid := int(op>>3) % blocks
+			want := dense[bid]
+			madeC, madeR := tab.unmade, tab.unmadeRecs
+			readOnly := true
+			switch op % 8 {
+			case 0, 1, 2:
+				b := tab.at(bid)
+				if p, ok := held[bid]; ok && p != b {
+					t.Errorf("block %d: at moved the record from %p to %p", bid, p, b)
+					return false
+				}
+				held[bid], chunks[bid/blockChunk] = b, true
+				switch op >> 20 % 4 {
+				case 0:
+					b.reads = int64(op)
+				case 1:
+					b.noteErase()
+				case 2:
+					b.retired = !b.retired
+				case 3:
+					b.valid = int32(op >> 8)
+				}
+				dense[bid] = *b
+				readOnly = false
+			case 3:
+				b := tab.peek(bid)
+				if _, ok := held[bid]; ok != (b != nil) || b != nil && *b != want {
+					t.Errorf("block %d: peek %v, dense %+v", bid, b, want)
+					return false
+				}
+			case 4:
+				if got := tab.get(bid); got != want {
+					t.Errorf("block %d: get %+v, dense %+v", bid, got, want)
+					return false
+				}
+			case 5:
+				if got := tab.erasesOf(bid); got != want.erases {
+					t.Errorf("block %d: erasesOf %d, dense %d", bid, got, want.erases)
+					return false
+				}
+			case 6:
+				if got := tab.retired(bid); got != want.retired {
+					t.Errorf("block %d: retired %v, dense %v", bid, got, want.retired)
+					return false
+				}
+			case 7:
+				tab.clearReads(bid)
+				dense[bid].reads = 0
+				if got := tab.get(bid); got != dense[bid] {
+					t.Errorf("block %d: after clearReads %+v, dense %+v", bid, got, dense[bid])
+					return false
+				}
+			}
+			if readOnly && (tab.unmade != madeC || tab.unmadeRecs != madeR) {
+				t.Errorf("read-only call %d on block %d made %d chunks and %d records", op%8, bid, madeC-tab.unmade, madeR-tab.unmadeRecs)
+				return false
+			}
+		}
+		if made := len(tab.chunks) - tab.unmade; made != len(chunks) {
+			t.Errorf("made %d chunks for %d touched", made, len(chunks))
+			return false
+		}
+		if made := blocks - tab.unmadeRecs; made != len(held) {
+			t.Errorf("made %d records for %d blocks touched", made, len(held))
+			return false
+		}
+		for bid, p := range held {
+			if p != tab.at(bid) || *p != dense[bid] {
+				t.Errorf("block %d: held record %+v at %p, table %p, dense %+v", bid, *p, p, tab.at(bid), dense[bid])
+				return false
+			}
+		}
+		for bid := range dense {
+			if tab.get(bid) != dense[bid] {
+				t.Errorf("block %d: table %+v, dense %+v", bid, tab.get(bid), dense[bid])
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{
+		MaxCount: 100,
+		Rand:     rand.New(rand.NewSource(1)),
+		Values: func(v []reflect.Value, r *rand.Rand) {
+			ops := make([]uint32, 1+r.Intn(3000))
+			for i := range ops {
+				ops[i] = r.Uint32()
+			}
+			v[0] = reflect.ValueOf(ops)
+		},
+	}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestUntouchedBlocksReadZero: a fresh device has made no chunk and
 // reports every counter zero; after a run, BlockState still reports
-// zero for every block whose chunk was never made, and the run made
+// zero for every block whose record was never made, and the run made
 // chunks for only a few percent of the device.
 func TestUntouchedBlocksReadZero(t *testing.T) {
 	s, err := New(benchConfig(RiF, 2000), allocStubWorkload{})
@@ -41,7 +155,7 @@ func TestUntouchedBlocksReadZero(t *testing.T) {
 	for i := range c.Senses {
 		if s.ftl.blocks.peek(i) == nil {
 			if c.Reads[i] != 0 || c.Senses[i] != 0 || c.Erases[i] != 0 || c.ReclaimErases[i] != 0 {
-				t.Fatalf("block %d has no chunk but reports %d/%d/%d/%d", i, c.Reads[i], c.Senses[i], c.Erases[i], c.ReclaimErases[i])
+				t.Fatalf("block %d has no record but reports %d/%d/%d/%d", i, c.Reads[i], c.Senses[i], c.Erases[i], c.ReclaimErases[i])
 			}
 			continue
 		}
@@ -55,7 +169,7 @@ func TestUntouchedBlocksReadZero(t *testing.T) {
 }
 
 // TestSeedBlockStateRoundTrip: seeded counters come back through
-// BlockState, and zero entries make no chunk.
+// BlockState, and zero entries make no record and no chunk.
 func TestSeedBlockStateRoundTrip(t *testing.T) {
 	s, err := New(benchConfig(RiF, 1000), allocStubWorkload{})
 	if err != nil {
@@ -71,8 +185,8 @@ func TestSeedBlockStateRoundTrip(t *testing.T) {
 	if err := s.SeedBlockState(reads, erases); err != nil {
 		t.Fatal(err)
 	}
-	if got := madeChunks(s); got != 3 {
-		t.Fatalf("seeding made %d chunks, want 3 (zero entries make none)", got)
+	if got, recs := madeChunks(s), n-s.ftl.blocks.unmadeRecs; got != 3 || recs != 4 {
+		t.Fatalf("seeding made %d chunks and %d records, want 3 and 4 (zero entries make none)", got, recs)
 	}
 	c := s.BlockState()
 	for i := 0; i < n; i++ {
@@ -86,7 +200,7 @@ func TestSeedBlockStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	c = s.BlockState()
-	if c.Reads[3] != 0 || c.Reads[blockChunk*40] != 0 || c.Erases[n-1] != 0 || madeChunks(s) != 3 {
+	if c.Reads[3] != 0 || c.Reads[blockChunk*40] != 0 || c.Erases[n-1] != 0 || madeChunks(s) != 3 || s.ftl.blocks.unmadeRecs != n-4 {
 		t.Fatalf("zero reseed left reads %d/%d erases %d with %d chunks", c.Reads[3], c.Reads[blockChunk*40], c.Erases[n-1], madeChunks(s))
 	}
 }
@@ -209,5 +323,36 @@ func TestWarmupAllocationBudget(t *testing.T) {
 		if allocs > tc.budget {
 			t.Errorf("%s: a fresh device's first %d requests make %d allocations, want at most %d", tc.workload, requests, allocs, tc.budget)
 		}
+	}
+}
+
+// TestShortCellByteBudget pins what a short cell costs in bytes,
+// device build included: 40 Ali124 requests at 2K P/E, the size of a
+// chaos-study cell. Such a cell touches 155 blocks in 111 of the block
+// table's 2,048 chunks. A table that made a chunk's 16 records at its
+// first touch spent 131 KB on the table (305 KB a cell); one that makes
+// each record at its block's first touch spends 44 KB (220 KB a cell,
+// 222 KB under -race). The budget leaves 7% over the -race count.
+func TestShortCellByteBudget(t *testing.T) {
+	const (
+		runs   = 4
+		budget = 232 << 10
+	)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		s, err := New(benchConfig(RiF, 2000), smallWorkload(t, "Ali124", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(40); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("40 Ali124 requests at 2K P/E: %d bytes per cell, build included", bytes)
+	if bytes > budget {
+		t.Errorf("a 40-request cell allocates %d bytes, want at most %d", bytes, budget)
 	}
 }

@@ -199,8 +199,8 @@ func (f *FTL) ppn(pIdx, block, page int) uint32 {
 	return uint32((pIdx*f.geo.BlocksPerPlane+block)*f.geo.PagesPerBlock + page)
 }
 
-// block returns the record of a plane's block, making its chunk on
-// first use.
+// block returns the record of a plane's block, making it on first
+// use.
 func (f *FTL) block(p *planeState, block int) *blockState {
 	return f.blocks.at(p.idx*f.geo.BlocksPerPlane + block)
 }

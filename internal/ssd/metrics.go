@@ -189,14 +189,6 @@ func (m *Metrics) Bandwidth() float64 {
 	return float64(m.BytesRead+m.BytesWritten) / 1e6 / m.Makespan.Seconds()
 }
 
-// ReadBandwidth reports the read-only bandwidth in MB/s.
-func (m *Metrics) ReadBandwidth() float64 {
-	if m.Makespan <= 0 {
-		return 0
-	}
-	return float64(m.BytesRead) / 1e6 / m.Makespan.Seconds()
-}
-
 // RetryRate reports the fraction of host page reads that required a
 // retry.
 func (m *Metrics) RetryRate() float64 {

@@ -40,9 +40,6 @@ func NewGenerator(spec Spec, seed uint64) (*Generator, error) {
 	}, nil
 }
 
-// Spec returns the generator's workload description.
-func (g *Generator) Spec() Spec { return g.spec }
-
 // Next draws the next request. Arrival times are left zero: the
 // closed-loop host driver issues requests as queue slots free up.
 func (g *Generator) Next() Request {
