@@ -171,8 +171,12 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# vet also runs for arm64, where the decoder builds only its portable
+# kernels, so the non-amd64 build cannot rot; on amd64 its asmdecl
+# check holds the assembly kernels' frames to their Go declarations.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 riflint:
 	$(GO) run ./cmd/riflint ./...

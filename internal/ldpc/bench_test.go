@@ -2,6 +2,7 @@ package ldpc
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -79,33 +80,50 @@ func BenchmarkRearrange(b *testing.B) {
 	}
 }
 
+// benchDecoders runs f once per kernel set as a sub-benchmark named
+// after the set (/avx2, /go), on a fresh decoder; a set this CPU does
+// not run is skipped.
+func benchDecoders(b *testing.B, cd *Code, f func(b *testing.B, dec *MinSumDecoder)) {
+	for _, name := range []string{"avx2", "go"} {
+		b.Run(name, func(b *testing.B) {
+			i := slices.IndexFunc(kernelSets, func(k *kernelSet) bool { return k.name == name })
+			if i < 0 {
+				b.Skipf("this CPU does not run the %s kernels", name)
+			}
+			dec := newMinSumDecoder(cd, 0, kernelSets[i])
+			b.ResetTimer()
+			f(b, dec)
+		})
+	}
+}
+
 func BenchmarkDecodeClean(b *testing.B) {
 	cd, cw := benchCodeAndWord(b, 256, 0)
-	dec := NewMinSumDecoder(cd, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.Decode(cw)
-	}
+	benchDecoders(b, cd, func(b *testing.B, dec *MinSumDecoder) {
+		for i := 0; i < b.N; i++ {
+			dec.Decode(cw)
+		}
+	})
 }
 
 func BenchmarkDecodeModerate(b *testing.B) {
 	cd, cw := benchCodeAndWord(b, 256, 0.004)
-	dec := NewMinSumDecoder(cd, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.Decode(cw)
-	}
+	benchDecoders(b, cd, func(b *testing.B, dec *MinSumDecoder) {
+		for i := 0; i < b.N; i++ {
+			dec.Decode(cw)
+		}
+	})
 }
 
 func BenchmarkDecodeFailing(b *testing.B) {
 	// Uncorrectable input: the decoder burns all 20 iterations, the
 	// case whose latency stalls the paper's channel ECC buffer.
 	cd, cw := benchCodeAndWord(b, 256, 0.015)
-	dec := NewMinSumDecoder(cd, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.Decode(cw)
-	}
+	benchDecoders(b, cd, func(b *testing.B, dec *MinSumDecoder) {
+		for i := 0; i < b.N; i++ {
+			dec.Decode(cw)
+		}
+	})
 }
 
 func BenchmarkDecodeSoft(b *testing.B) {
@@ -114,11 +132,11 @@ func BenchmarkDecodeSoft(b *testing.B) {
 	cd := NewCode(4, 36, 256, 7)
 	rng := rand.New(rand.NewPCG(1, 1))
 	_, llrs := DefaultSoftChannel(0.011).Observe(cd.Encode(RandomBits(cd.K(), rng)), rng)
-	dec := NewMinSumDecoder(cd, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.DecodeSoft(llrs)
-	}
+	benchDecoders(b, cd, func(b *testing.B, dec *MinSumDecoder) {
+		for i := 0; i < b.N; i++ {
+			dec.DecodeSoft(llrs)
+		}
+	})
 }
 
 func BenchmarkDecodePaperScale(b *testing.B) {
@@ -126,11 +144,11 @@ func BenchmarkDecodePaperScale(b *testing.B) {
 	cd := NewPaperCode(7)
 	rng := rand.New(rand.NewPCG(1, 1))
 	cw := FlipRandom(cd.Encode(RandomBits(cd.K(), rng)), 0.0085, rng)
-	dec := NewMinSumDecoder(cd, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.Decode(cw)
-	}
+	benchDecoders(b, cd, func(b *testing.B, dec *MinSumDecoder) {
+		for i := 0; i < b.N; i++ {
+			dec.Decode(cw)
+		}
+	})
 }
 
 func BenchmarkFlipRandomSparse(b *testing.B) {

@@ -56,14 +56,14 @@ func FlipExact(cw Bits, k int, rng *rand.Rand) Bits {
 		}
 		return out
 	}
-	// Floyd's algorithm for a k-subset of [0, n).
-	chosen := make(map[int]struct{}, k)
+	// Floyd's algorithm for a k-subset of [0, n). A bit is in the
+	// subset iff it is already flipped, so out and cw are the
+	// membership test.
 	for j := n - k; j < n; j++ {
 		v := rng.IntN(j + 1)
-		if _, dup := chosen[v]; dup {
+		if out.Get(v) != cw.Get(v) {
 			v = j
 		}
-		chosen[v] = struct{}{}
 		out.Flip(v)
 	}
 	return out

@@ -30,11 +30,13 @@ type Result struct {
 // row-major order, so message k of block (bi, bj) belongs to check
 // bi·T+k and variable bj·T+(k+shift)%T. Both half-iterations are then
 // straight loops over two contiguous ranges per block, with no index
-// gather.
+// gather. The loops run in a kernel set (kernels.go) picked once per
+// decoder: AVX2 where the CPU has it, portable Go otherwise.
 type MinSumDecoder struct {
 	code    *Code
 	maxIter int
 	alpha   float32 // normalization factor
+	kern    *kernelSet
 
 	// blocks lists H's non-zero circulants in row-major order;
 	// rowOff[bi] is the first block of block row bi.
@@ -44,12 +46,13 @@ type MinSumDecoder struct {
 	// Per-decode scratch, reused across calls so steady-state decoding
 	// allocates nothing. The decoder is NOT safe for concurrent use;
 	// create one per goroutine.
-	ctv   []float32  // [block][k] check-to-variable messages
-	total []float32  // per-variable belief
-	acc   []checkAcc // one block row's check accumulators, T wide
-	llrs  []float32  // hard-decision LLRs (Decode)
-	work  Bits       // decision word; Result.Word aliases it
-	syn   *synWS     // parity-check workspace
+	ctv   []float32 // [block][k] check-to-variable messages
+	total []float32 // per-variable belief
+	next  []float32 // the next iteration's beliefs, summed by checkUpdate
+	acc   checkAccs // one block row's check accumulators, T wide
+	llrs  []float32 // hard-decision LLRs (Decode)
+	work  Bits      // decision word; Result.Word aliases it
+	syn   *synWS    // parity-check workspace
 }
 
 // circulant is one non-zero block of H: its first variable (bj·T) and
@@ -58,21 +61,13 @@ type circulant struct {
 	col, shift int
 }
 
-// checkAcc accumulates one check's min-sum state over its block row:
-// the two smallest magnitudes (as sign-cleared float32 bits, which
-// order like the floats they encode), the block holding the first
-// minimum, and the sign parity in bit 31.
-type checkAcc struct {
-	min1, min2 uint32
-	minBlk     int32
-	parity     uint32
-}
-
-const signBit = 1 << 31
-
 // NewMinSumDecoder builds a decoder for the code with the given
 // iteration cap (0 means DefaultMaxIterations).
 func NewMinSumDecoder(code *Code, maxIter int) *MinSumDecoder {
+	return newMinSumDecoder(code, maxIter, kernelSets[0])
+}
+
+func newMinSumDecoder(code *Code, maxIter int, kern *kernelSet) *MinSumDecoder {
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
 	}
@@ -91,11 +86,13 @@ func NewMinSumDecoder(code *Code, maxIter int) *MinSumDecoder {
 		code:    code,
 		maxIter: maxIter,
 		alpha:   0.75,
+		kern:    kern,
 		blocks:  blocks,
 		rowOff:  rowOff,
 		ctv:     make([]float32, len(blocks)*code.T),
 		total:   make([]float32, code.N()),
-		acc:     make([]checkAcc, code.T),
+		next:    make([]float32, code.N()),
+		acc:     newCheckAccs(code.T),
 		llrs:    make([]float32, code.N()),
 		work:    NewBits(code.N()),
 		syn:     newSynWS(code.T),
@@ -142,123 +139,58 @@ func (d *MinSumDecoder) DecodeSoft(llrs []float32) Result {
 		panic("ldpc: llr length mismatch")
 	}
 	clear(d.ctv)
+	// The first beliefs are each LLR plus its cleared messages, which is
+	// llr + 0: a −0 LLR becomes +0.
+	total := d.total[:len(llrs)]
+	for v, x := range llrs {
+		total[v] = x + 0
+	}
 	for iter := 1; iter <= d.maxIter; iter++ {
-		d.variableUpdate(llrs)
+		d.kern.pack(d.work.words, d.total)
 		if d.satisfied(d.work) {
 			return Result{OK: true, Iterations: iter, Word: d.work}
 		}
+		// Each belief is its channel LLR plus its incoming messages,
+		// added in block-row order: checkUpdate(bi) adds row bi's.
+		copy(d.next, llrs)
 		for bi := 0; bi < d.code.R; bi++ {
 			d.checkUpdate(bi)
 		}
+		d.total, d.next = d.next, d.total
 	}
 	// Final hard decision after the last check update.
-	d.variableUpdate(llrs)
+	d.kern.pack(d.work.words, d.total)
 	return Result{OK: d.satisfied(d.work), Iterations: d.maxIter, Word: d.work}
-}
-
-// variableUpdate sets each variable's total belief to its channel LLR
-// plus its incoming messages, added in block-row order, and packs the
-// hard decision (total < 0) into d.work.
-//
-//riflint:hotpath
-func (d *MinSumDecoder) variableUpdate(llrs []float32) {
-	t := d.code.T
-	copy(d.total, llrs)
-	for b, blk := range d.blocks {
-		c := d.ctv[b*t : (b+1)*t]
-		col := d.total[blk.col : blk.col+t]
-		// Message k feeds variable (k+shift)%T of the block column.
-		addInto(col[blk.shift:], c[:t-blk.shift])
-		addInto(col[:blk.shift], c[t-blk.shift:])
-	}
-	words := d.work.words
-	for w := range words {
-		lo := w * 64
-		var word uint64
-		for i, x := range d.total[lo:min(lo+64, len(d.total))] {
-			// x < 0 iff its bits exceed −0's (signBit); total is −0
-			// when its LLR and every message are.
-			word |= uint64(int64(signBit)-int64(math.Float32bits(x))) >> 63 << i
-		}
-		words[w] = word
-	}
-}
-
-// addInto adds src into dst elementwise; len(src) ≥ len(dst).
-//
-//riflint:hotpath
-func addInto(dst, src []float32) {
-	src = src[:len(dst)]
-	for i := range dst {
-		dst[i] += src[i]
-	}
 }
 
 // checkUpdate runs normalized min-sum on the T checks of block row bi:
 // one pass folds each block's variable-to-check messages into the
 // accumulators (leaving them in place of the old messages), a second
-// writes alpha·min with the extrinsic sign back.
+// writes alpha·min with the extrinsic sign back and adds each new
+// message into its variable's next belief.
 //
 //riflint:hotpath
 func (d *MinSumDecoder) checkUpdate(bi int) {
-	t := d.code.T
-	acc := d.acc
-	for k := range acc {
-		acc[k] = checkAcc{min1: math.Float32bits(math.MaxFloat32), min2: math.Float32bits(math.MaxFloat32), minBlk: -1}
-	}
+	t, kern, acc := d.code.T, d.kern, &d.acc
+	kern.reset(acc)
 	lo, hi := d.rowOff[bi], d.rowOff[bi+1]
 	for b := lo; b < hi; b++ {
 		blk := d.blocks[b]
 		c := d.ctv[b*t : (b+1)*t]
 		col := d.total[blk.col : blk.col+t]
-		foldChecks(acc[:t-blk.shift], c[:t-blk.shift], col[blk.shift:], int32(b))
-		foldChecks(acc[t-blk.shift:], c[t-blk.shift:], col[:blk.shift], int32(b))
+		// Message k feeds variable (k+shift)%T of the block column.
+		s := t - blk.shift
+		kern.fold(acc, 0, c[:s], col[blk.shift:], int32(b))
+		kern.fold(acc, s, c[s:], col[:blk.shift], int32(b))
 	}
-	// alpha·(±mag) is ±(alpha·mag) exactly, so scale the magnitudes once
-	// and attach each message's sign afterwards.
-	for k := range acc {
-		acc[k].min1 = math.Float32bits(d.alpha * math.Float32frombits(acc[k].min1))
-		acc[k].min2 = math.Float32bits(d.alpha * math.Float32frombits(acc[k].min2))
-	}
+	kern.scale(acc, d.alpha)
 	for b := lo; b < hi; b++ {
+		blk := d.blocks[b]
 		c := d.ctv[b*t : (b+1)*t]
-		c = c[:len(acc)]
-		for k := range acc {
-			a := &acc[k]
-			mag, min2 := a.min1, a.min2
-			if a.minBlk == int32(b) {
-				mag = min2
-			}
-			// c[k] holds this edge's variable-to-check message; the
-			// extrinsic sign is its sign times every other edge's.
-			c[k] = math.Float32frombits(mag | (math.Float32bits(c[k])^a.parity)&signBit)
-		}
-	}
-}
-
-// foldChecks folds one block's variable-to-check messages total−ctv
-// into the check accumulators, overwriting ctv with them. A strict <
-// keeps the first minimum in column order; min2 = min(min2, max(m,
-// min1)) is the branchless form of the two-way update. A message is
-// never −0 (a float sum is −0 only when every term is, and then
-// total−ctv is +0), so its sign bit is exactly "vtc < 0".
-//
-//riflint:hotpath
-func foldChecks(acc []checkAcc, ctv, total []float32, blk int32) {
-	ctv = ctv[:len(acc)]
-	total = total[:len(acc)]
-	for k := range acc {
-		vtc := total[k] - ctv[k]
-		ctv[k] = vtc
-		bits := math.Float32bits(vtc)
-		m := bits &^ signBit
-		a := &acc[k]
-		min1, minBlk := a.min1, a.minBlk
-		if m < min1 {
-			minBlk = blk
-		}
-		a.min1, a.min2, a.minBlk = min(min1, m), min(a.min2, max(m, min1)), minBlk
-		a.parity ^= bits
+		col := d.next[blk.col : blk.col+t]
+		s := t - blk.shift
+		kern.writeBack(acc, 0, c[:s], col[blk.shift:], int32(b))
+		kern.writeBack(acc, s, c[s:], col[:blk.shift], int32(b))
 	}
 }
 

@@ -168,13 +168,18 @@ func sameDecode(dec *MinSumDecoder, got Result, ref *refMinSum, want Result) str
 // TestMinSumMatchesReference pins the circulant-major kernel to the
 // edge-list oracle: hard and soft decodes agree exactly in OK,
 // Iterations, Word, beliefs and messages, on circulants that are and are not a multiple
-// of the word size, from clean words to far past the capability.
+// of the word size, from clean words to far past the capability. Every
+// decode runs through each kernel set this CPU runs.
 func TestMinSumMatchesReference(t *testing.T) {
 	rbers := []float64{0, 0.002, 0.006, 0.008, 0.0085, 0.0095, 0.011, 0.02, 0.05}
 	for _, T := range []int{64, 100, 256} {
 		cd := NewCode(4, 36, T, 7)
-		dec := NewMinSumDecoder(cd, 0)
-		ref := newRefMinSum(cd, 0)
+		var decs []*MinSumDecoder
+		for _, k := range kernelSets {
+			decs = append(decs, newMinSumDecoder(cd, 0, k))
+		}
+		// One oracle per input kind, so each keeps its final state.
+		refHard, refSoft := newRefMinSum(cd, 0), newRefMinSum(cd, 0)
 		rng := rand.New(rand.NewPCG(uint64(T), 11))
 		samples := 2
 		if testing.Short() {
@@ -184,11 +189,14 @@ func TestMinSumMatchesReference(t *testing.T) {
 			for s := 0; s < samples; s++ {
 				cw := cd.Encode(RandomBits(cd.K(), rng))
 				hard, llrs := DefaultSoftChannel(rber).Observe(cw, rng)
-				if diff := sameDecode(dec, dec.Decode(hard), ref, ref.decode(hard)); diff != "" {
-					t.Fatalf("T=%d RBER %v sample %d: Decode %s", T, rber, s, diff)
-				}
-				if diff := sameDecode(dec, dec.DecodeSoft(llrs), ref, ref.decodeSoft(llrs)); diff != "" {
-					t.Fatalf("T=%d RBER %v sample %d: DecodeSoft %s", T, rber, s, diff)
+				wantHard, wantSoft := refHard.decode(hard), refSoft.decodeSoft(llrs)
+				for _, dec := range decs {
+					if diff := sameDecode(dec, dec.Decode(hard), refHard, wantHard); diff != "" {
+						t.Fatalf("T=%d RBER %v sample %d, %s kernels: Decode %s", T, rber, s, dec.kern.name, diff)
+					}
+					if diff := sameDecode(dec, dec.DecodeSoft(llrs), refSoft, wantSoft); diff != "" {
+						t.Fatalf("T=%d RBER %v sample %d, %s kernels: DecodeSoft %s", T, rber, s, dec.kern.name, diff)
+					}
 				}
 			}
 		}
@@ -197,12 +205,16 @@ func TestMinSumMatchesReference(t *testing.T) {
 
 // FuzzMinSumDecodeSoft drives DecodeSoft on a T=64 code with arbitrary
 // finite LLRs (±0, subnormals and magnitudes up to 1e30 included) and
-// requires the oracle's result, beliefs and messages exactly. The input is tiled over the
+// requires the oracle's result, beliefs and messages exactly, from each
+// kernel set this CPU runs. The input is tiled over the
 // codeword four bytes per LLR; a non-finite or oversized float is
 // folded into range, so every input exercises the decoder's domain.
 func FuzzMinSumDecodeSoft(f *testing.F) {
 	cd := NewCode(4, 36, 64, 7)
-	dec := NewMinSumDecoder(cd, 0)
+	var decs []*MinSumDecoder
+	for _, k := range kernelSets {
+		decs = append(decs, newMinSumDecoder(cd, 0, k))
+	}
 	ref := newRefMinSum(cd, 0)
 	word := func(vals ...float32) []byte {
 		var b []byte
@@ -231,8 +243,11 @@ func FuzzMinSumDecodeSoft(f *testing.F) {
 			}
 			llrs[v] = x
 		}
-		if diff := sameDecode(dec, dec.DecodeSoft(llrs), ref, ref.decodeSoft(llrs)); diff != "" {
-			t.Fatalf("DecodeSoft %s", diff)
+		want := ref.decodeSoft(llrs)
+		for _, dec := range decs {
+			if diff := sameDecode(dec, dec.DecodeSoft(llrs), ref, want); diff != "" {
+				t.Fatalf("%s kernels: DecodeSoft %s", dec.kern.name, diff)
+			}
 		}
 	})
 }

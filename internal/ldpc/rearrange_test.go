@@ -84,6 +84,60 @@ func TestChannelFlipExactAllBits(t *testing.T) {
 	}
 }
 
+// flipExactMap is FlipExact as it was written first, with Floyd's
+// chosen set in a map: the oracle the map-free version must match.
+func flipExactMap(cw Bits, k int, rng *rand.Rand) Bits {
+	out := cw.Clone()
+	n := out.Len()
+	if k <= 0 {
+		return out
+	}
+	if k >= n {
+		for i := 0; i < n; i++ {
+			out.Flip(i)
+		}
+		return out
+	}
+	chosen := make(map[int]struct{}, k)
+	for j := n - k; j < n; j++ {
+		v := rng.IntN(j + 1)
+		if _, dup := chosen[v]; dup {
+			v = j
+		}
+		chosen[v] = struct{}{}
+		out.Flip(v)
+	}
+	return out
+}
+
+// TestChannelFlipExactMatchesMap requires FlipExact to flip the same
+// bits as the map version and leave its RNG in the same state, over
+// random lengths, counts (0, 1, n−1, n and past n included) and seeds.
+func TestChannelFlipExactMatchesMap(t *testing.T) {
+	pick := rand.New(rand.NewPCG(11, 20))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + pick.IntN(300)
+		k := pick.IntN(n + 2)
+		switch trial % 5 {
+		case 0:
+			k = 0
+		case 1:
+			k = n - 1
+		case 2:
+			k = n + pick.IntN(3)
+		}
+		cw := RandomBits(n, pick)
+		seed := pick.Uint64()
+		got, want := rand.New(rand.NewPCG(seed, 1)), rand.New(rand.NewPCG(seed, 1))
+		if g, w := FlipExact(cw, k, got), flipExactMap(cw, k, want); !g.Equal(w) {
+			t.Fatalf("n=%d k=%d seed %d: flipped bits differ from the map version's", n, k, seed)
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("n=%d k=%d seed %d: RNG draws differ from the map version's", n, k, seed)
+		}
+	}
+}
+
 func TestChannelFlipRandomRate(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 20))
 	b := NewBits(200000)

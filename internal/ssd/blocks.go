@@ -56,14 +56,17 @@ func (b *blockState) refreshedInPlace() bool { return b.reclaimErases > 0 }
 // (16 KiB), about what a short run on the shrunk Fig. 17 geometry
 // touches (a 40-request chaos cell makes 111 chunks, a 3,000-request
 // one 240). Records come from slabs of their own, each twice the size
-// of the one before, from recordsFirst (10.5 KiB) up to recordsMax
-// (42 KiB): a 40-request cell makes 155 records from one slab, a
-// 3,000-request one 1,136 from three.
+// of the one before, from recordsFirst (10.5 KiB) up to recordsMax: a
+// 40-request cell makes 155 records from one slab, a 3,000-request one
+// 1,136 from three. A slab past 32 KiB is a large object, which the
+// runtime rounds up to whole 8-KiB pages, so recordsMax is the most
+// records that fit the six pages (49,152 B) a 768-record slab already
+// takes: 877 × 56 B = 49,112 B.
 const (
 	blockChunk   = 16
 	slabChunks   = 128
 	recordsFirst = 192
-	recordsMax   = 768
+	recordsMax   = 877
 )
 
 // blockTable holds the per-block records of a device, by dense block

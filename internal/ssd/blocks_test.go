@@ -6,7 +6,19 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestRecordSlabFillsItsPages pins recordsMax to the most records that
+// fit the six 8-KiB pages a 768-record slab is rounded up to: a larger
+// slab would take a seventh page, a smaller one strands bytes.
+func TestRecordSlabFillsItsPages(t *testing.T) {
+	const pages = 6 << 13
+	rec := int(unsafe.Sizeof(blockState{}))
+	if 768*rec <= 32<<10 || recordsMax*rec > pages || (recordsMax+1)*rec <= pages {
+		t.Errorf("recordsMax %d of %d-byte records; want the most that fit %d bytes", recordsMax, rec, pages)
+	}
+}
 
 // madeChunks counts the block-table chunks a device has made.
 func madeChunks(s *SSD) int { return len(s.ftl.blocks.chunks) - s.ftl.blocks.unmade }
