@@ -109,11 +109,6 @@ func New(cfg Config) (*Chip, error) {
 	}, nil
 }
 
-// CodewordsPerPage reports how many LDPC codewords one page holds.
-func (c *Chip) CodewordsPerPage() int {
-	return c.cfg.PageBytes / (c.cfg.Code.K() / 8)
-}
-
 // ppn flattens an address for the randomizer seed.
 func (c *Chip) ppn(a PageAddr) int64 {
 	return int64((a.Plane*c.cfg.BlocksPerPlane+a.Block)*c.cfg.PagesPerBlock + a.Page)

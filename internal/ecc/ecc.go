@@ -59,30 +59,10 @@ func (e *Engine) Iterations(rber float64) int {
 	return it
 }
 
-// Outcome describes one decode attempt.
-type Outcome struct {
-	// OK reports whether the page decoded.
-	OK bool
-	// Latency is the engine occupancy for this attempt (tECC).
-	Latency sim.Time
-	// Iterations is the estimated iteration count.
-	Iterations int
-}
-
-// Decode evaluates a decode attempt for a page with the given RBER.
-func (e *Engine) Decode(rber float64) Outcome {
-	it := e.Iterations(rber)
-	return Outcome{
-		OK:         rber <= e.Capability,
-		Latency:    e.DecodeLatency(it),
-		Iterations: it,
-	}
-}
-
 // DecodeLatency is the engine occupancy (tECC) of a decode attempt
-// that runs the given number of iterations, recorded in Latencies: the
-// latency half of Decode, for a caller that has settled the iteration
-// count without the exact RBER.
+// that runs the given number of iterations, recorded in Latencies.
+// Whether the attempt succeeds is the caller's comparison of the
+// page's RBER with Capability.
 func (e *Engine) DecodeLatency(iterations int) sim.Time {
 	lat := sim.Time(iterations) * e.IterationTime
 	if e.Latencies != nil {
@@ -93,8 +73,3 @@ func (e *Engine) DecodeLatency(iterations int) sim.Time {
 
 // MinLatency is the fastest possible decode (one iteration).
 func (e *Engine) MinLatency() sim.Time { return e.IterationTime }
-
-// MaxLatency is the latency of a failing decode (all iterations).
-func (e *Engine) MaxLatency() sim.Time {
-	return sim.Time(e.MaxIterations) * e.IterationTime
-}

@@ -12,19 +12,16 @@ func TestTableILatencyRange(t *testing.T) {
 	if e.MinLatency() != sim.Microsecond {
 		t.Fatalf("min latency = %v, want 1us", e.MinLatency())
 	}
-	if e.MaxLatency() != 20*sim.Microsecond {
-		t.Fatalf("max latency = %v, want 20us", e.MaxLatency())
+	if lat := e.DecodeLatency(e.MaxIterations); lat != 20*sim.Microsecond {
+		t.Fatalf("max latency = %v, want 20us", lat)
 	}
 }
 
 func TestDecodeCleanPage(t *testing.T) {
 	e := NewEngine()
-	out := e.Decode(0.0001)
-	if !out.OK {
-		t.Fatal("near-clean page failed to decode")
-	}
-	if out.Latency != sim.Microsecond || out.Iterations != 1 {
-		t.Fatalf("clean decode latency=%v iters=%d", out.Latency, out.Iterations)
+	it := e.Iterations(0.0001)
+	if lat := e.DecodeLatency(it); lat != sim.Microsecond || it != 1 {
+		t.Fatalf("clean decode latency=%v iters=%d", lat, it)
 	}
 }
 
@@ -33,22 +30,9 @@ func TestDecodeFailureBurnsMaxIterations(t *testing.T) {
 	// engine, its tECC is much longer than that of an ECC-decodable
 	// page" — the full 20 iterations.
 	e := NewEngine()
-	out := e.Decode(0.012)
-	if out.OK {
-		t.Fatal("page above capability decoded")
-	}
-	if out.Latency != e.MaxLatency() || out.Iterations != e.MaxIterations {
-		t.Fatalf("failed decode latency=%v iters=%d", out.Latency, out.Iterations)
-	}
-}
-
-func TestDecodeBoundaryExactlyAtCapability(t *testing.T) {
-	e := NewEngine()
-	if !e.Decode(e.Capability).OK {
-		t.Fatal("page at exactly the capability must decode")
-	}
-	if e.Decode(e.Capability * 1.0001).OK {
-		t.Fatal("page just above the capability must fail")
+	it := e.Iterations(0.012)
+	if lat := e.DecodeLatency(it); lat != 20*sim.Microsecond || it != e.MaxIterations {
+		t.Fatalf("failed decode latency=%v iters=%d", lat, it)
 	}
 }
 
@@ -85,9 +69,9 @@ func TestIterationCurveShape(t *testing.T) {
 func TestLatencyProportionalToIterations(t *testing.T) {
 	e := NewEngine()
 	for _, r := range []float64{0.001, 0.004, 0.007, 0.0085, 0.02} {
-		out := e.Decode(r)
-		if out.Latency != sim.Time(out.Iterations)*e.IterationTime {
-			t.Fatalf("rber=%v: latency %v != %d iterations", r, out.Latency, out.Iterations)
+		it := e.Iterations(r)
+		if lat := e.DecodeLatency(it); lat != sim.Time(it)*e.IterationTime {
+			t.Fatalf("rber=%v: latency %v != %d iterations", r, lat, it)
 		}
 	}
 }

@@ -10,12 +10,12 @@ const DefaultMaxIterations = 20
 type Result struct {
 	// OK is true when every parity check is satisfied.
 	OK bool
-	// Iterations is the number of message-passing (or bit-flipping)
-	// rounds executed, in [1, max]. The paper maps this to tECC.
+	// Iterations is the number of message-passing rounds executed, in
+	// [1, max]. The paper maps this to tECC.
 	Iterations int
 	// Word is the corrected codeword (equal to the input when OK is
-	// false and no useful correction was found). For MinSumDecoder it
-	// aliases decoder-owned scratch: it is valid until the next
+	// false and no useful correction was found). It aliases
+	// decoder-owned scratch: it is valid until the next
 	// Decode/DecodeSoft call on the same decoder — Clone it to retain
 	// it longer.
 	Word Bits
@@ -199,84 +199,4 @@ func (d *MinSumDecoder) satisfied(cw Bits) bool {
 	// decoder's workspace and bailing at the first unsatisfied block
 	// row.
 	return d.code.syndromeIsZero(cw, d.syn)
-}
-
-// BitFlipDecoder is a Gallager-style hard-decision bit-flipping
-// decoder: cheap, lower-threshold than min-sum. It serves as the
-// baseline decoder model and for cross-checking the min-sum decoder.
-type BitFlipDecoder struct {
-	code    *Code
-	maxIter int
-
-	// Per-decode scratch, reused across calls; not concurrency-safe.
-	unsat []uint8
-	syn   Bits
-	ws    *synWS
-}
-
-// NewBitFlipDecoder builds a bit-flipping decoder (0 means
-// DefaultMaxIterations).
-func NewBitFlipDecoder(code *Code, maxIter int) *BitFlipDecoder {
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
-	return &BitFlipDecoder{
-		code:    code,
-		maxIter: maxIter,
-		unsat:   make([]uint8, code.N()),
-		syn:     NewBits(code.M()),
-		ws:      newSynWS(code.T),
-	}
-}
-
-// Decode attempts to correct the received word by flipping bits that
-// participate in a majority of unsatisfied checks. The Result's Word
-// is an independent copy.
-func (d *BitFlipDecoder) Decode(received Bits) Result {
-	checkVars, varChecks := d.code.adjacency()
-	work := received.Clone()
-	unsat := d.unsat
-	for iter := 1; iter <= d.maxIter; iter++ {
-		syn := d.syn
-		d.code.syndromeInto(syn, work, d.ws)
-		if syn.PopCount() == 0 {
-			return Result{OK: true, Iterations: iter, Word: work}
-		}
-		for i := range unsat {
-			unsat[i] = 0
-		}
-		for m := 0; m < d.code.M(); m++ {
-			if !syn.Get(m) {
-				continue
-			}
-			for _, v := range checkVars[m] {
-				unsat[v]++
-			}
-		}
-		flipped := false
-		for v := 0; v < d.code.N(); v++ {
-			deg := len(varChecks[v])
-			if deg > 0 && int(unsat[v])*2 > deg {
-				work.Flip(v)
-				flipped = true
-			}
-		}
-		if !flipped {
-			// Stuck: flip the single worst bit to perturb, or give up.
-			best, bestCount := -1, 0
-			for v := 0; v < d.code.N(); v++ {
-				if int(unsat[v]) > bestCount {
-					best, bestCount = v, int(unsat[v])
-				}
-			}
-			if best < 0 {
-				break
-			}
-			work.Flip(best)
-		}
-	}
-	if d.code.syndromeIsZero(work, d.ws) {
-		return Result{OK: true, Iterations: d.maxIter, Word: work}
-	}
-	return Result{OK: false, Iterations: d.maxIter, Word: work}
 }

@@ -108,43 +108,6 @@ func TestMinSumScratchReuse(t *testing.T) {
 	}
 }
 
-func TestBitFlipDecodesCleanAndLight(t *testing.T) {
-	cd := testCode()
-	rng := rand.New(rand.NewPCG(7, 10))
-	dec := NewBitFlipDecoder(cd, 0)
-	cw := cd.Encode(RandomBits(cd.K(), rng))
-	if res := dec.Decode(cw); !res.OK || res.Iterations != 1 {
-		t.Fatalf("clean bit-flip decode: ok=%v iters=%d", res.OK, res.Iterations)
-	}
-	bad := FlipExact(cw, 3, rng)
-	if res := dec.Decode(bad); !res.OK || !res.Word.Equal(cw) {
-		t.Fatal("bit-flip failed to correct 3 errors")
-	}
-}
-
-func TestMinSumStrongerThanBitFlip(t *testing.T) {
-	// At a moderate error count the min-sum decoder should succeed at
-	// least as often as the bit-flip decoder.
-	cd := testCode()
-	rng := rand.New(rand.NewPCG(8, 10))
-	ms := NewMinSumDecoder(cd, 0)
-	bf := NewBitFlipDecoder(cd, 0)
-	msOK, bfOK := 0, 0
-	for trial := 0; trial < 15; trial++ {
-		cw := cd.Encode(RandomBits(cd.K(), rng))
-		bad := FlipExact(cw, 14, rng)
-		if ms.Decode(bad).OK {
-			msOK++
-		}
-		if bf.Decode(bad).OK {
-			bfOK++
-		}
-	}
-	if msOK < bfOK {
-		t.Fatalf("min-sum (%d/15) weaker than bit-flip (%d/15)", msOK, bfOK)
-	}
-}
-
 func TestDecoderMaxIterDefault(t *testing.T) {
 	cd := testCode()
 	if NewMinSumDecoder(cd, 0).MaxIterations() != DefaultMaxIterations {

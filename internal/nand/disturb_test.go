@@ -36,29 +36,6 @@ func TestDisturbDiffersAcrossVrefModes(t *testing.T) {
 	}
 }
 
-// TestDisturbShapesRetryTableReads is the PageRBERAtOffset half of the
-// same pin: the retry-table walk shares the threshold formula with
-// PageRBER (deduplicated through rberAcross), so its disturb cost also
-// depends on where the table entry puts the voltages instead of being
-// the same flat constant at every offset.
-func TestDisturbShapesRetryTableReads(t *testing.T) {
-	m := NewDefaultModel(1)
-	const reads = 200_000
-	added := func(offset float64) float64 {
-		return m.PageRBERAtOffset(7, CSB, 1000, 20, reads, offset) -
-			m.PageRBERAtOffset(7, CSB, 1000, 20, 0, offset)
-	}
-	a0 := added(0)
-	aDeep := added(-130)
-	if a0 <= 0 || aDeep <= 0 {
-		t.Fatalf("disturb must increase retry-table RBER: offset 0 %+.3e, offset -130 %+.3e", a0, aDeep)
-	}
-	rel := a0 / aDeep
-	if rel > 0.95 && rel < 1.05 {
-		t.Errorf("retry-table disturb is offset-independent: added %.3e at offset 0 vs %.3e at -130", a0, aDeep)
-	}
-}
-
 // TestDisturbSmallReadsCalibration anchors the power-law coefficients:
 // in the small-reads regime the default-VREF increase must track the
 // pre-fix linear model (2e-9 RBER per read) within a factor of two, so

@@ -308,17 +308,6 @@ func capRBER(rber float64) float64 {
 	return rber
 }
 
-// rberAcross sums the misread probability across the page type's
-// thresholds, sensing threshold j at voltage vref(j): the retry-table
-// walk and the Swift-Read re-read place their own voltages.
-func (m *Model) rberAcross(pt PageType, c PageCondition, vref func(j int) float64) float64 {
-	rber := 0.0
-	for _, j := range thresholdsOf(pt) {
-		rber += m.misread(j, c, vref(j))
-	}
-	return capRBER(rber)
-}
-
 // ConditionRBER reports the RBER of sensing a page of type pt at the
 // voltages of a VREF mode under condition c; it is bit-identical to
 // PageRBER for the inputs c was derived from.
@@ -443,12 +432,6 @@ func (m *Model) ChunkRBER(pageRBER float64, pageKey uint64, chunkIdx, chunkCount
 		r = 0
 	}
 	return r
-}
-
-// NeedsRetry reports whether a page read at the given condition and
-// VREF mode exceeds the ECC correction capability.
-func (m *Model) NeedsRetry(blockID int, pt PageType, pe int, retentionDays float64, reads int64, mode VrefMode) bool {
-	return m.PageRBER(blockID, pt, pe, retentionDays, reads, mode) > ECCCapabilityRBER
 }
 
 // RetentionUntilRetry reports the retention time, in days, at which

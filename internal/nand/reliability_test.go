@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// needsRetry reports whether a page read at the given condition and
+// VREF mode exceeds the ECC correction capability.
+func needsRetry(m *Model, blockID int, pt PageType, pe int, retentionDays float64, reads int64, mode VrefMode) bool {
+	return m.PageRBER(blockID, pt, pe, retentionDays, reads, mode) > ECCCapabilityRBER
+}
+
 func TestRBERMonotonicInRetention(t *testing.T) {
 	m := NewDefaultModel(1)
 	for _, pt := range []PageType{LSB, CSB, MSB} {
@@ -85,7 +91,7 @@ func TestRetryNeededEvenAtZeroPE(t *testing.T) {
 	m := NewDefaultModel(1)
 	retries := 0
 	for b := 0; b < 100; b++ {
-		if m.NeedsRetry(b, CSB, 0, 30, 0, DefaultVref) {
+		if needsRetry(m, b, CSB, 0, 30, 0, DefaultVref) {
 			retries++
 		}
 	}
@@ -102,7 +108,7 @@ func TestOptimalVrefRescuesPages(t *testing.T) {
 	for _, pe := range []int{0, 1000, 2000} {
 		for _, pt := range []PageType{LSB, CSB, MSB} {
 			for d := 1.0; d <= 31; d += 3 {
-				if !m.NeedsRetry(0, pt, pe, d, 0, DefaultVref) {
+				if !needsRetry(m, 0, pt, pe, d, 0, DefaultVref) {
 					continue
 				}
 				opt := m.PageRBER(0, pt, pe, d, 0, OptimalVref)
@@ -137,10 +143,10 @@ func TestTrackedVrefReducesRetryFrequency(t *testing.T) {
 	const pe = 2000
 	defRetries, trkRetries := 0, 0
 	for b := 0; b < 100; b++ {
-		if m.NeedsRetry(b, CSB, pe, 10, 0, DefaultVref) {
+		if needsRetry(m, b, CSB, pe, 10, 0, DefaultVref) {
 			defRetries++
 		}
-		if m.NeedsRetry(b, CSB, pe, 10, 0, TrackedVref) {
+		if needsRetry(m, b, CSB, pe, 10, 0, TrackedVref) {
 			trkRetries++
 		}
 	}

@@ -1,53 +1,11 @@
 package nand
 
 // This file models read-reference-voltage (VREF) adjustment: the
-// manufacturer's predetermined retry sequence (§II-B2), and the
 // Swift-Read ones-counting estimator (§III-B) that both the SWR
 // baseline and RiF's RVS module use to jump straight to near-optimal
-// voltages.
-
-// RetryStep is one entry of the manufacturer's predetermined VREF
-// sequence: a uniform offset (model voltage units) applied to every
-// threshold of the page, stepping toward the retention-shifted
-// optimum.
-type RetryStep float64
-
-// DefaultRetrySequence is the predetermined read-retry VREF table a
-// conventional controller walks on consecutive decode failures. The
-// steps move the read voltages downward, chasing retention-induced
-// charge loss.
-func DefaultRetrySequence() []RetryStep {
-	return []RetryStep{-25, -50, -75, -100, -130, -160, -200, -250}
-}
-
-// PageRBERAtOffset reports the RBER observed when the page is re-read
-// with the retry table entry `offset`. The entry names the assumed
-// top-state downshift (negated); each threshold's voltage moves by its
-// proportional share, mirroring how charge loss scales with the state
-// level. A conventional retry loop evaluates successive offsets from
-// the sequence until the RBER drops below the ECC capability.
-func (m *Model) PageRBERAtOffset(blockID int, pt PageType, pe int, retentionDays float64, reads int64, offset float64) float64 {
-	c := m.conditionAt(blockID, pe, retentionDays, reads)
-	return m.rberAcross(pt, c, func(j int) float64 {
-		return m.defaultVref(j) + offset*(0.5+float64(2*j-1)/28)
-	})
-}
-
-// ConventionalRetrySteps reports how many steps of the predetermined
-// retry sequence a conventional controller needs before the page
-// decodes (RBER <= capability), and whether it succeeds within the
-// sequence. This is the NRR a sequence-walking SSD would see.
-func (m *Model) ConventionalRetrySteps(blockID int, pt PageType, pe int, retentionDays float64, reads int64) (steps int, ok bool) {
-	if !m.NeedsRetry(blockID, pt, pe, retentionDays, reads, DefaultVref) {
-		return 0, true
-	}
-	for i, off := range DefaultRetrySequence() {
-		if m.PageRBERAtOffset(blockID, pt, pe, retentionDays, reads, float64(off)) <= ECCCapabilityRBER {
-			return i + 1, true
-		}
-	}
-	return len(DefaultRetrySequence()), false
-}
+// voltages. The simulators model that re-read as a PageRBER sense at
+// OptimalVref; SwiftRead is the reference the tests hold that
+// shortcut to.
 
 // SenseAboveFraction reports the fraction of cells whose Vth exceeds
 // voltage v under the given condition — what a single-threshold sense
@@ -121,10 +79,12 @@ func (m *Model) fractionAboveWithShift(v, s, sigma float64) float64 {
 // with voltages placed at the optimum implied by an assumed shift.
 func (m *Model) pageRBERWithAssumedShift(blockID int, pt PageType, pe int, retentionDays float64, assumed float64) float64 {
 	c := m.conditionAt(blockID, pe, retentionDays, 0)
-	return m.rberAcross(pt, c, func(j int) float64 {
-		// Voltage for threshold j assuming top-state shift `assumed`:
-		// midpoint of the two adjacent states under that assumption.
-		mj := func(i int) float64 { return float64(i)*m.p.StateGap - assumed*(0.5+0.5*float64(i)/7) }
-		return (mj(j-1) + mj(j)) / 2
-	})
+	// Voltage for threshold j assuming top-state shift `assumed`:
+	// midpoint of the two adjacent states under that assumption.
+	mean := func(i int) float64 { return float64(i)*m.p.StateGap - assumed*(0.5+0.5*float64(i)/7) }
+	rber := 0.0
+	for _, j := range thresholdsOf(pt) {
+		rber += m.misread(j, c, (mean(j-1)+mean(j))/2)
+	}
+	return capRBER(rber)
 }

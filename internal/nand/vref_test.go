@@ -4,57 +4,6 @@ import (
 	"testing"
 )
 
-func TestRetrySequenceMovesDownward(t *testing.T) {
-	seq := DefaultRetrySequence()
-	if len(seq) == 0 {
-		t.Fatal("empty retry sequence")
-	}
-	prev := RetryStep(0)
-	for i, s := range seq {
-		if s >= prev {
-			t.Fatalf("step %d (%v) does not move further down than %v", i, s, prev)
-		}
-		prev = s
-	}
-}
-
-func TestConventionalRetryWalksSequence(t *testing.T) {
-	m := NewDefaultModel(1)
-	// Fresh page: no retry needed.
-	if steps, ok := m.ConventionalRetrySteps(0, CSB, 0, 0, 0); steps != 0 || !ok {
-		t.Fatalf("fresh page: steps=%d ok=%v", steps, ok)
-	}
-	// Stressed page: needs at least one step, and the step count grows
-	// with stress severity.
-	s1, ok1 := m.ConventionalRetrySteps(0, CSB, 1000, 14, 0)
-	if !ok1 || s1 < 1 {
-		t.Fatalf("stressed page: steps=%d ok=%v", s1, ok1)
-	}
-	s2, ok2 := m.ConventionalRetrySteps(0, CSB, 2000, 28, 0)
-	if !ok2 {
-		t.Fatalf("heavily stressed page not recovered by the sequence")
-	}
-	if s2 < s1 {
-		t.Fatalf("retry steps decreased with stress: %d then %d", s1, s2)
-	}
-}
-
-func TestPageRBERAtOffsetImprovesStressedPage(t *testing.T) {
-	m := NewDefaultModel(1)
-	const pe, days = 1500, 20
-	def := m.PageRBER(0, MSB, pe, days, 0, DefaultVref)
-	best := def
-	for _, off := range DefaultRetrySequence() {
-		r := m.PageRBERAtOffset(0, MSB, pe, days, 0, float64(off))
-		if r < best {
-			best = r
-		}
-	}
-	if best >= def {
-		t.Fatal("no retry offset improved a retention-stressed page")
-	}
-}
-
 func TestSenseAboveFractionMonotonic(t *testing.T) {
 	m := NewDefaultModel(1)
 	prev := 2.0
@@ -113,7 +62,7 @@ func TestSwiftReadRescuesFailedPages(t *testing.T) {
 	for _, pe := range []int{0, 1000, 2000} {
 		for _, pt := range []PageType{LSB, CSB, MSB} {
 			for d := 1.0; d <= 31; d += 2 {
-				if !m.NeedsRetry(0, pt, pe, d, 0, DefaultVref) {
+				if !needsRetry(m, 0, pt, pe, d, 0, DefaultVref) {
 					continue
 				}
 				res := m.SwiftRead(0, pt, pe, d)

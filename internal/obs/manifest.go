@@ -349,30 +349,3 @@ func withLabel(labels map[string]string, k, v string) map[string]string {
 	merged[k] = v
 	return merged
 }
-
-// Format renders the snapshot as a sorted human-readable summary for
-// terminal output.
-func (s Snapshot) Format() string {
-	var b strings.Builder
-	if len(s.Counters) > 0 {
-		fmt.Fprintf(&b, "counters:\n")
-		for _, name := range sortedKeys(nil, s.Counters) {
-			fmt.Fprintf(&b, "  %-44s %d\n", name, s.Counters[name])
-		}
-	}
-	if len(s.Gauges) > 0 {
-		fmt.Fprintf(&b, "gauges:\n")
-		for _, name := range sortedKeys(nil, s.Gauges) {
-			fmt.Fprintf(&b, "  %-44s %d\n", name, s.Gauges[name])
-		}
-	}
-	if len(s.Histograms) > 0 {
-		fmt.Fprintf(&b, "histograms:\n")
-		for _, name := range sortedKeys(nil, s.Histograms) {
-			h := s.Histograms[name]
-			fmt.Fprintf(&b, "  %-44s n=%d mean=%.4g min=%.4g max=%.4g\n",
-				name, h.Count, h.Mean, h.Min, h.Max)
-		}
-	}
-	return b.String()
-}

@@ -170,13 +170,3 @@ func TestPromNameSanitization(t *testing.T) {
 		}
 	}
 }
-
-func TestSnapshotFormat(t *testing.T) {
-	m := sampleManifest("RiFSSD", 2000)
-	out := m.Metrics.Format()
-	for _, want := range []string{"counters:", "gauges:", "histograms:", "ssd_page_reads_total", "n=100"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("terminal summary missing %q in:\n%s", want, out)
-		}
-	}
-}

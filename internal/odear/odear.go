@@ -1,14 +1,15 @@
-// Package odear implements the RiF paper's On-Die EArly-Retry engine:
-// the read-retry predictor (RP) that estimates page correctability
-// from an approximate syndrome weight, and the read-voltage selector
-// (RVS) that launches an internal Swift-Read when RP predicts an
-// off-chip decode would fail.
+// Package odear implements the read-retry predictor (RP) of the RiF
+// paper's On-Die EArly-Retry engine: it estimates page correctability
+// from an approximate syndrome weight. The engine's read-voltage
+// selector (RVS), which re-reads a flagged page at Swift-Read's
+// near-optimal voltages, is modeled where the read happens, as a
+// nand.OptimalVref sense (internal/ssd, internal/chip).
 //
 // Two layers are provided, mirroring the paper's methodology:
 //
-//   - A functional layer (RP, RVS) that operates on real codewords and
-//     the real QC-LDPC machinery — used to regenerate Figs. 10, 11 and
-//     14 and to validate the predictor.
+//   - A functional layer (RP) that operates on real codewords and the
+//     real QC-LDPC machinery — used to regenerate Figs. 10, 11 and 14
+//     and to validate the predictor.
 //   - A probability layer (AccuracyModel) used inside the SSD
 //     simulator, exactly as the paper's extended MQSim-E "simulates the
 //     RP module of a RiF-enabled flash chip [with] a probability-based
@@ -19,7 +20,6 @@ import (
 	"math"
 
 	"repro/internal/ldpc"
-	"repro/internal/nand"
 )
 
 // Hardware cost constants from the paper's §VI-C synthesis results
@@ -106,32 +106,4 @@ func (rp *RP) Weight(sensed ldpc.Bits) int {
 		return rp.code.FirstRowSyndromeWeight(sensed)
 	}
 	return rp.code.SyndromeWeight(sensed)
-}
-
-// RVS is the read-voltage selector: when RP flags a page, RVS runs an
-// internal Swift-Read against the NAND model and re-reads the page at
-// the estimated near-optimal voltages, all without controller help.
-type RVS struct {
-	Model *nand.Model
-}
-
-// Reselect performs the internal Swift-Read for the page's condition
-// and reports the RBER of the re-read page.
-func (rvs *RVS) Reselect(blockID int, pt nand.PageType, pe int, retentionDays float64) float64 {
-	return rvs.Model.SwiftRead(blockID, pt, pe, retentionDays).RBER
-}
-
-// Engine bundles RP and RVS: a functional ODEAR engine for one plane.
-type Engine struct {
-	RP  *RP
-	RVS *RVS
-}
-
-// NewEngine assembles an ODEAR engine from a code and a NAND model,
-// using the approximate (hardware) predictor.
-func NewEngine(code *ldpc.Code, model *nand.Model, capability float64) *Engine {
-	return &Engine{
-		RP:  NewRP(code, capability, true),
-		RVS: &RVS{Model: model},
-	}
 }

@@ -103,27 +103,6 @@ func TestPredictRearrangedMatchesPredict(t *testing.T) {
 	}
 }
 
-func TestRVSReselectRescues(t *testing.T) {
-	m := nand.NewDefaultModel(1)
-	rvs := &RVS{Model: m}
-	// A condition that needs retry at default VREF.
-	if !m.NeedsRetry(0, nand.MSB, 2000, 20, 0, nand.DefaultVref) {
-		t.Skip("condition unexpectedly healthy")
-	}
-	rber := rvs.Reselect(0, nand.MSB, 2000, 20)
-	if rber > nand.ECCCapabilityRBER {
-		t.Fatalf("RVS re-read RBER %v above capability", rber)
-	}
-}
-
-func TestNewEngineWiring(t *testing.T) {
-	cd := testCode()
-	eng := NewEngine(cd, nand.NewDefaultModel(1), nand.ECCCapabilityRBER)
-	if eng.RP == nil || eng.RVS == nil || !eng.RP.Approximate {
-		t.Fatal("engine not assembled with approximate RP")
-	}
-}
-
 func TestAccuracyModelShape(t *testing.T) {
 	a := DefaultAccuracyModel(nand.ECCCapabilityRBER)
 	// Exactly at the capability: coin flip.

@@ -121,12 +121,14 @@ type Server struct {
 	// leader job computing each address so identical concurrent
 	// submissions attach to it instead of recomputing. keyer/inflight
 	// exist whenever addressing is needed (memory cache OR disk
-	// store); cache is nil when CacheBytes <= 0.
+	// store); cache always exists and stores nothing when
+	// CacheBytes <= 0.
 	cache    *resultcache.Cache
 	keyer    *resultcache.Keyer
 	inflight map[resultcache.Key]*Job
 
-	// store/journal are the durability tier (nil when disabled):
+	// store/journal are the durability tier (nil when disabled; a nil
+	// store reads as empty and writes nowhere):
 	// content-addressed artifacts on disk and the write-ahead job
 	// journal. recovered holds journal-replayed incomplete jobs that
 	// Start re-enqueues. shed marks a graceful Drain in progress:
@@ -207,6 +209,7 @@ func New(cfg Config) *Server {
 		queue:      make(chan *Job, cfg.QueueDepth),
 		quit:       make(chan struct{}),
 		jobs:       map[string]*Job{},
+		cache:      resultcache.New(cfg.CacheBytes),
 		submitted:  reg.Counter("rifserve_jobs_submitted_total"),
 		rejected:   reg.Counter("rifserve_jobs_rejected_total"),
 		completed:  reg.Counter("rifserve_jobs_completed_total"),
@@ -236,9 +239,6 @@ func New(cfg Config) *Server {
 	}
 	persist := cfg.StoreDir != "" || cfg.JournalPath != ""
 	if cfg.CacheBytes > 0 || persist {
-		if cfg.CacheBytes > 0 {
-			s.cache = resultcache.New(cfg.CacheBytes)
-		}
 		s.keyer = resultcache.NewKeyer()
 		s.inflight = map[resultcache.Key]*Job{}
 	}
@@ -348,9 +348,7 @@ func (s *Server) replayDone(id string, spec JobSpec, rec journalRecord) {
 	if !ok {
 		return
 	}
-	if s.cache != nil {
-		s.cache.Put(key, e)
-	}
+	s.cache.Put(key, e)
 	j := newCachedJob(id, spec, e)
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -513,7 +511,7 @@ func (s *Server) submit(spec JobSpec, p core.RunParams) (*Job, bool) {
 	}
 	s.mu.Unlock()
 
-	if s.keyer != nil && s.store != nil {
+	if s.keyer != nil {
 		// The disk-tier read runs outside s.mu: store I/O (and injected
 		// slow-I/O stalls) must never block every other handler on the
 		// job table.
@@ -527,9 +525,7 @@ func (s *Server) submit(spec JobSpec, p core.RunParams) (*Job, bool) {
 		}
 		if ok {
 			s.mu.Lock()
-			if s.cache != nil {
-				s.cache.Put(key, e)
-			}
+			s.cache.Put(key, e)
 			j := s.registerCached(spec, e)
 			s.mu.Unlock()
 			s.storeHits.Inc()
@@ -611,12 +607,10 @@ func (s *Server) submit(spec JobSpec, p core.RunParams) (*Job, bool) {
 // stream the leader's progress (and share its job ID). Caller holds
 // s.mu.
 func (s *Server) memoryTierLocked(spec JobSpec, key resultcache.Key) (*Job, bool) {
-	if s.cache != nil {
-		if e, ok := s.cache.Get(key); ok {
-			j := s.registerCached(spec, e)
-			s.cacheHits.Inc()
-			return j, true
-		}
+	if e, ok := s.cache.Get(key); ok {
+		j := s.registerCached(spec, e)
+		s.cacheHits.Inc()
+		return j, true
 	}
 	if leader, ok := s.inflight[key]; ok {
 		s.cacheDedup.Inc()
@@ -771,9 +765,7 @@ func (s *Server) storeResult(j *Job, runs []byte, err error) {
 			Runs:   runs,
 			Cells:  cells,
 		}
-		if s.cache != nil {
-			s.cache.Put(j.key, e)
-		}
+		s.cache.Put(j.key, e)
 		if err := s.store.Put(j.key, e); err != nil {
 			// The artifacts still serve from memory; only durability
 			// across a restart is lost.
@@ -994,21 +986,17 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 // at scrape time — they live in their own subsystems, not on the
 // request path.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	if s.cache != nil {
-		st := s.cache.Stats()
-		s.cacheBytes.Set(st.Bytes)
-		s.cacheEntries.Set(int64(st.Entries))
-		s.cacheEvictions.Set(st.Evictions)
-	}
+	cst := s.cache.Stats()
+	s.cacheBytes.Set(cst.Bytes)
+	s.cacheEntries.Set(int64(cst.Entries))
+	s.cacheEvictions.Set(cst.Evictions)
 	if sched := s.sched; sched != nil {
 		s.cellSteals.Set(sched.Steals())
 	}
-	if s.store != nil {
-		st := s.store.Stats()
-		s.storeQuarantined.Set(st.Quarantined)
-		s.storeVerifyFails.Set(st.VerifyFailures)
-		s.storeSlowIO.Set(st.SlowIO)
-	}
+	sst := s.store.Stats()
+	s.storeQuarantined.Set(sst.Quarantined)
+	s.storeVerifyFails.Set(sst.VerifyFailures)
+	s.storeSlowIO.Set(sst.SlowIO)
 	if s.journal.isDegraded() {
 		s.persistDegraded.Set(1)
 	}

@@ -5,8 +5,8 @@ import (
 	"math/rand/v2"
 )
 
-// RNG is a seeded, stream-splittable random source. Every stochastic
-// component of the simulator draws from its own named stream so that
+// RNG is a seeded random source. Every stochastic component of the
+// simulator draws from its own numbered stream (NewRNG's stream) so that
 // adding a component never perturbs the draws of another — runs stay
 // reproducible under model evolution.
 type RNG struct {
@@ -16,19 +16,6 @@ type RNG struct {
 // NewRNG returns a PCG-backed source seeded with (seed, stream).
 func NewRNG(seed, stream uint64) *RNG {
 	return &RNG{rand.New(rand.NewPCG(seed, stream))}
-}
-
-// Split derives an independent child stream. The child's sequence is a
-// pure function of the parent seed and the label, not of how many draws
-// the parent has made.
-func (r *RNG) Split(label uint64) *RNG {
-	// Derive deterministically via a fixed mixing function (splitmix64
-	// finalizer) rather than by drawing from the parent.
-	z := label + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return &RNG{rand.New(rand.NewPCG(z, label))}
 }
 
 // Bernoulli reports true with probability p.

@@ -29,19 +29,6 @@ func TestRNGStreamsIndependent(t *testing.T) {
 	}
 }
 
-func TestRNGSplitIsStable(t *testing.T) {
-	parent1 := NewRNG(7, 0)
-	parent2 := NewRNG(7, 0)
-	parent2.Uint64() // advance one parent; children must still agree
-	c1 := parent1.Split(99)
-	c2 := parent2.Split(99)
-	for i := 0; i < 50; i++ {
-		if c1.Uint64() != c2.Uint64() {
-			t.Fatal("Split depends on parent draw position")
-		}
-	}
-}
-
 func TestBernoulliEdgeCases(t *testing.T) {
 	r := NewRNG(1, 1)
 	for i := 0; i < 100; i++ {

@@ -149,24 +149,6 @@ func parseCSVLine(text string, line int) (Request, error) {
 	}, nil
 }
 
-// ReadCSV parses the WriteCSV format into a slice. Blank lines and
-// lines starting with '#' are skipped. Long traces should prefer
-// NewCSVStream, which never materializes the slice.
-func ReadCSV(r io.Reader) ([]Request, error) {
-	var out []Request
-	st := NewCSVStream(r)
-	for {
-		req, err := st.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, req)
-	}
-}
-
 // Replayer adapts a recorded request slice to the generator
 // interface: Next returns requests in order and wraps around, so a
 // short trace can drive an arbitrarily long closed-loop run.

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// Fuzz targets for the external-input parsers: they must never panic
-// and must only return structurally valid requests.
+// Fuzz targets for the external-input parsers: they must never panic,
+// and every request a stream yields before its first error must be
+// structurally valid.
 
 func FuzzReadCSV(f *testing.F) {
 	f.Add("100.5,R,7,2\n")
@@ -14,10 +15,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("x,y,z\n")
 	f.Add("1,R,9223372036854775807,1\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		reqs, err := ReadCSV(strings.NewReader(in))
-		if err != nil {
-			return
-		}
+		reqs, _ := collect(NewCSVStream(strings.NewReader(in)))
 		for _, r := range reqs {
 			if r.Pages <= 0 || r.LPN < 0 || r.At < 0 {
 				t.Fatalf("invalid request accepted: %+v", r)
@@ -31,10 +29,11 @@ func FuzzReadMSR(f *testing.F) {
 	f.Add("1,h,0,Write,0,1,1\n")
 	f.Add(",,,,,\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		reqs, err := ReadMSR(strings.NewReader(in), 16*1024, -1)
+		st, err := NewMSRStream(strings.NewReader(in), 16*1024, -1)
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
+		reqs, _ := collect(st)
 		for _, r := range reqs {
 			if r.Pages <= 0 || r.LPN < 0 {
 				t.Fatalf("invalid request accepted: %+v", r)

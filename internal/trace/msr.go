@@ -103,36 +103,17 @@ func (m *MSRStream) parseLine(text string) (Request, bool, error) {
 	}, true, nil
 }
 
-// ReadMSR parses an MSR-format trace into a slice. Long traces should
-// prefer NewMSRStream, which never materializes the slice.
-func ReadMSR(r io.Reader, pageBytes int, diskFilter int) ([]Request, error) {
-	st, err := NewMSRStream(r, pageBytes, diskFilter)
-	if err != nil {
-		return nil, err
-	}
-	var out []Request
-	for {
-		req, err := st.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, req)
-	}
-}
-
 // timeFromTicks converts 100-ns filetime ticks to simulation time.
 func timeFromTicks(ticks int64) sim.Time {
 	return sim.Time(ticks) * 100 * sim.Nanosecond
 }
 
-// Compactor streams the Compact transform: it rewrites logical
-// addresses into a dense space of at most footprintPages while
-// preserving the access pattern (same original address maps to the
-// same compact pages). Memory is proportional to the trace's unique
-// address count (its working set), not its length.
+// Compactor rewrites a request stream's logical addresses into a
+// dense space of at most footprintPages while preserving the access
+// pattern (same original address maps to the same compact pages) —
+// real traces address terabytes, while experiments size the simulated
+// footprint. Memory is proportional to the trace's unique address
+// count (its working set), not its length.
 type Compactor struct {
 	footprint int64
 	remap     map[int64]int64
@@ -169,22 +150,6 @@ func (c *Compactor) Apply(r Request) Request {
 			out.Pages = 1
 			out.LPN = 0
 		}
-	}
-	return out
-}
-
-// Compact rewrites the request stream's logical addresses into a
-// dense space of at most footprintPages, preserving the access
-// pattern (same blocks map to the same pages) — real traces address
-// terabytes, while experiments size the simulated footprint.
-func Compact(reqs []Request, footprintPages int64) []Request {
-	if footprintPages <= 0 {
-		return reqs
-	}
-	c := NewCompactor(footprintPages)
-	out := make([]Request, len(reqs))
-	for i, r := range reqs {
-		out[i] = c.Apply(r)
 	}
 	return out
 }

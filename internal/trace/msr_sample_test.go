@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"testing"
 
@@ -20,10 +19,7 @@ func TestMSRSampleParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs, err := ReadMSR(bytes.NewReader(data), 4096, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := drainMSR(t, bytes.NewReader(data), 4096, -1)
 	if len(reqs) != 24 {
 		t.Fatalf("parsed %d requests, want 24", len(reqs))
 	}
@@ -63,11 +59,7 @@ func TestMSRSampleParses(t *testing.T) {
 
 	// Disk filtering keeps only the requested spindle.
 	for filter, want := range map[int]int{0: 18, 1: 6} {
-		got, err := ReadMSR(bytes.NewReader(data), 4096, filter)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != want {
+		if got := drainMSR(t, bytes.NewReader(data), 4096, filter); len(got) != want {
 			t.Errorf("disk %d: %d requests, want %d", filter, len(got), want)
 		}
 	}
@@ -75,47 +67,19 @@ func TestMSRSampleParses(t *testing.T) {
 
 // TestMSRSampleSniffedByNewStream pins format auto-detection: the
 // sample must be recognized as MSR (not native CSV) and stream the
-// same requests ReadMSR materializes — the path `rifsim -replay`
-// actually takes.
+// same requests as an MSR parser opened directly — the path `rifsim
+// -replay` actually takes.
 func TestMSRSampleSniffedByNewStream(t *testing.T) {
-	f, err := os.Open("testdata/msr-sample.csv")
+	data, err := os.ReadFile("testdata/msr-sample.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	st, err := NewStream(f, 4096, -1)
+	st, err := NewStream(bytes.NewReader(data), 4096, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := st.(*MSRStream); !ok {
 		t.Fatalf("sniffed as %T, want *MSRStream", st)
 	}
-	var streamed []Request
-	for {
-		r, err := st.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed = append(streamed, r)
-	}
-
-	data, err := os.ReadFile("testdata/msr-sample.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ReadMSR(bytes.NewReader(data), 4096, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != len(want) {
-		t.Fatalf("streamed %d requests, materialized %d", len(streamed), len(want))
-	}
-	for i := range want {
-		if streamed[i] != want[i] {
-			t.Fatalf("request %d: streamed %+v, materialized %+v", i, streamed[i], want[i])
-		}
-	}
+	expectRequests(t, drain(t, st), drainMSR(t, bytes.NewReader(data), 4096, -1))
 }

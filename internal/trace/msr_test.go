@@ -14,10 +14,7 @@ const msrSample = `128166372003061629,web0,0,Read,1048576,32768,1221
 `
 
 func TestReadMSRBasics(t *testing.T) {
-	reqs, err := ReadMSR(strings.NewReader(msrSample), 16*1024, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := drainMSR(t, strings.NewReader(msrSample), 16*1024, 0)
 	if len(reqs) != 3 {
 		t.Fatalf("%d requests (disk filter), want 3", len(reqs))
 	}
@@ -38,10 +35,7 @@ func TestReadMSRBasics(t *testing.T) {
 }
 
 func TestReadMSRAllDisks(t *testing.T) {
-	reqs, err := ReadMSR(strings.NewReader(msrSample), 16*1024, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := drainMSR(t, strings.NewReader(msrSample), 16*1024, -1)
 	if len(reqs) != 4 {
 		t.Fatalf("%d requests without filter", len(reqs))
 	}
@@ -50,16 +44,13 @@ func TestReadMSRAllDisks(t *testing.T) {
 func TestReadMSRPartialPages(t *testing.T) {
 	// A 4-KiB read not aligned to 16-KiB pages still touches one page.
 	in := "100,web,0,Read,1000,4096,1\n"
-	reqs, err := ReadMSR(strings.NewReader(in), 16*1024, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := drainMSR(t, strings.NewReader(in), 16*1024, -1)
 	if reqs[0].Pages != 1 || reqs[0].LPN != 0 {
 		t.Fatalf("%+v", reqs[0])
 	}
 	// A request straddling a page boundary touches two.
 	in = "100,web,0,Read,16000,1000,1\n"
-	reqs, _ = ReadMSR(strings.NewReader(in), 16*1024, -1)
+	reqs = drainMSR(t, strings.NewReader(in), 16*1024, -1)
 	if reqs[0].Pages != 2 {
 		t.Fatalf("straddling request pages = %d", reqs[0].Pages)
 	}
@@ -74,11 +65,15 @@ func TestReadMSRRejectsGarbage(t *testing.T) {
 		"1,web,0,Read,0,0,1",     // zero size
 		"1,web,0,Read,0",         // too few fields
 	} {
-		if _, err := ReadMSR(strings.NewReader(in), 16*1024, -1); err == nil {
+		st, err := NewMSRStream(strings.NewReader(in), 16*1024, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := collect(st); err == nil {
 			t.Errorf("accepted %q", in)
 		}
 	}
-	if _, err := ReadMSR(strings.NewReader(""), 0, -1); err == nil {
+	if _, err := NewMSRStream(strings.NewReader(""), 0, -1); err == nil {
 		t.Error("accepted zero page size")
 	}
 }
@@ -89,7 +84,11 @@ func TestCompactRemapsDense(t *testing.T) {
 		{Op: Read, LPN: 1 << 50, Pages: 2},
 		{Op: Read, LPN: 1 << 40, Pages: 4}, // repeat: same mapping
 	}
-	out := Compact(reqs, 1000)
+	c := NewCompactor(1000)
+	out := make([]Request, len(reqs))
+	for i, r := range reqs {
+		out[i] = c.Apply(r)
+	}
 	if out[0].LPN != 0 || out[1].LPN != 4 {
 		t.Fatalf("remap: %+v", out)
 	}
@@ -104,9 +103,8 @@ func TestCompactRemapsDense(t *testing.T) {
 }
 
 func TestCompactNoopWithoutFootprint(t *testing.T) {
-	reqs := []Request{{Op: Read, LPN: 12345, Pages: 1}}
-	out := Compact(reqs, 0)
-	if out[0].LPN != 12345 {
+	r := Request{Op: Read, LPN: 12345, Pages: 1}
+	if out := NewCompactor(0).Apply(r); out != r {
 		t.Fatal("compact modified stream without footprint")
 	}
 }

@@ -5,26 +5,62 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
-// drain pulls a stream to EOF.
-func drain(t *testing.T, st Stream) []Request {
-	t.Helper()
+// collect pulls a stream up to io.EOF or its first error, returning
+// the requests parsed before it.
+func collect(st Stream) ([]Request, error) {
 	var out []Request
 	for {
 		req, err := st.Next()
 		if err == io.EOF {
-			return out
+			return out, nil
 		}
 		if err != nil {
-			t.Fatalf("stream: %v", err)
+			return out, err
 		}
 		out = append(out, req)
 	}
 }
 
-// TestCSVStreamMatchesReadCSV pins that the incremental parser and the
-// slice parser agree on a round-tripped trace.
+// drain pulls a stream to EOF, failing the test on a parse error.
+func drain(t *testing.T, st Stream) []Request {
+	t.Helper()
+	out, err := collect(st)
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	return out
+}
+
+// drainMSR drains an MSR stream over r.
+func drainMSR(t *testing.T, r io.Reader, pageBytes, diskFilter int) []Request {
+	t.Helper()
+	st, err := NewMSRStream(r, pageBytes, diskFilter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return drain(t, st)
+}
+
+// expectRequests compares parsed requests with the expected ones.
+func expectRequests(t *testing.T, got, want []Request) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d requests, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("request %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestCSVStreamMatchesReadCSV pins the incremental parser against the
+// requests WriteCSV was given: every field, arrivals at the format's
+// nanosecond resolution included.
 func TestCSVStreamMatchesReadCSV(t *testing.T) {
 	reqs := []Request{
 		{At: 0, Op: Read, LPN: 10, Pages: 1},
@@ -35,19 +71,7 @@ func TestCSVStreamMatchesReadCSV(t *testing.T) {
 	if err := WriteCSV(&buf, reqs); err != nil {
 		t.Fatal(err)
 	}
-	whole, err := ReadCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := drain(t, NewCSVStream(bytes.NewReader(buf.Bytes())))
-	if len(whole) != len(streamed) {
-		t.Fatalf("lengths diverge: %d vs %d", len(whole), len(streamed))
-	}
-	for i := range whole {
-		if whole[i] != streamed[i] {
-			t.Fatalf("request %d: %+v vs %+v", i, whole[i], streamed[i])
-		}
-	}
+	expectRequests(t, drain(t, NewCSVStream(&buf)), reqs)
 }
 
 // TestCSVWriterStreams pins incremental emission: per-request Write
@@ -75,29 +99,21 @@ func TestCSVWriterStreams(t *testing.T) {
 	}
 }
 
+// TestMSRStreamMatchesReadMSR pins the MSR parser against requests
+// derived by hand at 4-KiB pages: byte offsets and sizes to page runs,
+// filetime ticks (100 ns) rebased to the first kept row, and disk 1's
+// row dropped by the disk-0 filter.
 func TestMSRStreamMatchesReadMSR(t *testing.T) {
 	const msr = `128166372003061629,src1,0,Read,8192,16384,1331
 128166372004061629,src1,1,Write,0,4096,900
 128166372013061629,src1,0,Write,40960,8192,544
 128166372023061629,src1,0,Read,0,4096,100
 `
-	whole, err := ReadMSR(strings.NewReader(msr), 4096, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := NewMSRStream(strings.NewReader(msr), 4096, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := drain(t, st)
-	if len(whole) != 3 || len(streamed) != 3 {
-		t.Fatalf("disk filter: %d whole, %d streamed (want 3)", len(whole), len(streamed))
-	}
-	for i := range whole {
-		if whole[i] != streamed[i] {
-			t.Fatalf("request %d: %+v vs %+v", i, whole[i], streamed[i])
-		}
-	}
+	expectRequests(t, drainMSR(t, strings.NewReader(msr), 4096, 0), []Request{
+		{At: 0, Op: Read, LPN: 2, Pages: 4},
+		{At: sim.Second, Op: Write, LPN: 10, Pages: 2},
+		{At: 2 * sim.Second, Op: Read, LPN: 0, Pages: 1},
+	})
 }
 
 // TestNewStreamSniffsFormat pins the format auto-detection both ways.
@@ -136,20 +152,34 @@ func TestNewStreamSniffsFormat(t *testing.T) {
 	}
 }
 
-// TestCompactorMatchesCompact pins the streaming remap against the
-// slice transform.
+// TestCompactorMatchesCompact pins the remap into an 8-page
+// footprint: new addresses take the next free run (the last one ending
+// exactly at the footprint's end), a repeat keeps its run, a run that
+// no longer fits wraps to page 0, and a repeat longer than its first
+// run is clipped at the footprint's end. Arrival and op pass through.
 func TestCompactorMatchesCompact(t *testing.T) {
-	reqs := []Request{
-		{LPN: 1 << 40, Pages: 4},
-		{LPN: 1 << 41, Pages: 2},
-		{LPN: 1 << 40, Pages: 4},
-		{LPN: 7, Pages: 1},
+	in := []Request{
+		{At: 1, Op: Read, LPN: 1 << 40, Pages: 4},
+		{At: 2, Op: Write, LPN: 1 << 41, Pages: 2},
+		{At: 3, Op: Read, LPN: 1 << 40, Pages: 4},
+		{At: 4, Op: Read, LPN: 7, Pages: 2},   // 6+2 = 8: fits
+		{At: 5, Op: Write, LPN: 99, Pages: 3}, // 8+3 > 8: wraps
+		{At: 6, Op: Read, LPN: 7, Pages: 4},   // 6+4 > 8: clipped
+		{At: 7, Op: Read, LPN: 55, Pages: 6},  // 3+6 = 9 > 8: wraps
 	}
-	whole := Compact(reqs, 8)
+	want := []Request{
+		{At: 1, Op: Read, LPN: 0, Pages: 4},
+		{At: 2, Op: Write, LPN: 4, Pages: 2},
+		{At: 3, Op: Read, LPN: 0, Pages: 4},
+		{At: 4, Op: Read, LPN: 6, Pages: 2},
+		{At: 5, Op: Write, LPN: 0, Pages: 3},
+		{At: 6, Op: Read, LPN: 6, Pages: 2},
+		{At: 7, Op: Read, LPN: 0, Pages: 6},
+	}
 	c := NewCompactor(8)
-	for i, r := range reqs {
-		if got := c.Apply(r); got != whole[i] {
-			t.Fatalf("request %d: streaming %+v vs slice %+v", i, got, whole[i])
-		}
+	got := make([]Request, len(in))
+	for i, r := range in {
+		got[i] = c.Apply(r)
 	}
+	expectRequests(t, got, want)
 }

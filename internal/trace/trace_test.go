@@ -172,10 +172,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, reqs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := drain(t, NewCSVStream(&buf))
 	if len(back) != len(reqs) {
 		t.Fatalf("%d requests after round trip, want %d", len(back), len(reqs))
 	}
@@ -197,7 +194,7 @@ func TestCSVRejectsGarbage(t *testing.T) {
 		"1,R,two,3", // non-numeric lpn
 		"1,R,2,3,4", // too many fields
 	} {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
+		if _, err := collect(NewCSVStream(strings.NewReader(in))); err == nil {
 			t.Errorf("accepted %q", in)
 		}
 	}
@@ -205,10 +202,7 @@ func TestCSVRejectsGarbage(t *testing.T) {
 
 func TestCSVSkipsCommentsAndBlanks(t *testing.T) {
 	in := "# header\n\n100.5,R,7,2\n# trailing\n"
-	reqs, err := ReadCSV(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := drain(t, NewCSVStream(strings.NewReader(in)))
 	if len(reqs) != 1 || reqs[0].LPN != 7 || reqs[0].Pages != 2 {
 		t.Fatalf("parsed %+v", reqs)
 	}
