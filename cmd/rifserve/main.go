@@ -21,7 +21,8 @@
 // canonicalizes to the same configuration is answered from the result
 // cache (the terminal event carries "cached": true) and identical
 // concurrent submissions share one computation. -cache-size bounds the
-// memory cache in bytes; 0 disables it. -store-dir adds the disk tier:
+// memory cache in bytes; 0 turns it off, and identical concurrent
+// submissions still share one computation. -store-dir adds the disk tier:
 // completed artifacts persist as content-addressed files (written
 // atomically, verified by re-hashing on read) and survive restarts.
 // -journal enables the write-ahead job journal: accepted specs are
@@ -66,7 +67,7 @@ func main() {
 	instance := flag.String("instance", "", "value of the instance label added to every /metrics sample")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for the HTTP listener")
 	cacheSize := flag.Int64("cache-size", serve.DefaultCacheBytes,
-		"result cache budget in bytes; repeat submissions are answered from cached artifacts and identical concurrent submissions share one computation (0 disables)")
+		"memory result cache budget in bytes; repeat submissions are answered from cached artifacts (0 turns the memory cache off; identical concurrent submissions still share one computation)")
 	cellWorkers := flag.Int("cell-workers", 0,
 		"workers in the shared work-stealing cell scheduler (0 = GOMAXPROCS); results are byte-identical for every value")
 	storeDir := flag.String("store-dir", "",

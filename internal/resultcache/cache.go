@@ -32,11 +32,12 @@ func (e Entry) size() int64 {
 	return int64(len(e.Report)) + int64(len(e.Runs)) + entryOverhead
 }
 
-// Stats is a point-in-time snapshot of cache effectiveness.
+// Stats is a point-in-time snapshot of cache occupancy. Hits and
+// misses are counted by the caller, which sees each lookup's outcome.
 type Stats struct {
-	Hits, Misses, Evictions int64
-	Entries                 int
-	Bytes, MaxBytes         int64
+	Evictions       int64
+	Entries         int
+	Bytes, MaxBytes int64
 }
 
 // Cache is a bounded, concurrency-safe LRU keyed by content address.
@@ -50,8 +51,6 @@ type Cache struct {
 	bytes     int64
 	ll        *list.List // front = most recently used
 	items     map[Key]*list.Element
-	hits      int64
-	misses    int64
 	evictions int64
 }
 
@@ -63,8 +62,8 @@ type lruItem struct {
 
 // New returns a cache bounded to maxBytes of stored artifacts
 // (plus fixed per-entry overhead). maxBytes <= 0 yields a cache that
-// stores nothing — the disabled configuration — while still counting
-// misses, so callers need no nil checks.
+// stores nothing — the disabled configuration — so callers need no nil
+// checks.
 func New(maxBytes int64) *Cache {
 	return &Cache{
 		max:   maxBytes,
@@ -82,10 +81,8 @@ func (c *Cache) Get(k Key) (Entry, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
 	if !ok {
-		c.misses++
 		return Entry{}, false
 	}
-	c.hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*lruItem).entry, true
 }
@@ -130,13 +127,11 @@ func (c *Cache) Len() int {
 	return len(c.items)
 }
 
-// Stats snapshots the cache's counters and occupancy.
+// Stats snapshots the cache's eviction count and occupancy.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits:      c.hits,
-		Misses:    c.misses,
 		Evictions: c.evictions,
 		Entries:   len(c.items),
 		Bytes:     c.bytes,

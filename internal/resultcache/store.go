@@ -3,7 +3,6 @@ package resultcache
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -53,13 +52,9 @@ const tmpSuffix = ".tmp"
 var ErrCorrupt = errors.New("resultcache: corrupt store entry")
 
 // StoreStats is a point-in-time snapshot of the disk tier's health
-// counters.
+// counters. Put and Get outcomes are the caller's to count: each call
+// returns its own.
 type StoreStats struct {
-	// Puts/PutErrors count entry writes attempted and failed.
-	Puts, PutErrors int64
-	// Hits/Misses count verified reads and absent keys; ReadErrors
-	// counts I/O failures on present files.
-	Hits, Misses, ReadErrors int64
 	// VerifyFailures counts entries that failed re-hashing;
 	// Quarantined counts the subset successfully renamed aside.
 	VerifyFailures, Quarantined int64
@@ -161,10 +156,8 @@ func (s *Store) Put(k Key, e Entry) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.Puts++
 	s.stall()
 	if s.inj.WriteError() {
-		s.stats.PutErrors++
 		return faults.ErrInjectedWrite
 	}
 	data := encodeEntry(e)
@@ -191,7 +184,6 @@ func (s *Store) Put(k Key, e Entry) error {
 		if rmErr := os.Remove(tmp); rmErr != nil && !os.IsNotExist(rmErr) {
 			err = fmt.Errorf("%w (and removing temp: %v)", err, rmErr)
 		}
-		s.stats.PutErrors++
 		return err
 	}
 	return nil
@@ -253,10 +245,8 @@ func (s *Store) Get(k Key) (Entry, bool, error) {
 	data, err := os.ReadFile(s.path(k))
 	if err != nil {
 		if os.IsNotExist(err) {
-			s.stats.Misses++
 			return Entry{}, false, nil
 		}
-		s.stats.ReadErrors++
 		return Entry{}, false, fmt.Errorf("resultcache: store read: %w", err)
 	}
 	if idx, rot := s.inj.BitRot(len(data)); rot {
@@ -267,7 +257,6 @@ func (s *Store) Get(k Key) (Entry, bool, error) {
 		s.stats.VerifyFailures++
 		return Entry{}, false, s.quarantine(k, err)
 	}
-	s.stats.Hits++
 	return e, true, nil
 }
 
@@ -280,37 +269,6 @@ func (s *Store) quarantine(k Key, cause error) error {
 	}
 	s.stats.Quarantined++
 	return err
-}
-
-// Keys scans the store directory and returns every well-named entry
-// key (quarantined and temp files excluded). Used to rebuild the
-// serving index after a restart; the entries themselves are verified
-// lazily on first Get.
-func (s *Store) Keys() ([]Key, error) {
-	if s == nil {
-		return nil, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("resultcache: store scan: %w", err)
-	}
-	var keys []Key
-	for _, de := range names {
-		name := de.Name()
-		if de.IsDir() || len(name) != 2*sha256.Size {
-			continue
-		}
-		raw, err := hex.DecodeString(name)
-		if err != nil {
-			continue
-		}
-		var k Key
-		copy(k[:], raw)
-		keys = append(keys, k)
-	}
-	return keys, nil
 }
 
 // encodeEntry renders an entry to its on-disk form: fixed header

@@ -254,14 +254,24 @@ func TestCacheEvictionRecomputes(t *testing.T) {
 // TestInflightDedupSingleFlight submits identical specs while the
 // leader is deterministically parked mid-grid: every follower must
 // attach to the leader's job (same ID, one simulation), and the dedup
-// counter must account for all of them.
+// counter must account for all of them — with the memory cache on and
+// off, since single-flight does not depend on it.
 func TestInflightDedupSingleFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+	}{{"default", 0}, {"no-memory-cache", -1}} {
+		t.Run(tc.name, func(t *testing.T) { inflightDedup(t, tc.cacheBytes) })
+	}
+}
+
+func inflightDedup(t *testing.T, cacheBytes int64) {
 	gate := make(chan struct{})
 	closeGate := sync.OnceFunc(func() { close(gate) })
 	defer closeGate() // never leave the scheduler parked if the test bails
 
 	var parked atomic.Bool
-	srv, ts, cells := newCachedServer(t, Config{JobWorkers: 1}, func(_ *Job, _ obs.Manifest) {
+	srv, ts, cells := newCachedServer(t, Config{JobWorkers: 1, CacheBytes: cacheBytes}, func(_ *Job, _ obs.Manifest) {
 		if parked.CompareAndSwap(false, true) {
 			<-gate
 		}
@@ -362,11 +372,21 @@ func TestInflightDedupSingleFlight(t *testing.T) {
 		t.Fatalf("dedup counter = %d, want %d", v, followers)
 	}
 
-	// And now the entry is cached: one more submission is a pure hit.
+	// Once the leader is done its slot is released: with the memory
+	// cache on, one more submission is a pure hit; with it off, it
+	// recomputes.
 	events := submitAndWait(t, ts, spec)
-	if flast := events[len(events)-1]; !flast.Cached {
+	flast := events[len(events)-1]
+	if cacheBytes < 0 {
+		if flast.Cached || cells.Load() != 24 {
+			t.Fatalf("memory cache off: resubmission must recompute, got %+v after %d cells", flast, cells.Load())
+		}
+		return
+	}
+	if !flast.Cached {
 		t.Fatalf("post-completion submission missed: %+v", flast)
 	}
+
 }
 
 // TestCellWorkersInvariance runs one spec on servers with different

@@ -177,11 +177,10 @@ type Job struct {
 	// fromCache marks a job satisfied from the result cache without
 	// running (its live collection stays empty).
 	fromCache bool
-	// key is the job's content address; hasKey guards it (the zero Key
-	// is a valid address). Leader jobs carry it so completion can
-	// populate the cache and clear the single-flight slot.
-	key    resultcache.Key
-	hasKey bool
+	// key is the job's content address. Leader jobs carry it so
+	// completion can populate the cache and clear the single-flight
+	// slot.
+	key resultcache.Key
 
 	// collect gathers the job's per-run manifests until runsJSON is
 	// pinned; reads are safe at any time (Collection is internally
@@ -192,12 +191,6 @@ type Job struct {
 	// flushOnce guards the spool flush so cancellation racing normal
 	// completion still writes exactly one manifest file.
 	flushOnce sync.Once
-	// journaled marks a job with a durable accept record in the job
-	// journal; its terminal transition appends the matching record so
-	// restart replay can resolve it. Set before the job reaches the
-	// queue (or during single-threaded replay), read by the worker that
-	// receives it — ordered by the channel transfer.
-	journaled bool
 }
 
 func newJob(id string, spec JobSpec) *Job {

@@ -25,13 +25,14 @@ import (
 // that torn tail.
 
 // Journal record operations. opAccept carries the spec; the rest are
-// terminal markers keyed by job ID.
+// terminal markers keyed by job ID, named by the terminal state they
+// record (a rejected job never reached a state).
 const (
 	opAccept   = "accept"
-	opDone     = "done"
-	opFailed   = "failed"
-	opCancel   = "cancelled"
-	opShed     = "shed"
+	opDone     = string(Done)
+	opFailed   = string(Failed)
+	opCancel   = string(Cancelled)
+	opShed     = string(Shed)
 	opRejected = "rejected"
 )
 

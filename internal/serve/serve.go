@@ -49,12 +49,12 @@ type Config struct {
 	// Labels are added to every /metrics sample (values are escaped
 	// for the exposition format, so hostile strings stay well-formed).
 	Labels map[string]string
-	// CacheBytes bounds the content-addressed result cache. A repeat
+	// CacheBytes bounds the content-addressed memory cache: a repeat
 	// submission of an identical effective configuration is answered
-	// from the cache with byte-identical artifacts, and concurrent
-	// identical submissions single-flight onto one computation.
-	// <= 0 disables caching and deduplication entirely (the library
-	// default; cmd/rifserve passes DefaultCacheBytes).
+	// from it with byte-identical artifacts. <= 0 turns off only the
+	// memory cache (the library default; cmd/rifserve passes
+	// DefaultCacheBytes): identical concurrent submissions still
+	// single-flight onto one computation.
 	CacheBytes int64
 	// CellWorkers sizes the work-stealing scheduler every job's grid
 	// cells share, decoupling job admission (JobWorkers) from
@@ -116,13 +116,11 @@ type Server struct {
 	order  []string
 	nextID int
 	// cache/keyer/inflight implement content addressing: cache maps an
-	// address to stored artifacts, keyer canonicalizes specs (its
-	// buffer is reused, so it is guarded by mu), and inflight holds the
-	// leader job computing each address so identical concurrent
-	// submissions attach to it instead of recomputing. keyer/inflight
-	// exist whenever addressing is needed (memory cache OR disk
-	// store); cache always exists and stores nothing when
-	// CacheBytes <= 0.
+	// address to stored artifacts (it stores nothing when
+	// CacheBytes <= 0), keyer canonicalizes specs (its buffer is reused,
+	// so it is guarded by mu), and inflight holds the leader job
+	// computing each address so identical concurrent submissions attach
+	// to it instead of recomputing.
 	cache    *resultcache.Cache
 	keyer    *resultcache.Keyer
 	inflight map[resultcache.Key]*Job
@@ -210,6 +208,8 @@ func New(cfg Config) *Server {
 		quit:       make(chan struct{}),
 		jobs:       map[string]*Job{},
 		cache:      resultcache.New(cfg.CacheBytes),
+		keyer:      resultcache.NewKeyer(),
+		inflight:   map[resultcache.Key]*Job{},
 		submitted:  reg.Counter("rifserve_jobs_submitted_total"),
 		rejected:   reg.Counter("rifserve_jobs_rejected_total"),
 		completed:  reg.Counter("rifserve_jobs_completed_total"),
@@ -237,12 +237,7 @@ func New(cfg Config) *Server {
 		storeVerifyFails: reg.Gauge("rifserve_store_verify_failures"),
 		storeSlowIO:      reg.Gauge("rifserve_store_slow_io"),
 	}
-	persist := cfg.StoreDir != "" || cfg.JournalPath != ""
-	if cfg.CacheBytes > 0 || persist {
-		s.keyer = resultcache.NewKeyer()
-		s.inflight = map[resultcache.Key]*Job{}
-	}
-	if persist {
+	if cfg.StoreDir != "" || cfg.JournalPath != "" {
 		s.openPersistence()
 	}
 	return s
@@ -299,8 +294,6 @@ func (s *Server) replay(records []journalRecord) {
 			s.replayDone(id, spec, st.done[id])
 			continue
 		}
-		j := newJob(id, spec)
-		j.journaled = true
 		p, err := spec.Params()
 		if err != nil {
 			// The spec validated when accepted; a journal that replays
@@ -309,15 +302,11 @@ func (s *Server) replay(records []journalRecord) {
 			s.logf("rifserve: journal replay: job %s spec no longer valid, skipping: %v", id, err)
 			continue
 		}
-		if s.keyer != nil {
-			j.key = s.keyer.Key(spec.Experiment, p)
-			j.hasKey = true
-			if _, ok := s.inflight[j.key]; !ok {
-				s.inflight[j.key] = j
-			}
+		j := s.addLocked(newJob(id, spec))
+		j.key = s.keyer.Key(spec.Experiment, p)
+		if _, ok := s.inflight[j.key]; !ok {
+			s.inflight[j.key] = j
 		}
-		s.jobs[id] = j
-		s.order = append(s.order, id)
 		s.recovered = append(s.recovered, j)
 		s.recoveredJobs.Inc()
 	}
@@ -329,7 +318,7 @@ func (s *Server) replay(records []journalRecord) {
 // already received its artifacts in the previous life, and a future
 // identical submission recomputes.
 func (s *Server) replayDone(id string, spec JobSpec, rec journalRecord) {
-	if s.store == nil || rec.Op != opDone {
+	if rec.Op != opDone {
 		return
 	}
 	raw, err := hex.DecodeString(rec.Key)
@@ -349,9 +338,7 @@ func (s *Server) replayDone(id string, spec JobSpec, rec journalRecord) {
 		return
 	}
 	s.cache.Put(key, e)
-	j := newCachedJob(id, spec, e)
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	s.addLocked(newCachedJob(id, spec, e))
 	s.recoveredJobs.Inc()
 }
 
@@ -423,14 +410,7 @@ func (s *Server) Stop() {
 		s.jobs[id].Cancel()
 	}
 	s.mu.Unlock()
-	s.wg.Wait()
-	s.drainQueue()
-	if s.sched != nil {
-		// All job workers have returned, so no grid can still be
-		// submitting; release the cell workers.
-		s.sched.Stop()
-	}
-	s.closePersist()
+	s.shutdown()
 }
 
 // Drain performs graceful shutdown (the SIGTERM path): no new
@@ -442,12 +422,24 @@ func (s *Server) Stop() {
 func (s *Server) Drain() {
 	s.shed.Store(true)
 	s.once.Do(func() { close(s.quit) })
+	s.shutdown()
+}
+
+// shutdown is the tail Stop and Drain share once quit is closed: wait
+// for every worker, resolve what is still queued, release the cell
+// workers and fsync the journal closed.
+func (s *Server) shutdown() {
 	s.wg.Wait()
 	s.drainQueue()
 	if s.sched != nil {
+		// All job workers have returned, so no grid can still be
+		// submitting; release the cell workers.
 		s.sched.Stop()
 	}
-	s.closePersist()
+	if err := s.journal.close(); err != nil {
+		s.journalErrors.Inc()
+		s.logf("rifserve: journal close: %v", err)
+	}
 }
 
 // drainQueue resolves every still-queued job with its terminal state
@@ -463,15 +455,6 @@ func (s *Server) drainQueue() {
 			s.queueDepth.Set(int64(len(s.queue)))
 			return
 		}
-	}
-}
-
-// closePersist fsyncs and closes the journal; idempotent and nil-safe,
-// so both shutdown paths call it unconditionally.
-func (s *Server) closePersist() {
-	if err := s.journal.close(); err != nil {
-		s.journalErrors.Inc()
-		s.logf("rifserve: journal close: %v", err)
 	}
 }
 
@@ -501,70 +484,51 @@ func (s *Server) stopping() bool {
 // validated to — submit canonicalizes them into the content address.
 func (s *Server) submit(spec JobSpec, p core.RunParams) (*Job, bool) {
 	s.mu.Lock()
-	var key resultcache.Key
-	if s.keyer != nil {
-		key = s.keyer.Key(spec.Experiment, p)
-		if j, ok := s.memoryTierLocked(spec, key); ok {
-			s.mu.Unlock()
-			return j, true
-		}
-	}
+	key := s.keyer.Key(spec.Experiment, p)
+	j, ok := s.memoryTierLocked(spec, key)
 	s.mu.Unlock()
-
-	if s.keyer != nil {
-		// The disk-tier read runs outside s.mu: store I/O (and injected
-		// slow-I/O stalls) must never block every other handler on the
-		// job table.
-		e, ok, err := s.store.Get(key)
-		if err != nil {
-			// Verification failed (the entry is already quarantined)
-			// or the read itself erred; the key now reads as absent
-			// and the job recomputes — corrupt bytes are never served.
-			s.storeErrors.Inc()
-			s.logf("rifserve: store read: %v", err)
-		}
-		if ok {
-			s.mu.Lock()
-			s.cache.Put(key, e)
-			j := s.registerCached(spec, e)
-			s.mu.Unlock()
-			s.storeHits.Inc()
-			return j, true
-		}
+	if ok {
+		return j, true
 	}
 
+	// The disk-tier read runs outside s.mu: store I/O (and injected
+	// slow-I/O stalls) must never block every other handler on the job
+	// table.
+	e, ok, err := s.store.Get(key)
+	if err != nil {
+		// Verification failed (the entry is already quarantined) or the
+		// read itself erred; the key now reads as absent and the job
+		// recomputes — corrupt bytes are never served.
+		s.storeErrors.Inc()
+		s.logf("rifserve: store read: %v", err)
+	}
 	s.mu.Lock()
-	if s.keyer != nil {
-		// Re-check the memory tiers: an identical submission may have
-		// completed or become leader while the disk read ran unlocked —
-		// without this, two concurrent identical misses would both
-		// become single-flight leaders.
-		if j, ok := s.memoryTierLocked(spec, key); ok {
-			s.mu.Unlock()
-			return j, true
-		}
+	if ok {
+		s.cache.Put(key, e)
+		j = s.addLocked(newCachedJob(s.mintIDLocked(), spec, e))
+		s.mu.Unlock()
+		s.storeHits.Inc()
+		return j, true
 	}
-	s.nextID++
-	id := fmt.Sprintf("job-%d", s.nextID)
-	j := newJob(id, spec)
-	if s.keyer != nil {
-		j.key = key
-		j.hasKey = true
-		s.inflight[key] = j
-		s.cacheMisses.Inc()
+	// Re-check the memory tiers: an identical submission may have
+	// completed or become leader while the disk read ran unlocked —
+	// without this, two concurrent identical misses would both become
+	// single-flight leaders.
+	if j, ok = s.memoryTierLocked(spec, key); ok {
+		s.mu.Unlock()
+		return j, true
 	}
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	j = s.addLocked(newJob(s.mintIDLocked(), spec))
+	j.key = key
+	s.inflight[key] = j
+	s.cacheMisses.Inc()
 	s.mu.Unlock()
 
 	// WAL discipline: the accept record is durable before the job can be
 	// admitted, so a crash never leaves accepted work the journal has
 	// never heard of. A rejection appends a terminal record immediately,
 	// so replay will not resurrect a job its client saw refused.
-	if s.journal != nil {
-		j.journaled = true
-		s.appendJournal(journalRecord{Op: opAccept, ID: id, Spec: &j.Spec})
-	}
+	s.appendJournal(journalRecord{Op: opAccept, ID: j.ID, Spec: &j.Spec})
 	select {
 	case s.queue <- j:
 		s.submitted.Inc()
@@ -584,18 +548,16 @@ func (s *Server) submit(spec JobSpec, p core.RunParams) (*Job, bool) {
 		// ID itself is not reused — concurrent submissions may already
 		// hold later ones.)
 		s.mu.Lock()
-		delete(s.jobs, id)
-		for i, oid := range s.order {
-			if oid == id {
+		delete(s.jobs, j.ID)
+		for i, id := range s.order {
+			if id == j.ID {
 				s.order = append(s.order[:i], s.order[i+1:]...)
 				break
 			}
 		}
 		s.mu.Unlock()
 		s.clearInflight(j)
-		if j.journaled {
-			s.appendJournal(journalRecord{Op: opRejected, ID: id})
-		}
+		s.appendJournal(journalRecord{Op: opRejected, ID: j.ID})
 		return nil, false
 	}
 }
@@ -608,7 +570,7 @@ func (s *Server) submit(spec JobSpec, p core.RunParams) (*Job, bool) {
 // s.mu.
 func (s *Server) memoryTierLocked(spec JobSpec, key resultcache.Key) (*Job, bool) {
 	if e, ok := s.cache.Get(key); ok {
-		j := s.registerCached(spec, e)
+		j := s.addLocked(newCachedJob(s.mintIDLocked(), spec, e))
 		s.cacheHits.Inc()
 		return j, true
 	}
@@ -619,16 +581,20 @@ func (s *Server) memoryTierLocked(spec JobSpec, key resultcache.Key) (*Job, bool
 	return nil, false
 }
 
-// registerCached registers a job satisfied without running — a memory-
-// or disk-tier hit. Never journaled: it was never admitted, and its
-// artifacts already live under their content address. Caller holds
-// s.mu.
-func (s *Server) registerCached(spec JobSpec, e resultcache.Entry) *Job {
+// mintIDLocked returns the next unused job ID. Caller holds s.mu.
+func (s *Server) mintIDLocked() string {
 	s.nextID++
-	id := fmt.Sprintf("job-%d", s.nextID)
-	j := newCachedJob(id, spec, e)
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	return fmt.Sprintf("job-%d", s.nextID)
+}
+
+// addLocked registers j in the job table, the one registration path:
+// new leaders, memory- and disk-tier hits (never journaled: they were
+// never admitted, and their artifacts already live under their content
+// address) and journal-replayed jobs. Caller holds s.mu (replay runs
+// before the server is shared and needs no lock).
+func (s *Server) addLocked(j *Job) *Job {
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
 	return j
 }
 
@@ -644,12 +610,9 @@ func (s *Server) retryAfterHint() string {
 	return strconv.Itoa(n)
 }
 
-// clearInflight releases a leader job's single-flight slot (no-op for
-// jobs without a key, or when a newer leader already replaced it).
+// clearInflight releases a leader job's single-flight slot (no-op when
+// a newer leader already replaced it).
 func (s *Server) clearInflight(j *Job) {
-	if !j.hasKey {
-		return
-	}
 	s.mu.Lock()
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
@@ -675,8 +638,7 @@ func (s *Server) runJob(j *Job) {
 	if err != nil {
 		// Specs are validated at submission; re-deriving cannot fail
 		// unless the job was mutated, which would be a server bug.
-		j.setState(Failed, Event{Error: err.Error()})
-		s.failed.Inc()
+		s.finish(j, Failed, err.Error())
 		return
 	}
 	s.running.Add(1)
@@ -708,22 +670,9 @@ func (s *Server) runJob(j *Job) {
 
 	switch {
 	case errors.Is(runErr, fleet.ErrStopped):
-		j.collect.SetPartial(true)
-		s.flush(j)
-		s.clearInflight(j)
-		if j.journaled {
-			s.appendJournal(journalRecord{Op: opCancel, ID: j.ID})
-		}
-		s.cancelled.Inc()
-		j.setState(Cancelled, Event{Completed: j.collect.Len(), Partial: true})
+		s.finish(j, Cancelled, "")
 	case runErr != nil:
-		s.flush(j)
-		s.clearInflight(j)
-		if j.journaled {
-			s.appendJournal(journalRecord{Op: opFailed, ID: j.ID, Error: runErr.Error()})
-		}
-		s.failed.Inc()
-		j.setState(Failed, Event{Error: runErr.Error(), Completed: j.collect.Len()})
+		s.finish(j, Failed, runErr.Error())
 	default:
 		// One render serves the spool file, /runs and the result cache.
 		runs, err := j.collect.JSON()
@@ -759,54 +708,63 @@ func (s *Server) storeResult(j *Job, runs []byte, err error) {
 		return
 	}
 	cells := j.pinRuns(runs)
-	if j.hasKey {
-		e := resultcache.Entry{
-			Report: j.Report(),
-			Runs:   runs,
-			Cells:  cells,
-		}
-		s.cache.Put(j.key, e)
-		if err := s.store.Put(j.key, e); err != nil {
-			// The artifacts still serve from memory; only durability
-			// across a restart is lost.
-			s.storeErrors.Inc()
-			s.degradePersist("store write", err)
-		}
+	e := resultcache.Entry{
+		Report: j.Report(),
+		Runs:   runs,
+		Cells:  cells,
 	}
-	if j.journaled {
-		s.appendJournal(journalRecord{
-			Op:    opDone,
-			ID:    j.ID,
-			Key:   hex.EncodeToString(j.key[:]),
-			Cells: cells,
-		})
+	s.cache.Put(j.key, e)
+	if err := s.store.Put(j.key, e); err != nil {
+		// The artifacts still serve from memory; only durability across
+		// a restart is lost.
+		s.storeErrors.Inc()
+		s.degradePersist("store write", err)
 	}
+	s.appendJournal(journalRecord{
+		Op:    opDone,
+		ID:    j.ID,
+		Key:   hex.EncodeToString(j.key[:]),
+		Cells: cells,
+	})
 	s.clearInflight(j)
 }
 
 // finishCancelled resolves a job that never ran (drained from the
-// queue or cancelled before start) and flushes its (empty or partial)
-// collection exactly once. During a graceful Drain a queued job that
-// was not individually cancelled ends "shed" — the accepted-but-
-// unstarted terminal that tells the client to resubmit — instead of
-// "cancelled".
+// queue or cancelled before start). During a graceful Drain a queued
+// job that was not individually cancelled ends "shed" — the
+// accepted-but-unstarted terminal that tells the client to resubmit —
+// instead of "cancelled".
 func (s *Server) finishCancelled(j *Job) {
-	j.collect.SetPartial(true)
+	st := Cancelled
+	if s.shed.Load() && !j.cancelled.Load() {
+		st = Shed
+	}
+	s.finish(j, st, "")
+}
+
+// finish ends a job that did not complete — Failed, Cancelled or Shed —
+// the one path every such job takes: the collection is marked partial
+// unless the job failed, flushed to the spool exactly once, the
+// single-flight slot is released (nothing reaches the cache, so a later
+// identical submission recomputes), the journal records the state by
+// name, its counter is bumped and the terminal event published.
+func (s *Server) finish(j *Job, st State, errMsg string) {
+	partial := st != Failed
+	if partial {
+		j.collect.SetPartial(true)
+	}
 	s.flush(j)
 	s.clearInflight(j)
-	if s.shed.Load() && !j.cancelled.Load() {
-		if j.journaled {
-			s.appendJournal(journalRecord{Op: opShed, ID: j.ID})
-		}
+	s.appendJournal(journalRecord{Op: string(st), ID: j.ID, Error: errMsg})
+	switch st {
+	case Failed:
+		s.failed.Inc()
+	case Cancelled:
+		s.cancelled.Inc()
+	case Shed:
 		s.shedJobs.Inc()
-		j.setState(Shed, Event{Completed: j.collect.Len(), Partial: true})
-		return
 	}
-	if j.journaled {
-		s.appendJournal(journalRecord{Op: opCancel, ID: j.ID})
-	}
-	s.cancelled.Inc()
-	j.setState(Cancelled, Event{Completed: j.collect.Len(), Partial: true})
+	j.setState(st, Event{Error: errMsg, Completed: j.collect.Len(), Partial: partial})
 }
 
 // flush writes the job's manifest collection to the spool directory.

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -289,7 +290,18 @@ func TestServeBackpressure(t *testing.T) {
 		t.Fatalf("first submit: %d, want 202", resp.StatusCode)
 	}
 
-	resp2 := postJob(t, ts, `{"experiment":"tenants","requests":40}`, "?stream=0")
+	// An identical spec attaches to the queued job-1 (single-flight
+	// needs no queue slot); a different one finds the queue full.
+	same := postJob(t, ts, `{"experiment":"tenants","requests":40}`, "?stream=0")
+	defer same.Body.Close()
+	var st Status
+	if err := json.NewDecoder(same.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if same.StatusCode != 202 || st.ID != "job-1" {
+		t.Fatalf("identical submit: %d %s, want 202 job-1", same.StatusCode, st.ID)
+	}
+	resp2 := postJob(t, ts, `{"experiment":"tenants","requests":40,"seed":2}`, "?stream=0")
 	defer resp2.Body.Close()
 	if resp2.StatusCode != 429 {
 		t.Fatalf("second submit: %d, want 429", resp2.StatusCode)
@@ -478,6 +490,61 @@ func TestServeCancelEndpoint(t *testing.T) {
 		// is servable; only non-terminal jobs answer 409 — covered by
 		// construction above, nothing more to assert here.
 		t.Fatalf("terminal job report: %d", code)
+	}
+}
+
+// TestFailedJobFinishes drives the Failed path: a cell that panics
+// fails its job with the panic's text, the job's spool file is flushed
+// without the partial mark, the journal records "failed", the failure
+// is counted once and the single-flight slot is released, so an
+// identical resubmission recomputes instead of attaching or hitting.
+func TestFailedJobFinishes(t *testing.T) {
+	store, spool := t.TempDir(), t.TempDir()
+	srv := New(Config{QueueDepth: 2, JobWorkers: 1, StoreDir: store, SpoolDir: spool, Logf: t.Logf})
+	var panicked atomic.Bool
+	srv.cellHook = func(*Job, obs.Manifest) {
+		if panicked.CompareAndSwap(false, true) {
+			panic("injected cell failure")
+		}
+	}
+	srv.Start()
+	defer srv.Stop()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := `{"experiment":"chaos","requests":40,"seed":11}`
+	events := submitAndWait(t, ts, spec)
+	last := events[len(events)-1]
+	if last.Event != string(Failed) || !strings.Contains(last.Error, "panicked: injected cell failure") {
+		t.Fatalf("job ended %+v, want failed with the cell panic", last)
+	}
+	data, err := os.ReadFile(filepath.Join(spool, last.Job+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"partial": true`) {
+		t.Fatalf("failed job's spool file is marked partial:\n%s", data)
+	}
+	journal, err := os.ReadFile(filepath.Join(store, "journal.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(journal, []byte(`{"op":"failed","id":"`+last.Job+`","error":`)) {
+		t.Fatalf("journal has no failed record for %s:\n%s", last.Job, journal)
+	}
+	if v := srv.failed.Value(); v != 1 {
+		t.Fatalf("failed counter = %d, want 1", v)
+	}
+	srv.mu.Lock()
+	inflight := len(srv.inflight)
+	srv.mu.Unlock()
+	if inflight != 0 {
+		t.Fatalf("failed job kept its single-flight slot (inflight=%d)", inflight)
+	}
+
+	events = submitAndWait(t, ts, spec)
+	if again := events[len(events)-1]; again.Event != string(Done) || again.Cached || again.Job == last.Job {
+		t.Fatalf("resubmission ended %+v, want a recomputed done", again)
 	}
 }
 
