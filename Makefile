@@ -75,9 +75,13 @@ golden:
 # detector: submit over HTTP, stream NDJSON progress, verify report
 # byte-identity with the dispatcher, scrape /metrics with hostile
 # labels, and shut down gracefully mid-job (exactly one manifest
-# flushed marked partial). CI runs this on every change.
+# flushed marked partial). It then repeats the admission tests ten
+# times, so the race between a full queue and an identical submission
+# is pinned over many interleavings, not one. CI runs this on every
+# change.
 serve-e2e:
 	$(GO) test -race -count=1 ./internal/serve/ ./cmd/rifserve/
+	$(GO) test -race -count=10 -run 'TestAdmission' ./internal/serve/
 
 # serve-load-smoke drives rifload against an in-process cached server
 # under the race detector: a mixed hit/miss workload with -verify on,

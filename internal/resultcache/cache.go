@@ -35,9 +35,9 @@ func (e Entry) size() int64 {
 // Stats is a point-in-time snapshot of cache occupancy. Hits and
 // misses are counted by the caller, which sees each lookup's outcome.
 type Stats struct {
-	Evictions       int64
-	Entries         int
-	Bytes, MaxBytes int64
+	Evictions int64
+	Entries   int
+	Bytes     int64
 }
 
 // Cache is a bounded, concurrency-safe LRU keyed by content address.
@@ -120,13 +120,6 @@ func (c *Cache) Put(k Key, e Entry) {
 	}
 }
 
-// Len reports the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
-
 // Stats snapshots the cache's eviction count and occupancy.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
@@ -135,6 +128,5 @@ func (c *Cache) Stats() Stats {
 		Evictions: c.evictions,
 		Entries:   len(c.items),
 		Bytes:     c.bytes,
-		MaxBytes:  c.max,
 	}
 }

@@ -43,7 +43,8 @@ func TestCacheHitReturnsStoredBytes(t *testing.T) {
 func TestCacheEvictsLRUByBytes(t *testing.T) {
 	const sz = 1024
 	// Budget for exactly 3 entries of sz payload + overhead.
-	c := New(3 * (sz + entryOverhead))
+	const budget = 3 * (sz + entryOverhead)
+	c := New(budget)
 	for i := 1; i <= 3; i++ {
 		c.Put(keyOf(i), entryOf(i, sz))
 	}
@@ -64,8 +65,8 @@ func TestCacheEvictsLRUByBytes(t *testing.T) {
 	if s.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", s.Evictions)
 	}
-	if s.Bytes > s.MaxBytes {
-		t.Fatalf("bytes %d exceed budget %d", s.Bytes, s.MaxBytes)
+	if s.Bytes > budget {
+		t.Fatalf("bytes %d exceed budget %d", s.Bytes, budget)
 	}
 }
 
@@ -75,7 +76,7 @@ func TestCacheOversizedEntryNotStored(t *testing.T) {
 	if _, ok := c.Get(keyOf(1)); ok {
 		t.Fatal("entry larger than the whole budget was stored")
 	}
-	if got := c.Len(); got != 0 {
+	if got := c.Stats().Entries; got != 0 {
 		t.Fatalf("len = %d", got)
 	}
 }
@@ -103,7 +104,8 @@ func TestCacheDisabledStoresNothing(t *testing.T) {
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := New(64 << 10)
+	const budget = 64 << 10
+	c := New(budget)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {
@@ -119,8 +121,8 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		<-done
 	}
 	s := c.Stats()
-	if s.Bytes > s.MaxBytes {
-		t.Fatalf("bytes %d exceed budget %d after concurrent churn", s.Bytes, s.MaxBytes)
+	if s.Bytes > budget {
+		t.Fatalf("bytes %d exceed budget %d after concurrent churn", s.Bytes, budget)
 	}
 }
 

@@ -246,8 +246,8 @@ func TestCacheEvictionRecomputes(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatal("no evictions recorded")
 	}
-	if st.Bytes > st.MaxBytes {
-		t.Fatalf("cache exceeds its budget: %+v", st)
+	if st.Bytes > budget {
+		t.Fatalf("cache exceeds its budget %d: %+v", budget, st)
 	}
 }
 

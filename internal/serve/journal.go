@@ -15,7 +15,7 @@ import (
 )
 
 // The write-ahead job journal: an append-only NDJSON file recording
-// every accepted job spec before it is admitted to the queue and a
+// every accepted job spec before it enters the queue and a
 // terminal record after its artifacts are cached. On restart the
 // server replays the journal — completed jobs rematerialize from the
 // disk store under their original IDs, incomplete jobs re-enqueue and
@@ -26,7 +26,9 @@ import (
 
 // Journal record operations. opAccept carries the spec; the rest are
 // terminal markers keyed by job ID, named by the terminal state they
-// record (a rejected job never reached a state).
+// record. opRejected is read, never written: a refused submission gets
+// no ID and leaves no record, but journals from servers that gave it
+// an ID hold accept + rejected, and replay still folds them.
 const (
 	opAccept   = "accept"
 	opDone     = string(Done)
@@ -95,13 +97,6 @@ func openJournal(path string, inj *faults.StorageInjector) (*journal, []journalR
 		return nil, nil, fmt.Errorf("serve: open journal: %w", err)
 	}
 	return &journal{f: f, inj: inj}, records, nil
-}
-
-// readJournal parses the journal's NDJSON records; see scanJournal for
-// the torn-tail contract.
-func readJournal(path string) ([]journalRecord, error) {
-	records, _, _, err := loadJournal(path)
-	return records, err
 }
 
 // loadJournal reads the journal file and scans it (a missing file is

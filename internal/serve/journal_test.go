@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -89,7 +90,7 @@ func TestJournalTornTailForgiven(t *testing.T) {
 	if err := os.WriteFile(torn, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	records, err := readJournal(torn)
+	records, _, _, err := loadJournal(torn)
 	if err != nil {
 		t.Fatalf("torn tail rejected: %v", err)
 	}
@@ -103,7 +104,7 @@ func TestJournalTornTailForgiven(t *testing.T) {
 	if err := os.WriteFile(midGarbage, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readJournal(midGarbage); err == nil {
+	if _, _, _, err := loadJournal(midGarbage); err == nil {
 		t.Fatal("mid-file garbage accepted; records after it would be silently dropped")
 	}
 }
@@ -136,7 +137,7 @@ func TestJournalTornTailTruncatedOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := readJournal(path)
+	got, _, _, err := loadJournal(path)
 	if err != nil {
 		t.Fatalf("journal unreadable after append-over-torn-tail: %v", err)
 	}
@@ -434,7 +435,7 @@ func TestDrainGraceful(t *testing.T) {
 	}
 
 	// The journal resolved both jobs before Drain returned.
-	records, err := readJournal(filepath.Join(dir, "journal.ndjson"))
+	records, _, _, err := loadJournal(filepath.Join(dir, "journal.ndjson"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,4 +497,113 @@ func TestPersistenceDegradesUnderCertainFaults(t *testing.T) {
 	if alast := again[len(again)-1]; alast.Event != string(Done) || alast.Cached {
 		t.Fatalf("resubmission under faults: %+v", alast)
 	}
+}
+
+// TestReplayBacklogBeyondQueueDepth pins replay through the one queue:
+// a journal holding more incomplete jobs than QueueDepth queues them
+// all in New, in journal order, ahead of new work. A legacy refused
+// submission (accept + rejected, as servers that burned an ID on a 429
+// wrote) stays resolved, but its ID still advances the counter.
+func TestReplayBacklogBeyondQueueDepth(t *testing.T) {
+	const depth = 2
+	incomplete := make([]string, depth+2)
+	writeJournal := func(t *testing.T, path string) {
+		t.Helper()
+		var data []byte
+		for i := range incomplete {
+			incomplete[i] = fmt.Sprintf("job-%d", i+1)
+			data = append(data, journalLine(t, journalRecord{
+				Op: opAccept, ID: incomplete[i],
+				Spec: &JobSpec{Experiment: "tenants", Requests: 40, Seed: uint64(i + 1)},
+			})...)
+		}
+		data = append(data, journalLine(t, journalRecord{
+			Op: opAccept, ID: "job-9", Spec: &JobSpec{Experiment: "tenants", Requests: 40, Seed: 9},
+		})...)
+		data = append(data, journalLine(t, journalRecord{Op: opRejected, ID: "job-9"})...)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("start", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "journal.ndjson")
+		writeJournal(t, path)
+		srv := New(Config{QueueDepth: depth, JobWorkers: 1, StoreDir: dir, Logf: t.Logf})
+		defer srv.Stop()
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+
+		// The recovered backlog already fills the queue: new work waits.
+		resp := postJob(t, ts, `{"experiment":"tenants","requests":40,"seed":50}`, "?stream=0")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("submission behind a %d-job recovered backlog got %d, want 429",
+				len(incomplete), resp.StatusCode)
+		}
+
+		srv.Start()
+		for _, id := range incomplete {
+			r, err := http.Get(ts.URL + "/jobs/" + id + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := readEvents(t, r.Body)
+			r.Body.Close()
+			if last := events[len(events)-1]; last.Event != string(Done) || last.Job != id {
+				t.Fatalf("recovered %s ended %+v, want done under its own ID", id, last)
+			}
+		}
+		// One job worker runs the queue in order, so the done records
+		// land in journal order.
+		records, _, _, err := loadJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doneOrder []string
+		for _, rec := range records {
+			if rec.Op == opDone {
+				doneOrder = append(doneOrder, rec.ID)
+			}
+		}
+		if fmt.Sprint(doneOrder) != fmt.Sprint(incomplete) {
+			t.Fatalf("recovered jobs completed in order %v, want journal order %v", doneOrder, incomplete)
+		}
+		if code, _ := getBody(t, ts.URL+"/jobs/job-9"); code != http.StatusNotFound {
+			t.Fatalf("legacy rejected job-9 answered %d, want 404", code)
+		}
+		fresh := submitAndWait(t, ts, `{"experiment":"tenants","requests":40,"seed":50}`)
+		if last := fresh[len(fresh)-1]; last.Event != string(Done) || last.Job != "job-10" {
+			t.Fatalf("first fresh submission ended %+v, want done as job-10", last)
+		}
+	})
+
+	t.Run("stop-without-start", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "journal.ndjson")
+		writeJournal(t, path)
+		srv := New(Config{QueueDepth: depth, JobWorkers: 1, StoreDir: dir, Logf: t.Logf})
+		srv.Stop()
+		ops := map[string]string{}
+		records, _, _, err := loadJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range records {
+			ops[rec.ID] = rec.Op
+		}
+		for _, id := range incomplete {
+			j, ok := srv.job(id)
+			if !ok {
+				t.Fatalf("recovered %s not registered", id)
+			}
+			if st, _ := j.State(); st != Cancelled {
+				t.Errorf("recovered %s is %q after Stop, want cancelled", id, st)
+			}
+			if ops[id] != opCancel {
+				t.Errorf("recovered %s journaled %q last, want %q", id, ops[id], opCancel)
+			}
+		}
+	})
 }

@@ -36,8 +36,10 @@ import (
 type Config struct {
 	// QueueDepth bounds the jobs waiting to run (beyond the ones
 	// running). A full queue rejects submissions with 429 and a
-	// Retry-After header instead of buffering without bound. 0 means
-	// DefaultQueueDepth.
+	// Retry-After header instead of buffering without bound. Jobs
+	// recovered from the journal all queue at startup, even past it;
+	// new submissions then wait for the backlog to fall below it. 0
+	// means DefaultQueueDepth.
 	QueueDepth int
 	// JobWorkers is the number of jobs run concurrently (each job's
 	// grid additionally shards across its own fleet pool). 0 means 1.
@@ -115,6 +117,13 @@ type Server struct {
 	jobs   map[string]*Job
 	order  []string
 	nextID int
+	// backlog counts jobs admitted to the queue and not yet dequeued:
+	// a submission reserves its slot here, under mu, before it becomes
+	// a single-flight leader, so a full queue refuses it before anything
+	// can attach. The queue channel always has room for every reserved
+	// job (see New), so the send that follows the accept record never
+	// blocks.
+	backlog int
 	// cache/keyer/inflight implement content addressing: cache maps an
 	// address to stored artifacts (it stores nothing when
 	// CacheBytes <= 0), keyer canonicalizes specs (its buffer is reused,
@@ -128,14 +137,12 @@ type Server struct {
 	// store/journal are the durability tier (nil when disabled; a nil
 	// store reads as empty and writes nowhere):
 	// content-addressed artifacts on disk and the write-ahead job
-	// journal. recovered holds journal-replayed incomplete jobs that
-	// Start re-enqueues. shed marks a graceful Drain in progress:
-	// in-flight grids run to completion and queued jobs end "shed"
-	// instead of "cancelled".
-	store     *resultcache.Store
-	journal   *journal
-	recovered []*Job
-	shed      atomic.Bool
+	// journal. shed marks a graceful Drain in progress: in-flight grids
+	// run to completion and queued jobs end "shed" instead of
+	// "cancelled".
+	store   *resultcache.Store
+	journal *journal
+	shed    atomic.Bool
 
 	// sched is the work-stealing scheduler all jobs' grid cells share;
 	// created in Start, drained in Stop.
@@ -192,7 +199,10 @@ func (s *Server) degradePersist(what string, err error) {
 }
 
 // New builds a stopped server; call Start to begin draining the
-// queue.
+// queue. Journal-replayed incomplete jobs are queued here, in journal
+// order, ahead of any new submission; the queue is sized to hold them
+// all, and new submissions get 429 until the backlog falls below
+// QueueDepth.
 func New(cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
@@ -204,7 +214,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		reg:        reg,
-		queue:      make(chan *Job, cfg.QueueDepth),
 		quit:       make(chan struct{}),
 		jobs:       map[string]*Job{},
 		cache:      resultcache.New(cfg.CacheBytes),
@@ -237,17 +246,28 @@ func New(cfg Config) *Server {
 		storeVerifyFails: reg.Gauge("rifserve_store_verify_failures"),
 		storeSlowIO:      reg.Gauge("rifserve_store_slow_io"),
 	}
+	var recovered []*Job
 	if cfg.StoreDir != "" || cfg.JournalPath != "" {
-		s.openPersistence()
+		recovered = s.openPersistence()
 	}
+	// Room for the most jobs the backlog can count: submissions reserve
+	// only below QueueDepth, and the recovered jobs are all queued here.
+	s.queue = make(chan *Job, max(cfg.QueueDepth, len(recovered)))
+	for _, j := range recovered {
+		s.queue <- j
+		s.submitted.Inc()
+	}
+	s.backlog = len(recovered)
+	s.queueDepth.Set(int64(s.backlog))
 	return s
 }
 
 // openPersistence wires the disk store and write-ahead journal and
-// replays the journal into registered jobs. Every failure degrades to
-// memory-only operation with a warning — a server that cannot reach
-// its store still boots and serves, it just starts cold.
-func (s *Server) openPersistence() {
+// replays the journal into registered jobs, returning the incomplete
+// ones for New to queue. Every failure degrades to memory-only
+// operation with a warning — a server that cannot reach its store
+// still boots and serves, it just starts cold.
+func (s *Server) openPersistence() []*Job {
 	seed := s.cfg.StorageFaultSeed
 	if seed == 0 {
 		seed = 1
@@ -273,19 +293,19 @@ func (s *Server) openPersistence() {
 	if err != nil {
 		s.journalErrors.Inc()
 		s.degradePersist("opening job journal", fmt.Errorf("%w: %w", errJournalReplay, err))
-		return
+		return nil
 	}
 	s.journal = jr
-	s.replay(records)
+	return s.replay(records)
 }
 
 // replay folds the journal into the server's job table: done jobs
 // rematerialize from the store under their original IDs (warming the
-// memory cache), incomplete jobs re-register and queue for
-// recomputation, terminal jobs are skipped, and the ID counter
-// advances past everything journaled. Runs in New, before any worker
-// or handler exists, so no locking is needed.
-func (s *Server) replay(records []journalRecord) {
+// memory cache), incomplete jobs re-register and are returned, in
+// journal order, for recomputation, terminal jobs are skipped, and the
+// ID counter advances past everything journaled. Runs in New, before
+// any worker or handler exists, so no locking is needed.
+func (s *Server) replay(records []journalRecord) (recovered []*Job) {
 	st := foldJournal(records)
 	s.nextID = st.maxID
 	for _, id := range st.order {
@@ -307,9 +327,10 @@ func (s *Server) replay(records []journalRecord) {
 		if _, ok := s.inflight[j.key]; !ok {
 			s.inflight[j.key] = j
 		}
-		s.recovered = append(s.recovered, j)
+		recovered = append(recovered, j)
 		s.recoveredJobs.Inc()
 	}
+	return recovered
 }
 
 // replayDone rematerializes one journaled-complete job from the disk
@@ -351,8 +372,8 @@ func (s *Server) appendJournal(rec journalRecord) {
 	}
 }
 
-// Start launches the shared cell scheduler and the job workers, and
-// re-enqueues any journal-replayed incomplete jobs. Safe to call once.
+// Start launches the shared cell scheduler and the job workers. Safe
+// to call once.
 func (s *Server) Start() {
 	s.sched = fleet.NewScheduler(s.cfg.CellWorkers)
 	for w := 0; w < s.cfg.JobWorkers; w++ {
@@ -364,37 +385,12 @@ func (s *Server) Start() {
 				case <-s.quit:
 					return
 				case j := <-s.queue:
-					s.queueDepth.Set(int64(len(s.queue)))
+					s.dequeued()
 					s.runJob(j)
 				}
 			}
 		}()
 	}
-	if len(s.recovered) == 0 {
-		return
-	}
-	recovered := s.recovered
-	s.recovered = nil
-	s.wg.Add(1)
-	// Replayed jobs feed from their own goroutine: they may outnumber
-	// the queue depth, and blocking Start on a full queue would wedge
-	// startup. A shutdown mid-feed resolves the unfed remainder like any
-	// other queued job.
-	go func() {
-		defer s.wg.Done()
-		for i, j := range recovered {
-			select {
-			case s.queue <- j:
-				s.submitted.Inc()
-				s.queueDepth.Set(int64(len(s.queue)))
-			case <-s.quit:
-				for _, rest := range recovered[i:] {
-					s.finishCancelled(rest)
-				}
-				return
-			}
-		}
-	}()
 }
 
 // Stop drains the service for shutdown: no new jobs start, in-flight
@@ -450,12 +446,21 @@ func (s *Server) drainQueue() {
 	for {
 		select {
 		case j := <-s.queue:
+			s.dequeued()
 			s.finishCancelled(j)
 		default:
-			s.queueDepth.Set(int64(len(s.queue)))
 			return
 		}
 	}
+}
+
+// dequeued releases the queue slot of a job just taken off the queue,
+// by a worker or by drainQueue.
+func (s *Server) dequeued() {
+	s.mu.Lock()
+	s.backlog--
+	s.queueDepth.Set(int64(s.backlog))
+	s.mu.Unlock()
 }
 
 // draining reports whether shutdown (Stop or Drain) has been
@@ -479,9 +484,11 @@ func (s *Server) stopping() bool {
 
 // submit resolves a validated spec to a job: a cache hit materializes
 // a Done job from stored bytes, an identical in-flight submission
-// attaches to its leader, and everything else registers and enqueues a
-// new job (or reports queue saturation). p must be the params spec
-// validated to — submit canonicalizes them into the content address.
+// attaches to its leader, and everything else is admitted in one step
+// under s.mu — a queue slot reserved, an ID minted, the job registered
+// as leader — or, when the backlog has reached QueueDepth, refused
+// before it gets an ID. p must be the params spec validated to —
+// submit canonicalizes them into the content address.
 func (s *Server) submit(spec JobSpec, p core.RunParams) (*Job, bool) {
 	s.mu.Lock()
 	key := s.keyer.Key(spec.Experiment, p)
@@ -518,48 +525,36 @@ func (s *Server) submit(spec JobSpec, p core.RunParams) (*Job, bool) {
 		s.mu.Unlock()
 		return j, true
 	}
+	s.cacheMisses.Inc()
+	if s.backlog >= s.cfg.QueueDepth {
+		s.mu.Unlock()
+		s.rejected.Inc()
+		return nil, false
+	}
+	s.backlog++
+	s.queueDepth.Set(int64(s.backlog))
 	j = s.addLocked(newJob(s.mintIDLocked(), spec))
 	j.key = key
 	s.inflight[key] = j
-	s.cacheMisses.Inc()
 	s.mu.Unlock()
 
 	// WAL discipline: the accept record is durable before the job can be
-	// admitted, so a crash never leaves accepted work the journal has
-	// never heard of. A rejection appends a terminal record immediately,
-	// so replay will not resurrect a job its client saw refused.
+	// dequeued, so a crash never leaves accepted work the journal has
+	// never heard of. The send cannot block: the channel holds at most
+	// backlog-1 jobs while this one is reserved but unsent, and New
+	// sized it to at least QueueDepth.
 	s.appendJournal(journalRecord{Op: opAccept, ID: j.ID, Spec: &j.Spec})
-	select {
-	case s.queue <- j:
-		s.submitted.Inc()
-		s.queueDepth.Set(int64(len(s.queue)))
-		if s.draining() {
-			// Shutdown may have drained the queue and returned before
-			// this send landed (handleSubmit's draining() check races
-			// close(quit)). Re-drain so the job gets its terminal event
-			// and journal record instead of sitting Queued forever with
-			// a hung NDJSON stream.
-			s.drainQueue()
-		}
-		return j, true
-	default:
-		s.rejected.Inc()
-		// Un-register by ID: a rejected job was never accepted. (The
-		// ID itself is not reused — concurrent submissions may already
-		// hold later ones.)
-		s.mu.Lock()
-		delete(s.jobs, j.ID)
-		for i, id := range s.order {
-			if id == j.ID {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-		s.mu.Unlock()
-		s.clearInflight(j)
-		s.appendJournal(journalRecord{Op: opRejected, ID: j.ID})
-		return nil, false
+	s.queue <- j
+	s.submitted.Inc()
+	if s.draining() {
+		// Shutdown may have drained the queue and returned before this
+		// send landed (handleSubmit's draining() check races
+		// close(quit)). Re-drain so the job gets its terminal event and
+		// journal record instead of sitting Queued forever with a hung
+		// NDJSON stream.
+		s.drainQueue()
 	}
+	return j, true
 }
 
 // memoryTierLocked resolves a content address against the memory
@@ -588,10 +583,10 @@ func (s *Server) mintIDLocked() string {
 }
 
 // addLocked registers j in the job table, the one registration path:
-// new leaders, memory- and disk-tier hits (never journaled: they were
-// never admitted, and their artifacts already live under their content
-// address) and journal-replayed jobs. Caller holds s.mu (replay runs
-// before the server is shared and needs no lock).
+// admitted leaders, memory- and disk-tier hits (never journaled: they
+// never take a queue slot, and their artifacts already live under
+// their content address) and journal-replayed jobs. Caller holds s.mu
+// (replay runs before the server is shared and needs no lock).
 func (s *Server) addLocked(j *Job) *Job {
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
@@ -603,10 +598,9 @@ func (s *Server) addLocked(j *Job) *Job {
 // but monotone signal that a deeper queue warrants a longer back-off.
 // Clients (rifload) prefer it over their own schedule.
 func (s *Server) retryAfterHint() string {
-	n := len(s.queue)
-	if n < 1 {
-		n = 1
-	}
+	s.mu.Lock()
+	n := max(s.backlog, 1)
+	s.mu.Unlock()
 	return strconv.Itoa(n)
 }
 
