@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test loc prof race shuffle golden serve-e2e serve-load-smoke crash-smoke bench bench-smoke chaos-smoke agesweep-smoke replay-smoke examples-smoke fuzz-smoke lint fmt-check vet riflint staticcheck govulncheck
+.PHONY: all build test loc prof prof-ldpc race shuffle golden serve-e2e serve-load-smoke crash-smoke bench bench-smoke chaos-smoke agesweep-smoke replay-smoke examples-smoke fuzz-smoke lint fmt-check vet riflint staticcheck govulncheck
 
 all: build test
 
@@ -53,6 +53,17 @@ prof:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 $(PROFDIR)/rifsim $(PROFDIR)/mem.prof
 	GODEBUG=memprofilerate=4096 $(PROFDIR)/rifsim -fig chaos -requests 40 -workers 1 -metrics $(PROFDIR)/chaos-runs.json -memprofile $(PROFDIR)/chaos-mem.prof > /dev/null
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(PROFDIR)/rifsim $(PROFDIR)/chaos-mem.prof
+
+# prof-ldpc profiles `rifsim -fig soft -workers 1`, the slowest row
+# and one that runs the min-sum decoder on real bits: it builds rifsim
+# into $(PROFDIR), writes the CPU profile there and prints the top 15
+# functions by CPU (flat). The decoder's assembly kernels show under
+# their own names (rowVec, packVec, expandVec, seedVec). Not a CI step.
+prof-ldpc:
+	@mkdir -p $(PROFDIR)
+	$(GO) build -o $(PROFDIR)/rifsim ./cmd/rifsim
+	$(PROFDIR)/rifsim -fig soft -workers 1 -cpuprofile $(PROFDIR)/ldpc-cpu.prof > /dev/null
+	$(GO) tool pprof -top -nodecount=15 $(PROFDIR)/rifsim $(PROFDIR)/ldpc-cpu.prof
 
 # shuffle reruns the whole suite twice in randomized test order:
 # it catches tests coupled through package state or relying on

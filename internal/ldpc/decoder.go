@@ -1,6 +1,6 @@
 package ldpc
 
-import "math"
+import "slices"
 
 // DefaultMaxIterations is the decoding iteration cap used in the paper
 // (§II-B1: "a preset maximum number of iterations (e.g., 20)").
@@ -31,7 +31,8 @@ type Result struct {
 // bi·T+k and variable bj·T+(k+shift)%T. Both half-iterations are then
 // straight loops over two contiguous ranges per block, with no index
 // gather. The loops run in a kernel set (kernels.go) picked once per
-// decoder: AVX2 where the CPU has it, portable Go otherwise.
+// decoder: AVX2 where the CPU has it and T is a multiple of 8,
+// portable Go otherwise.
 type MinSumDecoder struct {
 	code    *Code
 	maxIter int
@@ -48,8 +49,8 @@ type MinSumDecoder struct {
 	// create one per goroutine.
 	ctv   []float32 // [block][k] check-to-variable messages
 	total []float32 // per-variable belief
-	next  []float32 // the next iteration's beliefs, summed by checkUpdate
-	acc   checkAccs // one block row's check accumulators, T wide
+	next  []float32 // the next iteration's beliefs, summed by the row kernel
+	acc   checkAccs // the row kernels' check accumulators, T wide
 	llrs  []float32 // hard-decision LLRs (Decode)
 	work  Bits      // decision word; Result.Word aliases it
 	syn   *synWS    // parity-check workspace
@@ -64,10 +65,15 @@ type circulant struct {
 // NewMinSumDecoder builds a decoder for the code with the given
 // iteration cap (0 means DefaultMaxIterations).
 func NewMinSumDecoder(code *Code, maxIter int) *MinSumDecoder {
-	return newMinSumDecoder(code, maxIter, kernelSets[0])
+	// The last set, the portable one, fits every T.
+	i := slices.IndexFunc(kernelSets, func(k *kernelSet) bool { return k.fits(code.T) })
+	return newMinSumDecoder(code, maxIter, kernelSets[i])
 }
 
 func newMinSumDecoder(code *Code, maxIter int, kern *kernelSet) *MinSumDecoder {
+	if !kern.fits(code.T) {
+		panic("ldpc: kernel set does not fit the circulant size")
+	}
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
 	}
@@ -108,19 +114,13 @@ func (d *MinSumDecoder) MaxIterations() int { return d.maxIter }
 //
 //riflint:hotpath
 func (d *MinSumDecoder) Decode(received Bits) Result {
-	n := d.code.N()
-	if received.Len() != n {
+	if received.Len() != d.code.N() {
 		panic("ldpc: received length mismatch")
 	}
 	// Hard input: the sign carries all the information, so a set bit
-	// becomes -1 and a clear one +1.
-	for w, word := range received.words {
-		lo := w * 64
-		for i := range d.llrs[lo:min(lo+64, n)] {
-			d.llrs[lo+i] = math.Float32frombits(math.Float32bits(1) | uint32(word>>i&1)<<31)
-		}
-	}
-	return d.DecodeSoft(d.llrs)
+	// becomes -1 and a clear one +1, and so do the first beliefs.
+	d.kern.expand(d.llrs, d.total, received.words)
+	return d.decode(d.llrs)
 }
 
 // DecodeSoft attempts to correct a codeword from per-bit channel
@@ -138,60 +138,34 @@ func (d *MinSumDecoder) DecodeSoft(llrs []float32) Result {
 	if len(llrs) != d.code.N() {
 		panic("ldpc: llr length mismatch")
 	}
+	d.kern.seed(d.total, llrs)
+	return d.decode(llrs)
+}
+
+// decode iterates from the first beliefs in d.total, which are the
+// LLRs plus their cleared messages.
+//
+//riflint:hotpath
+func (d *MinSumDecoder) decode(llrs []float32) Result {
 	clear(d.ctv)
-	// The first beliefs are each LLR plus its cleared messages, which is
-	// llr + 0: a −0 LLR becomes +0.
-	total := d.total[:len(llrs)]
-	for v, x := range llrs {
-		total[v] = x + 0
-	}
+	t := d.code.T
 	for iter := 1; iter <= d.maxIter; iter++ {
 		d.kern.pack(d.work.words, d.total)
 		if d.satisfied(d.work) {
 			return Result{OK: true, Iterations: iter, Word: d.work}
 		}
 		// Each belief is its channel LLR plus its incoming messages,
-		// added in block-row order: checkUpdate(bi) adds row bi's.
+		// added in block-row order.
 		copy(d.next, llrs)
 		for bi := 0; bi < d.code.R; bi++ {
-			d.checkUpdate(bi)
+			lo, hi := d.rowOff[bi], d.rowOff[bi+1]
+			d.kern.row(&d.acc, d.blocks[lo:hi], d.ctv[lo*t:hi*t], d.total, d.next, d.alpha)
 		}
 		d.total, d.next = d.next, d.total
 	}
 	// Final hard decision after the last check update.
 	d.kern.pack(d.work.words, d.total)
 	return Result{OK: d.satisfied(d.work), Iterations: d.maxIter, Word: d.work}
-}
-
-// checkUpdate runs normalized min-sum on the T checks of block row bi:
-// one pass folds each block's variable-to-check messages into the
-// accumulators (leaving them in place of the old messages), a second
-// writes alpha·min with the extrinsic sign back and adds each new
-// message into its variable's next belief.
-//
-//riflint:hotpath
-func (d *MinSumDecoder) checkUpdate(bi int) {
-	t, kern, acc := d.code.T, d.kern, &d.acc
-	kern.reset(acc)
-	lo, hi := d.rowOff[bi], d.rowOff[bi+1]
-	for b := lo; b < hi; b++ {
-		blk := d.blocks[b]
-		c := d.ctv[b*t : (b+1)*t]
-		col := d.total[blk.col : blk.col+t]
-		// Message k feeds variable (k+shift)%T of the block column.
-		s := t - blk.shift
-		kern.fold(acc, 0, c[:s], col[blk.shift:], int32(b))
-		kern.fold(acc, s, c[s:], col[:blk.shift], int32(b))
-	}
-	kern.scale(acc, d.alpha)
-	for b := lo; b < hi; b++ {
-		blk := d.blocks[b]
-		c := d.ctv[b*t : (b+1)*t]
-		col := d.next[blk.col : blk.col+t]
-		s := t - blk.shift
-		kern.writeBack(acc, 0, c[:s], col[blk.shift:], int32(b))
-		kern.writeBack(acc, s, c[s:], col[:blk.shift], int32(b))
-	}
 }
 
 func (d *MinSumDecoder) satisfied(cw Bits) bool {

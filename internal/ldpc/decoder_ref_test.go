@@ -167,26 +167,35 @@ func sameDecode(dec *MinSumDecoder, got Result, ref *refMinSum, want Result) str
 
 // TestMinSumMatchesReference pins the circulant-major kernel to the
 // edge-list oracle: hard and soft decodes agree exactly in OK,
-// Iterations, Word, beliefs and messages, on circulants that are and are not a multiple
-// of the word size, from clean words to far past the capability. Every
-// decode runs through each kernel set this CPU runs.
+// Iterations, Word, beliefs and messages, on circulants that are and
+// are not a multiple of the word size, from clean words to far past the
+// capability, and at the paper's t=1024 either side of the capability.
+// Every decode runs through each kernel set this CPU runs that fits the
+// circulant size.
 func TestMinSumMatchesReference(t *testing.T) {
 	rbers := []float64{0, 0.002, 0.006, 0.008, 0.0085, 0.0095, 0.011, 0.02, 0.05}
-	for _, T := range []int{64, 100, 256} {
+	samples := 2
+	if testing.Short() {
+		samples = 1
+	}
+	for _, c := range []struct {
+		T       int
+		rbers   []float64
+		samples int
+	}{{64, rbers, samples}, {100, rbers, samples}, {256, rbers, samples}, {PaperCirculant, []float64{0.0085, 0.011}, 1}} {
+		T := c.T
 		cd := NewCode(4, 36, T, 7)
 		var decs []*MinSumDecoder
 		for _, k := range kernelSets {
-			decs = append(decs, newMinSumDecoder(cd, 0, k))
+			if k.fits(T) {
+				decs = append(decs, newMinSumDecoder(cd, 0, k))
+			}
 		}
 		// One oracle per input kind, so each keeps its final state.
 		refHard, refSoft := newRefMinSum(cd, 0), newRefMinSum(cd, 0)
 		rng := rand.New(rand.NewPCG(uint64(T), 11))
-		samples := 2
-		if testing.Short() {
-			samples = 1
-		}
-		for _, rber := range rbers {
-			for s := 0; s < samples; s++ {
+		for _, rber := range c.rbers {
+			for s := 0; s < c.samples; s++ {
 				cw := cd.Encode(RandomBits(cd.K(), rng))
 				hard, llrs := DefaultSoftChannel(rber).Observe(cw, rng)
 				wantHard, wantSoft := refHard.decode(hard), refSoft.decodeSoft(llrs)
@@ -206,7 +215,7 @@ func TestMinSumMatchesReference(t *testing.T) {
 // FuzzMinSumDecodeSoft drives DecodeSoft on a T=64 code with arbitrary
 // finite LLRs (±0, subnormals and magnitudes up to 1e30 included) and
 // requires the oracle's result, beliefs and messages exactly, from each
-// kernel set this CPU runs. The input is tiled over the
+// kernel set this CPU runs (each fits T=64). The input is tiled over the
 // codeword four bytes per LLR; a non-finite or oversized float is
 // folded into range, so every input exercises the decoder's domain.
 func FuzzMinSumDecodeSoft(f *testing.F) {

@@ -3,11 +3,11 @@ package ldpc
 import "math"
 
 // checkAccs holds one block row's T check accumulators as four parallel
-// slices, so a vector kernel loads eight checks per step: the two
-// smallest magnitudes (as sign-cleared float32 bits, which order like
-// the floats they encode), the block holding the first minimum (−1
-// before any), and the sign parity in bit 31. Element k of each slice
-// belongs to check k of the block row.
+// slices, the portable row kernel's scratch: the two smallest
+// magnitudes (as sign-cleared float32 bits, which order like the floats
+// they encode), the block holding the first minimum (−1 before any),
+// and the sign parity in bit 31. Element k of each slice belongs to
+// check k of the block row.
 type checkAccs struct {
 	min1, min2, minBlk, parity []uint32
 }
@@ -26,57 +26,119 @@ const (
 	noBlock = math.MaxUint32
 )
 
-// kernelSet is one implementation of the loops of a min-sum iteration
-// that visit every edge or every bit. Every set computes the same bits;
-// NewMinSumDecoder takes the fastest one this CPU runs.
-// The decoder calls fold and writeBack on each block's two contiguous
-// ranges (see MinSumDecoder): element i of ctv and of total or next
-// belongs to check lo+i, and a range has any length in [0, T].
+// kernelSet is one implementation of the loops of a decode that visit
+// every edge or every bit. Every set computes the same bits;
+// NewMinSumDecoder takes the fastest one this CPU runs that fits the
+// code's circulant size.
 type kernelSet struct {
 	name string
-	// reset empties every accumulator.
-	reset func(a *checkAccs)
-	// fold folds one block's variable-to-check messages total−ctv into
-	// the accumulators and leaves them in ctv.
-	fold func(a *checkAccs, lo int, ctv, total []float32, blk int32)
-	// scale multiplies min1 and min2 by alpha.
-	scale func(a *checkAccs, alpha float32)
-	// writeBack replaces each variable-to-check message in ctv with the
-	// new check-to-variable message and adds that into next.
-	writeBack func(a *checkAccs, lo int, ctv, next []float32, blk int32)
+	// lanes is the circulant sizes the set takes: T a multiple of lanes.
+	lanes int
+	// expand writes the ±1 LLRs of the hard bits in words (a set bit is
+	// −1) into llrs and into total, the first beliefs (llr + 0 is llr).
+	expand func(llrs, total []float32, words []uint64)
+	// seed writes the first beliefs of soft LLRs, total = llr + 0: each
+	// LLR plus its cleared messages, so a −0 LLR becomes +0.
+	seed func(total, llrs []float32)
+	// row runs normalized min-sum on the T checks of one block row.
+	// blocks are the row's non-zero circulants in column order and ctv
+	// their messages, T per block, message k of a block belonging to
+	// check k and variable col+(k+shift)%T. Each message is replaced by
+	// alpha·min over the check's other edges, with their sign parity,
+	// computed from the beliefs in total, and added into its variable's
+	// belief in next. a is T-wide scratch; T is len(a.min1).
+	row func(a *checkAccs, blocks []circulant, ctv, total, next []float32, alpha float32)
 	// pack sets bit i of the decision words iff total[i] < 0.
 	pack func(words []uint64, total []float32)
 }
 
-// kernelSets lists the kernel sets this CPU runs, fastest first.
+// fits reports whether the set takes circulant size t.
+func (k *kernelSet) fits(t int) bool { return t%k.lanes == 0 }
+
+// kernelSets lists the kernel sets this CPU runs, fastest first. The
+// last, the portable set, fits every circulant size.
 var kernelSets = availableKernels()
 
 // goKernels is the portable set. The vector sets finish with it the
-// ranges that do not fill a whole vector.
+// elements that do not fill a whole vector.
 var goKernels = kernelSet{
-	name:      "go",
-	reset:     func(a *checkAccs) { resetAccs(a, 0) },
-	fold:      foldChecks,
-	scale:     func(a *checkAccs, alpha float32) { scaleAccs(a, 0, alpha) },
-	writeBack: writeBack,
-	pack:      packSigns,
+	name:   "go",
+	lanes:  1,
+	expand: expandBits,
+	seed:   seedBeliefs,
+	row:    rowChecks,
+	pack:   packSigns,
+}
+
+// expandBits is the portable hard-decision entry.
+//
+//riflint:hotpath
+func expandBits(llrs, total []float32, words []uint64) {
+	total = total[:len(llrs)]
+	for w, word := range words {
+		lo := w * 64
+		for i := range llrs[lo:min(lo+64, len(llrs))] {
+			x := math.Float32frombits(math.Float32bits(1) | uint32(word>>i&1)<<31)
+			llrs[lo+i], total[lo+i] = x, x
+		}
+	}
+}
+
+// seedBeliefs is the portable soft entry.
+//
+//riflint:hotpath
+func seedBeliefs(total, llrs []float32) {
+	total = total[:len(llrs)]
+	for v, x := range llrs {
+		total[v] = x + 0
+	}
+}
+
+// rowChecks is the portable row kernel, block-major over T-wide
+// accumulators: one pass folds each block's variable-to-check messages
+// into them (leaving the messages in place of the old ones), a second
+// writes alpha·min with the extrinsic sign back and adds each new
+// message into its variable's next belief. Each block's messages meet
+// the block column in two contiguous ranges, split where (k+shift)%T
+// wraps.
+//
+//riflint:hotpath
+func rowChecks(a *checkAccs, blocks []circulant, ctv, total, next []float32, alpha float32) {
+	t := len(a.min1)
+	resetAccs(a)
+	for b, blk := range blocks {
+		c := ctv[b*t : (b+1)*t]
+		col := total[blk.col : blk.col+t]
+		s := t - blk.shift
+		foldChecks(a, 0, c[:s], col[blk.shift:], int32(b))
+		foldChecks(a, s, c[s:], col[:blk.shift], int32(b))
+	}
+	scaleAccs(a, alpha)
+	for b, blk := range blocks {
+		c := ctv[b*t : (b+1)*t]
+		col := next[blk.col : blk.col+t]
+		s := t - blk.shift
+		writeBack(a, 0, c[:s], col[blk.shift:], int32(b))
+		writeBack(a, s, c[s:], col[:blk.shift], int32(b))
+	}
 }
 
 //riflint:hotpath
-func resetAccs(a *checkAccs, lo int) {
-	min1 := a.min1[lo:]
+func resetAccs(a *checkAccs) {
+	min1 := a.min1
 	n := len(min1)
-	min2, minBlk, parity := a.min2[lo:lo+n], a.minBlk[lo:lo+n], a.parity[lo:lo+n]
+	min2, minBlk, parity := a.min2[:n], a.minBlk[:n], a.parity[:n]
 	for k := range min1 {
 		min1[k], min2[k], minBlk[k], parity[k] = emptyMag, emptyMag, noBlock, 0
 	}
 }
 
-// foldChecks is the portable fold. A strict < keeps the first minimum
-// in column order; min2 = min(min2, max(m, min1)) is the branchless
-// form of the two-way update. A message is never −0 (a float sum is −0
-// only when every term is, and then total−ctv is +0), so its sign bit
-// is exactly "vtc < 0".
+// foldChecks folds one range of a block's messages into checks
+// [lo, lo+len(ctv)). A strict < keeps the first minimum in column
+// order; min2 = min(min2, max(m, min1)) is the branchless form of the
+// two-way update. A message is never −0 (a float sum is −0 only when
+// every term is, and then total−ctv is +0), so its sign bit is exactly
+// "vtc < 0".
 //
 //riflint:hotpath
 func foldChecks(a *checkAccs, lo int, ctv, total []float32, blk int32) {
@@ -102,18 +164,18 @@ func foldChecks(a *checkAccs, lo int, ctv, total []float32, blk int32) {
 // so the write-back attaches each message's sign afterwards.
 //
 //riflint:hotpath
-func scaleAccs(a *checkAccs, lo int, alpha float32) {
-	min1 := a.min1[lo:]
-	min2 := a.min2[lo : lo+len(min1)]
+func scaleAccs(a *checkAccs, alpha float32) {
+	min1 := a.min1
+	min2 := a.min2[:len(min1)]
 	for k, m := range min1 {
 		min1[k] = math.Float32bits(alpha * math.Float32frombits(m))
 		min2[k] = math.Float32bits(alpha * math.Float32frombits(min2[k]))
 	}
 }
 
-// writeBack is the portable write-back: ctv holds each edge's
-// variable-to-check message, and the extrinsic sign is its sign times
-// every other edge's.
+// writeBack writes back one range of a block's messages: ctv holds each
+// edge's variable-to-check message, and the extrinsic sign is its sign
+// times every other edge's.
 //
 //riflint:hotpath
 func writeBack(a *checkAccs, lo int, ctv, next []float32, blk int32) {

@@ -36,47 +36,26 @@ func kernelFloats(rng *rand.Rand, n int) []float32 {
 	return s
 }
 
-// kernelRow is the state one block row's kernels touch: the
-// accumulators and, per block, its messages and its beliefs, each
-// inside a padded buffer so a write outside the range shows.
-type kernelRow struct {
-	acc         checkAccs
-	ctv, belief [][]float32
+// padded is n floats from kernelFloat inside a buffer of kernelFloats
+// 16 longer, starting 1–7 floats in (so unaligned): a write outside the
+// n shows.
+type padded struct {
+	buf    []float32
+	off, n int
 }
 
-func (r kernelRow) clone() kernelRow {
-	c := kernelRow{acc: newCheckAccs(len(r.acc.min1))}
-	copy(c.acc.min1, r.acc.min1)
-	copy(c.acc.min2, r.acc.min2)
-	copy(c.acc.minBlk, r.acc.minBlk)
-	copy(c.acc.parity, r.acc.parity)
-	for b := range r.ctv {
-		c.ctv = append(c.ctv, slices.Clone(r.ctv[b]))
-		c.belief = append(c.belief, slices.Clone(r.belief[b]))
-	}
-	return c
+func newPadded(rng *rand.Rand, n int) padded {
+	return padded{buf: kernelFloats(rng, n+16), off: 1 + rng.IntN(7), n: n}
 }
 
-// diff names the first word in which two rows differ, or "".
-func (r kernelRow) diff(o kernelRow) string {
-	for _, f := range []struct {
-		name string
-		a, b []uint32
-	}{
-		{"min1", r.acc.min1, o.acc.min1}, {"min2", r.acc.min2, o.acc.min2},
-		{"minBlk", r.acc.minBlk, o.acc.minBlk}, {"parity", r.acc.parity, o.acc.parity},
-	} {
-		if i := firstDiff(f.a, f.b); i >= 0 {
-			return fmt.Sprintf("%s differs at check %d", f.name, i)
-		}
-	}
-	for b := range r.ctv {
-		if i := firstDiff(floatBits(r.ctv[b]), floatBits(o.ctv[b])); i >= 0 {
-			return fmt.Sprintf("block %d message buffer differs at %d", b, i)
-		}
-		if i := firstDiff(floatBits(r.belief[b]), floatBits(o.belief[b])); i >= 0 {
-			return fmt.Sprintf("block %d belief buffer differs at %d", b, i)
-		}
+func (p padded) s() []float32 { return p.buf[p.off : p.off+p.n] }
+
+func (p padded) clone() padded { p.buf = slices.Clone(p.buf); return p }
+
+// sameBits names the first float in which two buffers differ, or "".
+func sameBits(what string, got, want padded) string {
+	if i := firstDiff(floatBits(got.buf), floatBits(want.buf)); i >= 0 {
+		return fmt.Sprintf("%s buffer differs at %d (range from %d): %v, portable %v", what, i, got.off, got.buf[i], want.buf[i])
 	}
 	return ""
 }
@@ -99,12 +78,14 @@ func firstDiff(a, b []uint32) int {
 }
 
 // TestKernelsMatchPortable runs every vector kernel set this CPU has
-// against the portable set on the same state and requires it equal
-// bit for bit after each reset, fold, scale and write-back: for every
-// range length 0…T at the offsets a block's two ranges take (lo = 0
-// and lo = T−n) and one more, with each range's messages and beliefs
-// at unaligned addresses, and with ±0, subnormals, exact magnitude
-// ties, MaxFloat32 and ±Inf in the data.
+// against the portable set on the same input and requires the same
+// bits: the row kernel's messages and next beliefs on one block row
+// for every shift 0…T−1 of its first block, so every split of the
+// wrapping chunk occurs, at T = 8, 64 and 256, and the entry kernels'
+// LLRs and beliefs for every length up to four words and a bit. Every
+// slice starts at an unaligned address inside a padded buffer, so a
+// write outside it shows, and the data hold ±0, subnormals, exact
+// magnitude ties, MaxFloat32 and ±Inf.
 func TestKernelsMatchPortable(t *testing.T) {
 	if len(kernelSets) == 1 {
 		t.Skip("this CPU runs only the portable kernels")
@@ -114,72 +95,71 @@ func TestKernelsMatchPortable(t *testing.T) {
 			continue
 		}
 		t.Run(k.name, func(t *testing.T) {
-			rng := rand.New(rand.NewPCG(5, 38))
-			for _, T := range []int{100, 64} {
-				for n := 0; n <= T; n++ {
-					for _, lo := range []int{0, T - n, rng.IntN(T - n + 1)} {
-						if diff := kernelCase(k, rng, T, lo, n); diff != "" {
-							t.Fatalf("T=%d checks [%d, %d): %s", T, lo, lo+n, diff)
-						}
+			rng := rand.New(rand.NewPCG(5, 42))
+			for _, T := range []int{8, 64, 256} {
+				for shift := range T {
+					if diff := rowCase(k.row, rng, T, shift, 1+rng.IntN(4)); diff != "" {
+						t.Fatalf("T=%d, first block's shift %d: %s", T, shift, diff)
 					}
+				}
+			}
+			for n := 0; n <= 4*64+1; n++ {
+				if diff := entryCase(k, rng, n); diff != "" {
+					t.Fatalf("%d beliefs: %s", n, diff)
 				}
 			}
 		})
 	}
 }
 
-// kernelCase runs one block row of three blocks on checks [lo, lo+n)
-// through k and the portable set.
-func kernelCase(k *kernelSet, rng *rand.Rand, T, lo, n int) string {
-	const blocks = 3
-	var want kernelRow
-	want.acc = newCheckAccs(T)
-	for i := range T {
-		// Accumulator magnitudes come from the same values, so folds
-		// meet exact ties.
-		want.acc.min1[i] = math.Float32bits(kernelFloat(rng)) &^ signBit
-		want.acc.min2[i] = math.Float32bits(kernelFloat(rng)) &^ signBit
-		want.acc.minBlk[i] = uint32(rng.IntN(blocks+1)) - 1
-		want.acc.parity[i] = rng.Uint32()
-	}
-	for range blocks {
-		// Pad before and after, unaligning the range by 1–7 floats.
-		want.ctv = append(want.ctv, kernelFloats(rng, n+16))
-		want.belief = append(want.belief, kernelFloats(rng, n+16))
-	}
-	off := 1 + rng.IntN(7)
-	got := want.clone()
-	step := func(what string, f func(s *kernelSet, r kernelRow)) string {
-		f(k, got)
-		f(&goKernels, want)
-		if d := got.diff(want); d != "" {
-			return "after " + what + ": " + d
-		}
-		return ""
-	}
-	if rng.IntN(2) == 0 {
-		if d := step("reset", func(s *kernelSet, r kernelRow) { s.reset(&r.acc) }); d != "" {
-			return d
-		}
-	}
+// rowCase runs one block row of nb blocks through row and the portable
+// kernel, the first block at the given shift and the others at random
+// ones, in random block columns of a C = nb+2 wide code.
+func rowCase(row func(a *checkAccs, blocks []circulant, ctv, total, next []float32, alpha float32), rng *rand.Rand, T, shift, nb int) string {
+	cols := rng.Perm(nb + 2)[:nb]
+	slices.Sort(cols)
+	blocks := make([]circulant, nb)
 	for b := range blocks {
-		if d := step(fmt.Sprint("fold of block ", b), func(s *kernelSet, r kernelRow) {
-			s.fold(&r.acc, lo, r.ctv[b][off:off+n], r.belief[b][off:off+n], int32(b))
-		}); d != "" {
-			return d
-		}
+		blocks[b] = circulant{col: cols[b] * T, shift: rng.IntN(T)}
 	}
-	if d := step("scale", func(s *kernelSet, r kernelRow) { s.scale(&r.acc, 0.75) }); d != "" {
-		return d
-	}
-	for b := range blocks {
-		if d := step(fmt.Sprint("write-back of block ", b), func(s *kernelSet, r kernelRow) {
-			s.writeBack(&r.acc, lo, r.ctv[b][off:off+n], r.belief[b][off:off+n], int32(b))
-		}); d != "" {
-			return d
+	blocks[0].shift = shift
+	ctv, total, next := newPadded(rng, nb*T), newPadded(rng, (nb+2)*T), newPadded(rng, (nb+2)*T)
+	wantCtv, wantTotal, wantNext := ctv.clone(), total.clone(), next.clone()
+	goAcc, acc := newCheckAccs(T), newCheckAccs(T)
+	goKernels.row(&goAcc, blocks, wantCtv.s(), wantTotal.s(), wantNext.s(), 0.75)
+	row(&acc, blocks, ctv.s(), total.s(), next.s(), 0.75)
+	for _, c := range []struct {
+		what      string
+		got, want padded
+	}{{"message", ctv, wantCtv}, {"belief", total, wantTotal}, {"next belief", next, wantNext}} {
+		if diff := sameBits(c.what, c.got, c.want); diff != "" {
+			return fmt.Sprintf("blocks %v: %s", blocks, diff)
 		}
 	}
 	return ""
+}
+
+// entryCase runs the hard entry on n random bits and the soft entry on
+// n LLRs through k and the portable set.
+func entryCase(k *kernelSet, rng *rand.Rand, n int) string {
+	words := make([]uint64, (n+63)/64)
+	for i := range words {
+		words[i] = rng.Uint64()
+	}
+	llrs, total := newPadded(rng, n), newPadded(rng, n)
+	wantLLRs, wantTotal := llrs.clone(), total.clone()
+	goKernels.expand(wantLLRs.s(), wantTotal.s(), words)
+	k.expand(llrs.s(), total.s(), words)
+	if diff := sameBits("expand LLR", llrs, wantLLRs); diff != "" {
+		return diff
+	}
+	if diff := sameBits("expand belief", total, wantTotal); diff != "" {
+		return diff
+	}
+	soft := newPadded(rng, n)
+	goKernels.seed(wantTotal.s(), soft.s())
+	k.seed(total.s(), soft.s())
+	return sameBits("seed belief", total, wantTotal)
 }
 
 // TestPackSigns checks every kernel set's hard decision for every
